@@ -5,6 +5,7 @@ use mvs_geometry::BBox;
 use mvs_ml::hungarian_max;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One global (physical) object produced by association: the per-camera
 /// detections that were identified as the same object.
@@ -40,8 +41,9 @@ impl GlobalObject {
 #[derive(Debug, Clone)]
 pub struct AssociationEngine {
     num_cameras: usize,
-    /// Keyed by (source, target) with source < target.
-    models: BTreeMap<(usize, usize), CameraPairModel>,
+    /// Keyed by (source, target) with source < target. Shared, so a
+    /// caller that also keeps the models (both directions) holds one copy.
+    models: BTreeMap<(usize, usize), Arc<CameraPairModel>>,
     iou_threshold: f64,
 }
 
@@ -68,17 +70,23 @@ impl AssociationEngine {
         }
     }
 
-    /// Registers the model for the ordered pair `(source, target)`.
+    /// Registers the model (owned, or an `Arc` the caller keeps a handle
+    /// to) for the ordered pair `(source, target)`.
     ///
     /// # Panics
     ///
     /// Panics unless `source < target < num_cameras`.
-    pub fn insert_model(&mut self, source: usize, target: usize, model: CameraPairModel) {
+    pub fn insert_model(
+        &mut self,
+        source: usize,
+        target: usize,
+        model: impl Into<Arc<CameraPairModel>>,
+    ) {
         assert!(
             source < target && target < self.num_cameras,
             "pair must satisfy source < target < num_cameras"
         );
-        self.models.insert((source, target), model);
+        self.models.insert((source, target), model.into());
     }
 
     /// Number of registered pair models.

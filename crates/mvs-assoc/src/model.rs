@@ -1,7 +1,7 @@
 //! Per-camera-pair visibility classifier and location regressor.
 
 use mvs_geometry::BBox;
-use mvs_ml::{Classifier, KnnClassifier, KnnRegressor, MlError, Regressor};
+use mvs_ml::{Classifier, KnnClassifier, KnnRegressor, MlError};
 use serde::{Deserialize, Serialize};
 
 /// One labeled training sample for a (source → target) camera pair: an
@@ -30,14 +30,18 @@ impl CameraPairModel {
     /// Predicts the target-camera bounding box for a source-camera box:
     /// `None` when the classifier says the object is not visible there (or
     /// no regressor could be trained for this pair).
+    ///
+    /// Runs on every camera every frame, so it stays on the stack: no heap
+    /// allocation on either path for `k ≤ 8` (`tests/zero_alloc.rs`).
     pub fn predict(&self, src: &BBox) -> Option<BBox> {
-        let features = src.to_array().to_vec();
+        let features = src.to_array();
         if self.classifier.predict(&features) == 0 {
             return None;
         }
         let regressor = self.regressor.as_ref()?;
-        let coords = regressor.predict(&features);
-        BBox::from_array_lenient([coords[0], coords[1], coords[2], coords[3]]).ok()
+        let mut coords = [0.0; 4];
+        regressor.predict_into(&features, &mut coords);
+        BBox::from_array_lenient(coords).ok()
     }
 
     /// Whether the pair ever observed a positive correspondence (i.e. has a
@@ -85,21 +89,19 @@ pub fn train_pair_model(
     if samples.is_empty() {
         return Err(MlError::EmptyTrainingSet);
     }
-    let xs: Vec<Vec<f64>> = samples.iter().map(|s| s.src.to_array().to_vec()).collect();
+    let xs: Vec<[f64; 4]> = samples.iter().map(|s| s.src.to_array()).collect();
     let labels: Vec<usize> = samples
         .iter()
         .map(|s| usize::from(s.dst.is_some()))
         .collect();
     let classifier = KnnClassifier::fit(k, &xs, &labels)?;
-    let pos: Vec<&CorrespondenceSample> = samples.iter().filter(|s| s.dst.is_some()).collect();
-    let regressor = if pos.is_empty() {
+    let (rx, ry): (Vec<[f64; 4]>, Vec<[f64; 4]>) = samples
+        .iter()
+        .filter_map(|s| s.dst.map(|dst| (s.src.to_array(), dst.to_array())))
+        .unzip();
+    let regressor = if rx.is_empty() {
         None
     } else {
-        let rx: Vec<Vec<f64>> = pos.iter().map(|s| s.src.to_array().to_vec()).collect();
-        let ry: Vec<Vec<f64>> = pos
-            .iter()
-            .map(|s| s.dst.expect("filtered to visible").to_array().to_vec())
-            .collect();
         Some(KnnRegressor::fit(k, &rx, &ry)?)
     };
     Ok(CameraPairModel {

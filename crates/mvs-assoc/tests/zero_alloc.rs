@@ -1,0 +1,119 @@
+//! Allocation regression gate for the association hot path.
+//!
+//! `CameraPairModel::predict` runs for every detection on every camera
+//! every frame (takeover scan, association round), so it must not touch
+//! the heap: at `k = 3` the KNN top-k, the feature row and the regressed
+//! box all live on the stack. This binary holds exactly one test so that
+//! nothing else allocates on the measured thread.
+
+use mvs_assoc::{train_pair_model, CorrespondenceSample};
+use mvs_geometry::BBox;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Per thread, so the test harness's own threads are not counted.
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // Ignoring the error: a thread past TLS teardown is not the test thread.
+    let _ = EVENTS.try_with(|c| c.set(c.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// `Cell` without a destructor, so touching it neither allocates nor
+// re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn events() -> u64 {
+    EVENTS.with(Cell::get)
+}
+
+fn bb(x: f64, y: f64, w: f64, h: f64) -> BBox {
+    BBox::new(x, y, x + w, y + h).expect("valid box")
+}
+
+#[test]
+fn pair_model_predict_never_allocates() {
+    // Visible (shifted 100 px right) only in the right half of the source.
+    let samples: Vec<CorrespondenceSample> = (0..200)
+        .map(|i| {
+            let x = 6.0 * f64::from(i);
+            let y = 100.0 + f64::from(i % 7) * 40.0;
+            CorrespondenceSample {
+                src: bb(x, y, 60.0, 50.0),
+                dst: (x > 600.0).then(|| bb(x - 500.0, y + 10.0, 60.0, 50.0)),
+            }
+        })
+        .collect();
+    let model = train_pair_model(3, &samples).expect("non-empty samples");
+    let probes: Vec<BBox> = (0..60)
+        .map(|i| {
+            bb(
+                20.0 * f64::from(i),
+                90.0 + f64::from(i % 5) * 55.0,
+                58.0,
+                52.0,
+            )
+        })
+        .collect();
+
+    let before = events();
+    let (mut none, mut some) = (0u32, 0u32);
+    for probe in &probes {
+        match model.predict(probe) {
+            None => none += 1,
+            Some(mapped) => {
+                std::hint::black_box(mapped);
+                some += 1;
+            }
+        }
+    }
+    let allocated = events() - before;
+
+    assert!(
+        none > 0 && some > 0,
+        "both paths exercised: {none} None, {some} Some"
+    );
+    assert_eq!(
+        allocated,
+        0,
+        "predict allocated {allocated} times over {} queries",
+        probes.len()
+    );
+
+    // The counter is live: the same loop with a boxed result is seen.
+    let before = events();
+    std::hint::black_box(Box::new(model.predict(&probes[0])));
+    assert!(events() > before, "counting allocator is not installed");
+}

@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvs_geometry::Point2;
-use mvs_ml::{estimate_homography, hungarian, Classifier, KnnClassifier, KnnRegressor, Regressor};
+use mvs_ml::{
+    brute_force_k_nearest, estimate_homography, hungarian, Classifier, KnnClassifier, KnnRegressor,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -23,23 +25,46 @@ fn bench_hungarian(c: &mut Criterion) {
     group.finish();
 }
 
+/// KNN association lookups at the three per-pair training-set sizes
+/// bench-e2e reports (`ml.knn_train_samples`: serve tenants, city128,
+/// s1-balb), 4-d box features, k = 3: the flat sorted-sweep index behind
+/// `KnnClassifier`/`KnnRegressor` against the brute-force scan it replaced,
+/// so the crossover (if any) is on record.
 fn bench_knn(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let n_train = 5_000;
-    let xs: Vec<Vec<f64>> = (0..n_train)
-        .map(|_| (0..4).map(|_| rng.gen_range(0.0..1280.0)).collect())
-        .collect();
-    let labels: Vec<usize> = (0..n_train).map(|i| i % 2).collect();
-    let targets: Vec<Vec<f64>> = xs.to_vec();
-    let classifier = KnnClassifier::fit(3, &xs, &labels).expect("valid data");
-    let regressor = KnnRegressor::fit(3, &xs, &targets).expect("valid data");
-    let query = [640.0, 350.0, 720.0, 410.0];
-    c.bench_function("knn_classify_5k", |b| {
-        b.iter(|| classifier.predict(black_box(&query)))
-    });
-    c.bench_function("knn_regress_5k", |b| {
-        b.iter(|| regressor.predict(black_box(&query)))
-    });
+    let mut random_box = move || {
+        let (x, y) = (rng.gen_range(0.0..1200.0), rng.gen_range(0.0..650.0));
+        let (w, h) = (rng.gen_range(20.0..160.0), rng.gen_range(20.0..120.0));
+        [x, y, x + w, y + h]
+    };
+    let queries: Vec<[f64; 4]> = (0..256).map(|_| random_box()).collect();
+    let mut group = c.benchmark_group("knn_query");
+    for &n_train in &[233usize, 857, 2644] {
+        let xs: Vec<[f64; 4]> = (0..n_train).map(|_| random_box()).collect();
+        let labels: Vec<usize> = (0..n_train).map(|i| i % 2).collect();
+        let classifier = KnnClassifier::fit(3, &xs, &labels).expect("valid data");
+        let regressor = KnnRegressor::fit(3, &xs, &xs).expect("valid data");
+        let mut next = 0usize;
+        let mut query = || {
+            next = (next + 1) % queries.len();
+            queries[next]
+        };
+        let id = |arm| BenchmarkId::new(arm, n_train);
+        group.bench_with_input(id("index_classify"), &classifier, |b, classifier| {
+            b.iter(|| classifier.predict(black_box(&query())))
+        });
+        group.bench_with_input(id("index_regress"), &regressor, |b, regressor| {
+            let mut out = [0.0; 4];
+            b.iter(|| {
+                regressor.predict_into(black_box(&query()), &mut out);
+                out
+            })
+        });
+        group.bench_with_input(id("reference_scan"), &xs, |b, xs| {
+            b.iter(|| brute_force_k_nearest(black_box(xs), black_box(&query()), 3))
+        });
+    }
+    group.finish();
 }
 
 fn bench_homography(c: &mut Criterion) {

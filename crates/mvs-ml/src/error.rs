@@ -26,6 +26,11 @@ pub enum MlError {
         /// Samples available.
         available: usize,
     },
+    /// A training row held a NaN or infinite value.
+    NonFinite {
+        /// Index of the first offending row.
+        row: usize,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -41,6 +46,7 @@ impl fmt::Display for MlError {
                 required,
                 available,
             } => write!(f, "needed {required} samples, had {available}"),
+            MlError::NonFinite { row } => write!(f, "training row {row} is not finite"),
         }
     }
 }

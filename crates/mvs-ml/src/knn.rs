@@ -4,20 +4,42 @@
 //! non-parametric lookup tables that use the nearest memorized cases to
 //! predict (a) whether an object seen by camera *i* is visible in camera
 //! *i'* and (b) where its bounding box lands there.
+//!
+//! Both models query one flat, immutable, **exact** index (`KnnIndex`, see
+//! DESIGN.md §17): the neighbour list is the brute-force scan's, bit for
+//! bit, at a fraction of the rows touched and without heap traffic for
+//! small `k`.
 
 use crate::{Classifier, MlError, Regressor};
 use serde::{Deserialize, Serialize};
 
-/// Indices (into the training set) and distances of the `k` nearest rows.
-fn k_nearest(train: &[Vec<f64>], x: &[f64], k: usize) -> Vec<(usize, f64)> {
-    let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
+/// The distance both the index and the brute-force reference compute. One
+/// shared expression, so "bit-identical" is a property of the row *set*
+/// each side visits, never of two spellings of the arithmetic.
+#[inline]
+fn distance(row: &[f64], x: &[f64]) -> f64 {
+    row.iter()
+        .zip(x)
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// Brute-force reference for the index: indices (into the training set, in
+/// arrival order) and distances of the `k` nearest rows, nearest first,
+/// equal distances in arrival order.
+///
+/// Not called by any shipping path; the differential tests and the `ml`
+/// bench compare the index against it.
+#[doc(hidden)]
+pub fn brute_force_k_nearest<R: AsRef<[f64]>>(
+    train: &[R],
+    x: &[f64],
+    k: usize,
+) -> Vec<(usize, f64)> {
+    let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(train.len()) + 1);
     for (i, row) in train.iter().enumerate() {
-        let d: f64 = row
-            .iter()
-            .zip(x)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
+        let d = distance(row.as_ref(), x);
         // Insertion sort into the running top-k: k is tiny (≤ ~10).
         let pos = best.partition_point(|&(_, bd)| bd <= d);
         if pos < k {
@@ -26,6 +48,185 @@ fn k_nearest(train: &[Vec<f64>], x: &[f64], k: usize) -> Vec<(usize, f64)> {
         }
     }
     best
+}
+
+/// One neighbour: original (arrival-order) row index and distance.
+type Neighbour = (u32, f64);
+
+/// Neighbour lists up to this long live on the stack; longer ones spill to
+/// one heap buffer per query.
+const INLINE_K: usize = 8;
+
+/// Below this gap `g`, `g * g` is subnormal and `sqrt(g * g) == g` no
+/// longer holds, so the sweep key stops being a lower bound on the computed
+/// distance. Such gaps are never pruned on (2⁻⁵¹¹ ≈ 1.5e-154).
+const MIN_EXACT_GAP: f64 = f64::from_bits((1023 - 511) << 52);
+
+/// Maps a finite `f64` to a `u64` whose unsigned order is the float's
+/// numeric order (−0.0 just below +0.0).
+#[inline]
+fn ordered_bits(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Flat exact nearest-neighbour index: row-major features sorted along
+/// their widest axis, queried by a binary search plus an outward sweep.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct KnnIndex {
+    dim: usize,
+    /// The sweep axis: the feature column with the largest value range.
+    axis: usize,
+    /// `order.len() × dim` features, rows in ascending `axis` order.
+    rows: Vec<f64>,
+    /// Arrival-order index of each sorted row.
+    order: Vec<u32>,
+}
+
+impl KnnIndex {
+    /// Validates and indexes the feature rows.
+    fn build<R: AsRef<[f64]>>(xs: &[R]) -> Result<KnnIndex, MlError> {
+        let dim = validate_rows(xs)?;
+        if dim == 0 {
+            return Err(MlError::InvalidParameter(
+                "feature rows need at least one column",
+            ));
+        }
+        if u32::try_from(xs.len()).is_err() {
+            return Err(MlError::InvalidParameter(
+                "training set exceeds u32::MAX rows",
+            ));
+        }
+        let first = xs[0].as_ref();
+        let (mut lo, mut hi) = (first.to_vec(), first.to_vec());
+        for row in xs {
+            for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(row.as_ref()) {
+                *l = l.min(v);
+                *h = h.max(v);
+            }
+        }
+        let mut axis = 0;
+        for a in 1..dim {
+            if hi[a] - lo[a] > hi[axis] - lo[axis] {
+                axis = a;
+            }
+        }
+        // Sort a contiguous (key bits, row) array rather than the rows: the
+        // comparator never chases a pointer, and ties keep arrival order.
+        let mut keys: Vec<(u64, u32)> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (ordered_bits(row.as_ref()[axis]), i as u32))
+            .collect();
+        keys.sort_unstable();
+        let mut rows = Vec::with_capacity(xs.len() * dim);
+        let mut order = Vec::with_capacity(xs.len());
+        for &(_, i) in &keys {
+            rows.extend_from_slice(xs[i as usize].as_ref());
+            order.push(i);
+        }
+        Ok(KnnIndex {
+            dim,
+            axis,
+            rows,
+            order,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Calls `f` with the `k` nearest rows as the brute-force scan would
+    /// list them: ascending `(distance, arrival index)`. A query of the
+    /// wrong length or with a non-finite coordinate has no neighbours.
+    fn with_nearest<T>(&self, x: &[f64], k: usize, f: impl FnOnce(&[Neighbour]) -> T) -> T {
+        let cap = k.min(self.len());
+        let mut inline = [(0u32, 0.0f64); INLINE_K];
+        let mut spill = Vec::new();
+        let top = if cap <= INLINE_K {
+            &mut inline[..cap]
+        } else {
+            spill.resize(cap, (0u32, 0.0f64));
+            &mut spill[..]
+        };
+        if x.len() == self.dim && x.iter().all(|v| v.is_finite()) {
+            self.sweep(x, top);
+            f(top)
+        } else {
+            f(&[])
+        }
+    }
+
+    /// Fills `top`, whose length is the number of neighbours wanted (≥ 1
+    /// and ≤ `len()`, so every slot gets a row).
+    ///
+    /// Rows are visited outward from the query's position on the sweep
+    /// axis, nearer key first, so the key gaps `|key − x[axis]|` arrive in
+    /// non-decreasing order. A row's computed distance is never below its
+    /// gap (DESIGN.md §17), so once the list is full and a gap *strictly*
+    /// exceeds the k-th distance no unvisited row can enter it — not even
+    /// as an equal-distance, lower-index tie — and the sweep ends.
+    fn sweep(&self, x: &[f64], top: &mut [Neighbour]) {
+        let (dim, axis, n) = (self.dim, self.axis, self.len());
+        let q = x[axis];
+        let gap_at = |pos: usize| (self.rows[pos * dim + axis] - q).abs();
+        // First sorted position whose key is not below the query's.
+        let (mut below, mut above) = (0, n);
+        while below < above {
+            let mid = below + (above - below) / 2;
+            if self.rows[mid * dim + axis] < q {
+                below = mid + 1;
+            } else {
+                above = mid;
+            }
+        }
+        // Unvisited: sorted positions `..below` and `above..`.
+        let mut gap_below = (below > 0).then(|| gap_at(below - 1));
+        let mut gap_above = (above < n).then(|| gap_at(above));
+        let mut found = 0;
+        // Finite only once `top` is full.
+        let mut prune_above = f64::INFINITY;
+        loop {
+            let (take_below, gap) = match (gap_below, gap_above) {
+                (Some(b), Some(a)) if b <= a => (true, b),
+                (Some(b), None) => (true, b),
+                (_, Some(a)) => (false, a),
+                (None, None) => break,
+            };
+            if gap > prune_above {
+                break;
+            }
+            let pos = if take_below {
+                below -= 1;
+                gap_below = (below > 0).then(|| gap_at(below - 1));
+                below
+            } else {
+                above += 1;
+                gap_above = (above < n).then(|| gap_at(above));
+                above - 1
+            };
+            let candidate = (
+                self.order[pos],
+                distance(&self.rows[pos * dim..(pos + 1) * dim], x),
+            );
+            let before = |a: Neighbour, b: Neighbour| a.1 < b.1 || (a.1 == b.1 && a.0 < b.0);
+            if found < top.len() {
+                found += 1;
+            } else if !before(candidate, top[found - 1]) {
+                continue;
+            }
+            let mut slot = found - 1;
+            while slot > 0 && before(candidate, top[slot - 1]) {
+                top[slot] = top[slot - 1];
+                slot -= 1;
+            }
+            top[slot] = candidate;
+            if found == top.len() {
+                prune_above = top[found - 1].1.max(MIN_EXACT_GAP);
+            }
+        }
+    }
 }
 
 /// K-nearest-neighbour classifier (majority vote, ties to lower label).
@@ -45,24 +246,25 @@ fn k_nearest(train: &[Vec<f64>], x: &[f64], k: usize) -> Vec<(usize, f64)> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnnClassifier {
     k: usize,
-    xs: Vec<Vec<f64>>,
+    index: KnnIndex,
     ys: Vec<usize>,
 }
 
 impl KnnClassifier {
-    /// Memorizes the training set.
+    /// Memorizes the training set (`&[Vec<f64>]`, `&[[f64; N]]`, … rows).
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidParameter`] when `k == 0`,
-    /// [`MlError::EmptyTrainingSet`] for empty input, and
+    /// Returns [`MlError::InvalidParameter`] when `k == 0` or the rows have
+    /// no columns, [`MlError::EmptyTrainingSet`] for empty input,
     /// [`MlError::DimensionMismatch`] when `xs` and `ys` differ in length or
-    /// feature rows are ragged.
-    pub fn fit(k: usize, xs: &[Vec<f64>], ys: &[usize]) -> Result<Self, MlError> {
+    /// feature rows are ragged, and [`MlError::NonFinite`] when a feature
+    /// is NaN or infinite.
+    pub fn fit<R: AsRef<[f64]>>(k: usize, xs: &[R], ys: &[usize]) -> Result<Self, MlError> {
         if k == 0 {
             return Err(MlError::InvalidParameter("k must be positive"));
         }
-        validate_rows(xs)?;
+        let index = KnnIndex::build(xs)?;
         if xs.len() != ys.len() {
             return Err(MlError::DimensionMismatch {
                 expected: xs.len(),
@@ -71,7 +273,7 @@ impl KnnClassifier {
         }
         Ok(KnnClassifier {
             k,
-            xs: xs.to_vec(),
+            index,
             ys: ys.to_vec(),
         })
     }
@@ -83,31 +285,46 @@ impl KnnClassifier {
 
     /// Size of the memorized training set.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.index.len()
     }
 
     /// Whether the training set is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.index.len() == 0
+    }
+
+    /// The index's neighbour list for `x` as `(training row, distance)`,
+    /// for the differential tests against [`brute_force_k_nearest`].
+    #[doc(hidden)]
+    pub fn neighbours(&self, x: &[f64]) -> Vec<(usize, f64)> {
+        self.index.with_nearest(x, self.k, |nearest| {
+            nearest.iter().map(|&(i, d)| (i as usize, d)).collect()
+        })
     }
 }
 
 impl Classifier for KnnClassifier {
+    /// Majority label of the `k` nearest rows. Does not allocate for
+    /// `k ≤ 8`. A query with a NaN/infinite coordinate (or of the wrong
+    /// length) has no neighbours and gets label `0`.
     fn predict(&self, x: &[f64]) -> usize {
-        let neighbours = k_nearest(&self.xs, x, self.k);
-        let mut votes: Vec<(usize, usize)> = Vec::new(); // (label, count)
-        for (i, _) in neighbours {
-            let label = self.ys[i];
-            match votes.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, c)) => *c += 1,
-                None => votes.push((label, 1)),
+        self.index.with_nearest(x, self.k, |nearest| {
+            let label_of = |&(i, _): &Neighbour| self.ys[i as usize];
+            let mut winner: Option<(usize, usize)> = None; // (count, label)
+            for (pos, label) in nearest.iter().map(label_of).enumerate() {
+                if nearest[..pos].iter().any(|n| label_of(n) == label) {
+                    continue; // counted at its first occurrence
+                }
+                let count = nearest[pos..]
+                    .iter()
+                    .filter(|n| label_of(n) == label)
+                    .count();
+                if winner.is_none_or(|(c, l)| count > c || (count == c && label < l)) {
+                    winner = Some((count, label));
+                }
             }
-        }
-        votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(l, _)| l)
-            .unwrap_or(0)
+            winner.map_or(0, |(_, label)| label)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -133,8 +350,10 @@ impl Classifier for KnnClassifier {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnnRegressor {
     k: usize,
-    xs: Vec<Vec<f64>>,
-    ys: Vec<Vec<f64>>,
+    index: KnnIndex,
+    target_dim: usize,
+    /// `len × target_dim` targets, row-major, in arrival order.
+    ys: Vec<f64>,
 }
 
 impl KnnRegressor {
@@ -143,23 +362,32 @@ impl KnnRegressor {
     /// # Errors
     ///
     /// Same conditions as [`KnnClassifier::fit`]; additionally the target
-    /// rows must share one dimensionality.
-    pub fn fit(k: usize, xs: &[Vec<f64>], ys: &[Vec<f64>]) -> Result<Self, MlError> {
+    /// rows must share one dimensionality and be finite.
+    pub fn fit<R: AsRef<[f64]>, T: AsRef<[f64]>>(
+        k: usize,
+        xs: &[R],
+        ys: &[T],
+    ) -> Result<Self, MlError> {
         if k == 0 {
             return Err(MlError::InvalidParameter("k must be positive"));
         }
-        validate_rows(xs)?;
-        validate_rows(ys)?;
+        let index = KnnIndex::build(xs)?;
+        let target_dim = validate_rows(ys)?;
         if xs.len() != ys.len() {
             return Err(MlError::DimensionMismatch {
                 expected: xs.len(),
                 found: ys.len(),
             });
         }
+        let mut flat = Vec::with_capacity(ys.len() * target_dim);
+        for row in ys {
+            flat.extend_from_slice(row.as_ref());
+        }
         Ok(KnnRegressor {
             k,
-            xs: xs.to_vec(),
-            ys: ys.to_vec(),
+            index,
+            target_dim,
+            ys: flat,
         })
     }
 
@@ -167,29 +395,50 @@ impl KnnRegressor {
     pub fn k(&self) -> usize {
         self.k
     }
+
+    /// [`Regressor::predict`] into a caller-provided row (a stack array on
+    /// the association hot path); does not allocate for `k ≤ 8`.
+    ///
+    /// A query with a NaN/infinite coordinate (or of the wrong length) has
+    /// no neighbours to average and yields all-NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the training targets' dimensionality.
+    pub fn predict_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            self.target_dim,
+            "output row must match the target dimensionality"
+        );
+        let target = |i: u32| &self.ys[i as usize * self.target_dim..][..self.target_dim];
+        self.index.with_nearest(x, self.k, |nearest| {
+            // Exact hit: return the memorized target (inverse-distance
+            // weighting would divide by zero).
+            if let Some(&(i, _)) = nearest.iter().find(|&&(_, d)| d < 1e-12) {
+                out.copy_from_slice(target(i));
+                return;
+            }
+            out.fill(0.0);
+            let mut wsum = 0.0;
+            for &(i, d) in nearest {
+                let w = 1.0 / d;
+                wsum += w;
+                for (o, y) in out.iter_mut().zip(target(i)) {
+                    *o += w * y;
+                }
+            }
+            for o in out.iter_mut() {
+                *o /= wsum;
+            }
+        });
+    }
 }
 
 impl Regressor for KnnRegressor {
     fn predict(&self, x: &[f64]) -> Vec<f64> {
-        let neighbours = k_nearest(&self.xs, x, self.k);
-        let dim = self.ys[0].len();
-        // Exact hit: return the memorized target (inverse-distance weighting
-        // would divide by zero).
-        if let Some(&(i, _)) = neighbours.iter().find(|&&(_, d)| d < 1e-12) {
-            return self.ys[i].clone();
-        }
-        let mut out = vec![0.0; dim];
-        let mut wsum = 0.0;
-        for (i, d) in neighbours {
-            let w = 1.0 / d;
-            wsum += w;
-            for (o, y) in out.iter_mut().zip(&self.ys[i]) {
-                *o += w * y;
-            }
-        }
-        for o in &mut out {
-            *o /= wsum;
-        }
+        let mut out = vec![0.0; self.target_dim];
+        self.predict_into(x, &mut out);
         out
     }
 
@@ -198,20 +447,26 @@ impl Regressor for KnnRegressor {
     }
 }
 
-fn validate_rows(rows: &[Vec<f64>]) -> Result<(), MlError> {
+/// Checks the rows are non-empty, rectangular and finite; returns their
+/// width.
+fn validate_rows<R: AsRef<[f64]>>(rows: &[R]) -> Result<usize, MlError> {
     let Some(first) = rows.first() else {
         return Err(MlError::EmptyTrainingSet);
     };
-    let d = first.len();
-    for r in rows {
+    let d = first.as_ref().len();
+    for (i, r) in rows.iter().enumerate() {
+        let r = r.as_ref();
         if r.len() != d {
             return Err(MlError::DimensionMismatch {
                 expected: d,
                 found: r.len(),
             });
         }
+        if !r.iter().all(|v| v.is_finite()) {
+            return Err(MlError::NonFinite { row: i });
+        }
     }
-    Ok(())
+    Ok(d)
 }
 
 #[cfg(test)]
@@ -239,8 +494,46 @@ mod tests {
     #[test]
     fn classifier_validates() {
         assert!(KnnClassifier::fit(0, &[vec![1.0]], &[0]).is_err());
-        assert!(KnnClassifier::fit(1, &[], &[]).is_err());
+        assert!(KnnClassifier::fit::<Vec<f64>>(1, &[], &[]).is_err());
         assert!(KnnClassifier::fit(1, &[vec![1.0]], &[0, 1]).is_err());
+        assert!(KnnClassifier::fit(1, &[vec![]], &[0]).is_err());
+    }
+
+    #[test]
+    fn fit_rejects_non_finite_rows() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let xs = vec![vec![0.0, 1.0], vec![2.0, bad]];
+            assert_eq!(
+                KnnClassifier::fit(1, &xs, &[0, 1]).unwrap_err(),
+                MlError::NonFinite { row: 1 }
+            );
+            let ok = vec![vec![0.0, 1.0], vec![2.0, 3.0]];
+            assert_eq!(
+                KnnRegressor::fit(1, &xs, &ok).unwrap_err(),
+                MlError::NonFinite { row: 1 }
+            );
+            assert_eq!(
+                KnnRegressor::fit(1, &ok, &xs).unwrap_err(),
+                MlError::NonFinite { row: 1 }
+            );
+        }
+    }
+
+    /// Before the index, a NaN distance sorted to the front of the running
+    /// top-k and a NaN query returned the *last* k rows as "nearest".
+    #[test]
+    fn non_finite_query_has_no_neighbours() {
+        let xs = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]];
+        let c = KnnClassifier::fit(2, &xs, &[1, 1, 1]).unwrap();
+        let r = KnnRegressor::fit(2, &xs, &xs).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(c.neighbours(&[0.0, bad]).is_empty());
+            assert_eq!(c.predict(&[bad, 0.0]), 0);
+            assert!(r.predict(&[0.0, bad]).iter().all(|v| v.is_nan()));
+        }
+        // A query of the wrong width is answered the same way.
+        assert!(c.neighbours(&[0.0]).is_empty());
+        assert!(r.predict(&[0.0, 0.0, 0.0]).iter().all(|v| v.is_nan()));
     }
 
     #[test]
@@ -268,13 +561,47 @@ mod tests {
         let ys = vec![vec![0.0, 1.0], vec![1.0, 2.0], vec![2.0, 3.0]];
         let m = KnnRegressor::fit(1, &xs, &ys).unwrap();
         assert_eq!(m.predict(&[1.9]), vec![2.0, 3.0]);
+        let mut row = [0.0; 2];
+        m.predict_into(&[0.1], &mut row);
+        assert_eq!(row, [0.0, 1.0]);
     }
 
     #[test]
     fn k_nearest_orders_by_distance() {
         let train = vec![vec![5.0], vec![1.0], vec![3.0]];
-        let n = k_nearest(&train, &[0.0], 2);
+        let n = brute_force_k_nearest(&train, &[0.0], 2);
         assert_eq!(n[0].0, 1);
         assert_eq!(n[1].0, 2);
+    }
+
+    #[test]
+    fn index_sweeps_the_widest_axis_and_keeps_arrival_order_on_ties() {
+        // Column 1 spans 90, column 0 spans 2: the sweep runs on column 1.
+        let xs = [[1.0, 50.0], [0.0, 10.0], [2.0, 100.0], [1.0, 50.0]];
+        let index = KnnIndex::build(&xs).unwrap();
+        assert_eq!(index.axis, 1);
+        assert_eq!(index.order, vec![1, 0, 3, 2]);
+        assert_eq!(
+            index.rows,
+            vec![0.0, 10.0, 1.0, 50.0, 1.0, 50.0, 2.0, 100.0]
+        );
+        // Rows 0 and 3 are duplicates: the tie lists the earlier arrival.
+        let c = KnnClassifier::fit(1, &xs, &[7, 8, 9, 6]).unwrap();
+        assert_eq!(c.neighbours(&[1.0, 49.0]), vec![(0, 1.0)]);
+        assert_eq!(c.predict(&[1.0, 49.0]), 7);
+    }
+
+    #[test]
+    fn ordered_bits_follow_numeric_order() {
+        let vs = [-1e300, -2.5, -0.0, 0.0, 1e-300, 3.0, 1e300];
+        for w in vs.windows(2) {
+            assert!(ordered_bits(w[0]) < ordered_bits(w[1]), "{w:?}");
+        }
+    }
+
+    #[test]
+    fn min_exact_gap_is_two_to_the_minus_511() {
+        assert_eq!(MIN_EXACT_GAP, 2.0f64.powi(-511));
+        assert!((MIN_EXACT_GAP * MIN_EXACT_GAP).is_normal());
     }
 }

@@ -15,9 +15,10 @@
 //! * [`hungarian`] — the Kuhn–Munkres assignment algorithm used for
 //!   detection↔prediction matching.
 //!
-//! Everything works on `&[Vec<f64>]` feature rows; there is no external
-//! linear-algebra dependency — [`Matrix`] provides the little that is
-//! needed (Gaussian elimination and normal equations).
+//! Everything works on `&[Vec<f64>]` feature rows (the KNN models also
+//! take fixed-width array rows); there is no external linear-algebra
+//! dependency — [`Matrix`] provides the little that is needed (Gaussian
+//! elimination and normal equations).
 //!
 //! # Examples
 //!
@@ -54,6 +55,8 @@ pub use dataset::{train_test_split, Standardizer};
 pub use error::MlError;
 pub use homography::estimate_homography;
 pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment};
+#[doc(hidden)]
+pub use knn::brute_force_k_nearest;
 pub use knn::{KnnClassifier, KnnRegressor};
 pub use linreg::LinearRegression;
 pub use logistic::LogisticRegression;

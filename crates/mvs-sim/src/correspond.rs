@@ -12,6 +12,7 @@ use mvs_assoc::{train_pair_model, AssociationEngine, CameraPairModel, Correspond
 use mvs_ml::MlError;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Labeled correspondences for every ordered camera pair `(src, dst)`,
 /// `src != dst`.
@@ -115,8 +116,8 @@ pub struct TrainedAssociation {
     pub num_cameras: usize,
     /// Model per ordered pair (both directions — the distributed stage
     /// needs `i → assigned` lookups in either direction).
-    pub models: BTreeMap<(usize, usize), CameraPairModel>,
-    /// The association engine (uses the `src < dst` models).
+    pub models: BTreeMap<(usize, usize), Arc<CameraPairModel>>,
+    /// The association engine (shares the `src < dst` models).
     pub engine: AssociationEngine,
 }
 
@@ -141,8 +142,9 @@ impl TrainedAssociation {
         for (&(src, dst), samples) in &data.pairs {
             match train_pair_model(k, samples) {
                 Ok(model) => {
+                    let model = Arc::new(model);
                     if src < dst {
-                        engine.insert_model(src, dst, model.clone());
+                        engine.insert_model(src, dst, Arc::clone(&model));
                     }
                     models.insert((src, dst), model);
                 }

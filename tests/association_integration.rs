@@ -135,3 +135,83 @@ fn pair_models_exist_in_both_directions() {
     }
     assert_eq!(trained.engine.num_models(), m * (m - 1) / 2);
 }
+
+/// The pre-index `map_box`: brute-force scan, majority vote (ties to the
+/// lower label), inverse-distance regression over the visible subset.
+fn reference_map_box(
+    samples: &[multiview_scheduler::assoc::CorrespondenceSample],
+    k: usize,
+    bbox: &mvs_geometry::BBox,
+) -> Option<mvs_geometry::BBox> {
+    use multiview_scheduler::ml::brute_force_k_nearest;
+    if samples.is_empty() {
+        return None;
+    }
+    let q = bbox.to_array();
+    let xs: Vec<[f64; 4]> = samples.iter().map(|s| s.src.to_array()).collect();
+    let nearest = brute_force_k_nearest(&xs, &q, k);
+    let visible = nearest
+        .iter()
+        .filter(|&&(i, _)| samples[i].dst.is_some())
+        .count();
+    if 2 * visible <= nearest.len() {
+        return None;
+    }
+    let (rx, ry): (Vec<[f64; 4]>, Vec<[f64; 4]>) = samples
+        .iter()
+        .filter_map(|s| s.dst.map(|d| (s.src.to_array(), d.to_array())))
+        .unzip();
+    let nearest = brute_force_k_nearest(&rx, &q, k);
+    let coords = match nearest.iter().find(|&&(_, d)| d < 1e-12) {
+        Some(&(i, _)) => ry[i],
+        None => {
+            let (mut out, mut wsum) = ([0.0; 4], 0.0);
+            for &(i, d) in &nearest {
+                let w = 1.0 / d;
+                wsum += w;
+                for (o, y) in out.iter_mut().zip(&ry[i]) {
+                    *o += w * y;
+                }
+            }
+            out.map(|o| o / wsum)
+        }
+    };
+    mvs_geometry::BBox::from_array_lenient(coords).ok()
+}
+
+/// The KNN index behind `map_box` is exact: every S1 detection over 200
+/// frames maps, on every ordered camera pair, to the same bits as the
+/// brute-force reference (the full battery is
+/// `crates/mvs-ml/tests/knn_differential.rs`).
+#[test]
+fn map_box_matches_brute_force_reference_bitwise_on_s1() {
+    let scenario = Scenario::new(ScenarioKind::S1);
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let data = CorrespondenceData::collect(&scenario, 40.0, 3, &mut rng);
+    let k = 3;
+    let trained = TrainedAssociation::train(scenario.num_cameras(), &data, k, 0.15)
+        .expect("S1 training data is sufficient");
+    let mut world = scenario.warmed_world(45.0, &mut rng);
+    let (mut queries, mut mapped) = (0usize, 0usize);
+    for _ in 0..200 {
+        world.step(scenario.frame_dt_s(), &mut rng);
+        for (src, camera) in scenario.cameras.iter().enumerate() {
+            for seen in camera.visible_objects(&world, scenario.occlusion_threshold) {
+                for dst in (0..scenario.num_cameras()).filter(|&dst| dst != src) {
+                    let got = trained.map_box(src, dst, &seen.bbox);
+                    let want = reference_map_box(data.pair(src, dst), k, &seen.bbox);
+                    assert_eq!(
+                        got.map(|b| b.to_array().map(f64::to_bits)),
+                        want.map(|b| b.to_array().map(f64::to_bits)),
+                        "pair ({src},{dst}) diverged on {:?}",
+                        seen.bbox
+                    );
+                    queries += 1;
+                    mapped += usize::from(got.is_some());
+                }
+            }
+        }
+    }
+    assert!(queries > 1000, "only {queries} detections were checked");
+    assert!(mapped > 0 && mapped < queries, "{mapped}/{queries} mapped");
+}
