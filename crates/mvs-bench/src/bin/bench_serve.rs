@@ -20,24 +20,15 @@
 //! cameras at 10 fps under the fault model (key-frame loss and camera
 //! dropout), which must complete with zero panics and bounded lanes.
 //!
-//! A threads × tenants throughput sweep (ISSUE 10) measures how the
-//! persistent executor scales the serve layer. Per tenant count the
-//! workload runs at one thread with [`mvs_exec`] profiling on (best of
-//! [`SWEEP_REPS`] repetitions — noise only ever lowers the ratio); the
-//! profile records every pool region's per-task durations, and
-//! `makespan(T) = wall(1) − work + modeled(T)` projects the wall-clock
-//! time at T lanes (contiguous-chunk schedule, the executor's actual
-//! policy). Modeling from a profiled single-thread run — the same
-//! technique as `bench_fleet`'s efficiency gate — keeps the number a
-//! deterministic property of the schedule shape rather than of the CI
-//! machine's core count. A separate *real* 8-thread run asserts report
-//! equality against the 1-thread run, so the modeled arm can never hide
-//! a determinism break.
+//! The flagship shape (4 and 16 tenants, sharded key frames, pipelined
+//! uplink) also runs for real at 1 and 8 threads and the two reports must
+//! be equal — the serve layer's parallel phases may never show in a
+//! report. Wall-clock serve throughput is measured by `bench-e2e/`
+//! (`serve-steady`, `serve-chaos`), not here.
 //!
 //! `--check <baseline.json>` compares the flagship p99 and drop rate
-//! against a checked-in baseline, holds the flagship 8-thread modeled
-//! speedup above an absolute 3x floor (plus a baseline-relative band),
-//! and exits non-zero on regression — the CI serving gate.
+//! against a checked-in baseline and exits non-zero on regression — the
+//! CI serving gate.
 //!
 //! Run with `cargo run --release -p mvs-bench --bin bench_serve`.
 
@@ -45,7 +36,6 @@ use mvs_bench::{write_json, SEED};
 use mvs_metrics::TextTable;
 use mvs_sim::{run_serve, FaultModel, ServeConfig, ServeReport};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Accept up to 20% regression of the flagship p99 before failing. The
 /// metric is deterministic, so this headroom absorbs intentional model
@@ -53,14 +43,6 @@ use std::time::Instant;
 const CHECK_TOLERANCE: f64 = 1.20;
 /// Accept at most this much additional drop rate over the baseline.
 const DROP_SLACK: f64 = 0.05;
-/// Absolute floor on the flagship 8-thread modeled speedup: parallel
-/// serving must model at least this much throughput over one thread on
-/// the 16-tenant mix.
-const SERVE_SPEEDUP_FLOOR: f64 = 3.0;
-/// Baseline-relative tolerance for the modeled speedup (the schedule
-/// shape is deterministic, but task durations are measured, so the ratio
-/// carries some machine noise).
-const SPEEDUP_TOLERANCE: f64 = 1.15;
 
 /// One serving mix of the sweep.
 struct Mix {
@@ -146,24 +128,6 @@ struct MixRow {
     max_lane_depth: usize,
 }
 
-/// One cell of the threads × tenants throughput sweep.
-#[derive(Serialize, Deserialize)]
-struct SweepCell {
-    tenants: usize,
-    threads: usize,
-    /// Projected wall-clock seconds for the whole serve run at this lane
-    /// count (measured exactly at 1 thread; modeled from the profiled
-    /// per-task durations above it).
-    modeled_makespan_s: f64,
-    /// Processed frames over the modeled makespan.
-    modeled_fps: f64,
-    /// `makespan(1) / makespan(threads)` within this tenant row.
-    modeled_speedup: f64,
-    /// End-to-end p99 on the virtual clock — thread-invariant by the
-    /// determinism contract, repeated per cell as a sanity anchor.
-    e2e_p99_ms: f64,
-}
-
 #[derive(Serialize, Deserialize)]
 struct Report {
     seed: u64,
@@ -172,12 +136,6 @@ struct Report {
     /// Flagship combined drop rate, also gated.
     headline_drop_rate: f64,
     mixes: Vec<MixRow>,
-    /// Threads × tenants modeled throughput sweep.
-    #[serde(default)]
-    throughput: Vec<SweepCell>,
-    /// The gated cell: flagship tenants at 8 modeled lanes.
-    #[serde(default)]
-    flagship_modeled_speedup_8: f64,
 }
 
 fn row(name: &str, report: &ServeReport) -> MixRow {
@@ -210,29 +168,13 @@ fn row(name: &str, report: &ServeReport) -> MixRow {
     }
 }
 
-/// Profiled 1-thread repetitions per sweep row. Timing noise can only
-/// *inflate* the serial residue (`wall − work`) and the measured chunk
-/// sums, so every repetition's modeled speedup is a lower bound on the
-/// noise-free value; the sweep keeps the repetition that bounds tightest
-/// — the ratio-metric analogue of the min-of-reps wall-clock estimator
-/// used everywhere else in this crate.
-const SWEEP_REPS: usize = 3;
-
-/// Runs the threads × tenants sweep. Per tenant count: the best of
-/// [`SWEEP_REPS`] profiled 1-thread runs produces the four modeled
-/// cells, and one real 8-thread run is compared against the 1-thread
-/// report (modulo the embedded config) so the modeled numbers always
-/// ride on a verified-deterministic parallelization.
-fn throughput_sweep() -> (Vec<SweepCell>, f64) {
-    let mut cells = Vec::new();
-    let mut flagship_speedup_8 = 0.0;
+/// Runs the flagship shape for real at 1 and 8 threads and asserts the
+/// two reports are equal (modulo the embedded thread count).
+fn assert_thread_invariant_reports() {
     for tenants in [4usize, 16] {
         // The flagship shape, scaled: capacity tracks the tenant count so
-        // the ladder stresses admission identically per row. The sweep
-        // turns on the compute-only parallel-solver knobs (sharded key
-        // frames, pipelined uplink) — schedules and reports are identical
-        // by contract, but central solves route through the pool, so the
-        // model sees the full parallel serving stack.
+        // the ladder stresses admission identically per row, with the
+        // compute-only solver knobs on so every pool-routed phase runs.
         let config = ServeConfig {
             tenants,
             capacity_cores: 24.0 * tenants as f64 / 16.0,
@@ -241,54 +183,17 @@ fn throughput_sweep() -> (Vec<SweepCell>, f64) {
             pipelined: true,
             ..flagship()
         };
-        let exec = mvs_exec::pool();
-        let mut reference = None;
-        let mut best: Option<(f64, f64, mvs_exec::ExecProfile)> = None;
-        for _ in 0..SWEEP_REPS {
-            exec.profile_start();
-            let start = Instant::now();
-            reference = Some(run_serve(&config));
-            let wall_s = start.elapsed().as_secs_f64();
-            let profile = exec.profile_stop();
-            let span_1 = (wall_s - profile.work_s + profile.modeled_s[0]).max(1e-9);
-            let span_8 = (wall_s - profile.work_s + profile.modeled_s[3]).max(1e-9);
-            let speedup_8 = span_1 / span_8;
-            if best.as_ref().is_none_or(|(s, ..)| speedup_8 > *s) {
-                best = Some((speedup_8, wall_s, profile));
-            }
-        }
-        let reference = reference.expect("SWEEP_REPS >= 1");
-        let (_, wall_s, profile) = best.expect("SWEEP_REPS >= 1");
-
-        let parallel = run_serve(&ServeConfig {
+        let reference = run_serve(&config);
+        let mut parallel = run_serve(&ServeConfig {
             threads: 8,
             ..config.clone()
         });
-        let mut normalized = parallel.clone();
-        normalized.config.threads = config.threads;
+        parallel.config.threads = config.threads;
         assert_eq!(
-            reference, normalized,
+            reference, parallel,
             "{tenants}-tenant serve diverged between 1 and 8 threads"
         );
-
-        let makespan_1 = (wall_s - profile.work_s + profile.modeled_s[0]).max(1e-9);
-        for (i, &threads) in mvs_exec::MODELED_LANES.iter().enumerate() {
-            let makespan = (wall_s - profile.work_s + profile.modeled_s[i]).max(1e-9);
-            let speedup = makespan_1 / makespan;
-            if tenants == 16 && threads == 8 {
-                flagship_speedup_8 = speedup;
-            }
-            cells.push(SweepCell {
-                tenants,
-                threads,
-                modeled_makespan_s: makespan,
-                modeled_fps: reference.processed as f64 / makespan,
-                modeled_speedup: speedup,
-                e2e_p99_ms: reference.e2e_ms.p99,
-            });
-        }
     }
-    (cells, flagship_speedup_8)
 }
 
 fn check_against(report: &Report, path: &str) -> Result<(), String> {
@@ -310,31 +215,9 @@ fn check_against(report: &Report, path: &str) -> Result<(), String> {
             report.headline_drop_rate, drop_ceiling, baseline.headline_drop_rate
         ));
     }
-    if report.flagship_modeled_speedup_8 < SERVE_SPEEDUP_FLOOR {
-        return Err(format!(
-            "serve scaling regressed: flagship 8-thread modeled speedup {:.2}x fell below the \
-             {SERVE_SPEEDUP_FLOOR}x floor",
-            report.flagship_modeled_speedup_8
-        ));
-    }
-    if baseline.flagship_modeled_speedup_8 > 0.0
-        && report.flagship_modeled_speedup_8
-            < baseline.flagship_modeled_speedup_8 / SPEEDUP_TOLERANCE
-    {
-        return Err(format!(
-            "serve scaling regressed: flagship 8-thread modeled speedup {:.2}x fell below \
-             baseline {:.2}x / {SPEEDUP_TOLERANCE}",
-            report.flagship_modeled_speedup_8, baseline.flagship_modeled_speedup_8
-        ));
-    }
     println!(
-        "check ok: flagship p99 {:.1} ms <= {:.1} ms, drop rate {:.3} <= {:.3}, \
-         modeled speedup(8) {:.2}x >= {SERVE_SPEEDUP_FLOOR}x",
-        report.headline_p99_ms,
-        ceiling,
-        report.headline_drop_rate,
-        drop_ceiling,
-        report.flagship_modeled_speedup_8
+        "check ok: flagship p99 {:.1} ms <= {:.1} ms, drop rate {:.3} <= {:.3}",
+        report.headline_p99_ms, ceiling, report.headline_drop_rate, drop_ceiling
     );
     Ok(())
 }
@@ -381,7 +264,7 @@ fn main() {
         rows.push(r);
     }
 
-    let (throughput, flagship_modeled_speedup_8) = throughput_sweep();
+    assert_thread_invariant_reports();
 
     let headline = rows.last().expect("sweep has mixes");
     let report = Report {
@@ -389,8 +272,6 @@ fn main() {
         headline_p99_ms: headline.e2e_p99_ms,
         headline_drop_rate: headline.drop_rate,
         mixes: rows,
-        throughput,
-        flagship_modeled_speedup_8,
     };
 
     println!("Multi-tenant serving sweep (virtual clock, deterministic)\n");
@@ -399,31 +280,6 @@ fn main() {
         "headline: flagship p99 {:.1} ms, drop rate {:.1}%",
         report.headline_p99_ms,
         report.headline_drop_rate * 100.0
-    );
-
-    let mut sweep_table = TextTable::new(vec![
-        "tenants",
-        "threads",
-        "makespan (s)",
-        "frames/s",
-        "speedup",
-        "p99 (ms)",
-    ]);
-    for c in &report.throughput {
-        sweep_table.row(vec![
-            c.tenants.to_string(),
-            c.threads.to_string(),
-            format!("{:.2}", c.modeled_makespan_s),
-            format!("{:.0}", c.modeled_fps),
-            format!("{:.2}x", c.modeled_speedup),
-            format!("{:.1}", c.e2e_p99_ms),
-        ]);
-    }
-    println!("\nThreads × tenants modeled throughput (profiled 1-thread run)\n");
-    println!("{sweep_table}");
-    println!(
-        "flagship modeled speedup at 8 threads: {:.2}x",
-        report.flagship_modeled_speedup_8
     );
 
     let path = write_json("BENCH_serve", &report);

@@ -56,12 +56,7 @@ pub const SCENARIOS: [ScenarioKind; 3] = [ScenarioKind::S1, ScenarioKind::S2, Sc
 /// returns the outputs in input order. Pipeline runs in a sweep are
 /// independent and each is deterministic in its config, so fanning a sweep
 /// out across threads changes wall-clock time only — every figure binary
-/// produces the same JSON at any pool width.
-///
-/// A shared cursor hands out items one at a time
-/// ([`mvs_exec::Executor::par_map_queue`]), which keeps the pool busy even
-/// when run times differ wildly across configs (a Full run costs far more
-/// simulated work than a BALB run). The pool width follows
+/// produces the same JSON at any pool width. The pool width follows
 /// [`resolve_threads`]`(0)`: `MVS_THREADS` if set, else the machine.
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
@@ -69,7 +64,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    mvs_exec::pool().par_map_queue(&items, resolve_threads(0), f)
+    mvs_exec::pool().par_map(&items, resolve_threads(0), f)
 }
 
 /// Classification dataset extracted from correspondence samples: features

@@ -50,16 +50,6 @@ impl Assignment {
         self.owners.is_empty()
     }
 
-    /// Builds an assignment directly from per-object owner lists. Each
-    /// list must already be sorted and deduplicated (checked in debug
-    /// builds) — the bulk-construction path of the sharded solver, which
-    /// allocates the lists inside its parallel workers so the serial merge
-    /// is pure moves.
-    pub(crate) fn from_owner_lists(owners: Vec<Vec<CameraId>>) -> Self {
-        debug_assert!(owners.iter().all(|o| o.windows(2).all(|w| w[0] < w[1])));
-        Assignment { owners }
-    }
-
     /// Clears every owner list in place and resizes to `num_objects`,
     /// reusing the outer table and each per-object list's capacity — the
     /// buffer-reuse path of the warm scheduler

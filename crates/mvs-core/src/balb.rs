@@ -218,20 +218,6 @@ pub(crate) fn sort_priority(priority: &mut [CameraId], latencies: &[f64]) {
     }
 }
 
-/// Traced variant of [`balb_central`]: additionally records a
-/// [`mvs_trace::Stage::Central`] span whose item count is the number of
-/// objects scheduled. The solve's wall-clock cost is measured (or zeroed)
-/// by the caller's overhead accounting, so the span duration is zero —
-/// keeping traces bitwise deterministic.
-pub fn balb_central_traced(
-    problem: &MvsProblem,
-    trace: Option<&mut mvs_trace::TraceBuf>,
-) -> BalbSchedule {
-    let schedule = balb_central(problem);
-    mvs_trace::span_into(trace, mvs_trace::Stage::Central, 0.0, problem.num_objects());
-    schedule
-}
-
 /// Compares the relative capacities `cap_a / limit_a` and `cap_b / limit_b`
 /// exactly via integer cross-multiplication (`cap_a·limit_b` vs
 /// `cap_b·limit_a`), widened to `u128` so the products cannot overflow.
@@ -574,21 +560,6 @@ impl BalbSolver {
         let shared = self.order.len().min(n).min(self.decisions.len());
         let prefix = first_old_changed.min(first_new_changed).min(shared);
         Ok(self.finish_solve(problem, prefix))
-    }
-
-    /// Traced variant of [`BalbSolver::solve_owned`]: additionally records
-    /// the same [`mvs_trace::Stage::Central`] span as
-    /// [`balb_central_traced`], so swapping the warm solver into a pipeline
-    /// leaves traces bitwise unchanged.
-    pub fn solve_owned_traced(
-        &mut self,
-        problem: MvsProblem,
-        trace: Option<&mut mvs_trace::TraceBuf>,
-    ) -> &BalbSchedule {
-        let num_objects = problem.num_objects();
-        let schedule = self.solve_owned(problem);
-        mvs_trace::span_into(trace, mvs_trace::Stage::Central, 0.0, num_objects);
-        schedule
     }
 }
 

@@ -126,25 +126,6 @@ pub fn balb_redundant(problem: &MvsProblem, redundancy: usize) -> BalbSchedule {
     }
 }
 
-/// Traced variant of [`balb_redundant`]: records one
-/// [`mvs_trace::Stage::Central`] span for the whole central solve
-/// (including the redundancy pass), items = objects scheduled. Span
-/// duration is zero for the same determinism reason as
-/// [`balb_central_traced`](crate::balb_central_traced).
-///
-/// # Panics
-///
-/// Panics if `redundancy` is zero.
-pub fn balb_redundant_traced(
-    problem: &MvsProblem,
-    redundancy: usize,
-    trace: Option<&mut mvs_trace::TraceBuf>,
-) -> BalbSchedule {
-    let schedule = balb_redundant(problem, redundancy);
-    mvs_trace::span_into(trace, mvs_trace::Stage::Central, 0.0, problem.num_objects());
-    schedule
-}
-
 /// Alternative objective: minimize the **total** processed workload
 /// `Σ_i L_i` instead of the maximum (for applications without a real-time
 /// response requirement).

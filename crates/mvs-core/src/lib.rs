@@ -18,9 +18,11 @@
 //!   system latency arithmetic (Definition 1);
 //! * [`balb_central`] — Algorithm 1, the central-stage scheduler run at
 //!   every key frame;
-//! * [`BalbSolver`] — a warm-started incremental re-solver that repairs the
-//!   previous schedule from a [`ProblemDelta`] (bitwise identical to the
-//!   cold solve) while reusing every buffer across frames;
+//! * [`BalbSolver`] — a persistent re-solver that reuses every buffer
+//!   across frames and repairs the previous schedule (from a
+//!   [`ProblemDelta`] or a diff) when little changed, bit-equal to a cold solve;
+//! * [`balb_sharded`] over a [`ShardPlan`] — one independent pass per shard,
+//!   bit-equal to [`balb_central`] when shards are whole overlap components;
 //! * [`CameraMask`] / [`DistributedPolicy`] — the distributed stage run at
 //!   every regular frame, deciding new-object and takeover responsibility
 //!   from synchronized cell masks without cross-camera communication;
@@ -57,7 +59,7 @@ mod problem;
 mod shard;
 
 pub use assignment::Assignment;
-pub use balb::{balb_central, balb_central_traced, BalbSchedule, BalbSolver, SolverStats};
+pub use balb::{balb_central, BalbSchedule, BalbSolver, SolverStats};
 pub use distributed::{
     scan_takeovers, scan_takeovers_into, DistributedPolicy, ShadowTrack, ShadowVerdict,
 };
@@ -66,7 +68,4 @@ pub use mask::CameraMask;
 pub use problem::{
     CameraInfo, CameraSubset, MvsProblem, ObjectInfo, ProblemConfig, ProblemDelta, ProblemError,
 };
-pub use shard::{
-    balb_sharded, balb_sharded_pipelined, balb_sharded_profiled, balb_sharded_threaded,
-    OverlapGraph, ShardPlan, ShardTimings, ShardedBalbSolver, ShardedSolveStats,
-};
+pub use shard::{balb_sharded, OverlapGraph, ShardPlan};

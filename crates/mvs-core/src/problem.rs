@@ -624,7 +624,7 @@ mod tests {
         let delta = ProblemDelta::between(&prev, &next);
         assert!(!delta.is_empty());
         assert_eq!(delta.entered.len(), 6);
-        let mut patched = prev.clone();
+        let mut patched = prev;
         delta.apply(&mut patched).unwrap();
         assert_eq!(patched, next);
     }

@@ -1,20 +1,19 @@
 //! Overlap-graph sharding of the central BALB solve, for city-scale fleets.
 //!
-//! The paper's deployments stop at a handful of cameras, where one
-//! [`balb_central`] call per key frame is cheap. At hundreds of cameras the
-//! monolithic solve becomes the coordinator's bottleneck — but city fleets
-//! are not one dense blob: view overlap is local (cameras around the same
+//! The paper's deployments stop at a handful of cameras. City fleets are
+//! not one dense blob: view overlap is local (cameras around the same
 //! intersection), so the *camera overlap graph* decomposes into many small
-//! components. This module exploits that structure:
+//! components that can be scheduled independently. (Measured at 128
+//! cameras, one [`balb_central`] call is still cheaper than building the
+//! plan and solving per shard; see DESIGN.md §11.) This module provides:
 //!
 //! 1. [`OverlapGraph`] — cameras as nodes, an edge wherever two cameras can
 //!    co-observe (built either from an instance's coverage sets or from
 //!    view polygons via [`Polygon::intersects`]);
 //! 2. [`ShardPlan`] — connected components as shards, with an optional
 //!    max-shard-size split for pathologically dense districts;
-//! 3. [`balb_sharded`] / [`ShardedBalbSolver`] — independent per-shard BALB
-//!    solves (cold or warm-started, optionally fanned out over the
-//!    persistent pool, [`mvs_exec::pool`]), merged back into one
+//! 3. [`balb_sharded`] — independent per-shard BALB solves, run one after
+//!    another on the calling thread and merged back into one
 //!    deployment-wide [`BalbSchedule`];
 //! 4. a cross-shard rebalance pass for objects whose coverage a forced
 //!    split cut across shard boundaries.
@@ -50,9 +49,7 @@
 //! raise) the system latency relative to the clipped solution.
 
 use crate::balb::{balb_central, greedy_place, order_key, order_key_index, sort_priority};
-use crate::{
-    Assignment, BalbSchedule, BalbSolver, CameraId, CameraSubset, MvsProblem, ObjectId, ObjectInfo,
-};
+use crate::{Assignment, BalbSchedule, CameraId, MvsProblem, ObjectId, ObjectInfo};
 use mvs_geometry::Polygon;
 use mvs_vision::SizeCounts;
 use std::collections::BTreeMap;
@@ -297,18 +294,7 @@ impl ShardPlan {
     }
 }
 
-/// Statistics of the most recent sharded solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardedSolveStats {
-    /// Shards solved.
-    pub shards: usize,
-    /// Shards whose [`BalbSolver`] took the warm (prefix-replay) path.
-    pub warm_shards: usize,
-    /// Boundary objects moved across shards by the rebalance pass.
-    pub rebalance_moves: usize,
-}
-
-/// Sharded cold solve: per-shard [`balb_central`] merged into a
+/// Sharded solve: one independent BALB pass per shard, merged into a
 /// deployment-wide schedule (plus the rebalance pass under a split plan).
 ///
 /// Bitwise-equal to `balb_central(problem)` whenever `plan.is_exact()`.
@@ -330,311 +316,17 @@ pub struct ShardedSolveStats {
 ///
 /// Panics if the plan was built for a different fleet size.
 pub fn balb_sharded(problem: &MvsProblem, plan: &ShardPlan) -> BalbSchedule {
-    balb_sharded_threaded(problem, plan, 1)
-}
-
-/// [`balb_sharded`] with the per-shard solves fanned out across up to
-/// `threads` scoped threads. The merge order is fixed by the plan, so the
-/// result is identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if the plan was built for a different fleet size.
-pub fn balb_sharded_threaded(
-    problem: &MvsProblem,
-    plan: &ShardPlan,
-    threads: usize,
-) -> BalbSchedule {
-    if plan.is_exact() {
-        return balb_sharded_exact(problem, plan, threads);
-    }
-    let subsets = shard_subproblems(problem, plan);
-    let schedules = mvs_exec::pool().par_map(&subsets, threads, |sub| balb_central(&sub.problem));
-    let borrowed: Vec<&BalbSchedule> = schedules.iter().collect();
-    merge_shards(problem, plan, &subsets, &borrowed).0
-}
-
-/// Zero-copy sharded solve for exact (whole-component) plans: no
-/// sub-instance is materialized. On an exact plan every object's coverage
-/// set lies inside one shard, so objects are tagged with their shard and
-/// packed scheduling key and scattered into per-shard buckets (parallel
-/// over object chunks, each worker filling private buckets), each shard
-/// sorts its bucket and replays the greedy pass *against the original
-/// instance* — each worker only ever touches its own shard's entries of a
-/// private full-width latency/counts scratch — and the merge copies back
-/// exactly the shard-owned latency entries. Per-bucket sorted order is
-/// the restriction of the global scheduling order (packed keys are unique
-/// and comparisons don't cross buckets), so this performs the exact
-/// sequence of [`greedy_place`] calls of [`balb_central`] per component
-/// and stays bitwise identical at any thread count. The serial residue is
-/// the per-shard bucket concatenation (integer memcpys) plus the
-/// O(M log M + N) merge.
-fn balb_sharded_exact(problem: &MvsProblem, plan: &ShardPlan, threads: usize) -> BalbSchedule {
-    balb_sharded_exact_timed(problem, plan, threads).0
-}
-
-/// Wall-clock breakdown of one exact sharded solve, reported by
-/// [`balb_sharded_profiled`] so the fleet benchmark can model thread
-/// scaling from the timings of the *actual* execution path.
-#[derive(Debug, Clone)]
-pub struct ShardTimings {
-    /// Time spent computing per-object (shard, scheduling-key) tags and
-    /// scattering them into buckets — embarrassingly parallel over object
-    /// chunks (each worker fills private buckets).
-    pub keying_ms: f64,
-    /// Per-shard solve time (bucket sort + greedy replay + scratch init),
-    /// one entry per shard in plan order — parallel across shards.
-    pub shard_ms: Vec<f64>,
-    /// Serial residue: bucket concatenation, latency/owner merge, and the
-    /// global priority sort.
-    pub serial_ms: f64,
-    /// The latency/owner merge portion of `serial_ms` — the part the
-    /// pipelined solve ([`balb_sharded_pipelined`]) overlaps with the
-    /// still-running shard solves instead of paying after the join.
-    pub merge_ms: f64,
-    /// End-to-end wall clock of the solve.
-    pub total_ms: f64,
-}
-
-/// [`balb_sharded`] on one thread with a wall-clock breakdown — the
-/// measurement hook behind `bench_fleet`'s thread-scaling model.
-///
-/// # Panics
-///
-/// Panics if the plan is not exact ([`ShardPlan::is_exact`]) or was built
-/// for a different fleet size.
-pub fn balb_sharded_profiled(
-    problem: &MvsProblem,
-    plan: &ShardPlan,
-) -> (BalbSchedule, ShardTimings) {
-    assert!(
-        plan.is_exact(),
-        "profiled sharded solves require an exact (whole-component) plan"
-    );
-    let started = std::time::Instant::now();
-    let (schedule, keying_ms, shard_ms, solves_ms, merge_ms) =
-        balb_sharded_exact_timed(problem, plan, 1);
-    let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    // Subtract the whole solve *window* rather than the per-shard sum, so
-    // the per-shard timer overhead (which the untimed production path does
-    // not pay between shards) is not misattributed to the serial residue.
-    let serial_ms = (total_ms - keying_ms - solves_ms).max(0.0);
-    (
-        schedule,
-        ShardTimings {
-            keying_ms,
-            shard_ms,
-            serial_ms,
-            merge_ms: merge_ms.min(serial_ms),
-            total_ms,
-        },
-    )
-}
-
-/// Tags every object with its (shard, packed scheduling key) pair and
-/// scatters the keys into per-shard buckets, parallel over object chunks:
-/// each worker fills its own private bucket set, and the serial residue is
-/// one per-shard `append` concatenation (a memcpy of integers). Bucket
-/// element order is irrelevant — every bucket is sorted in
-/// [`solve_bucket`] and packed keys are unique — so chunked scattering is
-/// bitwise equivalent to the serial pass. Returns the buckets and the
-/// wall-clock of the parallelizable tag+scatter portion. The key
-/// derivation walks the object's crop-size map, so at city scale this
-/// pass costs as much as the greedy itself and must not stay serial.
-fn tag_and_bucket(problem: &MvsProblem, plan: &ShardPlan, threads: usize) -> (Vec<Vec<u64>>, f64) {
-    let n = problem.num_objects();
-    let num_shards = plan.num_shards();
-    let keying_start = std::time::Instant::now();
-    let tag = |j: usize, object: &ObjectInfo| {
-        let camera = object
-            .coverage()
-            .next()
-            .expect("coverage sets are non-empty by problem validation");
-        (plan.shard_of(camera) as u32, order_key(object, j))
-    };
-    let workers = threads.clamp(1, n.max(1));
-    if workers == 1 {
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
-        for (j, object) in problem.objects().iter().enumerate() {
-            let (shard, key) = tag(j, object);
-            buckets[shard as usize].push(key);
-        }
-        let keying_ms = keying_start.elapsed().as_secs_f64() * 1e3;
-        return (buckets, keying_ms);
-    }
-    let locals: Vec<Vec<Vec<u64>>> =
-        mvs_exec::pool().par_chunks(problem.objects(), workers, |start, chunk| {
-            let mut local: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
-            for (off, object) in chunk.iter().enumerate() {
-                let (shard, key) = tag(start + off, object);
-                local[shard as usize].push(key);
-            }
-            local
-        });
-    let keying_ms = keying_start.elapsed().as_secs_f64() * 1e3;
-    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
-    for local in locals {
-        for (shard, mut keys) in local.into_iter().enumerate() {
-            if buckets[shard].is_empty() {
-                buckets[shard] = keys;
-            } else {
-                buckets[shard].append(&mut keys);
-            }
-        }
-    }
-    (buckets, keying_ms)
-}
-
-/// One shard's solved output: the worker's full-width latency columns,
-/// the owner lists it allocated, and the shard's wall-clock in ms.
-type ShardSolution = (Vec<f64>, Vec<(ObjectId, Vec<CameraId>)>, f64);
-
-/// Solves one shard's bucket against the original instance: sorts the
-/// bucket's packed keys (the restriction of the global scheduling order)
-/// and replays [`greedy_place`] into a private full-width latency/counts
-/// scratch. Owner lists are allocated here, in the worker, so the merge
-/// moves them into place without touching the heap. Returns the local
-/// latencies, the owner lists, and the shard's wall-clock.
-fn solve_bucket(problem: &MvsProblem, full_frame: &[f64], bucket: &[u64]) -> ShardSolution {
-    let shard_start = std::time::Instant::now();
-    let mut keys = bucket.to_vec();
-    keys.sort_unstable();
-    let mut latencies = full_frame.to_vec();
-    let mut counts = vec![SizeCounts::new(); full_frame.len()];
-    let mut owners: Vec<(ObjectId, Vec<CameraId>)> = Vec::with_capacity(keys.len());
-    for &key in &keys {
-        let j = order_key_index(key);
-        let object = &problem.objects()[j];
-        let camera = greedy_place(problem, object, &mut latencies, &mut counts);
-        owners.push((object.id, vec![camera]));
-    }
-    let ms = shard_start.elapsed().as_secs_f64() * 1e3;
-    (latencies, owners, ms)
-}
-
-/// Folds one shard's output into the deployment-wide state. Exact plans
-/// partition cameras and objects across shards, so every call writes a
-/// disjoint set of latency entries and owner lists — the merged state is
-/// independent of the order shards are folded in.
-fn merge_shard_output(
-    shard: &[CameraId],
-    local: &[f64],
-    owners: Vec<(ObjectId, Vec<CameraId>)>,
-    latencies: &mut [f64],
-    owner_lists: &mut [Vec<CameraId>],
-) {
-    for &camera in shard {
-        latencies[camera.0] = local[camera.0];
-    }
-    for (object, list) in owners {
-        owner_lists[object.0] = list;
-    }
-}
-
-fn balb_sharded_exact_timed(
-    problem: &MvsProblem,
-    plan: &ShardPlan,
-    threads: usize,
-) -> (BalbSchedule, f64, Vec<f64>, f64, f64) {
     assert_eq!(
         plan.shard_of.len(),
         problem.num_cameras(),
         "shard plan was built for a different fleet"
     );
-    let m = problem.num_cameras();
-    let n = problem.num_objects();
-    // Algorithm 1 line 1 template, computed once and memcpy'd per worker.
-    let full_frame: Vec<f64> = (0..m)
-        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
-        .collect();
-
-    let (buckets, keying_ms) = tag_and_bucket(problem, plan, threads);
-
-    let solves_start = std::time::Instant::now();
-    let outcomes = mvs_exec::pool().par_map(&buckets, threads, |bucket| {
-        solve_bucket(problem, &full_frame, bucket)
-    });
-    let solves_ms = solves_start.elapsed().as_secs_f64() * 1e3;
-
-    let merge_start = std::time::Instant::now();
-    let mut owner_lists: Vec<Vec<CameraId>> = vec![Vec::new(); n];
-    let mut latencies = full_frame;
-    let mut shard_ms = Vec::with_capacity(outcomes.len());
-    for (shard, (local, owners, ms)) in plan.shards().iter().zip(outcomes) {
-        merge_shard_output(shard, &local, owners, &mut latencies, &mut owner_lists);
-        shard_ms.push(ms);
-    }
-    let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
-    let assignment = Assignment::from_owner_lists(owner_lists);
-    let mut priority: Vec<CameraId> = (0..m).map(CameraId).collect();
-    sort_priority(&mut priority, &latencies);
-    let schedule = BalbSchedule {
-        assignment,
-        camera_latencies_ms: latencies,
-        priority,
+    let (assignment, latencies) = if plan.is_exact() {
+        solve_exact(problem, plan)
+    } else {
+        solve_split(problem, plan)
     };
-    (schedule, keying_ms, shard_ms, solves_ms, merge_ms)
-}
-
-/// Pipelined exact sharded solve: identical shard computations to
-/// [`balb_sharded_threaded`], but the deployment-wide merge runs on the
-/// calling thread *as shards complete*
-/// ([`mvs_exec::Executor::merge_as_completed`]) instead of after the
-/// barrier, hiding the merge behind the still-running shard solves.
-///
-/// Exact plans partition cameras and objects across shards, so each
-/// shard's fold writes a disjoint set of latency entries and owner lists —
-/// the merged state, and therefore the schedule, is **bitwise identical**
-/// to [`balb_sharded`] and [`balb_central`] regardless of shard completion
-/// order or thread count (the differential suite locks this down).
-///
-/// # Panics
-///
-/// Panics if the plan is not exact ([`ShardPlan::is_exact`]) or was built
-/// for a different fleet size.
-pub fn balb_sharded_pipelined(
-    problem: &MvsProblem,
-    plan: &ShardPlan,
-    threads: usize,
-) -> BalbSchedule {
-    assert!(
-        plan.is_exact(),
-        "pipelined sharded solves require an exact (whole-component) plan"
-    );
-    assert_eq!(
-        plan.shard_of.len(),
-        problem.num_cameras(),
-        "shard plan was built for a different fleet"
-    );
-    let m = problem.num_cameras();
-    let n = problem.num_objects();
-    let full_frame: Vec<f64> = (0..m)
-        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
-        .collect();
-
-    let (buckets, _keying_ms) = tag_and_bucket(problem, plan, threads);
-
-    let mut owner_lists: Vec<Vec<CameraId>> = vec![Vec::new(); n];
-    let mut latencies = full_frame.clone();
-    // Fold shard outputs in completion order (input order with one lane);
-    // disjoint writes make the order irrelevant (see merge_shard_output).
-    mvs_exec::pool().merge_as_completed(
-        &buckets,
-        threads,
-        |_, bucket| solve_bucket(problem, &full_frame, bucket),
-        |shard_idx, (local, owners, _ms)| {
-            merge_shard_output(
-                &plan.shards()[shard_idx],
-                &local,
-                owners,
-                &mut latencies,
-                &mut owner_lists,
-            );
-        },
-    );
-
-    let assignment = Assignment::from_owner_lists(owner_lists);
-    let mut priority: Vec<CameraId> = (0..m).map(CameraId).collect();
+    let mut priority: Vec<CameraId> = (0..problem.num_cameras()).map(CameraId).collect();
     sort_priority(&mut priority, &latencies);
     BalbSchedule {
         assignment,
@@ -643,167 +335,79 @@ pub fn balb_sharded_pipelined(
     }
 }
 
-/// Warm-started sharded solver: one persistent [`BalbSolver`] per shard, so
-/// steady-state key frames repair each shard's previous schedule instead of
-/// recomputing it. The per-shard solvers are keyed by the shard's smallest
-/// camera id and survive plan changes that leave that shard untouched.
-///
-/// Like [`BalbSolver`], the output is bitwise identical whether a shard
-/// takes its warm or cold path — and therefore bitwise identical to
-/// [`balb_central`] whenever the plan is exact.
-#[derive(Debug, Default)]
-pub struct ShardedBalbSolver {
-    /// Per-shard warm solvers, keyed by the shard's smallest camera id.
-    solvers: BTreeMap<usize, BalbSolver>,
-    stats: ShardedSolveStats,
-}
-
-impl ShardedBalbSolver {
-    /// A solver with no per-shard state (every first shard solve is cold).
-    pub fn new() -> Self {
-        Self::default()
+/// Zero-copy solve for exact (whole-component) plans: no sub-instance is
+/// materialized. Every object's coverage set lies inside one shard, so
+/// objects are bucketed by shard under their packed scheduling key, and
+/// each shard sorts its bucket and replays the greedy pass *against the
+/// original instance*, touching only its own cameras' latency and batch
+/// entries. Per-bucket sorted order is the restriction of the global
+/// scheduling order (packed keys are unique and comparisons don't cross
+/// buckets), so this performs the exact sequence of [`greedy_place`] calls
+/// of [`balb_central`] per component.
+fn solve_exact(problem: &MvsProblem, plan: &ShardPlan) -> (Assignment, Vec<f64>) {
+    let m = problem.num_cameras();
+    let mut latencies: Vec<f64> = (0..m)
+        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
+        .collect();
+    let mut counts = vec![SizeCounts::new(); m];
+    let mut assignment = Assignment::empty(problem.num_objects());
+    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); plan.num_shards()];
+    for (j, object) in problem.objects().iter().enumerate() {
+        let camera = object
+            .coverage()
+            .next()
+            .expect("coverage sets are non-empty by problem validation");
+        buckets[plan.shard_of(camera)].push(order_key(object, j));
     }
-
-    /// Statistics of the most recent [`ShardedBalbSolver::solve`] call.
-    pub fn last_stats(&self) -> ShardedSolveStats {
-        self.stats
-    }
-
-    /// Discards all per-shard warm state (every next shard solve is cold).
-    /// Reconfiguration paths — e.g. a serving tenant shedding redundancy —
-    /// call this because the cached schedules describe instances of the
-    /// old configuration.
-    pub fn reset(&mut self) {
-        self.solvers.clear();
-        self.stats = ShardedSolveStats::default();
-    }
-
-    /// Solves `problem` shard-by-shard (warm where possible), fanning the
-    /// per-shard solves out over up to `threads` scoped threads, and
-    /// returns the merged deployment-wide schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different fleet size.
-    pub fn solve(
-        &mut self,
-        problem: &MvsProblem,
-        plan: &ShardPlan,
-        threads: usize,
-    ) -> BalbSchedule {
-        let subsets = shard_subproblems(problem, plan);
-        // Key solvers by smallest shard camera id; drop solvers whose shard
-        // disappeared so a re-planned fleet cannot leak stale state.
-        let keys: Vec<usize> = plan.shards().iter().map(|s| s[0].0).collect();
-        self.solvers.retain(|k, _| keys.binary_search(k).is_ok());
-        for &k in &keys {
-            self.solvers.entry(k).or_default();
+    for bucket in &mut buckets {
+        bucket.sort_unstable();
+        for &key in bucket.iter() {
+            let object = &problem.objects()[order_key_index(key)];
+            let camera = greedy_place(problem, object, &mut latencies, &mut counts);
+            assignment.assign(object.id, camera);
         }
-        // BTreeMap iteration is key-ascending, which is exactly the shard
-        // order (shards are sorted by smallest member id), so zipping is
-        // positional.
-        let mut tasks: Vec<(&mut BalbSolver, &CameraSubset)> =
-            self.solvers.values_mut().zip(subsets.iter()).collect();
-        mvs_exec::pool().par_for_each_mut(&mut tasks, threads, |(solver, sub)| {
-            solver.solve(&sub.problem);
-        });
-        let schedules: Vec<&BalbSchedule> =
-            self.solvers.values().map(BalbSolver::schedule).collect();
-        let (schedule, rebalance_moves) = merge_shards(problem, plan, &subsets, &schedules);
-        self.stats = ShardedSolveStats {
-            shards: plan.num_shards(),
-            warm_shards: self
-                .solvers
-                .values()
-                .filter(|s| s.last_solve_was_warm())
-                .count(),
-            rebalance_moves,
-        };
-        schedule
     }
+    (assignment, latencies)
 }
 
-/// Restricts `problem` to each shard's cameras. Under an exact plan every
-/// object's coverage lies inside one shard, so the per-shard subsets
-/// partition the objects as-is; under a split plan, boundary objects are
-/// first clipped to their home shard so each is solved exactly once.
-fn shard_subproblems(problem: &MvsProblem, plan: &ShardPlan) -> Vec<CameraSubset> {
-    assert_eq!(
-        plan.shard_of.len(),
-        problem.num_cameras(),
-        "shard plan was built for a different fleet"
-    );
-    let restrict = |p: &MvsProblem| -> Vec<CameraSubset> {
-        plan.shards()
-            .iter()
-            .map(|shard| {
-                p.restrict_to_cameras(shard)
-                    .expect("shards are non-empty by construction")
-            })
-            .collect()
-    };
-    if plan.is_exact() {
-        return restrict(problem);
-    }
+/// Solve under a split plan: boundary objects are clipped to their home
+/// shard so each is solved exactly once, every shard's sub-instance is
+/// solved with [`balb_central`] and lifted back onto deployment ids, and
+/// the cross-shard rebalance pass then revisits the boundary objects.
+fn solve_split(problem: &MvsProblem, plan: &ShardPlan) -> (Assignment, Vec<f64>) {
     let objects = problem
         .objects()
         .iter()
         .map(|o| {
-            if !plan.is_boundary(o) {
-                return o.clone();
-            }
-            let home = plan.home_shard(o);
             let mut clipped = o.clone();
-            clipped.sizes.retain(|c, _| plan.shard_of(*c) == home);
+            if plan.is_boundary(o) {
+                let home = plan.home_shard(o);
+                clipped.sizes.retain(|c, _| plan.shard_of(*c) == home);
+            }
             clipped
         })
         .collect();
     let clipped = MvsProblem::new(problem.cameras().to_vec(), objects)
         .expect("clipping keeps instances valid");
-    restrict(&clipped)
-}
-
-/// Merges per-shard schedules back onto deployment ids: shard latencies and
-/// owners are lifted through each [`CameraSubset`], the priority is one
-/// global latency sort (the same sort the central solve runs), and under a
-/// split plan the cross-shard rebalance pass then revisits boundary
-/// objects. Returns the schedule and the number of rebalance moves.
-fn merge_shards(
-    problem: &MvsProblem,
-    plan: &ShardPlan,
-    subsets: &[CameraSubset],
-    schedules: &[&BalbSchedule],
-) -> (BalbSchedule, usize) {
-    let m = problem.num_cameras();
     let mut assignment = Assignment::empty(problem.num_objects());
-    let mut latencies: Vec<f64> = (0..m)
-        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
-        .collect();
-    for (sub, schedule) in subsets.iter().zip(schedules) {
+    // Shards partition the fleet, so every latency entry is overwritten.
+    let mut latencies = vec![0.0; problem.num_cameras()];
+    for shard in plan.shards() {
+        let sub = clipped
+            .restrict_to_cameras(shard)
+            .expect("shards are non-empty by construction");
+        let schedule = balb_central(&sub.problem);
         for (new, &orig) in sub.cameras.iter().enumerate() {
             latencies[orig.0] = schedule.camera_latencies_ms[new];
         }
         for (new, &orig) in sub.objects.iter().enumerate() {
-            for &owner in schedule.assignment.owners_of(crate::ObjectId(new)) {
+            for &owner in schedule.assignment.owners_of(ObjectId(new)) {
                 assignment.assign(orig, sub.original_camera(owner));
             }
         }
     }
-    let moves = if plan.is_exact() {
-        0
-    } else {
-        rebalance(problem, plan, &mut assignment, &mut latencies)
-    };
-    let mut priority: Vec<CameraId> = (0..m).map(CameraId).collect();
-    sort_priority(&mut priority, &latencies);
-    (
-        BalbSchedule {
-            assignment,
-            camera_latencies_ms: latencies,
-            priority,
-        },
-        moves,
-    )
+    rebalance(problem, plan, &mut assignment, &mut latencies);
+    (assignment, latencies)
 }
 
 /// Cross-shard rebalance: one deterministic pass over boundary objects in
@@ -817,11 +421,10 @@ fn rebalance(
     plan: &ShardPlan,
     assignment: &mut Assignment,
     latencies: &mut [f64],
-) -> usize {
+) {
     let mut counts: Vec<SizeCounts> = (0..problem.num_cameras())
         .map(|i| assignment.size_counts(problem, CameraId(i)))
         .collect();
-    let mut moves = 0;
     for object in problem.objects() {
         if !plan.is_boundary(object) {
             continue;
@@ -860,10 +463,8 @@ fn rebalance(
             latencies[to.0] = to_after;
             assignment.unassign(object.id, from);
             assignment.assign(object.id, to);
-            moves += 1;
         }
     }
-    moves
 }
 
 #[cfg(test)]
@@ -990,99 +591,13 @@ mod tests {
         let p = island_problem();
         let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&p));
         let central = balb_central(&p);
-        for threads in [1, 2, 4] {
-            let sharded = balb_sharded_threaded(&p, &plan, threads);
-            assert_eq!(sharded.assignment, central.assignment, "threads={threads}");
-            assert_eq!(sharded.priority, central.priority, "threads={threads}");
-            let bits = |s: &BalbSchedule| -> Vec<u64> {
-                s.camera_latencies_ms.iter().map(|l| l.to_bits()).collect()
-            };
-            assert_eq!(bits(&sharded), bits(&central), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pipelined_merge_equals_central_bitwise_at_any_thread_count() {
-        // The completion-order fold must reproduce the in-order merge
-        // exactly — disjoint writes make the two indistinguishable.
-        let p = island_problem();
-        let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&p));
-        let central = balb_central(&p);
-        for threads in [1, 2, 4, 8] {
-            let pipelined = balb_sharded_pipelined(&p, &plan, threads);
-            assert_eq!(
-                pipelined.assignment, central.assignment,
-                "threads={threads}"
-            );
-            assert_eq!(pipelined.priority, central.priority, "threads={threads}");
-            let bits = |s: &BalbSchedule| -> Vec<u64> {
-                s.camera_latencies_ms.iter().map(|l| l.to_bits()).collect()
-            };
-            assert_eq!(bits(&pipelined), bits(&central), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pipelined_merge_matches_sharded_on_random_island_fleets() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        for case in 0..10 {
-            let p = MvsProblem::random(
-                &mut rng,
-                12,
-                80,
-                &ProblemConfig {
-                    overlap_prob: 0.0, // coverage-1 objects: many components
-                    ..Default::default()
-                },
-            );
-            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&p));
-            assert!(plan.is_exact());
-            let reference = balb_sharded_threaded(&p, &plan, 4);
-            for threads in [1, 3, 8] {
-                let pipelined = balb_sharded_pipelined(&p, &plan, threads);
-                assert_eq!(pipelined, reference, "case {case} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_sharded_solver_matches_cold_across_frames() {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let config = ProblemConfig {
-            overlap_prob: 0.0, // coverage-1 objects: many small components
-            ..Default::default()
+        let sharded = balb_sharded(&p, &plan);
+        assert_eq!(sharded.assignment, central.assignment);
+        assert_eq!(sharded.priority, central.priority);
+        let bits = |s: &BalbSchedule| -> Vec<u64> {
+            s.camera_latencies_ms.iter().map(|l| l.to_bits()).collect()
         };
-        let mut frames = vec![MvsProblem::random(&mut rng, 6, 30, &config)];
-        // Steady frame: identical instance. Small frame: one object leaves.
-        frames.push(frames[0].clone());
-        let shrunk = MvsProblem::new(
-            frames[0].cameras().to_vec(),
-            frames[0].objects()[..29]
-                .iter()
-                .cloned()
-                .map(|mut o| {
-                    o.id = ObjectId(o.id.0.min(28));
-                    o
-                })
-                .collect(),
-        )
-        .unwrap();
-        frames.push(shrunk);
-        let mut solver = ShardedBalbSolver::new();
-        for (frame, p) in frames.iter().enumerate() {
-            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(p));
-            let warm = solver.solve(p, &plan, 2);
-            let cold = balb_central(p);
-            assert_eq!(warm, cold, "frame {frame}");
-            assert_eq!(solver.last_stats().shards, plan.num_shards());
-            assert_eq!(solver.last_stats().rebalance_moves, 0);
-            if frame > 0 {
-                assert!(
-                    solver.last_stats().warm_shards > 0,
-                    "steady frame {frame} should warm-start at least one shard"
-                );
-            }
-        }
+        assert_eq!(bits(&sharded), bits(&central));
     }
 
     #[test]

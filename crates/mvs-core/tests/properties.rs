@@ -177,7 +177,7 @@ proptest! {
         // The lifted priority is a permutation of the survivors.
         let mut lifted = subset.lift_priority(&s.priority);
         lifted.sort_unstable();
-        let mut expect = alive.clone();
+        let mut expect = alive;
         expect.sort_unstable();
         prop_assert_eq!(lifted, expect);
     }

@@ -3,8 +3,8 @@
 //! and safety of the cross-shard rebalance under forced splits.
 
 use mvs_core::{
-    balb_central, balb_sharded, balb_sharded_threaded, BalbSchedule, CameraId, MvsProblem,
-    OverlapGraph, ProblemConfig, ShardPlan, ShardedBalbSolver,
+    balb_central, balb_sharded, BalbSchedule, CameraId, MvsProblem, OverlapGraph, ProblemConfig,
+    ShardPlan,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -57,18 +57,13 @@ proptest! {
 
     // Issue requirement (a): on component plans — in particular whenever
     // the overlap graph is a single component — the sharded schedule is
-    // bitwise-equal (`f64::to_bits`) to `balb_central`, at every thread
-    // count.
+    // bitwise-equal (`f64::to_bits`) to `balb_central`.
     #[test]
     fn sharded_matches_central_bitwise_on_component_plans(p in arb_problem()) {
         let graph = OverlapGraph::from_problem(&p);
         let plan = ShardPlan::from_components(&graph);
         prop_assert!(plan.is_exact());
-        let central = balb_central(&p);
-        for threads in [1usize, 2, 4] {
-            let sharded = balb_sharded_threaded(&p, &plan, threads);
-            assert_bitwise_eq(&sharded, &central);
-        }
+        assert_bitwise_eq(&balb_sharded(&p, &plan), &balb_central(&p));
     }
 
     // The single-component special case called out by the issue: with one
@@ -144,32 +139,6 @@ proptest! {
         for i in 0..p.num_cameras() {
             let recomputed = sharded.assignment.camera_latency_ms(&p, CameraId(i), true);
             prop_assert!((recomputed - sharded.camera_latencies_ms[i]).abs() < 1e-6);
-        }
-    }
-
-    // The warm sharded solver re-solving the same instance stays
-    // bitwise-equal to cold central while taking the warm path.
-    #[test]
-    fn warm_sharded_resolve_matches_central(p in arb_problem()) {
-        let graph = OverlapGraph::from_problem(&p);
-        let plan = ShardPlan::from_components(&graph);
-        let central = balb_central(&p);
-        // Shards with no objects have nothing to replay, so only shards
-        // that actually hold objects can take the warm path.
-        let occupied: std::collections::BTreeSet<usize> = p
-            .objects()
-            .iter()
-            .map(|o| plan.shard_of(o.coverage().next().unwrap()))
-            .collect();
-        let mut solver = ShardedBalbSolver::new();
-        for frame in 0..3usize {
-            let sharded = solver.solve(&p, &plan, 2);
-            assert_bitwise_eq(&sharded, &central);
-            prop_assert_eq!(solver.last_stats().shards, plan.num_shards());
-            prop_assert_eq!(solver.last_stats().rebalance_moves, 0);
-            if frame > 0 {
-                prop_assert_eq!(solver.last_stats().warm_shards, occupied.len());
-            }
         }
     }
 }

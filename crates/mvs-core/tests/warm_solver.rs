@@ -133,7 +133,7 @@ proptest! {
         let b_raw = MvsProblem::random(&mut rng, m, n_b, &ProblemConfig::default());
         let b = MvsProblem::new(a.cameras().to_vec(), b_raw.objects().to_vec()).unwrap();
         let delta = ProblemDelta::between(&a, &b);
-        let mut patched = a.clone();
+        let mut patched = a;
         delta.apply(&mut patched).unwrap();
         prop_assert_eq!(patched, b);
     }

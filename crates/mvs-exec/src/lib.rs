@@ -2,21 +2,17 @@
 //!
 //! Every parallel site in this workspace used to pay OS-thread spawn and
 //! join costs per frame (`std::thread::scope` in the camera pool, the
-//! sharded solver, the pipelined key-frame overlap, and the experiment
-//! sweeps). This crate replaces all of them with one long-lived pool of
-//! parked worker threads and a small family of chunked fan-out primitives:
+//! pipelined key-frame overlap, and the experiment sweeps). This crate
+//! replaces all of them with one long-lived pool of parked worker threads
+//! and a small family of chunked fan-out primitives:
 //!
 //! - [`Executor::par_map`] / [`Executor::par_map_mut`] — contiguous-chunk
 //!   map with an index-ordered merge (drop-in for the old scoped helpers).
 //! - [`Executor::par_chunks`] / [`Executor::par_chunks_mut`] — the same
 //!   fan-out at chunk granularity, for scatter passes that keep per-worker
 //!   local state.
-//! - [`Executor::merge_as_completed`] — producers on the pool, a serial
-//!   fold on the caller *as results arrive* (the pipelined-merge shape).
 //! - [`Executor::join`] — a two-way fork for overlapping one computation
 //!   with the caller's own work.
-//! - [`Executor::par_map_queue`] — dynamic one-item-at-a-time scheduling
-//!   for sweeps whose item costs differ wildly.
 //!
 //! # Determinism contract
 //!
@@ -52,30 +48,20 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Upper bound on pool width. Lane counts are clamped to item counts at
 /// every call site, so this is a runaway backstop, not a tuning knob;
 /// batches wider than the pool round-robin over the existing workers.
 const MAX_WORKERS: usize = 64;
 
-/// Lane counts the profiler models region execution at (see
-/// [`ExecProfile::modeled_s`]).
-pub const MODELED_LANES: [usize; 4] = [1, 2, 4, 8];
-
 thread_local! {
     /// Set for the lifetime of a pool worker thread, and on the caller
     /// while it runs its own share of a parallel batch: code that is
     /// already inside an executor task runs nested fan-outs inline.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
-    /// Nesting depth of inline profiled regions on this thread; only the
-    /// outermost region records (inner time is already inside its task
-    /// durations, exactly as it would inline in a parallel run).
-    static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Whether the current thread is executing an executor task (worker
@@ -102,53 +88,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Work/span profile of the executor regions run while profiling was
-/// enabled (see [`Executor::profile_start`]). Benches profile a
-/// single-lane run and use the per-task durations to *model* the same
-/// run's makespan at wider lane counts — the fleet benches' established
-/// technique for gating parallel speedups on few-core CI runners.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecProfile {
-    /// Outermost executor regions recorded.
-    pub regions: u64,
-    /// Tasks (items, for inline single-lane regions) across all regions.
-    pub tasks: u64,
-    /// Total timed task work across all regions, seconds.
-    pub work_s: f64,
-    /// Modeled execution time of all regions at [`MODELED_LANES`] lanes,
-    /// seconds: per region, tasks are chunked contiguously exactly as the
-    /// executor would chunk them and the longest chunk wins. Nested
-    /// regions model as serial — in a real parallel run they inline
-    /// inside their enclosing task.
-    pub modeled_s: [f64; 4],
-}
-
-impl ExecProfile {
-    /// Modeled total region time at `lanes`, if `lanes` is one of
-    /// [`MODELED_LANES`].
-    #[must_use]
-    pub fn modeled_at(&self, lanes: usize) -> Option<f64> {
-        MODELED_LANES
-            .iter()
-            .position(|&l| l == lanes)
-            .map(|i| self.modeled_s[i])
-    }
-}
-
-/// Models the execution time of one region at `lanes`: contiguous chunks
-/// of `n.div_ceil(lanes)` tasks per lane, longest lane wins.
-fn modeled_time(durs: &[f64], lanes: usize) -> f64 {
-    let n = durs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let lanes = lanes.clamp(1, n);
-    let chunk_len = n.div_ceil(lanes);
-    durs.chunks(chunk_len)
-        .map(|c| c.iter().sum::<f64>())
-        .fold(0.0, f64::max)
 }
 
 /// Countdown latch: the caller blocks until every submitted task of a
@@ -188,22 +127,17 @@ impl Latch {
 }
 
 /// One task of a batch, on the submitting caller's stack: the closure to
-/// run, the panic it produced (if any), and its timed duration when the
-/// batch is profiled.
+/// run and the panic it produced (if any).
 struct TaskCell<F> {
     f: Option<F>,
     panic: Option<Box<dyn Any + Send>>,
-    dur_s: f64,
-    timed: bool,
 }
 
 impl<F> TaskCell<F> {
-    fn new(f: F, timed: bool) -> Self {
+    fn new(f: F) -> Self {
         TaskCell {
             f: Some(f),
             panic: None,
-            dur_s: 0.0,
-            timed,
         }
     }
 }
@@ -217,12 +151,8 @@ impl<F> TaskCell<F> {
 unsafe fn run_cell<F: FnOnce()>(data: *mut ()) {
     let cell = unsafe { &mut *data.cast::<TaskCell<F>>() };
     let f = cell.f.take().expect("executor task runs exactly once");
-    let started = cell.timed.then(Instant::now);
     if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
         cell.panic = Some(payload);
-    }
-    if let Some(s) = started {
-        cell.dur_s = s.elapsed().as_secs_f64();
     }
 }
 
@@ -290,28 +220,10 @@ impl Drop for InTaskGuard {
     }
 }
 
-/// Decrements `REGION_DEPTH` on drop (unwind-safe nesting bookkeeping).
-struct DepthGuard;
-
-impl DepthGuard {
-    fn enter() -> Self {
-        REGION_DEPTH.with(|d| d.set(d.get() + 1));
-        DepthGuard
-    }
-}
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        REGION_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
 /// A persistent pool of parked worker threads. See the crate docs for the
 /// determinism contract; [`pool()`] for the process-wide instance.
 pub struct Executor {
     workers: Mutex<Vec<Worker>>,
-    profiling: AtomicBool,
-    profile: Mutex<ExecProfile>,
 }
 
 impl Default for Executor {
@@ -342,8 +254,6 @@ impl Executor {
     pub fn new() -> Self {
         Executor {
             workers: Mutex::new(Vec::new()),
-            profiling: AtomicBool::new(false),
-            profile: Mutex::new(ExecProfile::default()),
         }
     }
 
@@ -351,37 +261,6 @@ impl Executor {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.lock().expect("worker registry").len()
-    }
-
-    /// Starts recording a work/span profile of outermost executor
-    /// regions, resetting any previous one.
-    pub fn profile_start(&self) {
-        *self.profile.lock().expect("profile state") = ExecProfile::default();
-        self.profiling.store(true, Ordering::Release);
-    }
-
-    /// Stops profiling and returns the recorded profile.
-    pub fn profile_stop(&self) -> ExecProfile {
-        self.profiling.store(false, Ordering::Release);
-        std::mem::take(&mut *self.profile.lock().expect("profile state"))
-    }
-
-    /// Whether a region started here, now, should record: profiling is on
-    /// and this is an outermost region on a non-task thread.
-    fn profiled_region(&self) -> bool {
-        self.profiling.load(Ordering::Acquire)
-            && !in_executor_task()
-            && REGION_DEPTH.with(Cell::get) == 0
-    }
-
-    fn record_region(&self, durs: &[f64]) {
-        let mut p = self.profile.lock().expect("profile state");
-        p.regions += 1;
-        p.tasks += durs.len() as u64;
-        p.work_s += durs.iter().sum::<f64>();
-        for (slot, &lanes) in p.modeled_s.iter_mut().zip(MODELED_LANES.iter()) {
-            *slot += modeled_time(durs, lanes);
-        }
     }
 
     /// Clones senders for up to `wanted` workers, growing the pool as
@@ -414,21 +293,18 @@ impl Executor {
     /// panicked. Falls back to an in-order inline loop when the batch has
     /// one task, the caller is itself an executor task, or no worker
     /// could be spawned — same results by the determinism contract.
-    fn run_batch<F: FnOnce() + Send>(&self, tasks: Vec<F>, timings: Option<&mut Vec<f64>>) {
+    fn run_batch<F: FnOnce() + Send>(&self, tasks: Vec<F>) {
         let k = tasks.len();
         if k == 0 {
             return;
         }
-        let timed = timings.is_some();
-        let mut cells: Vec<TaskCell<F>> =
-            tasks.into_iter().map(|f| TaskCell::new(f, timed)).collect();
+        let mut cells: Vec<TaskCell<F>> = tasks.into_iter().map(TaskCell::new).collect();
         let senders = if k > 1 && !in_executor_task() {
             self.senders_for(k - 1)
         } else {
             Vec::new()
         };
         if senders.is_empty() {
-            let _depth = DepthGuard::enter();
             for cell in &mut cells {
                 // SAFETY: exclusive `&mut` access on this thread.
                 unsafe { run_cell::<F>(std::ptr::from_mut(cell).cast()) };
@@ -450,14 +326,10 @@ impl Executor {
             }
             {
                 let _in_task = InTaskGuard::enter();
-                let _depth = DepthGuard::enter();
                 // SAFETY: cell 0 was not sent to any worker.
                 unsafe { run_cell::<F>(base.cast()) };
             }
             latch.wait();
-        }
-        if let Some(out) = timings {
-            out.extend(cells.iter().map(|c| c.dur_s));
         }
         if let Some(payload) = cells.into_iter().find_map(|c| c.panic) {
             resume_unwind(payload);
@@ -481,10 +353,8 @@ impl Executor {
         }
         let lanes = lanes.clamp(1, n);
         let chunk_len = n.div_ceil(lanes);
-        let profiled = self.profiled_region();
         let mut slots: Vec<Option<T>> = Vec::new();
         slots.resize_with(n.div_ceil(chunk_len), || None);
-        let mut timings = profiled.then(Vec::new);
         {
             let f = &f;
             let tasks: Vec<_> = items
@@ -493,10 +363,7 @@ impl Executor {
                 .enumerate()
                 .map(|(c, (chunk, slot))| move || *slot = Some(f(c * chunk_len, chunk)))
                 .collect();
-            self.run_batch(tasks, timings.as_mut());
-        }
-        if let Some(durs) = timings {
-            self.record_region(&durs);
+            self.run_batch(tasks);
         }
         slots
             .into_iter()
@@ -517,10 +384,8 @@ impl Executor {
         }
         let lanes = lanes.clamp(1, n);
         let chunk_len = n.div_ceil(lanes);
-        let profiled = self.profiled_region();
         let mut slots: Vec<Option<T>> = Vec::new();
         slots.resize_with(n.div_ceil(chunk_len), || None);
-        let mut timings = profiled.then(Vec::new);
         {
             let f = &f;
             let tasks: Vec<_> = items
@@ -529,10 +394,7 @@ impl Executor {
                 .enumerate()
                 .map(|(c, (chunk, slot))| move || *slot = Some(f(c * chunk_len, chunk)))
                 .collect();
-            self.run_batch(tasks, timings.as_mut());
-        }
-        if let Some(durs) = timings {
-            self.record_region(&durs);
+            self.run_batch(tasks);
         }
         slots
             .into_iter()
@@ -554,7 +416,7 @@ impl Executor {
         let n = items.len();
         let lanes = lanes.clamp(1, n.max(1));
         if lanes == 1 || in_executor_task() {
-            return self.inline_map(items.iter(), n, &f);
+            return items.iter().map(f).collect();
         }
         self.par_chunks(items, lanes, |_, chunk| chunk.iter().map(&f).collect())
             .into_iter()
@@ -573,7 +435,7 @@ impl Executor {
         let n = items.len();
         let lanes = lanes.clamp(1, n.max(1));
         if lanes == 1 || in_executor_task() {
-            return self.inline_map(items.iter_mut(), n, &f);
+            return items.iter_mut().map(f).collect();
         }
         self.par_chunks_mut(items, lanes, |_, chunk| chunk.iter_mut().map(&f).collect())
             .into_iter()
@@ -590,129 +452,6 @@ impl Executor {
         let _: Vec<()> = self.par_map_mut(items, lanes, |it| f(it));
     }
 
-    /// Serial in-order map with optional per-item profiling — the single
-    /// lane degenerate of every map primitive, kept as one code path so
-    /// profiled serial runs see item-granular task durations.
-    fn inline_map<It, T>(&self, items: It, n: usize, mut f: impl FnMut(It::Item) -> T) -> Vec<T>
-    where
-        It: Iterator,
-    {
-        if !self.profiled_region() {
-            return items.map(f).collect();
-        }
-        let _depth = DepthGuard::enter();
-        let mut durs = Vec::with_capacity(n);
-        let out = items
-            .map(|it| {
-                let started = Instant::now();
-                let v = f(it);
-                durs.push(started.elapsed().as_secs_f64());
-                v
-            })
-            .collect();
-        drop(_depth);
-        self.record_region(&durs);
-        out
-    }
-
-    /// Maps `f(index, &item)` over the items on the pool and folds every
-    /// output into `merge(index, output)` *on the caller, in completion
-    /// order* — the pipelined-merge shape: the fold hides behind the
-    /// still-running producers. The caller must therefore tolerate any
-    /// fold order; with one lane (or inside an executor task) the fold
-    /// runs in input order, inline.
-    pub fn merge_as_completed<I, T, F, M>(&self, items: &[I], lanes: usize, f: F, mut merge: M)
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-        M: FnMut(usize, T),
-    {
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let lanes = lanes.clamp(1, n);
-        if lanes == 1 || in_executor_task() {
-            let profiled = self.profiled_region();
-            if !profiled {
-                for (i, item) in items.iter().enumerate() {
-                    let out = f(i, item);
-                    merge(i, out);
-                }
-                return;
-            }
-            let mut durs = Vec::with_capacity(n);
-            {
-                let _depth = DepthGuard::enter();
-                for (i, item) in items.iter().enumerate() {
-                    let started = Instant::now();
-                    let out = f(i, item);
-                    durs.push(started.elapsed().as_secs_f64());
-                    merge(i, out);
-                }
-            }
-            self.record_region(&durs);
-            return;
-        }
-        let chunk_len = n.div_ceil(lanes);
-        let k = n.div_ceil(chunk_len);
-        let senders = self.senders_for(k);
-        if senders.is_empty() {
-            for (i, item) in items.iter().enumerate() {
-                let out = f(i, item);
-                merge(i, out);
-            }
-            return;
-        }
-        let profiled = self.profiled_region();
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let mut cells: Vec<TaskCell<_>> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let tx = tx.clone();
-                let f = &f;
-                TaskCell::new(
-                    move || {
-                        for (off, item) in chunk.iter().enumerate() {
-                            let idx = c * chunk_len + off;
-                            let out = f(idx, item);
-                            // The receiver outlives the batch; a send only
-                            // fails if the caller is already unwinding.
-                            let _ = tx.send((idx, out));
-                        }
-                    },
-                    profiled,
-                )
-            })
-            .collect();
-        drop(tx);
-        let latch = Latch::new(k);
-        let base = cells.as_mut_ptr();
-        for (i, sender) in (0..k).map(|i| (i, &senders[i % senders.len()])) {
-            // SAFETY: `i < k == cells.len()`; each cell goes to exactly
-            // one worker and the latch keeps it alive until they finish.
-            let task = raw_task_for(unsafe { base.add(i) }, &latch);
-            sender
-                .send(task)
-                .expect("pool workers outlive the executor");
-        }
-        // Fold as results arrive; the channel closes when every producer
-        // task has dropped its sender clone (finished or unwound).
-        while let Ok((idx, out)) = rx.recv() {
-            merge(idx, out);
-        }
-        latch.wait();
-        if profiled {
-            let durs: Vec<f64> = cells.iter().map(|c| c.dur_s).collect();
-            self.record_region(&durs);
-        }
-        if let Some(payload) = cells.into_iter().find_map(|c| c.panic) {
-            resume_unwind(payload);
-        }
-    }
-
     /// Runs `a` on a pool worker while `b` runs on the caller, returning
     /// both results — the two-phase overlap shape (e.g. a central solve
     /// behind the caller's uplink encoding). Inline (and from inside an
@@ -724,34 +463,20 @@ impl Executor {
         A: FnOnce() -> RA + Send,
         B: FnOnce() -> RB,
     {
-        let profiled = self.profiled_region();
         let senders = if in_executor_task() {
             Vec::new()
         } else {
             self.senders_for(1)
         };
         if senders.is_empty() {
-            if !profiled {
-                return (a(), b());
-            }
-            let _depth = DepthGuard::enter();
-            let started = Instant::now();
-            let ra = a();
-            let dur_a = started.elapsed().as_secs_f64();
-            let started = Instant::now();
-            let rb = b();
-            let dur_b = started.elapsed().as_secs_f64();
-            drop(_depth);
-            self.record_region(&[dur_a, dur_b]);
-            return (ra, rb);
+            return (a(), b());
         }
         let mut slot: Option<RA> = None;
         let mut rb = None;
         let mut panic_b = None;
-        let mut dur_b = 0.0;
         {
             let slot = &mut slot;
-            let mut cells = vec![TaskCell::new(move || *slot = Some(a()), profiled)];
+            let mut cells = vec![TaskCell::new(move || *slot = Some(a()))];
             let latch = Latch::new(1);
             let task = raw_task_for(cells.as_mut_ptr(), &latch);
             senders[0]
@@ -759,19 +484,12 @@ impl Executor {
                 .expect("pool workers outlive the executor");
             {
                 let _in_task = InTaskGuard::enter();
-                let started = profiled.then(Instant::now);
                 match catch_unwind(AssertUnwindSafe(b)) {
                     Ok(v) => rb = Some(v),
                     Err(payload) => panic_b = Some(payload),
                 }
-                if let Some(s) = started {
-                    dur_b = s.elapsed().as_secs_f64();
-                }
             }
             latch.wait();
-            if profiled {
-                self.record_region(&[cells[0].dur_s, dur_b]);
-            }
             if let Some(payload) = cells.pop().and_then(|c| c.panic) {
                 resume_unwind(payload);
             }
@@ -783,53 +501,6 @@ impl Executor {
             slot.expect("joined task ran to completion"),
             rb.expect("caller closure ran to completion"),
         )
-    }
-
-    /// Maps `f` over the items with *dynamic* scheduling: up to `lanes`
-    /// pool lanes (the caller is one of them) pull items one at a time
-    /// from a shared cursor, so wildly uneven item costs keep every lane
-    /// busy. Outputs come back in input order. Use the chunked
-    /// [`Executor::par_map`] on hot paths — this shape pays one atomic
-    /// and one mutex lock per item.
-    pub fn par_map_queue<I, T, F>(&self, items: &[I], lanes: usize, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        let n = items.len();
-        let lanes = lanes.clamp(1, n.max(1));
-        if lanes == 1 || in_executor_task() {
-            return self.inline_map(items.iter(), n, &f);
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            let tasks: Vec<_> = (0..lanes)
-                .map(|_| {
-                    move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let out = f(&items[i]);
-                        *slots[i].lock().expect("result slot poisoned") = Some(out);
-                    }
-                })
-                .collect();
-            self.run_batch(tasks, None);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every item was processed")
-            })
-            .collect()
     }
 }
 
@@ -844,8 +515,7 @@ pub fn pool() -> &'static Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Tiny deterministic generator so determinism tests need no deps.
     fn splitmix(state: &mut u64) -> u64 {
@@ -879,7 +549,7 @@ mod tests {
             let mut states: Vec<u64> = (0..5).map(|i| i as u64 * 7 + 1).collect();
             let mut draws = Vec::new();
             for _ in 0..3 {
-                draws.extend(exec.par_map_mut(&mut states, lanes, |s| splitmix(s)));
+                draws.extend(exec.par_map_mut(&mut states, lanes, splitmix));
             }
             (draws, states)
         };
@@ -912,45 +582,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_as_completed_folds_every_index_exactly_once() {
-        for lanes in [1, 3, 8] {
-            let exec = Executor::new();
-            let items: Vec<u64> = (0..13).collect();
-            let mut seen = BTreeSet::new();
-            let mut weighted = 0u64;
-            exec.merge_as_completed(
-                &items,
-                lanes,
-                |i, &v| v * 2 + i as u64,
-                |i, out| {
-                    assert!(seen.insert(i), "index {i} folded twice");
-                    weighted += out;
-                },
-            );
-            assert_eq!(seen.len(), items.len(), "lanes={lanes}");
-            let want: u64 = items
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v * 2 + i as u64)
-                .sum();
-            assert_eq!(weighted, want, "lanes={lanes}");
-        }
-    }
-
-    #[test]
     fn join_returns_both_results_and_orders_inline_a_before_b() {
         let exec = Executor::new();
-        let log = Mutex::new(Vec::new());
-        // From inside a task (forced inline), `a` must run before `b` —
-        // the sequential order the pipelined overlap degenerates to.
-        let (_, inner) = exec.par_map(&[()], 1, |()| {
+        // Inside a genuine executor task (two items on two lanes, so both
+        // the caller's lane and the worker's run with `IN_TASK` set) a
+        // nested `join` is forced inline: `a` must run before `b` — the
+        // sequential order the pipelined overlap degenerates to.
+        let logs = exec.par_map(&[0, 1], 2, |_| {
+            let log = Mutex::new(Vec::new());
             pool().join(
                 || log.lock().unwrap().push('a'),
                 || log.lock().unwrap().push('b'),
-            )
-        })[0];
-        let _ = inner;
-        assert_eq!(*log.lock().unwrap(), vec!['a', 'b']);
+            );
+            log.into_inner().unwrap()
+        });
+        assert_eq!(logs, vec![vec!['a', 'b']; 2]);
         let (ra, rb) = exec.join(|| 6 * 7, || "right");
         assert_eq!((ra, rb), (42, "right"));
     }
@@ -1021,59 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_queue_preserves_input_order() {
-        let exec = Executor::new();
-        let items: Vec<usize> = (0..97).collect();
-        for lanes in [1, 4] {
-            let out = exec.par_map_queue(&items, lanes, |&i| i * 3);
-            assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-        }
-        assert_eq!(
-            exec.par_map_queue(&Vec::<usize>::new(), 4, |&i| i),
-            Vec::<usize>::new()
-        );
-    }
-
-    #[test]
     fn empty_and_oversized_batches_are_fine() {
         let exec = Executor::new();
         assert_eq!(exec.par_map(&Vec::<u8>::new(), 8, |&b| b), Vec::<u8>::new());
         assert_eq!(exec.par_map(&[1u8], 64, |&b| b + 1), vec![2]);
-        exec.merge_as_completed(&Vec::<u8>::new(), 4, |_, &b| b, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn profile_records_outermost_regions_only() {
-        let exec = Executor::new();
-        exec.profile_start();
-        let items: Vec<u64> = (0..8).collect();
-        let out = exec.par_map(&items, 1, |&v| {
-            // Nested region: must fold into the outer task's duration,
-            // not record separately.
-            exec.par_map(&[v], 1, |&x| x + 1)[0]
-        });
-        let profile = exec.profile_stop();
-        assert_eq!(out, (1..=8).collect::<Vec<_>>());
-        assert_eq!(profile.regions, 1, "only the outermost region records");
-        assert_eq!(profile.tasks, 8);
-        // Serial model == total work; wider models can only shrink it.
-        assert!((profile.modeled_s[0] - profile.work_s).abs() < 1e-12);
-        assert!(profile.modeled_s[3] <= profile.modeled_s[0] + 1e-12);
-        // Profiling off: nothing records.
-        let _ = exec.par_map(&items, 1, |&v| v);
-        assert_eq!(exec.profile_stop(), ExecProfile::default());
-    }
-
-    #[test]
-    fn modeled_time_is_longest_contiguous_chunk() {
-        let durs = [3.0, 1.0, 1.0, 1.0];
-        assert!((modeled_time(&durs, 1) - 6.0).abs() < 1e-12);
-        // Two lanes: [3,1] vs [1,1].
-        assert!((modeled_time(&durs, 2) - 4.0).abs() < 1e-12);
-        // Four lanes: the longest single task bounds the span.
-        assert!((modeled_time(&durs, 4) - 3.0).abs() < 1e-12);
-        assert!((modeled_time(&durs, 8) - 3.0).abs() < 1e-12);
-        assert_eq!(modeled_time(&[], 4), 0.0);
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod polygon_properties {
         (
             -50.0f64..50.0,
             -50.0f64..50.0,
-            0.0f64..6.28,
+            0.0f64..std::f64::consts::TAU,
             0.1f64..1.4,
             0.5f64..5.0,
             10.0f64..100.0,
@@ -158,7 +158,7 @@ mod polygon_properties {
         fn wedge_contains_points_along_its_axis(
             x in -50.0f64..50.0,
             y in -50.0f64..50.0,
-            heading in 0.0f64..6.28,
+            heading in 0.0f64..std::f64::consts::TAU,
         ) {
             let apex = Point2::new(x, y);
             let w = Polygon::view_wedge(apex, heading, 0.5, 2.0, 50.0);

@@ -685,8 +685,8 @@ mod tests {
 
     #[test]
     fn fault_stream_is_disjoint_from_world_and_camera_streams() {
-        let fault = FaultState::new(FaultModel::none(), 42, 4);
-        let first = fault.rng.clone().gen::<u64>();
+        let mut fault = FaultState::new(FaultModel::none(), 42, 4);
+        let first = fault.rng.gen::<u64>();
         let world = ChaCha8Rng::seed_from_u64(42).gen::<u64>();
         assert_ne!(first, world, "fault stream collides with the world");
         for i in 0..8 {

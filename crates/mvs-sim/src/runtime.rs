@@ -28,10 +28,11 @@ use crate::network::NetworkModel;
 use crate::scenario::Scenario;
 use crate::worker::{par_map, resolve_threads, CameraWorker, FrameScratch};
 use crate::world::World;
+use mvs_core::extensions::balb_redundant;
 use mvs_core::{
-    balb_sharded_pipelined, balb_sharded_threaded, scan_takeovers_into, BalbSolver, CameraId,
-    CameraInfo, MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShadowVerdict,
-    ShardPlan, ShardedBalbSolver,
+    balb_sharded, scan_takeovers_into, BalbSchedule, BalbSolver, CameraId, CameraInfo,
+    CameraSubset, MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShadowVerdict,
+    ShardPlan,
 };
 use mvs_geometry::{BBox, SizeClass};
 use mvs_metrics::{
@@ -45,6 +46,7 @@ use mvs_vision::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -181,32 +183,21 @@ pub struct PipelineConfig {
     /// [`FaultModel::none`] (the default) makes the run bitwise identical
     /// to the fault-free pipeline.
     pub faults: FaultModel,
-    /// When true (the default), the central stage keeps a persistent
-    /// [`BalbSolver`] that warm-starts each horizon's schedule from the
-    /// previous one (falling back to a cold solve on large scene changes).
-    /// Results are bitwise identical either way — this only trades compute;
-    /// turn it off to force a cold solve every key frame. Only affects
-    /// fully-synced horizons of [`Algorithm::Balb`] / [`Algorithm::BalbCen`]
-    /// with `redundancy == 1`; degraded or redundant horizons always solve
-    /// cold.
-    pub warm_start: bool,
     /// When true, fully-synced single-owner horizons solve the central
     /// stage shard-by-shard along the instance's view-overlap components
-    /// (in parallel across [`PipelineConfig::threads`]) instead of as one
-    /// monolithic BALB instance — the city-scale path. Results are bitwise
-    /// identical either way: instance-coverage shard plans are always
-    /// exact, so the sharded schedule reproduces `balb_central` (see
-    /// `mvs_core::balb_sharded`). Degraded or redundant horizons fall back
-    /// to the existing cold paths. Default false.
+    /// (`mvs_core::balb_sharded`, a cold solve every key frame) instead of
+    /// with the persistent [`BalbSolver`]. Results are bitwise identical
+    /// either way: instance-coverage shard plans are always exact, so the
+    /// sharded schedule reproduces `balb_central`. Degraded or redundant
+    /// horizons solve with `balb_redundant` regardless. Default false.
     pub shard_solver: bool,
     /// When true and `threads > 1`, key frames overlap the central BALB
     /// solve with the (solve-independent) uplink-leg message encoding on a
-    /// scoped thread, and the sharded cold solve merges shards as they
-    /// complete instead of in plan order. The overlap hides the solve
-    /// behind a sync leg the pipeline already models, so it is
-    /// semantically a no-op: results and traces are bitwise identical to
-    /// the sequential path at any thread count (with one thread the solve
-    /// simply runs inline first). Default false.
+    /// pool worker. The overlap hides the solve behind a sync leg the
+    /// pipeline already models, so it is semantically a no-op: results and
+    /// traces are bitwise identical to the sequential path at any thread
+    /// count (with one thread the solve simply runs inline first). Default
+    /// false.
     #[serde(default)]
     pub pipelined: bool,
 }
@@ -235,7 +226,6 @@ impl PipelineConfig {
             network: NetworkModel::default(),
             overhead: OverheadModel::default(),
             faults: FaultModel::none(),
-            warm_start: true,
             shard_solver: false,
             pipelined: false,
         }
@@ -344,6 +334,36 @@ struct RegularOutput {
     sample: OverheadSample,
 }
 
+/// The one central solve of a key frame, chosen by what the horizon needs:
+///
+/// * degraded (`subset` is the synced sub-fleet) or redundant horizons solve
+///   cold with [`balb_redundant`], which equals `balb_central` at
+///   redundancy 1;
+/// * fully-synced single-owner horizons run [`balb_sharded`] on the
+///   instance's component plan under [`PipelineConfig::shard_solver`], and
+///   the persistent [`BalbSolver`] otherwise.
+///
+/// All three produce the bits of `balb_central` on a single-owner instance,
+/// so the choice never shows in a [`PipelineResult`]. The schedule is in
+/// the solved instance's ids (`subset`'s when degraded).
+fn central_schedule<'s>(
+    solver: &'s mut BalbSolver,
+    problem: MvsProblem,
+    subset: Option<&CameraSubset>,
+    config: &PipelineConfig,
+) -> Cow<'s, BalbSchedule> {
+    let redundancy = config.redundancy.max(1);
+    match subset {
+        Some(subset) => Cow::Owned(balb_redundant(&subset.problem, redundancy)),
+        None if redundancy > 1 => Cow::Owned(balb_redundant(&problem, redundancy)),
+        None if config.shard_solver => {
+            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&problem));
+            Cow::Owned(balb_sharded(&problem, &plan))
+        }
+        None => Cow::Borrowed(solver.solve_owned(problem)),
+    }
+}
+
 struct Pipeline {
     scenario: Scenario,
     config: PipelineConfig,
@@ -362,12 +382,10 @@ struct Pipeline {
     /// Owner cameras per global object of the current horizon (one entry
     /// with redundancy 1; more under the redundant-assignment extension).
     assignment: Vec<Vec<usize>>,
-    /// Persistent warm-start solver for the central stage (see
-    /// [`PipelineConfig::warm_start`]).
+    /// Persistent solver of the central stage's default path (see
+    /// [`central_schedule`]): repairs the previous horizon's schedule when
+    /// the scene barely changed, reusing its buffers either way.
     solver: BalbSolver,
-    /// Persistent per-shard warm solvers for the sharded central stage
-    /// (see [`PipelineConfig::shard_solver`]).
-    sharded_solver: ShardedBalbSolver,
     /// Reused snapshot of the per-camera liveness flags for the current
     /// key frame (the snapshot decouples the flags from later fault-state
     /// mutations without a per-key-frame allocation).
@@ -484,7 +502,6 @@ impl Pipeline {
             faults: FaultState::new(config.faults, config.seed, m),
             assignment: Vec::new(),
             solver: BalbSolver::new(),
-            sharded_solver: ShardedBalbSolver::new(),
             alive_scratch: Vec::new(),
             upload_scratch: Vec::new(),
             central_per_frame_ms: 0.0,
@@ -970,7 +987,7 @@ impl Pipeline {
                 // The central solve as a pure function of the uploaded
                 // boxes and the persistent solver state. It touches no
                 // worker, network, or upload state, so the pipelined path
-                // can run it on a scoped thread while the coordinator
+                // can run it on a pool worker while the coordinator
                 // encodes the uplink leg below. `None` means the horizon
                 // produced no schedule at all: every camera coasts on its
                 // stale mask and running tracks until the next key frame.
@@ -979,9 +996,7 @@ impl Pipeline {
                 let config = &self.config;
                 let trained = &self.trained;
                 let solver = &mut self.solver;
-                let sharded_solver = &mut self.sharded_solver;
                 let mut recorder = self.tracer.as_mut();
-                let threads = self.threads;
                 let synced_cams_ref = &synced_cams;
                 let solve = move || {
                     if synced_cams_ref.is_empty() {
@@ -1019,111 +1034,41 @@ impl Pipeline {
                         .collect();
                     let problem =
                         MvsProblem::new(cameras, objects).expect("pipeline builds valid instances");
-                    let redundancy = config.redundancy.max(1);
-                    // … and solve on the synced sub-problem when degraded,
-                    // lifting owners and priority back to deployment ids.
-                    if synced_cams_ref.len() == m {
-                        if config.shard_solver && redundancy == 1 {
-                            // City-scale path: solve independently per
-                            // view-overlap component, in parallel. The
-                            // instance's own coverage graph always yields
-                            // an exact plan, so this is bitwise identical
-                            // to the monolithic solve below.
-                            let plan =
-                                ShardPlan::from_components(&OverlapGraph::from_problem(&problem));
-                            let schedule = if config.warm_start {
-                                sharded_solver.solve(&problem, &plan, threads)
-                            } else if config.pipelined {
-                                // Cold pipelined solve: shards merge as
-                                // they complete. Exact plans give each
-                                // shard disjoint output columns, so the
-                                // merge order cannot change a single bit.
-                                balb_sharded_pipelined(&problem, &plan, threads)
-                            } else {
-                                balb_sharded_threaded(&problem, &plan, threads)
-                            };
-                            span_into(
-                                recorder.as_mut().map(|t| t.coordinator()),
-                                Stage::Central,
-                                0.0,
-                                problem.num_objects(),
-                            );
-                            let assignment: Vec<Vec<usize>> = (0..globals.len())
-                                .map(|g| {
-                                    schedule
-                                        .assignment
-                                        .owners_of(ObjectId(g))
-                                        .iter()
-                                        .map(|c| c.0)
-                                        .collect()
-                                })
-                                .collect();
-                            Some((globals, assignment, schedule.priority))
-                        } else if config.warm_start && redundancy == 1 {
-                            // Fully-synced single-owner horizon: repair the
-                            // previous schedule instead of recomputing.
-                            // Bitwise-identical to the cold path (the
-                            // solver falls back to a cold solve itself on
-                            // large scene changes).
-                            let schedule = solver.solve_owned_traced(
-                                problem,
-                                recorder.as_mut().map(|t| t.coordinator()),
-                            );
-                            let assignment: Vec<Vec<usize>> = (0..globals.len())
-                                .map(|g| {
-                                    schedule
-                                        .assignment
-                                        .owners_of(ObjectId(g))
-                                        .iter()
-                                        .map(|c| c.0)
-                                        .collect()
-                                })
-                                .collect();
-                            Some((globals, assignment, schedule.priority.clone()))
-                        } else {
-                            let schedule = mvs_core::extensions::balb_redundant_traced(
-                                &problem,
-                                redundancy,
-                                recorder.as_mut().map(|t| t.coordinator()),
-                            );
-                            let assignment: Vec<Vec<usize>> = (0..globals.len())
-                                .map(|g| {
-                                    schedule
-                                        .assignment
-                                        .owners_of(ObjectId(g))
-                                        .iter()
-                                        .map(|c| c.0)
-                                        .collect()
-                                })
-                                .collect();
-                            Some((globals, assignment, schedule.priority))
-                        }
+                    // … and solve on the synced sub-fleet when degraded. An
+                    // `Err` means no schedulable camera survived the
+                    // restriction after all — coast like the all-desynced
+                    // case instead of crashing.
+                    let subset = if synced_cams_ref.len() == m {
+                        None
                     } else {
-                        // Degraded horizon: re-solve on the synced
-                        // sub-fleet. An `Err` means no schedulable camera
-                        // survived the restriction after all — coast like
-                        // the all-desynced case instead of crashing.
-                        let Ok(subset) = problem.restrict_to_cameras(synced_cams_ref) else {
-                            return None;
-                        };
-                        let schedule = mvs_core::extensions::balb_redundant_traced(
-                            &subset.problem,
-                            redundancy,
-                            recorder.as_mut().map(|t| t.coordinator()),
-                        );
-                        let mut assignment = vec![Vec::new(); globals.len()];
-                        for o in subset.problem.objects() {
-                            let orig = subset.original_object(o.id);
-                            assignment[orig.0] = schedule
-                                .assignment
-                                .owners_of(o.id)
-                                .iter()
-                                .map(|&c| subset.original_camera(c).0)
-                                .collect();
-                        }
-                        let priority = subset.lift_priority(&schedule.priority);
-                        Some((globals, assignment, priority))
+                        Some(problem.restrict_to_cameras(synced_cams_ref).ok()?)
+                    };
+                    let schedule = central_schedule(solver, problem, subset.as_ref(), config);
+                    let solved = schedule.assignment.len();
+                    span_into(
+                        recorder.as_mut().map(|t| t.coordinator()),
+                        Stage::Central,
+                        0.0,
+                        solved,
+                    );
+                    // Owners and priority back in deployment ids (objects
+                    // the restriction lost keep an empty owner list).
+                    let mut assignment = vec![Vec::new(); globals.len()];
+                    for j in 0..solved {
+                        let orig = subset.as_ref().map_or(j, |s| s.objects[j].0);
+                        assignment[orig] = schedule
+                            .assignment
+                            .owners_of(ObjectId(j))
+                            .iter()
+                            .map(|&c| subset.as_ref().map_or(c, |s| s.original_camera(c)).0)
+                            .collect();
                     }
+                    let priority = match (&subset, schedule) {
+                        (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
+                        (None, Cow::Owned(schedule)) => schedule.priority,
+                        (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
+                    };
+                    Some((globals, assignment, priority))
                 };
 
                 // The uplink leg never depends on the solve, only on what
@@ -1615,7 +1560,6 @@ impl TenantPipeline {
         if self.inner.config.redundancy != redundancy {
             self.inner.config.redundancy = redundancy;
             self.inner.solver.reset();
-            self.inner.sharded_solver.reset();
         }
     }
 
@@ -1779,102 +1723,38 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_solves_bitwise_at_any_thread_count() {
-        // The persistent BalbSolver must be invisible in the results: a
-        // warm-started run is bitwise identical to one that cold-solves
-        // every key frame, at 1, 2, and 4 threads. Measured overheads off
-        // so the whole PipelineResult is comparable with `==`.
-        let sc = Scenario::new(ScenarioKind::S2);
-        for algorithm in [Algorithm::Balb, Algorithm::BalbCen] {
-            let mut base = quick_config(algorithm);
-            base.measured_overheads = false;
-            for threads in [1usize, 2, 4] {
-                let warm = run_pipeline(
-                    &sc,
-                    &PipelineConfig {
-                        threads,
-                        warm_start: true,
-                        ..base.clone()
-                    },
-                );
-                let cold = run_pipeline(
-                    &sc,
-                    &PipelineConfig {
-                        threads,
-                        warm_start: false,
-                        ..base.clone()
-                    },
-                );
-                assert_eq!(warm, cold, "{algorithm}: warm vs cold at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_solves_under_faults() {
-        // Degraded horizons take the cold sub-problem path; full-sync
-        // horizons between them keep warm-starting. The mix must still be
-        // bitwise identical to an always-cold run.
-        let sc = Scenario::new(ScenarioKind::S2);
-        let mut base = quick_config(Algorithm::Balb);
-        base.measured_overheads = false;
-        base.faults = FaultModel {
-            dropout_per_horizon: 0.3,
-            rejoin_per_horizon: 0.5,
-            keyframe_loss: 0.2,
-            ..FaultModel::none()
-        };
-        let warm = run_pipeline(
-            &sc,
-            &PipelineConfig {
-                warm_start: true,
-                ..base.clone()
-            },
-        );
-        let cold = run_pipeline(
-            &sc,
-            &PipelineConfig {
-                warm_start: false,
-                ..base.clone()
-            },
-        );
-        assert_eq!(warm, cold);
-    }
-
-    #[test]
     fn shard_solver_matches_central_bitwise_at_any_thread_count() {
-        // The sharded central stage must be invisible in the results: the
-        // per-component solves merged back together are bitwise identical
-        // to the monolithic solve, at 1, 2, and 4 threads, warm or cold.
+        // The pipeline-level warm-vs-cold differential: the persistent
+        // `BalbSolver` (repairing the previous schedule where it can) on
+        // one side, a cold per-component `balb_sharded` solve every key
+        // frame on the other, bitwise identical at 1, 2, and 4 threads.
+        // Measured overheads off so the whole PipelineResult is comparable
+        // with `==`.
         let sc = Scenario::new(ScenarioKind::S2);
         for algorithm in [Algorithm::Balb, Algorithm::BalbCen] {
             let mut base = quick_config(algorithm);
             base.measured_overheads = false;
             for threads in [1usize, 2, 4] {
-                for warm_start in [true, false] {
-                    let sharded = run_pipeline(
-                        &sc,
-                        &PipelineConfig {
-                            threads,
-                            warm_start,
-                            shard_solver: true,
-                            ..base.clone()
-                        },
-                    );
-                    let central = run_pipeline(
-                        &sc,
-                        &PipelineConfig {
-                            threads,
-                            warm_start,
-                            shard_solver: false,
-                            ..base.clone()
-                        },
-                    );
-                    assert_eq!(
-                        sharded, central,
-                        "{algorithm}: sharded vs central at {threads} threads (warm={warm_start})"
-                    );
-                }
+                let sharded = run_pipeline(
+                    &sc,
+                    &PipelineConfig {
+                        threads,
+                        shard_solver: true,
+                        ..base.clone()
+                    },
+                );
+                let central = run_pipeline(
+                    &sc,
+                    &PipelineConfig {
+                        threads,
+                        shard_solver: false,
+                        ..base.clone()
+                    },
+                );
+                assert_eq!(
+                    sharded, central,
+                    "{algorithm}: sharded vs central at {threads} threads"
+                );
             }
         }
     }
@@ -1904,7 +1784,7 @@ mod tests {
             &sc,
             &PipelineConfig {
                 shard_solver: false,
-                ..base.clone()
+                ..base
             },
         );
         assert_eq!(sharded, central);

@@ -271,7 +271,7 @@ pub struct ServeConfig {
     /// Deepest frame-dropping rung admission control may assign before
     /// rejecting a tenant (`keep_every` never exceeds this).
     pub max_keep_every: u64,
-    /// Use the sharded central solver (city-scale path).
+    /// Solve key frames with `balb_sharded` ([`PipelineConfig::shard_solver`]).
     pub shard_solver: bool,
     /// Overlap each tenant's central solve with uplink-leg encoding on key
     /// frames (see [`PipelineConfig::pipelined`]). Semantically a no-op:
@@ -2103,7 +2103,7 @@ mod tests {
                 poison_per_frame: 7.0,
                 ..ServeFaultModel::none()
             },
-            ..good.clone()
+            ..good
         };
         assert!(matches!(
             bad_chaos.validate(),

@@ -85,7 +85,7 @@ fn snapshotting_never_changes_results() {
         ..small_config()
     });
     assert!(snapshotted.recovery.snapshots_taken > 0);
-    let mut normalized = snapshotted.clone();
+    let mut normalized = snapshotted;
     normalized.config.snapshot_every_horizons = 0;
     normalized.recovery.snapshots_taken = plain.recovery.snapshots_taken;
     assert_eq!(plain, normalized, "snapshotting perturbed the run");
@@ -127,7 +127,6 @@ fn chaos_is_deterministic_across_thread_counts() {
                 capacity_factor: 0.5,
                 service_inflation: 1.5,
             }],
-            ..ServeFaultModel::none()
         },
         snapshot_every_horizons: 1,
         ..small_config()

@@ -6,9 +6,9 @@
 //! runs, never what it computes. These tests pin that contract bitwise —
 //! latency series are compared through `f64::to_bits`, not float equality,
 //! so `-0.0` vs `0.0` or NaN drift cannot hide behind `PartialEq` — at
-//! 1/2/4/8 threads across warm, cold, sharded, faulted, and pipelined
-//! runs, plus the serve layer's parallel admission/restore/readmission
-//! phases under a full chaos storm.
+//! 1/2/4/8 threads across default, sharded, faulted, and pipelined runs,
+//! plus the serve layer's parallel admission/restore/readmission phases
+//! under a full chaos storm.
 
 use mvs_sim::{
     run_pipeline, run_serve, Algorithm, FaultModel, PipelineConfig, PipelineResult, PoolDegrade,
@@ -96,25 +96,13 @@ fn assert_pool_invisible(name: &str, config: &PipelineConfig) {
 }
 
 #[test]
-fn pool_matches_single_thread_warm() {
-    assert_pool_invisible("warm", &base_config());
-}
-
-#[test]
-fn pool_matches_single_thread_cold() {
-    let config = PipelineConfig {
-        warm_start: false,
-        ..base_config()
-    };
-    assert_pool_invisible("cold", &config);
+fn pool_matches_single_thread_default() {
+    assert_pool_invisible("default", &base_config());
 }
 
 #[test]
 fn pool_matches_single_thread_sharded() {
-    // The cold sharded solve exercises `merge_as_completed`: shard
-    // outputs fold in completion order, which must not be observable.
     let config = PipelineConfig {
-        warm_start: false,
         shard_solver: true,
         ..base_config()
     };
@@ -168,7 +156,6 @@ fn storm_config(threads: usize) -> ServeConfig {
                 capacity_factor: 0.5,
                 service_inflation: 1.5,
             }],
-            ..ServeFaultModel::none()
         },
         snapshot_every_horizons: 1,
         ..ServeConfig::default()

@@ -74,7 +74,7 @@ fn inactive_fault_model_is_bitwise_identical_to_the_default() {
     let baseline = run_pipeline(&sc, &plain);
     // An explicit zero-rate model with a different retry setup is equally
     // inactive.
-    let mut zeroed = plain.clone();
+    let mut zeroed = plain;
     zeroed.faults = FaultModel {
         max_retries: 9,
         retry_timeout_ms: 1000.0,

@@ -1,10 +1,9 @@
 //! Determinism suite for the pipelined key-frame path.
 //!
 //! `PipelineConfig::pipelined` overlaps the central BALB solve with the
-//! uplink-leg encoding and merges sharded cold solves as they complete.
-//! The overlap is required to be *semantically invisible*: every result,
+//! uplink-leg encoding. The overlap is required to be *semantically invisible*: every result,
 //! trace, and serve report must be bitwise identical to the sequential
-//! path, at any thread count, warm or cold, sharded or monolithic, under
+//! path, at any thread count, sharded or monolithic, under
 //! faults, and in the middle of a serve-layer chaos storm. These tests
 //! pin that contract by direct `PartialEq` comparison of full results
 //! (all latency series are `f64`, so equality is bitwise).
@@ -68,29 +67,17 @@ fn assert_pipelining_invisible(name: &str, config: &PipelineConfig) {
 }
 
 #[test]
-fn pipelined_matches_sequential_warm() {
-    assert_pipelining_invisible("warm", &base_config());
+fn pipelined_matches_sequential_default() {
+    assert_pipelining_invisible("default", &base_config());
 }
 
 #[test]
-fn pipelined_matches_sequential_cold() {
+fn pipelined_matches_sequential_sharded() {
     let config = PipelineConfig {
-        warm_start: false,
-        ..base_config()
-    };
-    assert_pipelining_invisible("cold", &config);
-}
-
-#[test]
-fn pipelined_matches_sequential_sharded_cold() {
-    // The cold sharded solve is the one path that actually reorders work
-    // (shards merge as they complete instead of in plan order).
-    let config = PipelineConfig {
-        warm_start: false,
         shard_solver: true,
         ..base_config()
     };
-    assert_pipelining_invisible("sharded-cold", &config);
+    assert_pipelining_invisible("sharded", &config);
 }
 
 #[test]
@@ -153,7 +140,6 @@ fn serve_chaos_storm_is_pipelining_invariant() {
                 capacity_factor: 0.5,
                 service_inflation: 1.5,
             }],
-            ..ServeFaultModel::none()
         },
         snapshot_every_horizons: 1,
         ..ServeConfig::default()

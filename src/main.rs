@@ -11,8 +11,8 @@
 //! procedural city-scale fleet sized by `--cameras`/`--intensity`.
 //! Algorithms: `full`, `balb`, `balb-ind`, `balb-cen`, `sp`, `sp-oracle`.
 //! Options: `--horizon N`, `--train-s S`, `--eval-s S`, `--seed N`,
-//! `--redundancy N`, `--no-batching`, `--no-warm-start`, `--threads N`,
-//! `--trace DIR`, `--cameras N`, `--intensity X`, `--shard-solver`.
+//! `--redundancy N`, `--no-batching`, `--threads N`, `--trace DIR`,
+//! `--cameras N`, `--intensity X`, `--shard-solver`, `--pipelined`.
 
 use multiview_scheduler::metrics::{sparkline_fit, TextTable};
 use multiview_scheduler::sim::{
@@ -82,10 +82,6 @@ mod cli {
         pub seed: u64,
         pub redundancy: usize,
         pub disable_batching: bool,
-        /// Cold-solve every key frame instead of warm-starting the central
-        /// stage from the previous horizon (results are identical; this
-        /// only trades compute).
-        pub no_warm_start: bool,
         pub threads: usize,
         /// When set, record per-stage spans and write the trace exports
         /// (Chrome JSON, Prometheus text, golden text) into this directory.
@@ -95,9 +91,9 @@ mod cli {
         pub cameras: usize,
         /// Traffic intensity multiplier of the `city` scenario.
         pub intensity: f64,
-        /// Solve key frames shard-by-shard over the camera overlap graph
-        /// instead of monolithically (identical schedules; compute-only
-        /// knob for large fleets).
+        /// Solve key frames cold, shard-by-shard over the camera overlap
+        /// graph, instead of with the persistent solver (identical
+        /// schedules; compute-only knob).
         pub shard_solver: bool,
         /// Overlap the central solve with uplink-leg encoding on key
         /// frames (identical results; wall-clock-only knob).
@@ -113,7 +109,6 @@ mod cli {
                 seed: 17,
                 redundancy: 1,
                 disable_batching: false,
-                no_warm_start: false,
                 threads: 0,
                 trace_dir: None,
                 cameras: CityConfig::default().cameras,
@@ -244,7 +239,6 @@ mod cli {
                     }
                 }
                 "--no-batching" => options.disable_batching = true,
-                "--no-warm-start" => options.no_warm_start = true,
                 "--shard-solver" => options.shard_solver = true,
                 "--pipelined" => options.pipelined = true,
                 "--trace" => options.trace_dir = Some(value("--trace")?),
@@ -550,18 +544,6 @@ mod cli {
         }
 
         #[test]
-        fn parses_no_warm_start_flag() {
-            match parse(&args("run s2 balb --no-warm-start")).unwrap() {
-                Command::Run { options, .. } => assert!(options.no_warm_start),
-                other => panic!("unexpected {other:?}"),
-            }
-            match parse(&args("run s2 balb")).unwrap() {
-                Command::Run { options, .. } => assert!(!options.no_warm_start),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-
-        #[test]
         fn parses_trace_flag() {
             match parse(&args("run s2 balb --trace results/trace")).unwrap() {
                 Command::Run { options, .. } => {
@@ -822,9 +804,6 @@ OPTIONS:
     --seed N          RNG seed                       (default 17)
     --redundancy N    owners per object              (default 1)
     --no-batching     force GPU batch limits to one
-    --no-warm-start   cold-solve the central stage every key frame instead
-                      of warm-starting from the previous horizon's schedule
-                      (results are identical; compute-only knob)
     --threads N       camera worker threads; 0 = auto (default 0):
                       MVS_THREADS env, else available CPU parallelism.
                       Results are identical at any thread count.
@@ -834,9 +813,9 @@ OPTIONS:
                       (golden format), plus a per-stage latency table.
     --cameras N       city fleet size                (default 128; city only)
     --intensity X     city traffic multiplier        (default 1.0; city only)
-    --shard-solver    solve key frames shard-by-shard over the camera
-                      overlap graph (identical schedules; compute-only
-                      knob for large fleets)
+    --shard-solver    solve key frames cold, shard-by-shard over the camera
+                      overlap graph, instead of with the persistent
+                      solver (identical schedules; compute-only knob)
     --pipelined       overlap the central solve with uplink-leg encoding
                       on key frames (identical results; wall-clock-only
                       knob)
@@ -1061,7 +1040,6 @@ fn config_from(algorithm: Algorithm, options: &cli::Options) -> PipelineConfig {
         seed: options.seed,
         redundancy: options.redundancy,
         disable_batching: options.disable_batching,
-        warm_start: !options.no_warm_start,
         threads: options.threads,
         shard_solver: options.shard_solver,
         pipelined: options.pipelined,

@@ -96,11 +96,9 @@ fn golden_fault_free_s2_balb() {
 
 #[test]
 fn golden_sharded_cold_s2_balb() {
-    // Cold sharded solves are where the pipelined path actually reorders
-    // work (shards merge as they complete); snapshot that plan shape and
-    // hold the merge order to the sequential render.
+    // The sharded central stage solves cold, component by component,
+    // every key frame; snapshot that plan shape.
     let config = PipelineConfig {
-        warm_start: false,
         shard_solver: true,
         ..base_config()
     };

@@ -3,10 +3,13 @@
 //! exact-solver agreement.
 
 use multiview_scheduler::core::{
-    balb_central, baselines, exact, CameraId, CameraInfo, MvsProblem, ObjectId, ObjectInfo,
+    balb_central, balb_sharded, baselines, exact, BalbSchedule, BalbSolver, CameraId, CameraInfo,
+    MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShardPlan,
 };
 use multiview_scheduler::geometry::SizeClass;
+use multiview_scheduler::sim::{CityConfig, Scenario};
 use multiview_scheduler::vision::{DeviceKind, LatencyProfile};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 fn fleet(devices: &[DeviceKind]) -> Vec<CameraInfo> {
@@ -149,4 +152,61 @@ fn per_camera_sizes_drive_assignment() {
         schedule.assignment.sole_owner(ObjectId(0)),
         Some(CameraId(1))
     );
+}
+
+#[test]
+fn central_sharded_and_persistent_solver_agree_bitwise_on_a_city_fleet() {
+    // The three solve entry points the pipeline calls must produce one
+    // schedule: three consecutive 10-frame horizons of a 64-camera city,
+    // snapshotted from ground truth (every visible object, true projected
+    // crop sizes) and fed to the same persistent solver.
+    let scenario = Scenario::city(&CityConfig {
+        cameras: 64,
+        seed: 2022,
+        intensity: 2.0,
+    });
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+    let mut world = scenario.warmed_world(30.0, &mut rng);
+    let cameras = fleet(&scenario.devices);
+    let mut solver = BalbSolver::new();
+    for horizon in 0..3 {
+        let mut sizes_by_truth: BTreeMap<u64, BTreeMap<CameraId, SizeClass>> = BTreeMap::new();
+        for (cam, model) in scenario.cameras.iter().enumerate() {
+            for truth in model.visible_objects(&world, scenario.occlusion_threshold) {
+                sizes_by_truth.entry(truth.id).or_default().insert(
+                    CameraId(cam),
+                    SizeClass::quantize(truth.bbox.width(), truth.bbox.height()),
+                );
+            }
+        }
+        let objects: Vec<ObjectInfo> = sizes_by_truth
+            .into_values()
+            .enumerate()
+            .map(|(j, sizes)| ObjectInfo {
+                id: ObjectId(j),
+                sizes,
+            })
+            .collect();
+        assert!(objects.len() > 64, "horizon {horizon}: city is populated");
+        let p = MvsProblem::new(cameras.clone(), objects).unwrap();
+
+        let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&p));
+        assert!(plan.num_shards() > 1, "city districts shard");
+        let central = balb_central(&p);
+        let bits = |s: &BalbSchedule| -> Vec<u64> {
+            s.camera_latencies_ms.iter().map(|l| l.to_bits()).collect()
+        };
+        for (name, got) in [
+            ("sharded", &balb_sharded(&p, &plan)),
+            ("solver", solver.solve(&p)),
+        ] {
+            assert_eq!(got.assignment, central.assignment, "{name} h{horizon}");
+            assert_eq!(got.priority, central.priority, "{name} h{horizon}");
+            assert_eq!(bits(got), bits(&central), "{name} h{horizon}");
+        }
+
+        for _ in 0..10 {
+            world.step(scenario.frame_dt_s(), &mut rng);
+        }
+    }
 }
