@@ -38,41 +38,25 @@ impl CameraMask {
     where
         F: Fn(CameraId, Point2) -> bool,
     {
-        let mut mask = CameraMask {
-            camera,
-            grid,
-            owners: Vec::new(),
-        };
-        mask.rebuild(priority, observed_by);
-        mask
-    }
-
-    /// Recomputes the per-cell owners in place for a new `priority` order,
-    /// reusing the owner buffer (and the grid, which is a per-camera
-    /// constant). Key-frame mask refreshes go through this path so the
-    /// steady-state loop allocates nothing here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priority` does not contain the mask's own camera.
-    pub fn rebuild<F>(&mut self, priority: &[CameraId], observed_by: F)
-    where
-        F: Fn(CameraId, Point2) -> bool,
-    {
         assert!(
-            priority.contains(&self.camera),
+            priority.contains(&camera),
             "priority order must contain the mask's own camera"
         );
-        let camera = self.camera;
-        let grid = &self.grid;
-        self.owners.clear();
-        self.owners.extend(grid.iter().map(|cell| {
-            let center = grid.cell_center(cell);
-            *priority
-                .iter()
-                .find(|&&c| c == camera || observed_by(c, center))
-                .expect("own camera always covers its own cells")
-        }));
+        let owners = grid
+            .iter()
+            .map(|cell| {
+                let center = grid.cell_center(cell);
+                *priority
+                    .iter()
+                    .find(|&&c| c == camera || observed_by(c, center))
+                    .expect("own camera always covers its own cells")
+            })
+            .collect();
+        CameraMask {
+            camera,
+            grid,
+            owners,
+        }
     }
 
     /// Builds a mask from explicitly computed per-cell owners (used by
@@ -94,6 +78,13 @@ impl CameraMask {
     /// The camera this mask belongs to.
     pub fn camera(&self) -> CameraId {
         self.camera
+    }
+
+    /// The owner of every cell, indexed by cell index, for re-selecting
+    /// owners in place at a new horizon (the grid, hence the cell count, is
+    /// a per-camera constant).
+    pub fn owners_mut(&mut self) -> &mut [CameraId] {
+        &mut self.owners
     }
 
     /// Owner of the cell containing `p`, or `None` outside the frame.

@@ -96,10 +96,11 @@ fn solve(input: &[Vec<f64>], maximize: bool) -> Result<Assignment, MlError> {
     // stripped from the result.
     let n = rows.max(cols);
     let sign = if maximize { -1.0 } else { 1.0 };
-    let mut a = vec![vec![0.0; n + 1]; n + 1]; // 1-indexed
+    let stride = n + 1; // 1-indexed, row-major
+    let mut a = vec![0.0; stride * stride];
     for (i, row) in input.iter().enumerate() {
         for (j, &v) in row.iter().enumerate() {
-            a[i + 1][j + 1] = sign * v;
+            a[(i + 1) * stride + j + 1] = sign * v;
         }
     }
 
@@ -108,21 +109,24 @@ fn solve(input: &[Vec<f64>], maximize: bool) -> Result<Assignment, MlError> {
     let mut v = vec![0.0; n + 1];
     let mut p = vec![0usize; n + 1]; // p[j] = row matched to column j
     let mut way = vec![0usize; n + 1];
+    let mut minv = vec![f64::INFINITY; n + 1];
+    let mut used = vec![false; n + 1];
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![f64::INFINITY; n + 1];
-        let mut used = vec![false; n + 1];
+        minv.fill(f64::INFINITY);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];
+            let row = &a[i0 * stride..(i0 + 1) * stride];
             let mut delta = f64::INFINITY;
             let mut j1 = 0usize;
             for j in 1..=n {
                 if used[j] {
                     continue;
                 }
-                let cur = a[i0][j] - u[i0] - v[j];
+                let cur = row[j] - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;

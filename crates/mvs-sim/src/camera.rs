@@ -1,6 +1,6 @@
 //! Static camera models: world→image projection and occlusion.
 
-use crate::world::{World, WorldObject};
+use crate::world::World;
 use mvs_geometry::{BBox, FrameDims, Point2, Polygon};
 use mvs_vision::GroundTruthObject;
 use serde::{Deserialize, Serialize};
@@ -69,15 +69,39 @@ impl CameraModel {
     /// `focal · lateral / depth`, the bottom edge sits where the ground at
     /// that depth projects, and the top edge rises with object height.
     pub fn project(&self, world_pos: Point2, length_m: f64, height_m: f64) -> Option<BBox> {
+        let (dir, max_slope) = self.view_axes();
+        self.project_along(dir, max_slope, world_pos, length_m, height_m)
+            .map(|(_, bbox)| bbox)
+    }
+
+    /// The pose-derived constants of [`CameraModel::project`]: the unit
+    /// viewing direction and the largest visible `|lateral| / depth`.
+    fn view_axes(&self) -> (Point2, f64) {
+        (
+            Point2::new(self.heading.cos(), self.heading.sin()),
+            self.half_fov.tan(),
+        )
+    }
+
+    /// [`CameraModel::project`] given this camera's
+    /// [`view_axes`](CameraModel::view_axes); also returns the object's
+    /// depth along the viewing direction.
+    fn project_along(
+        &self,
+        dir: Point2,
+        max_slope: f64,
+        world_pos: Point2,
+        length_m: f64,
+        height_m: f64,
+    ) -> Option<(f64, BBox)> {
         let rel = world_pos - self.position;
-        let dir = Point2::new(self.heading.cos(), self.heading.sin());
         let right = Point2::new(dir.y, -dir.x);
         let depth = rel.dot(dir);
         if depth < self.near_m || depth > self.far_m {
             return None;
         }
         let lateral = rel.dot(right);
-        if lateral.abs() / depth > self.half_fov.tan() {
+        if lateral.abs() / depth > max_slope {
             return None;
         }
         let cx = self.frame.width as f64 / 2.0;
@@ -97,7 +121,7 @@ impl CameraModel {
         .ok()?;
         let clamped = raw.clamped_to(self.frame)?;
         // Require most of the object to be inside the frame.
-        (clamped.area() >= 0.5 * raw.area()).then_some(clamped)
+        (clamped.area() >= 0.5 * raw.area()).then_some((depth, clamped))
     }
 
     /// Projects every world object visible to this camera, applying
@@ -108,15 +132,15 @@ impl CameraModel {
         world: &World,
         occlusion_threshold: f64,
     ) -> Vec<GroundTruthObject> {
-        let dir = Point2::new(self.heading.cos(), self.heading.sin());
+        let (dir, max_slope) = self.view_axes();
         // (depth, ground-truth) pairs, nearest first.
         let mut projected: Vec<(f64, GroundTruthObject)> = world
             .objects()
             .iter()
-            .filter_map(|o: &WorldObject| {
-                let pos = world.position_of(o);
-                let bbox = self.project(pos, o.length_m, o.height_m)?;
-                let depth = (pos - self.position).dot(dir);
+            .zip(world.positions())
+            .filter_map(|(o, &pos)| {
+                let (depth, bbox) =
+                    self.project_along(dir, max_slope, pos, o.length_m, o.height_m)?;
                 Some((depth, GroundTruthObject { id: o.id, bbox }))
             })
             .collect();

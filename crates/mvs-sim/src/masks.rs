@@ -18,10 +18,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone)]
 pub struct MaskPrecompute {
     grids: Vec<Grid>,
-    /// `coverage[cam][cell]` = cameras (by index) that observe the world
-    /// region behind this cell of `cam`'s frame, **excluding** `cam`
-    /// itself (which trivially covers its own cells).
-    coverage: Vec<Vec<Vec<usize>>>,
+    /// `covered_by[cam]` = the other cameras that observe the world region
+    /// behind at least one cell of `cam`'s frame, ascending by index, each
+    /// with the cells (ascending) it covers. `cam` itself trivially covers
+    /// all of its own cells and is not listed.
+    covered_by: Vec<Vec<(usize, Vec<usize>)>>,
     /// `canon_frac[cam][cell]` = a cross-camera-consistent coordinate of
     /// the world region behind the cell, in `[0, 1]`: the cell's location
     /// mapped into the lowest-indexed covering camera's frame, normalized
@@ -46,68 +47,80 @@ impl MaskPrecompute {
     /// it observed at least half of the labeled objects centred there
     /// (minimum three samples). Cells that never contained an object are
     /// conservatively owned by their own camera.
+    ///
+    /// Time and memory follow the labeled pairs, not the fleet: a camera
+    /// is only ever weighed against the destinations `data` pairs it with.
     pub fn build(frames: &[FrameDims], data: &CorrespondenceData, cell_px: u32) -> MaskPrecompute {
         let m = frames.len();
         let grids: Vec<Grid> = frames.iter().map(|&f| Grid::new(f, cell_px)).collect();
-        // seen[cam][cell][other] = (visible-in-other, total) counts, plus
-        // the sum of the mapped canonical x for visible pairs.
-        let mut totals: Vec<Vec<usize>> = grids.iter().map(|g| vec![0; g.len()]).collect();
-        let mut visible: Vec<Vec<Vec<usize>>> =
-            grids.iter().map(|g| vec![vec![0; m]; g.len()]).collect();
-        let mut dst_x_sum: Vec<Vec<Vec<f64>>> =
-            grids.iter().map(|g| vec![vec![0.0; m]; g.len()]).collect();
-        for (&(src, dst), samples) in &data.pairs {
-            for s in samples {
-                let Some(cell) = grids[src].cell_at(s.src.center()) else {
-                    continue;
-                };
-                // Totals are per source camera; count them once (for the
-                // lowest dst index) to avoid multiplying by (m-1).
-                if dst == (0..m).find(|&j| j != src).unwrap_or(dst) {
-                    totals[src][cell.0] += 1;
-                }
-                if let Some(d) = s.dst {
-                    visible[src][cell.0][dst] += 1;
-                    dst_x_sum[src][cell.0][dst] += d.center().x;
+        let mut covered_by = Vec::with_capacity(m);
+        let mut canon_frac = Vec::with_capacity(m);
+        // One source camera's accumulators, reused across sources: labeled
+        // objects per cell, and per (cell, paired destination) how many of
+        // them the destination saw plus the sum of their mapped x there.
+        let mut totals: Vec<usize> = Vec::new();
+        let mut visible: Vec<usize> = Vec::new();
+        let mut dst_x_sum: Vec<f64> = Vec::new();
+        for (cam, grid) in grids.iter().enumerate() {
+            let pairs = data.pairs.range((cam, 0)..=(cam, usize::MAX));
+            let mut covering: Vec<(usize, Vec<usize>)> = pairs
+                .clone()
+                .map(|(&(_, dst), _)| (dst, Vec::new()))
+                .collect();
+            let degree = covering.len();
+            totals.clear();
+            totals.resize(grid.len(), 0);
+            visible.clear();
+            visible.resize(grid.len() * degree, 0);
+            dst_x_sum.clear();
+            dst_x_sum.resize(grid.len() * degree, 0.0);
+            for (slot, (&(_, dst), samples)) in pairs.enumerate() {
+                for s in samples {
+                    let Some(cell) = grid.cell_at(s.src.center()) else {
+                        continue;
+                    };
+                    // Totals are per source camera; count them once (for the
+                    // lowest dst index) to avoid multiplying by (m-1).
+                    if dst == usize::from(cam == 0) {
+                        totals[cell.0] += 1;
+                    }
+                    if let Some(d) = s.dst {
+                        visible[cell.0 * degree + slot] += 1;
+                        dst_x_sum[cell.0 * degree + slot] += d.center().x;
+                    }
                 }
             }
-        }
-        let mut coverage = Vec::with_capacity(m);
-        let mut canon_frac = Vec::with_capacity(m);
-        for cam in 0..m {
-            let grid = &grids[cam];
-            let mut per_cell = Vec::with_capacity(grid.len());
-            let mut per_cell_frac = Vec::with_capacity(grid.len());
+            let mut fracs = Vec::with_capacity(grid.len());
             for cell in grid.iter() {
-                let total = totals[cam][cell.0];
-                let covered: Vec<usize> = (0..m)
-                    .filter(|&other| {
-                        other != cam
-                            && total >= Self::MIN_SAMPLES
-                            && visible[cam][cell.0][other] as f64
-                                >= Self::COVER_FRACTION * total as f64
-                    })
-                    .collect();
+                let total = totals[cell.0];
+                let seen = &visible[cell.0 * degree..(cell.0 + 1) * degree];
                 // Canonical coordinate: this world spot as seen from the
                 // lowest-indexed camera that covers it (empirical mean of
                 // the labeled mappings).
-                let canon_cam = covered.iter().copied().min().unwrap_or(cam).min(cam);
-                let canon_x = if canon_cam == cam {
-                    grid.cell_center(cell).x
-                } else {
-                    dst_x_sum[cam][cell.0][canon_cam]
-                        / visible[cam][cell.0][canon_cam].max(1) as f64
-                };
+                let mut canon = (cam, grid.cell_center(cell).x);
+                for slot in 0..degree {
+                    if total >= Self::MIN_SAMPLES
+                        && seen[slot] as f64 >= Self::COVER_FRACTION * total as f64
+                    {
+                        let (other, cells) = &mut covering[slot];
+                        cells.push(cell.0);
+                        if canon.0 == cam && *other < cam {
+                            let x_sum = dst_x_sum[cell.0 * degree + slot];
+                            canon = (*other, x_sum / seen[slot].max(1) as f64);
+                        }
+                    }
+                }
+                let (canon_cam, canon_x) = canon;
                 let width = frames[canon_cam].width as f64;
-                per_cell_frac.push((canon_x / width).clamp(0.0, 1.0));
-                per_cell.push(covered);
+                fracs.push((canon_x / width).clamp(0.0, 1.0));
             }
-            coverage.push(per_cell);
-            canon_frac.push(per_cell_frac);
+            covering.retain(|(_, cells)| !cells.is_empty());
+            covered_by.push(covering);
+            canon_frac.push(fracs);
         }
         MaskPrecompute {
             grids,
-            coverage,
+            covered_by,
             canon_frac,
         }
     }
@@ -115,6 +128,15 @@ impl MaskPrecompute {
     /// Number of cameras.
     pub fn num_cameras(&self) -> usize {
         self.grids.len()
+    }
+
+    /// The cameras other than `camera` that cover cell `cell` of
+    /// `camera`'s frame, ascending by index.
+    pub fn covering(&self, camera: usize, cell: usize) -> impl Iterator<Item = usize> + '_ {
+        self.covered_by[camera]
+            .iter()
+            .filter(move |(_, cells)| cells.binary_search(&cell).is_ok())
+            .map(|&(other, _)| other)
     }
 
     /// Builds the distributed-stage mask for `camera` under the given
@@ -135,6 +157,9 @@ impl MaskPrecompute {
     /// table is recomputed in place (no grid clone, no allocation); an
     /// empty slot gets a freshly built mask.
     ///
+    /// Each cell goes to the first camera in `priority` that is `camera`
+    /// or covers the cell; cameras absent from `priority` own nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `camera` is out of range, absent from `priority`, or
@@ -145,28 +170,32 @@ impl MaskPrecompute {
         priority: &[CameraId],
         slot: &mut Option<CameraMask>,
     ) {
-        let coverage = &self.coverage[camera];
-        let grid = &self.grids[camera];
-        let observed_by = |c: CameraId, p: Point2| match grid.cell_at(p) {
-            Some(cell) => coverage[cell.0].contains(&c.0),
-            None => false,
-        };
-        match slot {
-            Some(mask) => {
-                assert_eq!(
-                    mask.camera(),
-                    CameraId(camera),
-                    "mask slot belongs to a different camera"
-                );
-                mask.rebuild(priority, observed_by);
-            }
-            None => {
-                *slot = Some(CameraMask::build(
-                    CameraId(camera),
-                    grid.clone(),
-                    priority,
-                    observed_by,
-                ));
+        let own = CameraId(camera);
+        assert!(
+            priority.contains(&own),
+            "priority order must contain the mask's own camera"
+        );
+        let mask = slot.get_or_insert_with(|| {
+            let grid = self.grids[camera].clone();
+            let owners = vec![own; grid.len()];
+            CameraMask::from_owners(own, grid, owners)
+        });
+        assert_eq!(
+            mask.camera(),
+            own,
+            "mask slot belongs to a different camera"
+        );
+        // Lowest priority first, so a higher-priority camera overwrites
+        // the cells it shares with a lower one; `own` claims every cell.
+        let covering = &self.covered_by[camera];
+        let owners = mask.owners_mut();
+        for &c in priority.iter().rev() {
+            if c == own {
+                owners.fill(own);
+            } else if let Ok(i) = covering.binary_search_by_key(&c.0, |&(other, _)| other) {
+                for &cell in &covering[i].1 {
+                    owners[cell] = c;
+                }
             }
         }
     }
@@ -235,13 +264,11 @@ impl MaskPrecompute {
             .collect()
     }
 
-    /// Sorted, deduplicated covering cameras of a cell, including the
-    /// cell's own camera.
+    /// Sorted covering cameras of a cell, including the cell's own camera.
     fn candidates(&self, cam: usize, cell: usize) -> Vec<usize> {
-        let mut candidates = self.coverage[cam][cell].clone();
+        let mut candidates: Vec<usize> = self.covering(cam, cell).collect();
         candidates.push(cam);
         candidates.sort_unstable();
-        candidates.dedup();
         candidates
     }
 }

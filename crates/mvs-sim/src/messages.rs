@@ -67,12 +67,21 @@ impl AssignmentMessage {
     /// Bytes of the compact encoding: each entry is a u32 global id, a u8
     /// owner count, and u32 per owner; priority is u32 per camera.
     pub fn encoded_len(&self) -> usize {
-        let entries: usize = self
-            .assignments
-            .iter()
-            .map(|(_, owners)| 4 + 1 + 4 * owners.len())
-            .sum();
-        Self::HEADER_LEN + entries + 4 * self.priority.len()
+        Self::encoded_len_of(
+            self.assignments.iter().map(|(_, owners)| owners.len()),
+            self.priority.len(),
+        )
+    }
+
+    /// [`AssignmentMessage::encoded_len`] of a message with one entry per
+    /// item of `owner_counts` (that entry's owner count) and
+    /// `priority_len` priority cameras, without building the message.
+    pub fn encoded_len_of(
+        owner_counts: impl IntoIterator<Item = usize>,
+        priority_len: usize,
+    ) -> usize {
+        let entries: usize = owner_counts.into_iter().map(|n| 4 + 1 + 4 * n).sum();
+        Self::HEADER_LEN + entries + 4 * priority_len
     }
 }
 
@@ -142,6 +151,23 @@ mod tests {
             priority: vec![0, 1],
         };
         assert_eq!(redundant.encoded_len() - single.encoded_len(), 8);
+    }
+
+    #[test]
+    fn encoded_len_of_matches_the_built_message() {
+        let msg = AssignmentMessage {
+            horizon: 9,
+            assignments: vec![(0, vec![1, 0]), (1, vec![]), (2, vec![3])],
+            priority: vec![3, 0, 1],
+        };
+        assert_eq!(
+            AssignmentMessage::encoded_len_of([2, 0, 1], 3),
+            msg.encoded_len()
+        );
+        assert_eq!(
+            AssignmentMessage::encoded_len_of([], 0),
+            AssignmentMessage::HEADER_LEN
+        );
     }
 
     #[test]

@@ -1145,19 +1145,11 @@ impl Pipeline {
                 let reply_ms = if synced_cams.is_empty() {
                     0.0
                 } else {
-                    let reply = AssignmentMessage {
-                        horizon: 0,
-                        assignments: (0..self.assignment.len())
-                            .map(|g| {
-                                (
-                                    g as u32,
-                                    self.assignment[g].iter().map(|&c| c as u32).collect(),
-                                )
-                            })
-                            .collect(),
-                        priority: priority.iter().map(|c| c.0 as u32).collect(),
-                    };
-                    self.config.network.downlink_ms(reply.encoded_len())
+                    let reply_len = AssignmentMessage::encoded_len_of(
+                        self.assignment.iter().map(Vec::len),
+                        priority.len(),
+                    );
+                    self.config.network.downlink_ms(reply_len)
                 };
                 let downlink_phase = (0..m)
                     .map(|cam| match (up[cam].is_some(), down[cam]) {

@@ -4,6 +4,7 @@ use crate::trajectory::{FollowingModel, Route, SpawnConfig, TrafficLight};
 use mvs_geometry::Point2;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A vehicle in the world.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,13 +37,30 @@ pub struct Lane {
 /// Stepped at the camera frame rate; vehicle motion uses a simple
 /// car-following model so red lights produce realistic queues and platoons
 /// (the workload dynamics of Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct World {
     lanes: Vec<Lane>,
     following: FollowingModel,
     objects: Vec<WorldObject>,
     time_s: f64,
     next_id: u64,
+    /// `positions[i]` = world position of `objects[i]`. A pure function of
+    /// `lanes` and `objects`, kept because every camera reads every
+    /// object's position every frame: `step` refills it, `spawn_at` drops
+    /// it, and an unset cell (a new, respawned or deserialized world) is
+    /// filled on first read. Not part of equality or the serialized form.
+    #[serde(skip)]
+    positions: OnceLock<Vec<Point2>>,
+}
+
+impl PartialEq for World {
+    fn eq(&self, other: &Self) -> bool {
+        self.lanes == other.lanes
+            && self.following == other.following
+            && self.objects == other.objects
+            && self.time_s == other.time_s
+            && self.next_id == other.next_id
+    }
 }
 
 impl World {
@@ -59,6 +77,7 @@ impl World {
             objects: Vec::new(),
             time_s: 0.0,
             next_id: 0,
+            positions: OnceLock::new(),
         }
     }
 
@@ -85,6 +104,12 @@ impl World {
     /// objects produced by this world).
     pub fn position_of(&self, obj: &WorldObject) -> Point2 {
         self.lanes[obj.route].route.position_at(obj.progress_m)
+    }
+
+    /// World positions of [`World::objects`], index for index.
+    pub fn positions(&self) -> &[Point2] {
+        self.positions
+            .get_or_init(|| self.objects.iter().map(|o| self.position_of(o)).collect())
     }
 
     /// Direction of travel of an object.
@@ -155,6 +180,10 @@ impl World {
             });
         }
         self.time_s += dt_s;
+        let mut positions = self.positions.take().unwrap_or_default();
+        positions.clear();
+        positions.extend(self.objects.iter().map(|o| self.position_of(o)));
+        self.positions = positions.into();
     }
 
     /// Injects a vehicle directly (used by tests and warm-started runs).
@@ -169,6 +198,7 @@ impl World {
             length_m,
             height_m,
         });
+        self.positions.take();
         id
     }
 }

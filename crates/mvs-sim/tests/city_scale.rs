@@ -1,0 +1,312 @@
+//! Differential and pinned tests for the fleet-path stages whose cost
+//! follows a camera's view overlap rather than the fleet size: the sparse
+//! [`MaskPrecompute::build`], the in-place priority-walk of
+//! [`MaskPrecompute::mask_for_into`], and [`CameraModel::visible_objects`]
+//! over the world's per-frame object positions.
+
+use mvs_core::CameraId;
+use mvs_geometry::{Grid, Point2};
+use mvs_sim::{
+    CameraModel, CityConfig, CorrespondenceData, MaskPrecompute, Scenario, ScenarioKind, World,
+};
+use mvs_vision::GroundTruthObject;
+use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
+
+const CELL_PX: u32 = 64;
+
+fn city16() -> Scenario {
+    Scenario::city(&CityConfig {
+        cameras: 16,
+        seed: 5,
+        intensity: 2.0,
+    })
+}
+
+fn precompute(scenario: &Scenario) -> MaskPrecompute {
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let data = CorrespondenceData::collect(scenario, 60.0, 3, &mut rng);
+    let frames: Vec<_> = scenario.cameras.iter().map(|c| c.frame).collect();
+    MaskPrecompute::build(&frames, &data, CELL_PX)
+}
+
+/// The 16-camera / two-district city and its coverage, built once.
+fn city16_precompute() -> &'static (Scenario, MaskPrecompute) {
+    static CITY: OnceLock<(Scenario, MaskPrecompute)> = OnceLock::new();
+    CITY.get_or_init(|| {
+        let scenario = city16();
+        let pre = precompute(&scenario);
+        (scenario, pre)
+    })
+}
+
+/// Per-cell owners of `camera`'s mask as `mask_for_into` left them in
+/// `slot`, read back through the public point query.
+fn owners_in(
+    scenario: &Scenario,
+    camera: usize,
+    slot: &Option<mvs_core::CameraMask>,
+) -> Vec<CameraId> {
+    let mask = slot.as_ref().expect("filled slot");
+    let grid = Grid::new(scenario.cameras[camera].frame, CELL_PX);
+    grid.iter()
+        .map(|cell| mask.owner_at(grid.cell_center(cell)).expect("in frame"))
+        .collect()
+}
+
+/// The paper's rule, spelled naively: each cell goes to the first camera
+/// in `priority` that is the mask's own camera or covers the cell.
+fn reference_owners(
+    scenario: &Scenario,
+    pre: &MaskPrecompute,
+    camera: usize,
+    priority: &[CameraId],
+) -> Vec<CameraId> {
+    let grid = Grid::new(scenario.cameras[camera].frame, CELL_PX);
+    grid.iter()
+        .map(|cell| {
+            let covering: Vec<usize> = pre.covering(camera, cell.0).collect();
+            *priority
+                .iter()
+                .find(|c| c.0 == camera || covering.contains(&c.0))
+                .expect("own camera is in the priority order")
+        })
+        .collect()
+}
+
+/// `visible_objects` rebuilt from the public single-object projection:
+/// project, sort by depth along the viewing direction, drop occluded.
+fn reference_visible(
+    camera: &CameraModel,
+    world: &World,
+    threshold: f64,
+) -> Vec<GroundTruthObject> {
+    let dir = Point2::new(camera.heading.cos(), camera.heading.sin());
+    let mut projected: Vec<(f64, GroundTruthObject)> = world
+        .objects()
+        .iter()
+        .filter_map(|o| {
+            let pos = world.position_of(o);
+            let bbox = camera.project(pos, o.length_m, o.height_m)?;
+            let depth = (pos - camera.position).dot(dir);
+            Some((depth, GroundTruthObject { id: o.id, bbox }))
+        })
+        .collect();
+    projected.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite depth"));
+    let mut out: Vec<GroundTruthObject> = Vec::new();
+    for (_, gt) in projected {
+        if !out
+            .iter()
+            .any(|nearer| gt.bbox.coverage_by(&nearer.bbox) >= threshold)
+        {
+            out.push(gt);
+        }
+    }
+    out
+}
+
+fn bits(view: &[GroundTruthObject]) -> Vec<(u64, [u64; 4])> {
+    view.iter()
+        .map(|g| {
+            let b = g.bbox;
+            (g.id, [b.x1(), b.y1(), b.x2(), b.y2()].map(f64::to_bits))
+        })
+        .collect()
+}
+
+fn assert_views_match(scenario: &Scenario, world: &World, what: &str) {
+    for (i, camera) in scenario.cameras.iter().enumerate() {
+        assert_eq!(
+            bits(&camera.visible_objects(world, scenario.occlusion_threshold)),
+            bits(&reference_visible(
+                camera,
+                world,
+                scenario.occlusion_threshold
+            )),
+            "camera {i} {what}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mask_rebuild_matches_the_naive_priority_rule(
+        camera in 0usize..16,
+        // Ids past the fleet stand for cameras the precompute never saw;
+        // short draws omit (dead) cameras, long ones repeat them.
+        draws in prop::collection::vec(0usize..18, 0..40),
+        own_at in any::<usize>(),
+        stale in prop::collection::vec(0usize..16, 1..16),
+    ) {
+        let (scenario, pre) = city16_precompute();
+        let mut priority: Vec<CameraId> = draws.into_iter().map(CameraId).collect();
+        if !priority.contains(&CameraId(camera)) {
+            priority.insert(own_at % (priority.len() + 1), CameraId(camera));
+        }
+        let expected = reference_owners(scenario, pre, camera, &priority);
+
+        let mut fresh = None;
+        pre.mask_for_into(camera, &priority, &mut fresh);
+        prop_assert_eq!(&owners_in(scenario, camera, &fresh), &expected);
+
+        // A slot left over from another horizon's order is fully rewritten.
+        let mut stale_order: Vec<CameraId> = stale.into_iter().map(CameraId).collect();
+        stale_order.push(CameraId(camera));
+        let mut reused = None;
+        pre.mask_for_into(camera, &stale_order, &mut reused);
+        pre.mask_for_into(camera, &priority, &mut reused);
+        prop_assert_eq!(&owners_in(scenario, camera, &reused), &expected);
+        prop_assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn visible_objects_match_projection_reference(
+        seed in any::<u64>(),
+        steps in 1usize..40,
+        spawn_lane in any::<usize>(),
+        spawn_progress in 0.0f64..200.0,
+    ) {
+        let scenario = Scenario::new(ScenarioKind::S1);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut world = scenario.warmed_world(20.0, &mut rng);
+        for _ in 0..steps {
+            world.step(scenario.frame_dt_s(), &mut rng);
+        }
+        assert_views_match(&scenario, &world, "after step");
+
+        world.spawn_at(spawn_lane % world.lanes().len(), spawn_progress, 4.5, 1.6);
+        prop_assert_eq!(world.positions().len(), world.objects().len());
+        assert_views_match(&scenario, &world, "after spawn_at");
+
+        let mut copy = world.clone();
+        prop_assert_eq!(&copy, &world);
+        assert_views_match(&scenario, &copy, "on a clone");
+        copy.step(scenario.frame_dt_s(), &mut rng);
+        assert_views_match(&scenario, &copy, "on a stepped clone");
+        assert_views_match(&scenario, &world, "on the original after its clone stepped");
+    }
+}
+
+/// `"<FNV-1a of the owner sequence> <owner>:<cells> ..."` of one mask.
+fn fingerprint(
+    scenario: &Scenario,
+    pre: &MaskPrecompute,
+    camera: usize,
+    priority: &[CameraId],
+) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut counts = std::collections::BTreeMap::new();
+    for owner in owners_in(scenario, camera, &Some(pre.mask_for(camera, priority))) {
+        hash = (hash ^ owner.0 as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        *counts.entry(owner.0).or_insert(0usize) += 1;
+    }
+    let counts: Vec<String> = counts.iter().map(|(o, n)| format!("{o}:{n}")).collect();
+    format!("{hash:016x} {}", counts.join(" "))
+}
+
+fn assert_pinned(scenario: &Scenario, ascending: &[&str], descending: &[&str]) {
+    let pre = precompute(scenario);
+    let m = scenario.num_cameras();
+    let up: Vec<CameraId> = (0..m).map(CameraId).collect();
+    let down: Vec<CameraId> = (0..m).rev().map(CameraId).collect();
+    for camera in 0..m {
+        assert_eq!(
+            fingerprint(scenario, &pre, camera, &up),
+            ascending[camera],
+            "camera {camera}, ascending priority"
+        );
+        assert_eq!(
+            fingerprint(scenario, &pre, camera, &down),
+            descending[camera],
+            "camera {camera}, descending priority"
+        );
+    }
+}
+
+// Masks of the dense, fleet-wide accumulators this build replaced (commit
+// f6d05fa), under ascending and descending camera priority.
+
+#[test]
+fn sparse_build_reproduces_the_dense_masks_on_s1() {
+    assert_pinned(
+        &Scenario::new(ScenarioKind::S1),
+        &[
+            "4fdcd09a664840d5 0:220",
+            "1ad9c43fffa74d02 0:31 1:189",
+            "ecf84cdf794822fe 0:28 1:3 2:189",
+            "31c334a94c8d6f92 0:34 1:2 2:1 3:263",
+            "b57a2fac7a6cca4a 0:32 1:1 3:2 4:185",
+        ],
+        &[
+            "ddb0c57601cb0c97 0:184 1:1 2:4 3:3 4:28",
+            "a51a45ec110bc81d 1:186 2:1 4:33",
+            "aab9c139927941ae 2:193 3:1 4:26",
+            "eb93960f04427c83 3:270 4:30",
+            "2b901b1b8a3bbac5 4:220",
+        ],
+    );
+}
+
+#[test]
+fn sparse_build_reproduces_the_dense_masks_on_s3() {
+    assert_pinned(
+        &Scenario::new(ScenarioKind::S3),
+        &[
+            "4fdcd09a664840d5 0:220",
+            "faffec6cf65a71d3 0:6 1:214",
+            "20c54bed36863935 0:16 2:204",
+        ],
+        &[
+            "143c67df3af01449 0:192 1:4 2:24",
+            "b841af937df540a3 1:216 2:4",
+            "1f2d8b2929c0fa25 2:220",
+        ],
+    );
+}
+
+#[test]
+fn sparse_build_reproduces_the_dense_masks_on_a_two_district_city() {
+    assert_pinned(
+        &city16(),
+        &[
+            "4fdcd09a664840d5 0:220",
+            "badc17ba5fa4596f 0:36 1:184",
+            "2eec4f12d47330c6 0:27 1:3 2:190",
+            "f8a0a5273f7ccf45 0:34 1:5 3:181",
+            "f03b304cc7003a3c 0:33 1:1 3:2 4:184",
+            "5f74cf294f332485 0:37 2:1 3:3 5:179",
+            "2af11bfc9898f739 0:28 1:8 5:2 6:182",
+            "e38d63f151c28295 0:34 1:5 5:3 7:178",
+            "d3342bc1695ea5d5 8:220",
+            "77f4cdb3bed2d671 9:220",
+            "67c6f626e1da0645 10:220",
+            "37734a29fde62e21 11:220",
+            "742986194254c6e5 12:220",
+            "08b00a6369e1d9f9 13:220",
+            "7e3830d150cad915 14:220",
+            "52e86ca2cca46959 15:220",
+        ],
+        &[
+            "86aa7728334d7542 0:183 5:13 7:24",
+            "614b7df94408de0c 1:177 2:1 3:3 5:2 7:37",
+            "f430e4bf2d9dd6f6 2:187 3:2 5:4 7:27",
+            "df4b0e92b35b8a6f 3:183 5:5 7:32",
+            "3f004980605d4ee0 4:185 5:2 7:33",
+            "9a79a6e4927372b7 5:181 7:39",
+            "25249fa2118e5d64 6:185 7:35",
+            "8d2a378fcb6d01d9 7:220",
+            "d3342bc1695ea5d5 8:220",
+            "77f4cdb3bed2d671 9:220",
+            "67c6f626e1da0645 10:220",
+            "37734a29fde62e21 11:220",
+            "742986194254c6e5 12:220",
+            "08b00a6369e1d9f9 13:220",
+            "7e3830d150cad915 14:220",
+            "52e86ca2cca46959 15:220",
+        ],
+    );
+}

@@ -29,3 +29,23 @@ fn algorithm_names_are_stable_in_json() {
     let back: Algorithm = serde_json::from_str("\"Balb\"").unwrap();
     assert_eq!(back, Algorithm::Balb);
 }
+
+#[test]
+fn world_round_trips_without_its_position_cache() {
+    use rand::SeedableRng;
+    let sc = Scenario::new(ScenarioKind::S1);
+    let world = sc.warmed_world(20.0, &mut rand_chacha::ChaCha8Rng::seed_from_u64(3));
+    assert!(!world.objects().is_empty());
+    let json = serde_json::to_string(&world).unwrap();
+    assert!(!json.contains("positions"), "cache leaked into {json}");
+    let back: mvs_sim::World = serde_json::from_str(&json).unwrap();
+    assert_eq!(world, back);
+    // The restored world derives the same positions on first read.
+    assert_eq!(world.positions(), back.positions());
+    for camera in &sc.cameras {
+        assert_eq!(
+            camera.visible_objects(&world, sc.occlusion_threshold),
+            camera.visible_objects(&back, sc.occlusion_threshold)
+        );
+    }
+}

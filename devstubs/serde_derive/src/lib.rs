@@ -5,17 +5,44 @@
 //! Supported input shapes — exactly what this workspace uses:
 //! named-field structs, single-field tuple (newtype) structs, and enums
 //! whose variants are unit or struct-like. Generics are rejected loudly,
-//! and the only `#[serde(...)]` attribute understood is
-//! `#[serde(default)]` on a named field (absent fields deserialize to
-//! `Default::default()`); any other serde attribute panics.
+//! and the only `#[serde(...)]` attributes understood are, on a named
+//! field, `#[serde(default)]` (absent fields deserialize to
+//! `Default::default()`) and `#[serde(skip)]` (never serialized, always
+//! deserialized to `Default::default()`); any other serde attribute panics.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One named field and whether it carries `#[serde(default)]`.
+/// One named field and its `#[serde(...)]` attribute, if any.
 #[derive(Debug)]
 struct FieldSpec {
     name: String,
-    default: bool,
+    attr: Option<FieldAttr>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FieldAttr {
+    /// `#[serde(default)]`
+    Default,
+    /// `#[serde(skip)]`
+    Skip,
+}
+
+impl FieldSpec {
+    fn skipped(&self) -> bool {
+        self.attr == Some(FieldAttr::Skip)
+    }
+
+    /// The `name: <expr>,` initializer of the generated `from_value`.
+    fn de_init(&self) -> String {
+        let f = &self.name;
+        match self.attr {
+            None => format!("{f}: ::serde::de_field(fields, \"{f}\")?,"),
+            Some(FieldAttr::Default) => {
+                format!("{f}: ::serde::de_field_or_default(fields, \"{f}\")?,")
+            }
+            Some(FieldAttr::Skip) => format!("{f}: ::std::default::Default::default(),"),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -34,12 +61,13 @@ enum Shape {
     },
 }
 
-/// Whether an attribute body (the `[...]` group after `#`) is exactly
-/// `serde(default)`. Any other `serde(...)` payload panics: the stub must
-/// fail loudly rather than silently diverge from real serde semantics.
-fn attr_is_serde_default(g: &proc_macro::Group) -> bool {
+/// The field attribute an attribute body (the `[...]` group after `#`)
+/// spells, if it is a `serde(...)` one. Any payload other than `default` or
+/// `skip` panics: the stub must fail loudly rather than silently diverge
+/// from real serde semantics.
+fn serde_field_attr(g: &proc_macro::Group) -> Option<FieldAttr> {
     if g.delimiter() != Delimiter::Bracket {
-        return false;
+        return None;
     }
     let toks: Vec<TokenTree> = g.stream().into_iter().collect();
     match (toks.first(), toks.get(1)) {
@@ -47,15 +75,20 @@ fn attr_is_serde_default(g: &proc_macro::Group) -> bool {
             if id.to_string() == "serde" && args.delimiter() == Delimiter::Parenthesis =>
         {
             let args: Vec<TokenTree> = args.stream().into_iter().collect();
-            let is_default = args.len() == 1
-                && matches!(&args[0], TokenTree::Ident(a) if a.to_string() == "default");
-            assert!(
-                is_default,
-                "serde_derive stub: only #[serde(default)] on a named field is supported"
-            );
-            true
+            let word = match args.as_slice() {
+                [TokenTree::Ident(a)] => a.to_string(),
+                _ => String::new(),
+            };
+            match word.as_str() {
+                "default" => Some(FieldAttr::Default),
+                "skip" => Some(FieldAttr::Skip),
+                _ => panic!(
+                    "serde_derive stub: only #[serde(default)] and #[serde(skip)] \
+                     on a named field are supported"
+                ),
+            }
         }
-        _ => false,
+        _ => None,
     }
 }
 
@@ -80,22 +113,20 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Extracts field names (and their `#[serde(default)]` flags) from the
+/// Extracts field names (and their `#[serde(...)]` attributes) from the
 /// tokens of a braced field list.
 fn parse_named_fields(group: &proc_macro::Group) -> Vec<FieldSpec> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        // Consume attributes and visibility, noting `#[serde(default)]`.
-        let mut default = false;
+        // Consume attributes and visibility, noting `#[serde(...)]`.
+        let mut attr = None;
         loop {
             match tokens.get(i) {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                        if attr_is_serde_default(g) {
-                            default = true;
-                        }
+                        attr = attr.or(serde_field_attr(g));
                     }
                     i += 2;
                 }
@@ -115,7 +146,7 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<FieldSpec> {
         };
         fields.push(FieldSpec {
             name: name.to_string(),
-            default,
+            attr,
         });
         i += 1;
         // Expect `:`, then skip the type until a comma at angle-depth 0.
@@ -224,6 +255,7 @@ fn gen_serialize(shape: &Shape) -> String {
         Shape::Struct { name, fields } => {
             let entries: String = fields
                 .iter()
+                .filter(|f| !f.skipped())
                 .map(|f| {
                     let f = &f.name;
                     format!(
@@ -258,11 +290,14 @@ fn gen_serialize(shape: &Shape) -> String {
                     Some(fields) => {
                         let binders = fields
                             .iter()
+                            .filter(|f| !f.skipped())
                             .map(|f| f.name.as_str())
+                            .chain([".."])
                             .collect::<Vec<_>>()
                             .join(", ");
                         let entries: String = fields
                             .iter()
+                            .filter(|f| !f.skipped())
                             .map(|f| {
                                 let f = &f.name;
                                 format!(
@@ -293,18 +328,7 @@ fn gen_serialize(shape: &Shape) -> String {
 fn gen_deserialize(shape: &Shape) -> String {
     match shape {
         Shape::Struct { name, fields } => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    let helper = if f.default {
-                        "de_field_or_default"
-                    } else {
-                        "de_field"
-                    };
-                    let f = &f.name;
-                    format!("{f}: ::serde::{helper}(fields, \"{f}\")?,")
-                })
-                .collect();
+            let inits: String = fields.iter().map(FieldSpec::de_init).collect();
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
                      fn from_value(v: &::serde::Value) -> \
@@ -336,18 +360,7 @@ fn gen_deserialize(shape: &Shape) -> String {
                 .iter()
                 .filter_map(|(vname, f)| f.as_ref().map(|fields| (vname, fields)))
                 .map(|(vname, fields)| {
-                    let inits: String = fields
-                        .iter()
-                        .map(|f| {
-                            let helper = if f.default {
-                                "de_field_or_default"
-                            } else {
-                                "de_field"
-                            };
-                            let f = &f.name;
-                            format!("{f}: ::serde::{helper}(fields, \"{f}\")?,")
-                        })
-                        .collect();
+                    let inits: String = fields.iter().map(FieldSpec::de_init).collect();
                     format!(
                         "\"{vname}\" => {{\n\
                              let fields = inner.as_object()\
