@@ -74,14 +74,14 @@ impl MaskPrecompute {
             visible.resize(grid.len() * degree, 0);
             dst_x_sum.clear();
             dst_x_sum.resize(grid.len() * degree, 0.0);
-            for (slot, (&(_, dst), samples)) in pairs.enumerate() {
+            for (slot, (_, samples)) in pairs.enumerate() {
                 for s in samples {
                     let Some(cell) = grid.cell_at(s.src.center()) else {
                         continue;
                     };
-                    // Totals are per source camera; count them once (for the
-                    // lowest dst index) to avoid multiplying by (m-1).
-                    if dst == usize::from(cam == 0) {
+                    // Totals are per source camera: every paired destination
+                    // lists the same source samples, so count the first's.
+                    if slot == 0 {
                         totals[cell.0] += 1;
                     }
                     if let Some(d) = s.dst {

@@ -4,7 +4,7 @@
 //! [`MaskPrecompute::mask_for_into`], and [`CameraModel::visible_objects`]
 //! over the world's per-frame object positions.
 
-use mvs_core::CameraId;
+use mvs_core::{CameraId, CameraMask};
 use mvs_geometry::{Grid, Point2};
 use mvs_sim::{
     CameraModel, CityConfig, CorrespondenceData, MaskPrecompute, Scenario, ScenarioKind, World,
@@ -42,14 +42,9 @@ fn city16_precompute() -> &'static (Scenario, MaskPrecompute) {
     })
 }
 
-/// Per-cell owners of `camera`'s mask as `mask_for_into` left them in
-/// `slot`, read back through the public point query.
-fn owners_in(
-    scenario: &Scenario,
-    camera: usize,
-    slot: &Option<mvs_core::CameraMask>,
-) -> Vec<CameraId> {
-    let mask = slot.as_ref().expect("filled slot");
+/// Per-cell owners of `camera`'s mask, read back through the public point
+/// query.
+fn owners_in(scenario: &Scenario, camera: usize, mask: &CameraMask) -> Vec<CameraId> {
     let grid = Grid::new(scenario.cameras[camera].frame, CELL_PX);
     grid.iter()
         .map(|cell| mask.owner_at(grid.cell_center(cell)).expect("in frame"))
@@ -149,8 +144,7 @@ proptest! {
         }
         let expected = reference_owners(scenario, pre, camera, &priority);
 
-        let mut fresh = None;
-        pre.mask_for_into(camera, &priority, &mut fresh);
+        let fresh = pre.mask_for(camera, &priority);
         prop_assert_eq!(&owners_in(scenario, camera, &fresh), &expected);
 
         // A slot left over from another horizon's order is fully rewritten.
@@ -159,8 +153,7 @@ proptest! {
         let mut reused = None;
         pre.mask_for_into(camera, &stale_order, &mut reused);
         pre.mask_for_into(camera, &priority, &mut reused);
-        prop_assert_eq!(&owners_in(scenario, camera, &reused), &expected);
-        prop_assert_eq!(reused, fresh);
+        prop_assert_eq!(reused, Some(fresh));
     }
 
     #[test]
@@ -200,7 +193,7 @@ fn fingerprint(
 ) -> String {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut counts = std::collections::BTreeMap::new();
-    for owner in owners_in(scenario, camera, &Some(pre.mask_for(camera, priority))) {
+    for owner in owners_in(scenario, camera, &pre.mask_for(camera, priority)) {
         hash = (hash ^ owner.0 as u64).wrapping_mul(0x0000_0100_0000_01b3);
         *counts.entry(owner.0).or_insert(0usize) += 1;
     }
@@ -268,6 +261,10 @@ fn sparse_build_reproduces_the_dense_masks_on_s3() {
     );
 }
 
+/// District 0 (cameras 0–7) as at f6d05fa. District 1 is pinned from this
+/// build: f6d05fa counted a cell's samples only against camera 0 (or 1),
+/// which no district-1 camera is paired with, so its cameras saw no
+/// coverage and each owned all 220 of its cells under every order.
 #[test]
 fn sparse_build_reproduces_the_dense_masks_on_a_two_district_city() {
     assert_pinned(
@@ -282,13 +279,13 @@ fn sparse_build_reproduces_the_dense_masks_on_a_two_district_city() {
             "2af11bfc9898f739 0:28 1:8 5:2 6:182",
             "e38d63f151c28295 0:34 1:5 5:3 7:178",
             "d3342bc1695ea5d5 8:220",
-            "77f4cdb3bed2d671 9:220",
-            "67c6f626e1da0645 10:220",
-            "37734a29fde62e21 11:220",
-            "742986194254c6e5 12:220",
-            "08b00a6369e1d9f9 13:220",
-            "7e3830d150cad915 14:220",
-            "52e86ca2cca46959 15:220",
+            "9d0c44bccf4b1874 8:39 9:181",
+            "97909715fb1a138a 8:32 9:3 10:185",
+            "f8e612bb1c9579c8 8:35 9:9 11:176",
+            "3dc05cd710f4e8c0 8:27 9:4 11:1 12:188",
+            "69a236a8518284b0 8:41 12:2 13:177",
+            "d8cc74b6ee850ad6 8:39 9:5 13:2 14:174",
+            "d51a49bf6f61aab2 8:37 13:1 14:2 15:180",
         ],
         &[
             "86aa7728334d7542 0:183 5:13 7:24",
@@ -299,13 +296,13 @@ fn sparse_build_reproduces_the_dense_masks_on_a_two_district_city() {
             "9a79a6e4927372b7 5:181 7:39",
             "25249fa2118e5d64 6:185 7:35",
             "8d2a378fcb6d01d9 7:220",
-            "d3342bc1695ea5d5 8:220",
-            "77f4cdb3bed2d671 9:220",
-            "67c6f626e1da0645 10:220",
-            "37734a29fde62e21 11:220",
-            "742986194254c6e5 12:220",
-            "08b00a6369e1d9f9 13:220",
-            "7e3830d150cad915 14:220",
+            "3586a4d57d278515 8:188 9:1 13:8 14:2 15:21",
+            "6517c03e354cd625 9:175 11:6 12:2 14:2 15:35",
+            "61d90893c9a1738f 10:186 11:2 13:1 15:31",
+            "d5fd4974faa6f364 11:180 12:1 13:5 14:4 15:30",
+            "a3988c7d92b0bb9e 12:193 13:2 14:2 15:23",
+            "94fa54c85310f19e 13:177 14:3 15:40",
+            "235841cf55ec4e71 14:182 15:38",
             "52e86ca2cca46959 15:220",
         ],
     );

@@ -7,7 +7,7 @@ use multiview_scheduler::core::{
     MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShardPlan,
 };
 use multiview_scheduler::geometry::SizeClass;
-use multiview_scheduler::sim::{CityConfig, Scenario};
+use multiview_scheduler::sim::{CityConfig, CorrespondenceData, MaskPrecompute, Scenario};
 use multiview_scheduler::vision::{DeviceKind, LatencyProfile};
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -208,5 +208,30 @@ fn central_sharded_and_persistent_solver_agree_bitwise_on_a_city_fleet() {
         for _ in 0..10 {
             world.step(scenario.frame_dt_s(), &mut rng);
         }
+    }
+}
+
+#[test]
+fn cameras_of_every_city_district_cede_cells_to_higher_priority_neighbours() {
+    // City correspondence is pruned to overlapping pairs, so a district-1
+    // camera is never paired with camera 0: its coverage must come from
+    // the neighbours it does have. Under ascending priority some camera
+    // of the second district then hands at least one cell to a neighbour.
+    let scenario = Scenario::city(&CityConfig {
+        cameras: 16,
+        seed: 5,
+        intensity: 2.0,
+    });
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let data = CorrespondenceData::collect(&scenario, 60.0, 3, &mut rng);
+    let frames: Vec<_> = scenario.cameras.iter().map(|c| c.frame).collect();
+    let pre = MaskPrecompute::build(&frames, &data, 64);
+    let priority: Vec<CameraId> = (0..16).map(CameraId).collect();
+    for district in [0..8, 8..16] {
+        let ceded = district
+            .clone()
+            .filter(|&cam| pre.mask_for(cam, &priority).owned_fraction() < 1.0)
+            .count();
+        assert!(ceded > 0, "no camera of {district:?} cedes a cell");
     }
 }
