@@ -40,8 +40,8 @@ use mvs_metrics::{
 };
 use mvs_trace::{span_into, Stage, Trace, TraceRecorder};
 use mvs_vision::{
-    slice_regions_traced_into, Detection, DetectionModel, FlowTracker, GroundTruthObject,
-    LatencyProfile, RegionTask, SimulatedDetector, SizeCounts, TrackerConfig,
+    slice_regions_into, Detection, DetectionModel, FlowTracker, GroundTruthObject, LatencyProfile,
+    RegionTask, SimulatedDetector, SizeCounts, TrackerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -288,8 +288,7 @@ pub struct PipelineResult {
 /// if association-model training fails (cannot happen for the built-in
 /// scenarios, whose cameras always see traffic during training).
 pub fn run_pipeline(scenario: &Scenario, config: &PipelineConfig) -> PipelineResult {
-    assert!(config.horizon > 0, "horizon must be positive");
-    Pipeline::new(scenario, config).run().0
+    run_frames(TenantPipeline::new(scenario, config)).0
 }
 
 /// Runs the pipeline with structured tracing enabled and returns the
@@ -311,11 +310,20 @@ pub fn run_pipeline_traced(
     scenario: &Scenario,
     config: &PipelineConfig,
 ) -> (PipelineResult, Trace) {
-    assert!(config.horizon > 0, "horizon must be positive");
-    let mut pipeline = Pipeline::new(scenario, config);
+    let mut pipeline = TenantPipeline::new(scenario, config);
     pipeline.enable_tracing();
-    let (result, trace) = pipeline.run();
+    let (result, trace) = run_frames(pipeline);
     (result, trace.expect("tracing was enabled"))
+}
+
+/// The closed run loop: steps every frame of the configured evaluation
+/// window, then finalizes.
+fn run_frames(mut pipeline: TenantPipeline) -> (PipelineResult, Option<Trace>) {
+    let frames = (pipeline.inner.config.eval_s * pipeline.fps()).round() as usize;
+    for _ in 0..frames {
+        pipeline.step();
+    }
+    pipeline.finish()
 }
 
 /// Consecutive "gone from owner" frames required before a takeover; one
@@ -375,7 +383,6 @@ struct Pipeline {
     /// on the per-worker streams.
     rng: ChaCha8Rng,
     world: World,
-    workers: Vec<CameraWorker>,
     /// Fault schedule: dedicated RNG stream, stepped at key frames on the
     /// coordinator thread only.
     faults: FaultState,
@@ -409,7 +416,10 @@ struct Pipeline {
 }
 
 impl Pipeline {
-    fn new(scenario: &Scenario, config: &PipelineConfig) -> Self {
+    /// Builds the coordinator state and the per-camera workers it steps
+    /// (owned side by side by [`TenantPipeline`], so a frame can borrow
+    /// both mutably).
+    fn new(scenario: &Scenario, config: &PipelineConfig) -> (Self, Vec<CameraWorker>) {
         let m = scenario.num_cameras();
         assert!(m > 0, "scenario has no cameras");
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -489,7 +499,7 @@ impl Pipeline {
                 }
             })
             .collect();
-        Pipeline {
+        let pipeline = Pipeline {
             scenario: scenario.clone(),
             config: config.clone(),
             threads: resolve_threads(config.threads).min(m),
@@ -498,7 +508,6 @@ impl Pipeline {
             partition,
             rng,
             world,
-            workers,
             faults: FaultState::new(config.faults, config.seed, m),
             assignment: Vec::new(),
             solver: BalbSolver::new(),
@@ -513,26 +522,8 @@ impl Pipeline {
             overhead: OverheadBreakdown::new(),
             stats: PipelineStats::default(),
             degradation: DegradationCounters::default(),
-        }
-    }
-
-    /// Turns on structured tracing: one span buffer per camera lane plus
-    /// the coordinator lane, stamped on the scenario's sim clock.
-    fn enable_tracing(&mut self) {
-        self.tracer = Some(TraceRecorder::new(self.scenario.fps));
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            w.trace = Some(TraceRecorder::camera_buf(i));
-        }
-    }
-
-    fn run(mut self) -> (PipelineResult, Option<Trace>) {
-        let frames = (self.config.eval_s * self.scenario.fps).round() as usize;
-        let mut workers = std::mem::take(&mut self.workers);
-        for frame in 0..frames {
-            self.step_frame(&mut workers, frame);
-        }
-        self.workers = workers;
-        self.finish()
+        };
+        (pipeline, workers)
     }
 
     /// Processes one frame of the capture clock: steps the world, runs the
@@ -740,12 +731,8 @@ impl Pipeline {
                 return (0.0, Vec::new());
             }
             let full_ms = w.profile.full_frame_ms();
-            let dets = w.detector.detect_full_frame_traced(
-                &views[w.index],
-                &mut w.rng,
-                full_ms,
-                w.trace.as_mut(),
-            );
+            let dets = w.detector.detect_full_frame(&views[w.index], &mut w.rng);
+            span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
             let ids: Vec<u64> = dets.iter().filter_map(|d| d.truth_id).collect();
             (full_ms, ids)
         });
@@ -819,12 +806,8 @@ impl Pipeline {
                 return (Vec::new(), 0.0);
             }
             let full_ms = w.profile.full_frame_ms();
-            let dets = w.detector.detect_full_frame_traced(
-                &views[w.index],
-                &mut w.rng,
-                full_ms,
-                w.trace.as_mut(),
-            );
+            let dets = w.detector.detect_full_frame(&views[w.index], &mut w.rng);
+            span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
             (dets, full_ms)
         });
         let mut detected = HashSet::new();
@@ -1300,12 +1283,10 @@ impl Pipeline {
 
                 // 3. Slice regions for live tracks (into the scratch task
                 // buffer; new-region probes append below).
-                slice_regions_traced_into(
-                    w.tracker.tracks(),
-                    frame_dims,
-                    w.trace.as_mut(),
-                    &mut w.scratch.tasks,
-                );
+                slice_regions_into(w.tracker.tracks(), frame_dims, &mut w.scratch.tasks);
+                // Pure geometry with negligible modeled cost: the span
+                // witnesses the crop count and stage order in the trace.
+                span_into(w.trace.as_mut(), Stage::Slice, 0.0, w.scratch.tasks.len());
 
                 // 4. New-region probing.
                 let mut probes = 0;
@@ -1374,8 +1355,9 @@ impl Pipeline {
                 let batches: usize = counts.batches(&w.profile).iter().sum();
                 let batching_ms = overhead.batch_per_crop_ms * w.scratch.tasks.len() as f64
                     + overhead.batch_per_batch_ms * batches as f64;
-                let latency_ms =
-                    counts.latency_ms_traced(&w.profile, batching_ms, w.trace.as_mut());
+                let latency_ms = counts.latency_ms(&w.profile);
+                span_into(w.trace.as_mut(), Stage::Batch, batching_ms, batches);
+                span_into(w.trace.as_mut(), Stage::Detect, latency_ms, counts.total());
                 w.scratch.detections.clear();
                 for task in &w.scratch.tasks {
                     w.scratch.detections.extend(w.detector.detect_region(
@@ -1511,8 +1493,7 @@ impl TenantPipeline {
     /// Same conditions as [`run_pipeline`].
     pub fn new(scenario: &Scenario, config: &PipelineConfig) -> TenantPipeline {
         assert!(config.horizon > 0, "horizon must be positive");
-        let mut inner = Pipeline::new(scenario, config);
-        let workers = std::mem::take(&mut inner.workers);
+        let (inner, workers) = Pipeline::new(scenario, config);
         TenantPipeline {
             inner,
             workers,

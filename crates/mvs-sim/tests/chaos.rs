@@ -244,6 +244,22 @@ fn serve_loop_surfaces_typed_errors() {
             got: 2
         }
     );
+    // Same tenant count, other fleet: the recipes were recorded on
+    // 3-camera tenants and must not be replayed onto 4-camera ones.
+    let wider = ServeConfig {
+        cameras_per_tenant: 4,
+        ..small_config()
+    };
+    let err = ServeLoop::recover(&wider, &snapshot, 500_000)
+        .err()
+        .expect("a snapshot of another fleet must be rejected");
+    assert_eq!(
+        err,
+        ServeConfigError::SnapshotCameraMismatch {
+            expected: 4,
+            got: 3
+        }
+    );
 }
 
 proptest! {

@@ -8,7 +8,6 @@
 
 use crate::LatencyProfile;
 use mvs_geometry::SizeClass;
-use mvs_trace::{Stage, TraceBuf};
 use serde::{Deserialize, Serialize};
 
 /// Per-size-class crop counts for one camera and frame.
@@ -119,25 +118,6 @@ impl SizeCounts {
                     * profile.batch_latency_ms(s)
             })
             .sum()
-    }
-
-    /// Traced variant of [`latency_ms`](Self::latency_ms): records a
-    /// [`Stage::Batch`] span for batch assembly (whose modeled cost the
-    /// caller supplies, since the overhead model lives above this crate)
-    /// followed by a [`Stage::Detect`] span covering the batched inference.
-    pub fn latency_ms_traced(
-        &self,
-        profile: &LatencyProfile,
-        assembly_ms: f64,
-        trace: Option<&mut TraceBuf>,
-    ) -> f64 {
-        let latency = self.latency_ms(profile);
-        if let Some(buf) = trace {
-            let batches: usize = self.batches(profile).iter().sum();
-            buf.span(Stage::Batch, assembly_ms, batches);
-            buf.span(Stage::Detect, latency, self.total());
-        }
-        latency
     }
 
     /// Number of batches per size class on the given profile.

@@ -137,22 +137,6 @@ impl SimulatedDetector {
         out
     }
 
-    /// Traced variant of [`detect_full_frame`](Self::detect_full_frame):
-    /// records a [`mvs_trace::Stage::Detect`] span. The detector does not
-    /// know the device latency tables, so the caller passes the modeled
-    /// full-frame inference duration `modeled_ms`.
-    pub fn detect_full_frame_traced<R: Rng + ?Sized>(
-        &self,
-        objects: &[GroundTruthObject],
-        rng: &mut R,
-        modeled_ms: f64,
-        trace: Option<&mut mvs_trace::TraceBuf>,
-    ) -> Vec<Detection> {
-        let dets = self.detect_full_frame(objects, rng);
-        mvs_trace::span_into(trace, mvs_trace::Stage::Detect, modeled_ms, dets.len());
-        dets
-    }
-
     /// Partial-frame inspection of one crop: objects are detectable only if
     /// the crop covers enough of them. `_size` documents the crop's
     /// quantized size (latency is accounted elsewhere).

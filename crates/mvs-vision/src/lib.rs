@@ -38,7 +38,5 @@ pub use latency::{DeviceKind, LatencyProfile, SizeProfile};
 pub use new_region::{find_new_regions, find_new_regions_into, NewRegionFinder};
 pub use optical_flow::{FlowField, FlowSoA, FlowVector};
 pub use scalar::ScalarFlowField;
-pub use slicing::{
-    slice_regions, slice_regions_into, slice_regions_traced, slice_regions_traced_into, RegionTask,
-};
+pub use slicing::{slice_regions, slice_regions_into, RegionTask};
 pub use tracker::{FlowTracker, Track, TrackId, TrackerConfig};

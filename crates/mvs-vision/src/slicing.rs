@@ -7,7 +7,6 @@
 
 use crate::{Track, TrackId};
 use mvs_geometry::{BBox, FrameDims, SizeClass};
-use mvs_trace::{span_into, Stage, TraceBuf};
 use serde::{Deserialize, Serialize};
 
 /// One partial-frame inspection task.
@@ -80,32 +79,6 @@ pub fn slice_regions_into(tracks: &[Track], frame: FrameDims, out: &mut Vec<Regi
             size: t.size,
         })
     }));
-}
-
-/// Traced variant of [`slice_regions`]: additionally records a
-/// [`Stage::Slice`] span whose item count is the number of crops produced.
-/// Slicing itself is pure geometry with negligible modeled cost, so the
-/// span's duration is zero — it exists to witness the crop count and stage
-/// order in golden traces.
-pub fn slice_regions_traced(
-    tracks: &[Track],
-    frame: FrameDims,
-    trace: Option<&mut TraceBuf>,
-) -> Vec<RegionTask> {
-    let tasks = slice_regions(tracks, frame);
-    span_into(trace, Stage::Slice, 0.0, tasks.len());
-    tasks
-}
-
-/// Buffer-reusing variant of [`slice_regions_traced`].
-pub fn slice_regions_traced_into(
-    tracks: &[Track],
-    frame: FrameDims,
-    trace: Option<&mut TraceBuf>,
-    out: &mut Vec<RegionTask>,
-) {
-    slice_regions_into(tracks, frame, out);
-    span_into(trace, Stage::Slice, 0.0, out.len());
 }
 
 #[cfg(test)]
