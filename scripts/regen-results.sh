@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Regenerates the deterministic KNN-derived result files. Each is a pure
+# function of the checkout, so a difference from the checked-in copy is a
+# behaviour change on the KNN / association path (or a stale file):
+#
+#   results/fig10_classification.json
+#   results/fig11_regression.json
+#   results/ablation_knn_k.json
+#
+#   scripts/regen-results.sh             # rewrite the three files in place
+#   scripts/regen-results.sh --check     # regenerate, diff against the
+#                                        # checked-in copies, put them back;
+#                                        # exit 1 on any difference
+#   scripts/regen-results.sh --offline [--check]
+#                                        # build through scripts/offline-dev.sh
+#                                        # (no network, devstubs patch table)
+set -euo pipefail
+
+repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "${repo_root}"
+
+check=0
+cargo=(cargo)
+for arg in "$@"; do
+  case "${arg}" in
+    --check) check=1 ;;
+    --offline) cargo=(bash "${repo_root}/scripts/offline-dev.sh") ;;
+    *) echo "usage: scripts/regen-results.sh [--offline] [--check]" >&2; exit 2 ;;
+  esac
+done
+
+names=(fig10_classification fig11_regression ablation_knn_k)
+bins=()
+for name in "${names[@]}"; do
+  bins+=(--bin "${name}")
+done
+"${cargo[@]}" build --release --quiet -p mvs-bench "${bins[@]}"
+
+# The bins write results/<name>.json themselves; keep the checked-in copies
+# aside so --check can diff against them and put them back.
+keep="$(mktemp -d "${repo_root}/results/.regen.XXXXXX")"
+trap 'rm -rf "${keep}"' EXIT
+for name in "${names[@]}"; do
+  cp "results/${name}.json" "${keep}/"
+done
+
+for name in "${names[@]}"; do
+  "${cargo[@]}" run --release --quiet -p mvs-bench --bin "${name}" > /dev/null
+done
+
+status=0
+if [[ "${check}" -eq 1 ]]; then
+  for name in "${names[@]}"; do
+    if ! diff -u "${keep}/${name}.json" "results/${name}.json"; then
+      echo "regen-results: results/${name}.json is not what this checkout generates" >&2
+      status=1
+    fi
+    cp "${keep}/${name}.json" "results/${name}.json"
+  done
+  [[ "${status}" -eq 0 ]] && echo "regen-results: ${#names[@]} result files match"
+fi
+exit "${status}"
