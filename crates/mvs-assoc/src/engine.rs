@@ -2,7 +2,7 @@
 
 use crate::{CameraPairModel, UnionFind};
 use mvs_geometry::BBox;
-use mvs_ml::hungarian_max;
+use mvs_ml::HungarianSolver;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -106,64 +106,126 @@ impl AssociationEngine {
     ///
     /// Panics if `detections.len() != num_cameras`.
     pub fn associate(&self, detections: &[Vec<BBox>]) -> Vec<GlobalObject> {
+        self.associate_with(detections, &mut AssociationScratch::default())
+    }
+
+    /// [`AssociationEngine::associate`] over caller-held working memory: a
+    /// caller that keeps `scratch` across rounds allocates only what it is
+    /// handed back — the list and one member `Vec` per global object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `detections.len() != num_cameras`.
+    pub fn associate_with(
+        &self,
+        detections: &[Vec<BBox>],
+        scratch: &mut AssociationScratch,
+    ) -> Vec<GlobalObject> {
         assert_eq!(
             detections.len(),
             self.num_cameras,
             "one detection list per camera required"
         );
+        let AssociationScratch {
+            offsets,
+            uf,
+            predicted,
+            scores,
+            solver,
+            group_of,
+            group_len,
+        } = scratch;
         // Flatten to global indices.
-        let mut offsets = Vec::with_capacity(self.num_cameras);
+        offsets.clear();
         let mut total = 0usize;
         for d in detections {
             offsets.push(total);
             total += d.len();
         }
-        let mut uf = UnionFind::new(total);
+        uf.reset(total);
         for (&(i, ip), model) in &self.models {
             let (src, dst) = (&detections[i], &detections[ip]);
             if src.is_empty() || dst.is_empty() {
                 continue;
             }
             // Step 1+2: classify visibility and regress predicted locations.
-            let predicted: Vec<(usize, BBox)> = src
-                .iter()
-                .enumerate()
-                .filter_map(|(j, b)| model.predict(b).map(|p| (j, p)))
-                .collect();
+            predicted.clear();
+            predicted.extend(
+                src.iter()
+                    .enumerate()
+                    .filter_map(|(j, b)| model.predict(b).map(|p| (j, p))),
+            );
             if predicted.is_empty() {
                 continue;
             }
-            // Step 3: proximity matrix and Hungarian matching.
-            let scores: Vec<Vec<f64>> = predicted
-                .iter()
-                .map(|(_, p)| dst.iter().map(|d| p.iou(d)).collect())
-                .collect();
-            let assignment = hungarian_max(&scores).expect("IoU scores are finite");
+            // Step 3: proximity matrix (row-major, one row per predicted
+            // box) and Hungarian matching.
+            scores.clear();
+            for (_, p) in predicted.iter() {
+                scores.extend(dst.iter().map(|d| p.iou(d)));
+            }
+            let assignment = solver
+                .solve_max(predicted.len(), dst.len(), scores)
+                .expect("IoU scores are finite");
             for (row, col) in assignment.iter() {
-                if scores[row][col] >= self.iou_threshold {
+                if scores[row * dst.len() + col] >= self.iou_threshold {
                     let (j, _) = predicted[row];
                     uf.union(offsets[i] + j, offsets[ip] + col);
                 }
             }
         }
-        uf.groups()
-            .into_iter()
-            .map(|group| {
-                let mut members: Vec<(usize, usize)> = group
-                    .into_iter()
-                    .map(|flat| {
-                        let camera = offsets
-                            .iter()
-                            .rposition(|&o| o <= flat)
-                            .expect("offsets start at zero");
-                        (camera, flat - offsets[camera])
-                    })
-                    .collect();
-                members.sort_unstable();
-                GlobalObject { members }
+        // Number the sets by their smallest member (flat indices ascend, so
+        // first sight of a root is its smallest member), size them, and
+        // note every member's set number in its own slot (a non-root's
+        // slot is never read as a root's).
+        group_of.clear();
+        group_of.resize(total, usize::MAX);
+        group_len.clear();
+        for flat in 0..total {
+            let root = uf.find(flat);
+            if group_of[root] == usize::MAX {
+                group_of[root] = group_len.len();
+                group_len.push(0);
+            }
+            group_of[flat] = group_of[root];
+            group_len[group_of[flat]] += 1;
+        }
+        let mut globals: Vec<GlobalObject> = group_len
+            .iter()
+            .map(|&len| GlobalObject {
+                members: Vec::with_capacity(len),
             })
-            .collect()
+            .collect();
+        // Ascending flat order is ascending `(camera, detection)` order, so
+        // every member list comes out sorted.
+        for (flat, &group) in group_of.iter().enumerate() {
+            let camera = offsets.partition_point(|&o| o <= flat) - 1;
+            globals[group]
+                .members
+                .push((camera, flat - offsets[camera]));
+        }
+        globals
     }
+}
+
+/// Working memory of [`AssociationEngine::associate_with`]: cleared, never
+/// shrunk, so a round over shapes already seen allocates nothing in here.
+/// Holds no result — any scratch (including a fresh one) gives the same
+/// output — and is `Send`, so a caller may run the round on another thread.
+#[derive(Debug, Default)]
+pub struct AssociationScratch {
+    /// Flat index of each camera's first detection.
+    offsets: Vec<usize>,
+    uf: UnionFind,
+    /// `(source detection, predicted target box)` of the current pair.
+    predicted: Vec<(usize, BBox)>,
+    /// Row-major IoU matrix of the current pair.
+    scores: Vec<f64>,
+    solver: HungarianSolver,
+    /// Output position of the set each flat index belongs to.
+    group_of: Vec<usize>,
+    /// Member count per output position.
+    group_len: Vec<usize>,
 }
 
 #[cfg(test)]

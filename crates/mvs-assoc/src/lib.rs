@@ -16,7 +16,8 @@
 //! * [`CameraPairModel`] — the classifier+regressor bundle for one pair;
 //! * [`train_pair_model`] — fits a pair model from labeled correspondences;
 //! * [`AssociationEngine`] — runs a full association round over all
-//!   cameras' detections and returns the global object list;
+//!   cameras' detections and returns the global object list
+//!   ([`AssociationScratch`] is its reusable working memory);
 //! * [`UnionFind`] — the identity-merging substrate.
 
 #![forbid(unsafe_code)]
@@ -26,6 +27,6 @@ mod engine;
 mod model;
 mod union_find;
 
-pub use engine::{AssociationEngine, GlobalObject};
+pub use engine::{AssociationEngine, AssociationScratch, GlobalObject};
 pub use model::{train_pair_model, CameraPairModel, CorrespondenceSample};
 pub use union_find::UnionFind;

@@ -19,11 +19,25 @@ pub struct CorrespondenceSample {
     pub dst: Option<BBox>,
 }
 
+/// Coordinates up to this magnitude keep every intermediate of a KNN
+/// regression finite (see [`CameraPairModel::is_visible`]).
+const BOUNDED_COORD: f64 = 1e150;
+
+fn all_bounded(coords: &[f64; 4]) -> bool {
+    coords.iter().all(|v| v.abs() <= BOUNDED_COORD)
+}
+
 /// The fitted models for one ordered camera pair (source → target).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CameraPairModel {
     classifier: KnnClassifier,
     regressor: Option<KnnRegressor>,
+    /// Every training coordinate (source and target boxes) is at most
+    /// [`BOUNDED_COORD`] in magnitude. Fixed by [`train_pair_model`]; a
+    /// model serialized before the field existed reads `false`, the slow,
+    /// always-correct side of [`CameraPairModel::is_visible`].
+    #[serde(default)]
+    bounded: bool,
 }
 
 impl CameraPairModel {
@@ -42,6 +56,26 @@ impl CameraPairModel {
         let mut coords = [0.0; 4];
         regressor.predict_into(&features, &mut coords);
         BBox::from_array_lenient(coords).ok()
+    }
+
+    /// `self.predict(src).is_some()` for every input, at the cost of the
+    /// classifier query alone whenever the regression can be *proved*
+    /// finite instead of computed (DESIGN.md §17): with every training and
+    /// query coordinate at most 1e150 in magnitude no squared difference
+    /// overflows, so an exact hit returns a stored finite target and
+    /// otherwise the weights lie in `(0, 1e12]` and a weighted mean of
+    /// bounded targets is finite — and finiteness is all
+    /// [`BBox::from_array_lenient`] asks for. Any other input takes
+    /// [`CameraPairModel::predict`].
+    ///
+    /// The distributed stage's takeover verdict asks exactly this question
+    /// once per (shadow, owner) per frame and never reads the box.
+    pub fn is_visible(&self, src: &BBox) -> bool {
+        let features = src.to_array();
+        if !(self.bounded && all_bounded(&features)) {
+            return self.predict(src).is_some();
+        }
+        self.regressor.is_some() && self.classifier.predict(&features) != 0
     }
 
     /// Whether the pair ever observed a positive correspondence (i.e. has a
@@ -104,9 +138,13 @@ pub fn train_pair_model(
     } else {
         Some(KnnRegressor::fit(k, &rx, &ry)?)
     };
+    let bounded = samples.iter().all(|s| {
+        all_bounded(&s.src.to_array()) && s.dst.is_none_or(|dst| all_bounded(&dst.to_array()))
+    });
     Ok(CameraPairModel {
         classifier,
         regressor,
+        bounded,
     })
 }
 

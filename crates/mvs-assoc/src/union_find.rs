@@ -14,7 +14,7 @@
 /// assert!(!uf.connected(0, 1));
 /// assert_eq!(uf.groups().len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
@@ -27,6 +27,14 @@ impl UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
         }
+    }
+
+    /// Starts over as `n` singleton sets, keeping the allocation.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.rank.clear();
+        self.rank.resize(n, 0);
     }
 
     /// Number of elements.

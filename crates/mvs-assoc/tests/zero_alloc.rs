@@ -3,10 +3,11 @@
 //! `CameraPairModel::predict` runs for every detection on every camera
 //! every frame (takeover scan, association round), so it must not touch
 //! the heap: at `k = 3` the KNN top-k, the feature row and the regressed
-//! box all live on the stack. This binary holds exactly one test so that
-//! nothing else allocates on the measured thread.
+//! box all live on the stack. A whole association round over warm scratch
+//! allocates only the list it returns. Events are counted per thread, so
+//! the tests of this binary do not see each other.
 
-use mvs_assoc::{train_pair_model, CorrespondenceSample};
+use mvs_assoc::{train_pair_model, AssociationEngine, AssociationScratch, CorrespondenceSample};
 use mvs_geometry::BBox;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,4 +117,54 @@ fn pair_model_predict_never_allocates() {
     let before = events();
     std::hint::black_box(Box::new(model.predict(&probes[0])));
     assert!(events() > before, "counting allocator is not installed");
+}
+
+#[test]
+fn warm_association_round_allocates_only_what_it_returns() {
+    // Three cameras in a chain, each view the previous one shifted 150 px.
+    let shift: Vec<CorrespondenceSample> = (0..80)
+        .map(|i| {
+            let x = 12.0 * f64::from(i);
+            CorrespondenceSample {
+                src: bb(x, 200.0, 50.0, 40.0),
+                dst: Some(bb(x + 150.0, 200.0, 50.0, 40.0)),
+            }
+        })
+        .collect();
+    let mut engine = AssociationEngine::new(3, AssociationEngine::DEFAULT_IOU_THRESHOLD);
+    engine.insert_model(
+        0,
+        1,
+        train_pair_model(3, &shift).expect("non-empty samples"),
+    );
+    engine.insert_model(
+        1,
+        2,
+        train_pair_model(3, &shift).expect("non-empty samples"),
+    );
+    let row = |dx: f64| -> Vec<BBox> {
+        (0..6)
+            .map(|i| bb(100.0 + 90.0 * f64::from(i) + dx, 200.0, 50.0, 40.0))
+            .collect()
+    };
+    // One camera-2 box matches nothing: merged and singleton groups both occur.
+    let mut last = row(300.0);
+    last.push(bb(20.0, 500.0, 30.0, 30.0));
+    let detections = vec![row(0.0), row(150.0), last];
+
+    let mut scratch = AssociationScratch::default();
+    let cold = engine.associate_with(&detections, &mut scratch);
+    let before = events();
+    let warm = engine.associate_with(&detections, &mut scratch);
+    let allocated = events() - before;
+
+    assert_eq!(warm, cold, "scratch carries no result");
+    assert_eq!(warm, engine.associate(&detections));
+    assert!(warm.iter().any(|g| g.members.len() == 3));
+    assert!(warm.iter().any(|g| g.members.len() == 1));
+    assert_eq!(
+        allocated,
+        1 + warm.len() as u64,
+        "a warm round allocates the returned list and one member Vec per global"
+    );
 }

@@ -48,7 +48,15 @@ impl RecallAccumulator {
         V: IntoIterator<Item = u64>,
         D: IntoIterator<Item = u64>,
     {
-        let detected: HashSet<u64> = detected.into_iter().collect();
+        self.record_against(visible, &detected.into_iter().collect());
+    }
+
+    /// [`RecallAccumulator::record`] against a detected set the caller
+    /// already holds (and may reuse from frame to frame).
+    pub fn record_against<V>(&mut self, visible: V, detected: &HashSet<u64>)
+    where
+        V: IntoIterator<Item = u64>,
+    {
         for id in visible {
             if detected.contains(&id) {
                 self.tp += 1;

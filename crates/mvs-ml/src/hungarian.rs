@@ -8,7 +8,7 @@
 use crate::MlError;
 
 /// Result of an assignment problem.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assignment {
     /// `pairs[r]` is the column assigned to row `r`, or `None` when the row
     /// is unassigned (possible for rectangular problems).
@@ -52,7 +52,7 @@ impl Assignment {
 /// # Ok::<(), mvs_ml::MlError>(())
 /// ```
 pub fn hungarian(cost: &[Vec<f64>]) -> Result<Assignment, MlError> {
-    solve(cost, false)
+    solve_rows(cost, false)
 }
 
 /// Solves the *maximum*-score assignment problem (e.g. maximize summed IoU
@@ -62,18 +62,14 @@ pub fn hungarian(cost: &[Vec<f64>]) -> Result<Assignment, MlError> {
 ///
 /// Same conditions as [`hungarian`].
 pub fn hungarian_max(score: &[Vec<f64>]) -> Result<Assignment, MlError> {
-    solve(score, true)
+    solve_rows(score, true)
 }
 
-fn solve(input: &[Vec<f64>], maximize: bool) -> Result<Assignment, MlError> {
-    let rows = input.len();
-    if rows == 0 {
-        return Ok(Assignment {
-            pairs: Vec::new(),
-            total: 0.0,
-        });
-    }
-    let cols = input[0].len();
+/// The row-slice entry points: validate row by row, flatten, then one run
+/// of a fresh [`HungarianSolver`] whose result is moved out.
+fn solve_rows(input: &[Vec<f64>], maximize: bool) -> Result<Assignment, MlError> {
+    let cols = input.first().map_or(0, Vec::len);
+    let mut flat = Vec::with_capacity(input.len() * cols);
     for r in input {
         if r.len() != cols {
             return Err(MlError::DimensionMismatch {
@@ -81,94 +77,212 @@ fn solve(input: &[Vec<f64>], maximize: bool) -> Result<Assignment, MlError> {
                 found: r.len(),
             });
         }
-        if r.iter().any(|v| !v.is_finite()) {
-            return Err(MlError::InvalidParameter("costs must be finite"));
-        }
+        check_finite(r)?;
+        flat.extend_from_slice(r);
     }
-    if cols == 0 {
-        return Ok(Assignment {
-            pairs: vec![None; rows],
-            total: 0.0,
-        });
+    let mut solver = HungarianSolver::new();
+    solver.run(input.len(), cols, &flat, maximize);
+    Ok(solver.result)
+}
+
+fn check_finite(costs: &[f64]) -> Result<(), MlError> {
+    if costs.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(MlError::InvalidParameter("costs must be finite"))
+    }
+}
+
+/// A Kuhn–Munkres solver that keeps its working arrays between solves.
+///
+/// The frame loop solves one small assignment problem per camera per frame
+/// (tracking) and one per camera pair per key frame (association); a solver
+/// held across them stops allocating once its buffers reach the largest
+/// problem seen. Every solve is independent of the ones before it: the
+/// result is bit-identical to [`hungarian`] / [`hungarian_max`] on the same
+/// matrix.
+///
+/// # Examples
+///
+/// ```
+/// let mut solver = mvs_ml::HungarianSolver::new();
+/// // 2 × 3, row-major.
+/// let a = solver.solve_max(2, 3, &[0.9, 0.1, 0.0, 0.8, 0.2, 0.7])?;
+/// assert_eq!(a.pairs, vec![Some(0), Some(2)]);
+/// let a = solver.solve_min(1, 2, &[3.0, 1.0])?;
+/// assert_eq!(a.pairs, vec![Some(1)]);
+/// # Ok::<(), mvs_ml::MlError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct HungarianSolver {
+    /// The signed, zero-padded square matrix, 1-indexed, row-major.
+    a: Vec<f64>,
+    u: Vec<f64>,
+    v: Vec<f64>,
+    /// `p[j]` = row matched to column `j`.
+    p: Vec<usize>,
+    way: Vec<usize>,
+    minv: Vec<f64>,
+    used: Vec<bool>,
+    result: Assignment,
+}
+
+impl HungarianSolver {
+    /// Creates a solver with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    // Pad to a square matrix with zero-cost dummy entries; dummy pairings are
-    // stripped from the result.
-    let n = rows.max(cols);
-    let sign = if maximize { -1.0 } else { 1.0 };
-    let stride = n + 1; // 1-indexed, row-major
-    let mut a = vec![0.0; stride * stride];
-    for (i, row) in input.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            a[(i + 1) * stride + j + 1] = sign * v;
-        }
+    /// Minimum-cost assignment on a flat row-major `rows × cols` matrix.
+    /// The returned assignment is valid until the next solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] when `cost.len()` is not
+    /// `rows * cols` and [`MlError::InvalidParameter`] if any cost is not
+    /// finite.
+    pub fn solve_min(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        cost: &[f64],
+    ) -> Result<&Assignment, MlError> {
+        self.solve(rows, cols, cost, false)
     }
 
-    // Jonker-style O(n³) potentials implementation of Kuhn–Munkres.
-    let mut u = vec![0.0; n + 1];
-    let mut v = vec![0.0; n + 1];
-    let mut p = vec![0usize; n + 1]; // p[j] = row matched to column j
-    let mut way = vec![0usize; n + 1];
-    let mut minv = vec![f64::INFINITY; n + 1];
-    let mut used = vec![false; n + 1];
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        minv.fill(f64::INFINITY);
-        used.fill(false);
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let row = &a[i0 * stride..(i0 + 1) * stride];
-            let mut delta = f64::INFINITY;
-            let mut j1 = 0usize;
-            for j in 1..=n {
-                if used[j] {
-                    continue;
-                }
-                let cur = row[j] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=n {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
-            }
-        }
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
+    /// Maximum-score assignment on a flat row-major `rows × cols` matrix.
+    /// The returned assignment is valid until the next solve.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`HungarianSolver::solve_min`].
+    pub fn solve_max(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        score: &[f64],
+    ) -> Result<&Assignment, MlError> {
+        self.solve(rows, cols, score, true)
     }
 
-    let mut pairs = vec![None; rows];
-    let mut total = 0.0;
-    for j in 1..=n {
-        let i = p[j];
-        if i >= 1 && i <= rows && j <= cols {
-            pairs[i - 1] = Some(j - 1);
-            total += input[i - 1][j - 1];
+    fn solve(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        input: &[f64],
+        maximize: bool,
+    ) -> Result<&Assignment, MlError> {
+        if input.len() != rows * cols {
+            return Err(MlError::DimensionMismatch {
+                expected: rows * cols,
+                found: input.len(),
+            });
         }
+        check_finite(input)?;
+        Ok(self.run(rows, cols, input, maximize))
     }
-    Ok(Assignment { pairs, total })
+
+    /// The solve proper, on validated input (`input.len() == rows * cols`,
+    /// all finite).
+    fn run(&mut self, rows: usize, cols: usize, input: &[f64], maximize: bool) -> &Assignment {
+        let HungarianSolver {
+            a,
+            u,
+            v,
+            p,
+            way,
+            minv,
+            used,
+            result,
+        } = self;
+        result.pairs.clear();
+        result.pairs.resize(rows, None);
+        result.total = 0.0;
+        if rows == 0 || cols == 0 {
+            return result;
+        }
+
+        // Pad to a square matrix with zero-cost dummy entries; dummy pairings are
+        // stripped from the result.
+        let n = rows.max(cols);
+        let sign = if maximize { -1.0 } else { 1.0 };
+        let stride = n + 1; // 1-indexed, row-major
+        a.clear();
+        a.resize(stride * stride, 0.0);
+        for (i, row) in input.chunks_exact(cols).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                a[(i + 1) * stride + j + 1] = sign * x;
+            }
+        }
+
+        // Jonker-style O(n³) potentials implementation of Kuhn–Munkres.
+        for buf in [&mut *u, &mut *v] {
+            buf.clear();
+            buf.resize(n + 1, 0.0);
+        }
+        for buf in [&mut *p, &mut *way] {
+            buf.clear();
+            buf.resize(n + 1, 0);
+        }
+        minv.resize(n + 1, f64::INFINITY);
+        used.resize(n + 1, false);
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            minv.fill(f64::INFINITY);
+            used.fill(false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let row = &a[i0 * stride..(i0 + 1) * stride];
+                let mut delta = f64::INFINITY;
+                let mut j1 = 0usize;
+                for j in 1..=n {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = row[j] - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=n {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        for j in 1..=n {
+            let i = p[j];
+            if i >= 1 && i <= rows && j <= cols {
+                result.pairs[i - 1] = Some(j - 1);
+                result.total += input[(i - 1) * cols + j - 1];
+            }
+        }
+        result
+    }
 }
 
 #[cfg(test)]

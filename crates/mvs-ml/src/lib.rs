@@ -54,7 +54,7 @@ mod validate;
 pub use dataset::{train_test_split, Standardizer};
 pub use error::MlError;
 pub use homography::estimate_homography;
-pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment};
+pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment, HungarianSolver};
 #[doc(hidden)]
 pub use knn::brute_force_k_nearest;
 pub use knn::{KnnClassifier, KnnRegressor};

@@ -2,7 +2,8 @@
 //! feeds it: rectangular matrices (tracks vs detections rarely match in
 //! count), tied costs, and degenerate all-equal matrices.
 
-use mvs_ml::{hungarian, hungarian_max, MlError};
+use mvs_ml::{hungarian, hungarian_max, HungarianSolver, MlError};
+use proptest::prelude::*;
 
 /// Brute-force minimum over all row→column injections of a (possibly
 /// rectangular) matrix — the ground truth for small instances.
@@ -166,4 +167,65 @@ fn ragged_and_non_finite_inputs_are_rejected() {
     ));
     let nan = vec![vec![1.0, f64::NAN]];
     assert!(matches!(hungarian(&nan), Err(MlError::InvalidParameter(_))));
+}
+
+/// One matrix of a solve sequence: flat row-major entries plus its shape.
+/// Entries come from a 4-point lattice (ties everywhere) or a continuous
+/// range; shapes include `0 × n`, `n × 0`, `1 × 1`, wide and tall.
+fn arb_matrix() -> impl Strategy<Value = (usize, usize, Vec<f64>)> {
+    (0usize..7, 0usize..7, any::<bool>()).prop_flat_map(|(rows, cols, lattice)| {
+        let entry = (0i32..4, -1.0f64..1.0)
+            .prop_map(move |(i, c)| if lattice { f64::from(i) * 0.25 } else { c });
+        prop::collection::vec(entry, rows * cols).prop_map(move |flat| (rows, cols, flat))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // A solver reused over matrices of changing shape carries nothing from
+    // one solve into the next: every result equals a fresh solve's, in
+    // `pairs` and in the bits of `total`.
+    #[test]
+    fn reused_solver_matches_fresh_solves_bitwise(
+        sequence in prop::collection::vec(arb_matrix(), 1..12),
+    ) {
+        let mut solver = HungarianSolver::new();
+        for (rows, cols, flat) in &sequence {
+            let nested: Vec<Vec<f64>> = if *cols == 0 {
+                vec![Vec::new(); *rows]
+            } else {
+                flat.chunks(*cols).map(<[f64]>::to_vec).collect()
+            };
+            let fresh = hungarian_max(&nested).expect("finite rectangular");
+            let reused = solver.solve_max(*rows, *cols, flat).expect("finite rectangular");
+            prop_assert_eq!(&reused.pairs, &fresh.pairs);
+            prop_assert_eq!(reused.total.to_bits(), fresh.total.to_bits());
+            let fresh = hungarian(&nested).expect("finite rectangular");
+            let reused = solver.solve_min(*rows, *cols, flat).expect("finite rectangular");
+            prop_assert_eq!(&reused.pairs, &fresh.pairs);
+            prop_assert_eq!(reused.total.to_bits(), fresh.total.to_bits());
+        }
+    }
+}
+
+#[test]
+fn solver_rejects_wrong_length_and_non_finite_input() {
+    let mut solver = HungarianSolver::new();
+    assert!(matches!(
+        solver.solve_max(2, 2, &[1.0, 2.0, 3.0]),
+        Err(MlError::DimensionMismatch {
+            expected: 4,
+            found: 3
+        })
+    ));
+    assert!(matches!(
+        solver.solve_min(1, 2, &[1.0, f64::INFINITY]),
+        Err(MlError::InvalidParameter(_))
+    ));
+    // A rejected solve leaves the solver usable.
+    assert_eq!(
+        solver.solve_min(1, 2, &[3.0, 1.0]).unwrap().pairs,
+        vec![Some(1)]
+    );
 }

@@ -132,21 +132,40 @@ impl CameraModel {
         world: &World,
         occlusion_threshold: f64,
     ) -> Vec<GroundTruthObject> {
+        let mut out = Vec::new();
+        self.visible_objects_into(world, occlusion_threshold, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`CameraModel::visible_objects`] into caller-held buffers: `out` is
+    /// cleared and filled with the view, `by_depth` is the depth-sort
+    /// working buffer. Kept across frames, neither reallocates in steady
+    /// state.
+    pub fn visible_objects_into(
+        &self,
+        world: &World,
+        occlusion_threshold: f64,
+        by_depth: &mut Vec<(f64, GroundTruthObject)>,
+        out: &mut Vec<GroundTruthObject>,
+    ) {
         let (dir, max_slope) = self.view_axes();
         // (depth, ground-truth) pairs, nearest first.
-        let mut projected: Vec<(f64, GroundTruthObject)> = world
-            .objects()
-            .iter()
-            .zip(world.positions())
-            .filter_map(|(o, &pos)| {
-                let (depth, bbox) =
-                    self.project_along(dir, max_slope, pos, o.length_m, o.height_m)?;
-                Some((depth, GroundTruthObject { id: o.id, bbox }))
-            })
-            .collect();
-        projected.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite depth"));
-        let mut out: Vec<GroundTruthObject> = Vec::with_capacity(projected.len());
-        for (_, gt) in projected {
+        by_depth.clear();
+        by_depth.extend(
+            world
+                .objects()
+                .iter()
+                .zip(world.positions())
+                .filter_map(|(o, &pos)| {
+                    let (depth, bbox) =
+                        self.project_along(dir, max_slope, pos, o.length_m, o.height_m)?;
+                    Some((depth, GroundTruthObject { id: o.id, bbox }))
+                }),
+        );
+        by_depth.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite depth"));
+        out.clear();
+        out.reserve(by_depth.len());
+        for &(_, gt) in by_depth.iter() {
             let occluded = out
                 .iter()
                 .any(|nearer| gt.bbox.coverage_by(&nearer.bbox) >= occlusion_threshold);
@@ -154,7 +173,6 @@ impl CameraModel {
                 out.push(gt);
             }
         }
-        out
     }
 }
 

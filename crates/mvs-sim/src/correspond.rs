@@ -169,6 +169,16 @@ impl TrainedAssociation {
     ) -> Option<mvs_geometry::BBox> {
         self.models.get(&(src, dst))?.predict(bbox)
     }
+
+    /// Whether a box seen by `src` is visible on `dst` per the pair models:
+    /// `self.map_box(src, dst, bbox).is_some()` without regressing the box
+    /// nobody reads (see [`CameraPairModel::is_visible`]). No model means
+    /// not visible.
+    pub fn is_visible(&self, src: usize, dst: usize, bbox: &mvs_geometry::BBox) -> bool {
+        self.models
+            .get(&(src, dst))
+            .is_some_and(|model| model.is_visible(bbox))
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use crate::network::NetworkModel;
 use crate::scenario::Scenario;
 use crate::worker::{par_map, resolve_threads, CameraWorker, FrameScratch};
 use crate::world::World;
+use mvs_assoc::AssociationScratch;
 use mvs_core::extensions::balb_redundant;
 use mvs_core::{
     balb_sharded, scan_takeovers_into, BalbSchedule, BalbSolver, CameraId, CameraInfo,
@@ -40,8 +41,8 @@ use mvs_metrics::{
 };
 use mvs_trace::{span_into, Stage, Trace, TraceRecorder};
 use mvs_vision::{
-    slice_regions_into, Detection, DetectionModel, FlowTracker, GroundTruthObject, LatencyProfile,
-    RegionTask, SimulatedDetector, SizeCounts, TrackerConfig,
+    slice_regions_into, Detection, DetectionModel, FlowTracker, LatencyProfile, RegionTask,
+    SimulatedDetector, SizeCounts, TrackerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -330,16 +331,46 @@ fn run_frames(mut pipeline: TenantPipeline) -> (PipelineResult, Option<Trace>) {
 /// noisy classifier answer must not steal a tracked object.
 const TAKEOVER_HYSTERESIS: u32 = 3;
 
-/// One camera's output for a regular frame, produced on a pool thread and
-/// merged in camera-index order.
+/// One camera's numbers for a regular frame, produced on a pool thread and
+/// merged in camera-index order. The lists of the frame — detected
+/// identities, takeovers (already seeded in the worker's own tracker; the
+/// shared assignment is extended at merge) — stay in the worker's
+/// [`FrameScratch`], where the merge reads them.
 struct RegularOutput {
     latency_ms: f64,
-    detected: Vec<u64>,
-    /// Global object indices this camera took over (already seeded in the
-    /// worker's own tracker; the shared assignment is extended at merge).
-    taken: Vec<usize>,
     probes: usize,
     sample: OverheadSample,
+}
+
+/// The coordinator's counterpart of [`FrameScratch`]: the per-frame lists
+/// and sets of the serial merge, and the key frame's round-trip and
+/// association buffers. Cleared, never shrunk, so the coordinator side of a
+/// steady-state frame allocates nothing that grows with the fleet.
+#[derive(Debug, Default)]
+struct CoordinatorScratch {
+    /// Per-camera DNN latency of the current frame.
+    latency: Vec<f64>,
+    /// Per-camera overhead sample of the current frame.
+    oh: Vec<OverheadSample>,
+    /// Objects truly visible *now* to any camera, dead ones included (the
+    /// recall denominator, so lost coverage degrades recall instead of
+    /// shrinking the test).
+    visible: HashSet<u64>,
+    /// The subset of `visible` in front of at least one *alive* camera;
+    /// filled only while some camera is dead.
+    covered: HashSet<u64>,
+    /// Objects detected by any camera in the current frame.
+    detected: HashSet<u64>,
+    /// Key-frame uplink / downlink deliveries per camera (`Some(k)` =
+    /// delivered after `k` lost attempts) and who completed the round trip.
+    up: Vec<Option<u32>>,
+    down: Vec<Option<u32>>,
+    synced: Vec<bool>,
+    /// The synced cameras' uploaded boxes, input to association.
+    boxes: Vec<Vec<BBox>>,
+    /// Working memory of the association round; borrowed by the solve
+    /// closure, which may run on a pool worker.
+    assoc: AssociationScratch,
 }
 
 /// The one central solve of a key frame, chosen by what the horizon needs:
@@ -399,6 +430,8 @@ struct Pipeline {
     alive_scratch: Vec<bool>,
     /// Reused backing store for key-frame [`UploadMessage`] object lists.
     upload_scratch: Vec<ObjectRecord>,
+    /// Reused per-frame coordinator buffers (see [`CoordinatorScratch`]).
+    scratch: CoordinatorScratch,
     /// Amortized central-stage cost charged to every frame of the horizon.
     central_per_frame_ms: f64,
     /// Structured-tracing recorder; `None` (the default) keeps every
@@ -487,8 +520,10 @@ impl Pipeline {
                     detector: SimulatedDetector::new(config.detection, frame),
                     tracker: FlowTracker::new(config.tracker, frame),
                     rng: CameraWorker::stream_rng(config.seed, i),
+                    view: Vec::new(),
                     prev_view: scenario.cameras[i]
                         .visible_objects(&world, scenario.occlusion_threshold),
+                    truth: Vec::new(),
                     history: VecDeque::new(),
                     shadows: BTreeMap::new(),
                     track_global: HashMap::new(),
@@ -513,6 +548,7 @@ impl Pipeline {
             solver: BalbSolver::new(),
             alive_scratch: Vec::new(),
             upload_scratch: Vec::new(),
+            scratch: CoordinatorScratch::default(),
             central_per_frame_ms: 0.0,
             tracer: None,
             frames_done: 0,
@@ -553,40 +589,52 @@ impl Pipeline {
         if is_key {
             self.step_faults(workers);
         }
-        let (views, visible, covered) = self.observe(workers);
+        self.observe(workers);
         if !self.faults.all_alive() {
             // Coverage irrecoverably lost to dead cameras: objects no
             // surviving camera can see still count against recall.
+            let CoordinatorScratch {
+                visible, covered, ..
+            } = &self.scratch;
             self.degradation.degraded_frames += 1;
             self.degradation.coverage_lost_objects +=
                 visible.iter().filter(|id| !covered.contains(id)).count() as u64;
         }
 
-        let (frame_latency, detected, oh) = match self.config.algorithm {
-            Algorithm::Full => self.full_frame(workers, &views),
-            _ if is_key => self.key_frame(workers, &views),
-            _ => self.regular_frame(workers, &views),
-        };
+        // Each fills this frame's `latency`, `detected` and `oh`.
+        match self.config.algorithm {
+            Algorithm::Full => self.full_frame(workers),
+            _ if is_key => self.key_frame(workers),
+            _ => self.regular_frame(workers),
+        }
+        let CoordinatorScratch {
+            latency,
+            oh,
+            visible,
+            detected,
+            ..
+        } = &self.scratch;
 
         // Recall is judged against what is truly in front of the
         // cameras *now*, which is what makes lag hurt.
-        self.recall.record(visible, detected);
-        let system = frame_latency.iter().fold(0.0, |a: f64, &b| a.max(b));
+        self.recall
+            .record_against(visible.iter().copied(), detected);
+        let system = latency.iter().fold(0.0, |a: f64, &b| a.max(b));
         if system.is_finite() {
             self.latency.push(system);
         } else {
             self.degradation.rejected_samples += 1;
         }
-        for (series, &l) in self.per_camera.iter_mut().zip(&frame_latency) {
+        for (series, &l) in self.per_camera.iter_mut().zip(latency) {
             if l.is_finite() {
                 series.push(l);
             } else {
                 self.degradation.rejected_samples += 1;
             }
         }
-        self.overhead.record_frame(&oh);
-        for (w, view) in workers.iter_mut().zip(views) {
-            w.prev_view = view;
+        self.overhead.record_frame(oh);
+        for w in workers.iter_mut() {
+            std::mem::swap(&mut w.prev_view, &mut w.view);
         }
         if let Some(t) = &mut self.tracer {
             t.end_frame(workers.iter_mut().filter_map(|w| w.trace.as_mut()));
@@ -658,92 +706,72 @@ impl Pipeline {
     }
 
     /// Per-camera observation stage (parallel): extract the camera's view
-    /// of the stepped world, apply its processing lag, and estimate
-    /// optical flow against the previous frame into the worker's scratch
-    /// arena ([`FrameScratch::flow`], skipped for the Full baseline, which
-    /// never consumes it).
+    /// of the stepped world into the worker's `view` buffer, apply its
+    /// processing lag, and estimate optical flow against the previous frame
+    /// into the worker's scratch arena ([`FrameScratch::flow`], skipped for
+    /// the Full baseline, which never consumes it).
     ///
-    /// Returns the lag-adjusted views, the set of objects truly visible
-    /// *now* (the recall denominator — dead cameras included, so lost
-    /// coverage degrades recall instead of shrinking the test), and the
-    /// subset of those visible to at least one *alive* camera.
-    fn observe(
-        &self,
-        workers: &mut [CameraWorker],
-    ) -> (Vec<Vec<GroundTruthObject>>, HashSet<u64>, HashSet<u64>) {
+    /// Then fills the recall sets straight from the workers' true views:
+    /// [`CoordinatorScratch::visible`] and, while a camera is dead,
+    /// [`CoordinatorScratch::covered`].
+    fn observe(&mut self, workers: &mut [CameraWorker]) {
         let wants_flow = self.config.algorithm != Algorithm::Full;
         let occlusion = self.scenario.occlusion_threshold;
         let noise = self.config.flow_noise_px;
         let cameras = &self.scenario.cameras;
         let world = &self.world;
         let alive = self.faults.alive();
-        let outs = par_map(workers, self.threads, |w| {
-            let true_view = cameras[w.index].visible_objects(world, occlusion);
-            let ids: Vec<u64> = true_view.iter().map(|g| g.id).collect();
-            // A dead camera produces no frames: its processed view is
-            // empty and its flow estimate degenerates to the identity
-            // (drawing nothing from its RNG stream).
-            let view = if !alive[w.index] {
-                Vec::new()
-            } else if w.lag == 0 {
-                // Perfectly synchronized camera: the true view *is* the
-                // processed view; skip the ring buffer entirely.
-                true_view
-            } else {
-                // Push once (a move, not a clone); clone only the lagged
-                // front view actually read.
-                w.history.push_back(true_view);
-                if w.history.len() > w.lag + 1 {
-                    w.history.pop_front();
-                }
-                w.history.front().expect("just pushed").clone()
-            };
+        par_map(workers, self.threads, |w| {
+            w.observe(&cameras[w.index], world, occlusion, alive[w.index]);
+            // A dead camera's empty view degenerates the flow estimate to
+            // the identity (drawing nothing from its RNG stream).
             if wants_flow {
                 w.scratch
                     .flow
-                    .estimate_into(&w.prev_view, &view, noise, &mut w.rng);
+                    .estimate_into(&w.prev_view, &w.view, noise, &mut w.rng);
             }
-            (ids, view)
         });
-        let mut views = Vec::with_capacity(outs.len());
-        let mut visible = HashSet::new();
-        let mut covered = HashSet::new();
+        let CoordinatorScratch {
+            visible, covered, ..
+        } = &mut self.scratch;
+        visible.clear();
+        covered.clear();
         let track_coverage = !self.faults.all_alive();
-        for (i, (ids, view)) in outs.into_iter().enumerate() {
-            if track_coverage && alive[i] {
-                covered.extend(ids.iter().copied());
+        for w in workers.iter() {
+            let ids = w.true_view(alive[w.index]).iter().map(|g| g.id);
+            if track_coverage && alive[w.index] {
+                covered.extend(ids.clone());
             }
             visible.extend(ids);
-            views.push(view);
         }
-        (views, visible, covered)
     }
 
     /// The Full baseline: full-frame inspection everywhere, every frame.
-    fn full_frame(
-        &self,
-        workers: &mut [CameraWorker],
-        views: &[Vec<GroundTruthObject>],
-    ) -> (Vec<f64>, HashSet<u64>, Vec<OverheadSample>) {
+    fn full_frame(&mut self, workers: &mut [CameraWorker]) {
         let alive = self.faults.alive();
         let outs = par_map(workers, self.threads, |w| {
             if !alive[w.index] {
                 return (0.0, Vec::new());
             }
             let full_ms = w.profile.full_frame_ms();
-            let dets = w.detector.detect_full_frame(&views[w.index], &mut w.rng);
+            let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
             span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
-            let ids: Vec<u64> = dets.iter().filter_map(|d| d.truth_id).collect();
-            (full_ms, ids)
+            (full_ms, dets)
         });
-        let m = outs.len();
-        let mut latency = Vec::with_capacity(m);
-        let mut detected = HashSet::new();
-        for (l, ids) in outs {
+        let CoordinatorScratch {
+            latency,
+            oh,
+            detected,
+            ..
+        } = &mut self.scratch;
+        latency.clear();
+        detected.clear();
+        for (l, dets) in outs {
             latency.push(l);
-            detected.extend(ids);
+            detected.extend(dets.iter().filter_map(|d| d.truth_id));
         }
-        (latency, detected, vec![OverheadSample::default(); m])
+        oh.clear();
+        oh.resize(workers.len(), OverheadSample::default());
     }
 
     /// The key-frame uplink leg: the slowest camera's upload round trip
@@ -791,13 +819,9 @@ impl Pipeline {
 
     /// A key frame for the tracking-based algorithms: parallel full-frame
     /// inspection, then serial cross-camera coordination.
-    fn key_frame(
-        &mut self,
-        workers: &mut [CameraWorker],
-        views: &[Vec<GroundTruthObject>],
-    ) -> (Vec<f64>, HashSet<u64>, Vec<OverheadSample>) {
+    fn key_frame(&mut self, workers: &mut [CameraWorker]) {
         self.stats.key_frames += 1;
-        let m = views.len();
+        let m = workers.len();
         self.alive_scratch.clear();
         self.alive_scratch.extend_from_slice(self.faults.alive());
         let alive = &self.alive_scratch;
@@ -806,12 +830,23 @@ impl Pipeline {
                 return (Vec::new(), 0.0);
             }
             let full_ms = w.profile.full_frame_ms();
-            let dets = w.detector.detect_full_frame(&views[w.index], &mut w.rng);
+            let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
             span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
             (dets, full_ms)
         });
-        let mut detected = HashSet::new();
-        let mut latency = Vec::with_capacity(m);
+        let CoordinatorScratch {
+            latency,
+            oh,
+            detected,
+            up,
+            down,
+            synced,
+            boxes,
+            assoc,
+            ..
+        } = &mut self.scratch;
+        detected.clear();
+        latency.clear();
         let mut all_dets: Vec<Vec<Detection>> = Vec::with_capacity(m);
         for (dets, l) in det_outs {
             detected.extend(dets.iter().filter_map(|d| d.truth_id));
@@ -825,8 +860,10 @@ impl Pipeline {
         // All draws happen here, on the coordinator, in camera-index
         // order; the scheduler only answers cameras it heard from.
         let is_central = matches!(self.config.algorithm, Algorithm::BalbCen | Algorithm::Balb);
-        let mut up: Vec<Option<u32>> = vec![None; m];
-        let mut down: Vec<Option<u32>> = vec![None; m];
+        for leg in [&mut *up, &mut *down] {
+            leg.clear();
+            leg.resize(m, None);
+        }
         if is_central {
             for i in 0..m {
                 if alive[i] {
@@ -872,7 +909,8 @@ impl Pipeline {
                 }
             }
         }
-        let synced: Vec<bool> = (0..m).map(|i| down[i].is_some()).collect();
+        synced.clear();
+        synced.extend(down.iter().map(Option::is_some));
 
         // Reset per-horizon state. A desynchronized camera (alive but out
         // of the round trip) keeps its running tracks and stale mask, but
@@ -890,7 +928,6 @@ impl Pipeline {
                 w.track_global.clear();
             }
         }
-        self.assignment = Vec::new();
         self.central_per_frame_ms = 0.0;
 
         match self.config.algorithm {
@@ -946,17 +983,14 @@ impl Pipeline {
                 // enter the schedule: an unacknowledged camera discards
                 // the horizon, so every scheduled object has a camera that
                 // actually tracks it.
-                let boxes: Vec<Vec<BBox>> = all_dets
-                    .iter()
-                    .enumerate()
-                    .map(|(cam, d)| {
-                        if synced[cam] {
-                            d.iter().map(|x| x.bbox).collect()
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect();
+                boxes.resize_with(m, Vec::new);
+                for (cam, (list, dets)) in boxes.iter_mut().zip(&all_dets).enumerate() {
+                    list.clear();
+                    if synced[cam] {
+                        list.extend(dets.iter().map(|d| d.bbox));
+                    }
+                }
+                let boxes = &*boxes;
                 let synced_cams: Vec<CameraId> =
                     (0..m).filter(|&i| synced[i]).map(CameraId).collect();
                 let cameras: Vec<CameraInfo> = workers
@@ -979,80 +1013,83 @@ impl Pipeline {
                 let config = &self.config;
                 let trained = &self.trained;
                 let solver = &mut self.solver;
+                let assignment = &mut self.assignment;
                 let mut recorder = self.tracer.as_mut();
                 let synced_cams_ref = &synced_cams;
-                let solve = move || {
-                    if synced_cams_ref.is_empty() {
-                        return None;
-                    }
-                    let globals = {
-                        let trained = trained.as_ref().expect("association is trained");
-                        trained.engine.associate(&boxes)
-                    };
-                    // Build the MVS instance over the full deployment …
-                    let margin = 1.0 + config.tracker.margin_frac;
-                    let objects: Vec<ObjectInfo> = globals
-                        .iter()
-                        .enumerate()
-                        .map(|(g, go)| {
-                            let sizes: BTreeMap<CameraId, SizeClass> = go
-                                .members
-                                .iter()
-                                .map(|&(cam, det)| {
-                                    let b = boxes[cam][det];
-                                    (
-                                        CameraId(cam),
-                                        SizeClass::quantize(
-                                            b.width() * margin,
-                                            b.height() * margin,
-                                        ),
-                                    )
-                                })
-                                .collect();
-                            ObjectInfo {
-                                id: ObjectId(g),
-                                sizes,
-                            }
-                        })
-                        .collect();
-                    let problem =
-                        MvsProblem::new(cameras, objects).expect("pipeline builds valid instances");
-                    // … and solve on the synced sub-fleet when degraded. An
-                    // `Err` means no schedulable camera survived the
-                    // restriction after all — coast like the all-desynced
-                    // case instead of crashing.
-                    let subset = if synced_cams_ref.len() == m {
-                        None
-                    } else {
-                        Some(problem.restrict_to_cameras(synced_cams_ref).ok()?)
-                    };
-                    let schedule = central_schedule(solver, problem, subset.as_ref(), config);
-                    let solved = schedule.assignment.len();
-                    span_into(
-                        recorder.as_mut().map(|t| t.coordinator()),
-                        Stage::Central,
-                        0.0,
-                        solved,
-                    );
-                    // Owners and priority back in deployment ids (objects
-                    // the restriction lost keep an empty owner list).
-                    let mut assignment = vec![Vec::new(); globals.len()];
-                    for j in 0..solved {
-                        let orig = subset.as_ref().map_or(j, |s| s.objects[j].0);
-                        assignment[orig] = schedule
-                            .assignment
-                            .owners_of(ObjectId(j))
+                let solve =
+                    move || {
+                        if synced_cams_ref.is_empty() {
+                            return None;
+                        }
+                        let globals = {
+                            let trained = trained.as_ref().expect("association is trained");
+                            trained.engine.associate_with(boxes, assoc)
+                        };
+                        // Build the MVS instance over the full deployment …
+                        let margin = 1.0 + config.tracker.margin_frac;
+                        let objects: Vec<ObjectInfo> = globals
                             .iter()
-                            .map(|&c| subset.as_ref().map_or(c, |s| s.original_camera(c)).0)
+                            .enumerate()
+                            .map(|(g, go)| {
+                                let sizes: BTreeMap<CameraId, SizeClass> = go
+                                    .members
+                                    .iter()
+                                    .map(|&(cam, det)| {
+                                        let b = boxes[cam][det];
+                                        (
+                                            CameraId(cam),
+                                            SizeClass::quantize(
+                                                b.width() * margin,
+                                                b.height() * margin,
+                                            ),
+                                        )
+                                    })
+                                    .collect();
+                                ObjectInfo {
+                                    id: ObjectId(g),
+                                    sizes,
+                                }
+                            })
                             .collect();
-                    }
-                    let priority = match (&subset, schedule) {
-                        (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
-                        (None, Cow::Owned(schedule)) => schedule.priority,
-                        (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
+                        let problem = MvsProblem::new(cameras, objects)
+                            .expect("pipeline builds valid instances");
+                        // … and solve on the synced sub-fleet when degraded. An
+                        // `Err` means no schedulable camera survived the
+                        // restriction after all — coast like the all-desynced
+                        // case instead of crashing.
+                        let subset = if synced_cams_ref.len() == m {
+                            None
+                        } else {
+                            Some(problem.restrict_to_cameras(synced_cams_ref).ok()?)
+                        };
+                        let schedule = central_schedule(solver, problem, subset.as_ref(), config);
+                        let solved = schedule.assignment.len();
+                        span_into(
+                            recorder.as_mut().map(|t| t.coordinator()),
+                            Stage::Central,
+                            0.0,
+                            solved,
+                        );
+                        // Owners and priority back in deployment ids (objects
+                        // the restriction lost keep an empty owner list), over
+                        // the previous horizon's owner lists.
+                        assignment.iter_mut().for_each(Vec::clear);
+                        assignment.resize_with(globals.len(), Vec::new);
+                        for j in 0..solved {
+                            let orig = subset.as_ref().map_or(j, |s| s.objects[j].0);
+                            assignment[orig].extend(
+                                schedule.assignment.owners_of(ObjectId(j)).iter().map(|&c| {
+                                    subset.as_ref().map_or(c, |s| s.original_camera(c)).0
+                                }),
+                            );
+                        }
+                        let priority = match (&subset, schedule) {
+                            (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
+                            (None, Cow::Owned(schedule)) => schedule.priority,
+                            (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
+                        };
+                        Some((globals, priority))
                     };
-                    Some((globals, assignment, priority))
-                };
 
                 // The uplink leg never depends on the solve, only on what
                 // the cameras uploaded — the sync delay the pipelined path
@@ -1066,12 +1103,12 @@ impl Pipeline {
                 let network = &self.config.network;
                 let (outcome, uplink_phase) = if self.config.pipelined && self.threads > 1 {
                     mvs_exec::pool().join(solve, || {
-                        Self::uplink_phase_ms(&all_dets, &up, &model, network, &mut records)
+                        Self::uplink_phase_ms(&all_dets, up, &model, network, &mut records)
                     })
                 } else {
                     let outcome = solve();
                     let uplink =
-                        Self::uplink_phase_ms(&all_dets, &up, &model, network, &mut records);
+                        Self::uplink_phase_ms(&all_dets, up, &model, network, &mut records);
                     (outcome, uplink)
                 };
                 self.upload_scratch = records;
@@ -1080,8 +1117,7 @@ impl Pipeline {
                 // shadows, rebuild the distributed-stage masks.
                 let mut priority: Vec<CameraId> = Vec::new();
                 let solved = match outcome {
-                    Some((globals, assignment, new_priority)) => {
-                        self.assignment = assignment;
+                    Some((globals, new_priority)) => {
                         priority = new_priority;
                         for (g, go) in globals.iter().enumerate() {
                             let owners = &self.assignment[g];
@@ -1110,7 +1146,10 @@ impl Pipeline {
                         }
                         true
                     }
-                    None => false,
+                    None => {
+                        self.assignment.clear();
+                        false
+                    }
                 };
                 if !solved {
                     // Nobody heard the scheduler this horizon (or nothing
@@ -1153,14 +1192,14 @@ impl Pipeline {
             }
             Algorithm::Full => unreachable!("handled by full_frame"),
         }
-        let oh = vec![
+        oh.clear();
+        oh.resize(
+            m,
             OverheadSample {
                 central_ms: self.central_per_frame_ms,
                 ..Default::default()
-            };
-            m
-        ];
-        (latency, detected, oh)
+            },
+        );
     }
 
     /// A regular frame: flow prediction, slicing, batched partial
@@ -1172,12 +1211,7 @@ impl Pipeline {
     /// camera's takeover from the *same* frame (in exchange, the outcome
     /// cannot depend on camera scheduling order). The winners extend the
     /// shared assignment during the serial merge.
-    fn regular_frame(
-        &mut self,
-        workers: &mut [CameraWorker],
-        views: &[Vec<GroundTruthObject>],
-    ) -> (Vec<f64>, HashSet<u64>, Vec<OverheadSample>) {
-        let m = views.len();
+    fn regular_frame(&mut self, workers: &mut [CameraWorker]) {
         let algorithm = self.config.algorithm;
         let measured = self.config.measured_overheads;
         let central_ms = self.central_per_frame_ms;
@@ -1198,14 +1232,15 @@ impl Pipeline {
             par_map(workers, self.threads, |w| {
                 let i = w.index;
                 let frame_dims = w.frame;
+                // The merge reads these two lists from every worker.
+                w.scratch.takeover_seeds.clear();
+                w.scratch.detections.clear();
                 if !alive[i] {
                     // A dead camera does no work; it still carries the
                     // amortized central cost like every other column of
                     // Table II.
                     return RegularOutput {
                         latency_ms: 0.0,
-                        detected: Vec::new(),
-                        taken: Vec::new(),
                         probes: 0,
                         sample: OverheadSample {
                             central_ms,
@@ -1241,7 +1276,6 @@ impl Pipeline {
                 // 2. Distributed stage (measured): takeover scan against
                 // the frame-start assignment snapshot.
                 let distributed_started = measured.then(Instant::now);
-                w.scratch.takeover_seeds.clear();
                 // A camera without a mask (rejoined but not yet resynced)
                 // skips the takeover scan; its shadows are empty anyway.
                 if let (Algorithm::Balb, Some(mask)) = (algorithm, w.mask.as_ref()) {
@@ -1261,7 +1295,7 @@ impl Pipeline {
                                 ShadowVerdict::OwnedHere
                             } else if owners
                                 .iter()
-                                .all(|&owner| trained.map_box(i, owner, bbox).is_none())
+                                .all(|&owner| !trained.is_visible(i, owner, bbox))
                             {
                                 ShadowVerdict::Gone
                             } else {
@@ -1326,7 +1360,7 @@ impl Pipeline {
                                 // check the world region behind the
                                 // cluster.
                                 let partition = partition.expect("SP partition");
-                                views[i].iter().any(|g| {
+                                w.view.iter().any(|g| {
                                     g.bbox.coverage_by(&region) >= 0.35
                                         && world
                                             .objects()
@@ -1358,14 +1392,14 @@ impl Pipeline {
                 let latency_ms = counts.latency_ms(&w.profile);
                 span_into(w.trace.as_mut(), Stage::Batch, batching_ms, batches);
                 span_into(w.trace.as_mut(), Stage::Detect, latency_ms, counts.total());
-                w.scratch.detections.clear();
                 for task in &w.scratch.tasks {
-                    w.scratch.detections.extend(w.detector.detect_region(
+                    w.detector.detect_region_into(
                         &task.region,
                         task.size,
-                        &views[i],
+                        &w.view,
                         &mut w.rng,
-                    ));
+                        &mut w.scratch.detections,
+                    );
                 }
                 // Deduplicate: neighbouring crops can both cover one
                 // object. (Stable sort: equal ids keep insertion order, so
@@ -1374,17 +1408,12 @@ impl Pipeline {
                 w.scratch
                     .detections
                     .dedup_by(|a, b| a.truth_id.is_some() && a.truth_id == b.truth_id);
-                let detected: Vec<u64> = w
-                    .scratch
-                    .detections
-                    .iter()
-                    .filter_map(|d| d.truth_id)
-                    .collect();
 
                 // 6. Track association + lifecycle.
-                let outcome = w.tracker.associate(&w.scratch.detections);
+                w.tracker
+                    .associate_into(&w.scratch.detections, &mut w.scratch.outcome);
                 if probe_allowed {
-                    for &di in &outcome.unmatched_detections {
+                    for &di in &w.scratch.outcome.unmatched_detections {
                         let d = &w.scratch.detections[di];
                         w.tracker.seed(d.bbox, d.truth_id);
                     }
@@ -1409,8 +1438,6 @@ impl Pipeline {
                 );
                 RegularOutput {
                     latency_ms,
-                    detected,
-                    taken: w.scratch.takeover_seeds.iter().map(|&(g, _)| g).collect(),
                     probes,
                     sample: OverheadSample {
                         central_ms,
@@ -1424,20 +1451,25 @@ impl Pipeline {
         };
 
         // Index-ordered merge of the cross-camera effects.
-        let mut latency = Vec::with_capacity(m);
-        let mut detected = HashSet::new();
-        let mut oh = Vec::with_capacity(m);
-        for (i, out) in outs.into_iter().enumerate() {
-            self.stats.takeovers += out.taken.len();
-            for g in out.taken {
-                self.assignment[g].push(i);
+        let CoordinatorScratch {
+            latency,
+            oh,
+            detected,
+            ..
+        } = &mut self.scratch;
+        latency.clear();
+        detected.clear();
+        oh.clear();
+        for (w, out) in workers.iter().zip(outs) {
+            self.stats.takeovers += w.scratch.takeover_seeds.len();
+            for &(g, _) in &w.scratch.takeover_seeds {
+                self.assignment[g].push(w.index);
             }
             self.stats.probes += out.probes;
             latency.push(out.latency_ms);
-            detected.extend(out.detected);
+            detected.extend(w.scratch.detections.iter().filter_map(|d| d.truth_id));
             oh.push(out.sample);
         }
-        (latency, detected, oh)
     }
 }
 

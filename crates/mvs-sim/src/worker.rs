@@ -13,12 +13,14 @@
 //! camera-index order, so results are bitwise identical at any thread
 //! count — including one.
 
+use crate::camera::CameraModel;
+use crate::world::World;
 use mvs_core::{CameraMask, ShadowTrack};
 use mvs_geometry::{BBox, FrameDims};
 use mvs_trace::TraceBuf;
 use mvs_vision::{
-    Detection, FlowField, FlowTracker, GroundTruthObject, LatencyProfile, NewRegionFinder,
-    RegionTask, SimulatedDetector, TrackId,
+    AssociationOutcome, Detection, FlowField, FlowTracker, GroundTruthObject, LatencyProfile,
+    NewRegionFinder, RegionTask, SimulatedDetector, TrackId,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,10 +44,16 @@ pub(crate) struct FrameScratch {
     pub fresh: Vec<BBox>,
     /// Column-major scratch for the new-region coverage test.
     pub regions: NewRegionFinder,
-    /// `(global index, seed box)` pairs from the takeover scan.
+    /// `(global index, seed box)` pairs from the takeover scan; the serial
+    /// merge reads this frame's takeovers from here.
     pub takeover_seeds: Vec<(usize, BBox)>,
-    /// Detections accumulated across this frame's crop tasks.
+    /// Detections accumulated across this frame's crop tasks (deduplicated);
+    /// the serial merge reads this frame's detected identities from here.
     pub detections: Vec<Detection>,
+    /// Which of `detections` matched a track.
+    pub outcome: AssociationOutcome,
+    /// Depth-sort buffer of the view projection.
+    pub by_depth: Vec<(f64, GroundTruthObject)>,
 }
 
 impl FrameScratch {
@@ -72,8 +80,16 @@ pub(crate) struct CameraWorker {
     pub tracker: FlowTracker,
     /// Private deterministic RNG stream (stream `index + 1` of the seed).
     pub rng: ChaCha8Rng,
-    /// Previous frame's (lag-adjusted) view, input to flow estimation.
+    /// This frame's processed (lag-adjusted; empty while dead) view, filled
+    /// by [`CameraWorker::observe`].
+    pub view: Vec<GroundTruthObject>,
+    /// Previous frame's processed view, input to flow estimation. The frame
+    /// loop swaps it with `view` at the end of every frame, so the two
+    /// buffers alternate and neither is reallocated.
     pub prev_view: Vec<GroundTruthObject>,
+    /// This frame's true view when it is not `view` itself (a dead or
+    /// lagged camera); read through [`CameraWorker::true_view`].
+    pub truth: Vec<GroundTruthObject>,
     /// Ring buffer of recent true views; only kept when `lag > 0`.
     pub history: VecDeque<Vec<GroundTruthObject>>,
     /// Shadow boxes of objects visible here but assigned elsewhere, keyed
@@ -102,6 +118,49 @@ impl CameraWorker {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_stream(index as u64 + 1);
         rng
+    }
+
+    /// A live, synchronized camera processes exactly what is in front of
+    /// it: its true view is projected straight into `view`.
+    fn sees_truth(&self, alive: bool) -> bool {
+        alive && self.lag == 0
+    }
+
+    /// Extracts this camera's view of the stepped world into `view`,
+    /// reusing the worker's buffers. A dead camera produces no frames (its
+    /// processed view is empty); a lagged one processes the scene as it
+    /// looked `lag` frames ago (or the oldest view it has).
+    pub fn observe(&mut self, camera: &CameraModel, world: &World, occlusion: f64, alive: bool) {
+        let target = if self.sees_truth(alive) {
+            &mut self.view
+        } else {
+            &mut self.truth
+        };
+        camera.visible_objects_into(world, occlusion, &mut self.scratch.by_depth, target);
+        if !alive {
+            self.view.clear();
+        } else if self.lag > 0 {
+            // A full ring recycles its oldest buffer for the newest view.
+            let mut newest = if self.history.len() > self.lag {
+                self.history.pop_front().expect("a full ring is not empty")
+            } else {
+                Vec::new()
+            };
+            newest.clone_from(&self.truth);
+            self.history.push_back(newest);
+            self.view
+                .clone_from(self.history.front().expect("just pushed"));
+        }
+    }
+
+    /// What is truly in front of the camera *now*, as of the last
+    /// [`CameraWorker::observe`] with the same `alive`.
+    pub fn true_view(&self, alive: bool) -> &[GroundTruthObject] {
+        if self.sees_truth(alive) {
+            &self.view
+        } else {
+            &self.truth
+        }
     }
 }
 
@@ -136,7 +195,9 @@ mod tests {
             detector: SimulatedDetector::new(DetectionModel::default(), frame),
             tracker: FlowTracker::new(TrackerConfig::default(), frame),
             rng: CameraWorker::stream_rng(7, index),
+            view: Vec::new(),
             prev_view: Vec::new(),
+            truth: Vec::new(),
             history: VecDeque::new(),
             shadows: BTreeMap::new(),
             track_global: HashMap::new(),

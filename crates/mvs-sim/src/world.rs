@@ -51,6 +51,11 @@ pub struct World {
     /// filled on first read. Not part of equality or the serialized form.
     #[serde(skip)]
     positions: OnceLock<Vec<Point2>>,
+    /// Working buffer of [`World::step`]: object indices in move order.
+    /// Refilled by every step; like `positions`, not part of equality or
+    /// the serialized form.
+    #[serde(skip)]
+    move_order: Vec<usize>,
 }
 
 impl PartialEq for World {
@@ -78,6 +83,7 @@ impl World {
             time_s: 0.0,
             next_id: 0,
             positions: OnceLock::new(),
+            move_order: Vec::new(),
         }
     }
 
@@ -122,30 +128,41 @@ impl World {
     pub fn step<R: Rng + ?Sized>(&mut self, dt_s: f64, rng: &mut R) {
         assert!(dt_s > 0.0, "time step must be positive");
         // Move, lane by lane, front-to-back so leader gaps use current-step
-        // leader positions consistently.
-        for lane_idx in 0..self.lanes.len() {
+        // leader positions consistently: one sort by (lane, progress
+        // descending) puts every lane's vehicles leader first; equal
+        // progress keeps object order.
+        self.move_order.clear();
+        self.move_order.extend(0..self.objects.len());
+        // The index as last key makes the order total, so the unstable sort
+        // gives the stable one's result without its merge buffer.
+        self.move_order.sort_unstable_by(|&a, &b| {
+            let (oa, ob) = (&self.objects[a], &self.objects[b]);
+            oa.route
+                .cmp(&ob.route)
+                .then_with(|| {
+                    ob.progress_m
+                        .partial_cmp(&oa.progress_m)
+                        .expect("finite progress")
+                })
+                .then(a.cmp(&b))
+        });
+        let mut leader: Option<(usize, f64)> = None; // (lane, rear position)
+        for &i in &self.move_order {
+            let lane_idx = self.objects[i].route;
             let lane = &self.lanes[lane_idx];
-            let nominal = lane.route.speed_mps;
-            // Vehicles on this lane sorted by progress descending (leader
-            // first).
-            let mut idxs: Vec<usize> = (0..self.objects.len())
-                .filter(|&i| self.objects[i].route == lane_idx)
-                .collect();
-            idxs.sort_by(|&a, &b| {
-                self.objects[b]
-                    .progress_m
-                    .partial_cmp(&self.objects[a].progress_m)
-                    .expect("finite progress")
-            });
-            let mut leader_rear: Option<f64> = None;
-            for &i in &idxs {
-                let s = self.objects[i].progress_m;
-                let gap = leader_rear.map(|r| r - s);
-                let light = lane.light.as_ref().map(|l| (l, self.time_s));
-                let speed = self.following.effective_speed(nominal, s, gap, light);
-                self.objects[i].progress_m += speed * dt_s;
-                leader_rear = Some(self.objects[i].progress_m - self.objects[i].length_m);
-            }
+            let s = self.objects[i].progress_m;
+            let gap = leader
+                .filter(|&(l, _)| l == lane_idx)
+                .map(|(_, rear)| rear - s);
+            let light = lane.light.as_ref().map(|l| (l, self.time_s));
+            let speed = self
+                .following
+                .effective_speed(lane.route.speed_mps, s, gap, light);
+            self.objects[i].progress_m += speed * dt_s;
+            leader = Some((
+                lane_idx,
+                self.objects[i].progress_m - self.objects[i].length_m,
+            ));
         }
         // Despawn vehicles past the end of their route.
         let lanes = &self.lanes;

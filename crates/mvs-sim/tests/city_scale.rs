@@ -2,7 +2,9 @@
 //! follows a camera's view overlap rather than the fleet size: the sparse
 //! [`MaskPrecompute::build`], the in-place priority-walk of
 //! [`MaskPrecompute::mask_for_into`], and [`CameraModel::visible_objects`]
-//! over the world's per-frame object positions.
+//! over the world's per-frame object positions — which [`World::step`]
+//! produces from one sort of a reused index buffer, pinned below against
+//! the per-lane rescans it replaced.
 
 use mvs_core::{CameraId, CameraMask};
 use mvs_geometry::{Grid, Point2};
@@ -112,15 +114,30 @@ fn bits(view: &[GroundTruthObject]) -> Vec<(u64, [u64; 4])> {
 }
 
 fn assert_views_match(scenario: &Scenario, world: &World, what: &str) {
+    // One pair of buffers for every camera: each call must fully overwrite
+    // what the previous camera left behind.
+    let (mut by_depth, mut view) = (Vec::new(), Vec::new());
     for (i, camera) in scenario.cameras.iter().enumerate() {
+        let allocating = camera.visible_objects(world, scenario.occlusion_threshold);
         assert_eq!(
-            bits(&camera.visible_objects(world, scenario.occlusion_threshold)),
+            bits(&allocating),
             bits(&reference_visible(
                 camera,
                 world,
                 scenario.occlusion_threshold
             )),
             "camera {i} {what}"
+        );
+        camera.visible_objects_into(
+            world,
+            scenario.occlusion_threshold,
+            &mut by_depth,
+            &mut view,
+        );
+        assert_eq!(
+            bits(&view),
+            bits(&allocating),
+            "camera {i} {what}, reused buffers"
         );
     }
 }
@@ -305,5 +322,41 @@ fn sparse_build_reproduces_the_dense_masks_on_a_two_district_city() {
             "235841cf55ec4e71 14:182 15:38",
             "52e86ca2cca46959 15:220",
         ],
+    );
+}
+
+/// FNV-1a over the object count and every position's bits after each of
+/// 500 steps (the warm-up before them steps the same way).
+fn position_digest(scenario: &Scenario, seed: u64) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut world = scenario.warmed_world(30.0, &mut rng);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| hash = (hash ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    for _ in 0..500 {
+        world.step(scenario.frame_dt_s(), &mut rng);
+        mix(world.objects().len() as u64);
+        for p in world.positions() {
+            mix(p.x.to_bits());
+            mix(p.y.to_bits());
+        }
+    }
+    hash
+}
+
+// Digests of the per-lane rescan-and-stable-sort `World::step` (commit
+// b979c3c): lights, queues, despawns and arrivals over 500 steps.
+
+#[test]
+fn world_step_positions_are_pinned_on_s1_s3_and_a_city() {
+    let digests = [
+        Scenario::new(ScenarioKind::S1),
+        Scenario::new(ScenarioKind::S3),
+        city16(),
+    ]
+    .map(|scenario| format!("{:016x}", position_digest(&scenario, 7)));
+    assert_eq!(
+        digests,
+        ["a26883b6c50e5242", "5347adba8eae2f99", "6041ccad442c9cf0"],
+        "S1, S3, city16"
     );
 }

@@ -138,25 +138,36 @@ impl SimulatedDetector {
     }
 
     /// Partial-frame inspection of one crop: objects are detectable only if
-    /// the crop covers enough of them. `_size` documents the crop's
+    /// the crop covers enough of them. `size` documents the crop's
     /// quantized size (latency is accounted elsewhere).
     pub fn detect_region<R: Rng + ?Sized>(
+        &self,
+        region: &BBox,
+        size: SizeClass,
+        objects: &[GroundTruthObject],
+        rng: &mut R,
+    ) -> Vec<Detection> {
+        let mut out = Vec::new();
+        self.detect_region_into(region, size, objects, rng, &mut out);
+        out
+    }
+
+    /// [`SimulatedDetector::detect_region`] appending to `out`: a frame's
+    /// crops accumulate into one caller-held list, which in steady state
+    /// never reallocates.
+    pub fn detect_region_into<R: Rng + ?Sized>(
         &self,
         region: &BBox,
         _size: SizeClass,
         objects: &[GroundTruthObject],
         rng: &mut R,
-    ) -> Vec<Detection> {
-        let mut out = Vec::new();
-        for obj in objects {
-            if obj.bbox.coverage_by(region) < self.model.min_coverage {
-                continue;
-            }
-            if let Some(d) = self.try_detect(obj, region, rng) {
-                out.push(d);
-            }
-        }
-        out
+        out: &mut Vec<Detection>,
+    ) {
+        out.extend(
+            objects
+                .iter()
+                .filter_map(|obj| self.try_detect(obj, region, rng)),
+        );
     }
 
     fn try_detect<R: Rng + ?Sized>(

@@ -39,4 +39,4 @@ pub use new_region::{find_new_regions, find_new_regions_into, NewRegionFinder};
 pub use optical_flow::{FlowField, FlowSoA, FlowVector};
 pub use scalar::ScalarFlowField;
 pub use slicing::{slice_regions, slice_regions_into, RegionTask};
-pub use tracker::{FlowTracker, Track, TrackId, TrackerConfig};
+pub use tracker::{AssociationOutcome, FlowTracker, Track, TrackId, TrackerConfig};

@@ -7,7 +7,7 @@
 
 use crate::{Detection, FlowField};
 use mvs_geometry::{BBox, FrameDims, SizeClass};
-use mvs_ml::hungarian_max;
+use mvs_ml::HungarianSolver;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a track within one camera's tracker.
@@ -57,7 +57,7 @@ impl Default for TrackerConfig {
 }
 
 /// Result of one association round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssociationOutcome {
     /// Indices (into the detection slice) that matched an existing track.
     pub matched: Vec<(TrackId, usize)>,
@@ -85,6 +85,17 @@ pub struct FlowTracker {
     frame: FrameDims,
     tracks: Vec<Track>,
     next_id: u64,
+    scratch: MatchScratch,
+}
+
+/// Working memory of [`FlowTracker::associate_into`] (cleared, never
+/// shrunk): the row-major track × detection IoU matrix, the matching
+/// solver, and which detections got matched.
+#[derive(Debug, Clone, Default)]
+struct MatchScratch {
+    scores: Vec<f64>,
+    solver: HungarianSolver,
+    det_used: Vec<bool>,
 }
 
 impl FlowTracker {
@@ -95,6 +106,7 @@ impl FlowTracker {
             frame,
             tracks: Vec::new(),
             next_id: 0,
+            scratch: MatchScratch::default(),
         }
     }
 
@@ -171,48 +183,52 @@ impl FlowTracker {
     /// Returns which detections matched and which are left over (candidate
     /// new objects).
     pub fn associate(&mut self, detections: &[Detection]) -> AssociationOutcome {
-        if self.tracks.is_empty() || detections.is_empty() {
-            for t in &mut self.tracks {
-                t.misses += 1;
-            }
-            return AssociationOutcome {
-                matched: Vec::new(),
-                unmatched_detections: (0..detections.len()).collect(),
-            };
+        let mut outcome = AssociationOutcome::default();
+        self.associate_into(detections, &mut outcome);
+        outcome
+    }
+
+    /// [`FlowTracker::associate`] into a caller-held outcome (cleared
+    /// first): with the outcome kept across frames, a steady-state round
+    /// allocates nothing.
+    pub fn associate_into(&mut self, detections: &[Detection], outcome: &mut AssociationOutcome) {
+        outcome.matched.clear();
+        outcome.unmatched_detections.clear();
+        // Every track misses unless a match below says otherwise.
+        for t in &mut self.tracks {
+            t.misses += 1;
         }
-        let score: Vec<Vec<f64>> = self
-            .tracks
-            .iter()
-            .map(|t| detections.iter().map(|d| t.bbox.iou(&d.bbox)).collect())
-            .collect();
-        let assignment = hungarian_max(&score).expect("finite IoU matrix");
-        let mut matched = Vec::new();
-        let mut det_used = vec![false; detections.len()];
+        if self.tracks.is_empty() || detections.is_empty() {
+            outcome.unmatched_detections.extend(0..detections.len());
+            return;
+        }
+        let MatchScratch {
+            scores,
+            solver,
+            det_used,
+        } = &mut self.scratch;
+        scores.clear();
+        for t in &self.tracks {
+            scores.extend(detections.iter().map(|d| t.bbox.iou(&d.bbox)));
+        }
+        let assignment = solver
+            .solve_max(self.tracks.len(), detections.len(), scores)
+            .expect("finite IoU matrix");
+        det_used.clear();
+        det_used.resize(detections.len(), false);
         for (ti, di) in assignment.iter() {
-            if score[ti][di] >= self.config.iou_threshold {
+            if scores[ti * detections.len() + di] >= self.config.iou_threshold {
                 let t = &mut self.tracks[ti];
                 t.bbox = detections[di].bbox;
                 t.misses = 0;
                 t.last_truth = detections[di].truth_id;
-                matched.push((t.id, di));
+                outcome.matched.push((t.id, di));
                 det_used[di] = true;
             }
         }
-        let matched_tracks: Vec<TrackId> = matched.iter().map(|(id, _)| *id).collect();
-        for t in &mut self.tracks {
-            if !matched_tracks.contains(&t.id) {
-                t.misses += 1;
-            }
-        }
-        AssociationOutcome {
-            matched,
-            unmatched_detections: det_used
-                .iter()
-                .enumerate()
-                .filter(|(_, used)| !**used)
-                .map(|(i, _)| i)
-                .collect(),
-        }
+        outcome
+            .unmatched_detections
+            .extend((0..detections.len()).filter(|&di| !det_used[di]));
     }
 
     /// Drops tracks whose consecutive misses exceed the configured maximum.

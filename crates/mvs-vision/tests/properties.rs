@@ -1,12 +1,29 @@
 //! Property-based tests for the vision substrate: batching arithmetic,
-//! latency-profile consistency, slicing, and tracker lifecycle.
+//! latency-profile consistency, slicing, tracker lifecycle, and the
+//! buffer-reusing stage forms against the allocating forms they back.
 
 use mvs_geometry::{BBox, FrameDims, SizeClass};
 use mvs_vision::{
-    batches_needed, find_new_regions, slice_regions, DeviceKind, FlowTracker, LatencyProfile,
-    SizeCounts, TrackerConfig,
+    batches_needed, find_new_regions, slice_regions, AssociationOutcome, Detection, DetectionModel,
+    DeviceKind, FlowTracker, GroundTruthObject, LatencyProfile, SimulatedDetector, SizeCounts,
+    TrackerConfig,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// Boxes on a coarse grid, so tracks and detections overlap (and tie) often.
+fn arb_boxes(max: usize) -> impl Strategy<Value = Vec<BBox>> {
+    prop::collection::vec((0u32..12, 0u32..6, 40.0f64..160.0), 0..max).prop_map(|cells| {
+        cells
+            .into_iter()
+            .map(|(cx, cy, side)| {
+                let (x, y) = (f64::from(cx) * 90.0, f64::from(cy) * 90.0);
+                BBox::new(x, y, x + side, y + side).expect("valid box")
+            })
+            .collect()
+    })
+}
 
 fn arb_device() -> impl Strategy<Value = DeviceKind> {
     prop::sample::select(vec![DeviceKind::Nano, DeviceKind::Tx2, DeviceKind::Xavier])
@@ -173,5 +190,75 @@ proptest! {
         tracker.associate(&[]);
         prop_assert_eq!(tracker.prune().len(), 1);
         prop_assert!(tracker.tracks().is_empty());
+    }
+
+    // One tracker fed through `associate_into` with a reused outcome, one
+    // through `associate`: same outcomes, same tracks (boxes, misses,
+    // truths) after every round of a sequence whose shapes keep changing.
+    #[test]
+    fn associate_into_matches_associate_over_a_sequence(
+        seeds in arb_boxes(8),
+        rounds in prop::collection::vec(arb_boxes(10), 1..8),
+    ) {
+        let mut by_value = FlowTracker::new(TrackerConfig::default(), FrameDims::REGULAR);
+        let mut reusing = by_value.clone();
+        for &b in &seeds {
+            by_value.seed(b, None);
+            reusing.seed(b, None);
+        }
+        let mut outcome = AssociationOutcome::default();
+        for (round, boxes) in rounds.iter().enumerate() {
+            let detections: Vec<Detection> = boxes
+                .iter()
+                .enumerate()
+                .map(|(i, &bbox)| Detection {
+                    bbox,
+                    confidence: 0.9,
+                    truth_id: Some((round * 100 + i) as u64),
+                })
+                .collect();
+            let expected = by_value.associate(&detections);
+            reusing.associate_into(&detections, &mut outcome);
+            prop_assert_eq!(&outcome, &expected);
+            // The frame loop's lifecycle: leftovers seed tracks, stale ones go.
+            for &d in &expected.unmatched_detections {
+                by_value.seed(detections[d].bbox, detections[d].truth_id);
+                reusing.seed(detections[d].bbox, detections[d].truth_id);
+            }
+            prop_assert_eq!(by_value.prune(), reusing.prune());
+            prop_assert_eq!(by_value.tracks(), reusing.tracks());
+        }
+    }
+
+    // `detect_region_into` appends exactly what `detect_region` returns and
+    // leaves the RNG where `detect_region` leaves it.
+    #[test]
+    fn detect_region_into_matches_detect_region(
+        objects in arb_boxes(12),
+        regions in arb_boxes(6),
+        seed in any::<u64>(),
+    ) {
+        let detector = SimulatedDetector::new(DetectionModel::default(), FrameDims::REGULAR);
+        let objects: Vec<GroundTruthObject> = objects
+            .into_iter()
+            .enumerate()
+            .map(|(id, bbox)| GroundTruthObject { id: id as u64, bbox })
+            .collect();
+        let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng_b = rng_a.clone();
+        let mut expected = Vec::new();
+        let mut appended = Vec::new();
+        for region in &regions {
+            expected.extend(detector.detect_region(region, SizeClass::S128, &objects, &mut rng_a));
+            detector.detect_region_into(
+                region,
+                SizeClass::S128,
+                &objects,
+                &mut rng_b,
+                &mut appended,
+            );
+        }
+        prop_assert_eq!(&appended, &expected);
+        prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 }

@@ -182,7 +182,8 @@ fn reference_map_box(
 /// The KNN index behind `map_box` is exact: every S1 detection over 200
 /// frames maps, on every ordered camera pair, to the same bits as the
 /// brute-force reference (the full battery is
-/// `crates/mvs-ml/tests/knn_differential.rs`).
+/// `crates/mvs-ml/tests/knn_differential.rs`) — and the takeover verdict's
+/// classifier-only `is_visible` answers exactly "did it map".
 #[test]
 fn map_box_matches_brute_force_reference_bitwise_on_s1() {
     let scenario = Scenario::new(ScenarioKind::S1);
@@ -204,6 +205,12 @@ fn map_box_matches_brute_force_reference_bitwise_on_s1() {
                         got.map(|b| b.to_array().map(f64::to_bits)),
                         want.map(|b| b.to_array().map(f64::to_bits)),
                         "pair ({src},{dst}) diverged on {:?}",
+                        seen.bbox
+                    );
+                    assert_eq!(
+                        trained.is_visible(src, dst, &seen.bbox),
+                        got.is_some(),
+                        "pair ({src},{dst}): visibility verdict diverged on {:?}",
                         seen.bbox
                     );
                     queries += 1;
