@@ -1,10 +1,9 @@
 //! A full cross-camera association round.
 
-use crate::{CameraPairModel, UnionFind};
+use crate::{CameraPairModel, CameraSourceModel, UnionFind};
 use mvs_geometry::BBox;
-use mvs_ml::HungarianSolver;
+use mvs_ml::{HungarianSolver, Neighbour};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One global (physical) object produced by association: the per-camera
@@ -36,15 +35,25 @@ impl GlobalObject {
 /// # Examples
 ///
 /// See the integration tests in `tests/` — building an engine requires
-/// trained pair models, which in turn require a scenario's correspondence
+/// trained models, which in turn require a scenario's correspondence
 /// labels (produced by `mvs-sim`).
 #[derive(Debug, Clone)]
 pub struct AssociationEngine {
     num_cameras: usize,
-    /// Keyed by (source, target) with source < target. Shared, so a
-    /// caller that also keeps the models (both directions) holds one copy.
-    models: BTreeMap<(usize, usize), Arc<CameraPairModel>>,
+    /// Registered source models, in registration order.
+    sources: Vec<SourceHeads>,
     iou_threshold: f64,
+}
+
+/// One source camera's model and the heads a round associates through.
+#[derive(Debug, Clone)]
+struct SourceHeads {
+    source: usize,
+    /// Shared, so a caller that also keeps the model (for the heads toward
+    /// lower-indexed cameras) holds one copy.
+    model: Arc<CameraSourceModel>,
+    /// `(target camera, head)` pairs, every target above `source`.
+    heads: Vec<(usize, usize)>,
 }
 
 impl AssociationEngine {
@@ -65,33 +74,54 @@ impl AssociationEngine {
         );
         AssociationEngine {
             num_cameras,
-            models: BTreeMap::new(),
+            sources: Vec::new(),
             iou_threshold,
         }
     }
 
-    /// Registers the model (owned, or an `Arc` the caller keeps a handle
-    /// to) for the ordered pair `(source, target)`.
+    /// Registers camera `source`'s model (owned, or an `Arc` the caller
+    /// keeps a handle to) for the ordered pairs `(source, target)` of
+    /// `heads`, each `(target, head of the model)`. A round sweeps the
+    /// model's table once per `source` box and asks every listed head.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every head exists and every target satisfies
+    /// `source < target < num_cameras`.
+    pub fn insert_source(
+        &mut self,
+        source: usize,
+        model: impl Into<Arc<CameraSourceModel>>,
+        heads: Vec<(usize, usize)>,
+    ) {
+        let model = model.into();
+        for &(target, head) in &heads {
+            assert!(
+                source < target && target < self.num_cameras,
+                "pair must satisfy source < target < num_cameras"
+            );
+            assert!(head < model.num_heads(), "model has no head {head}");
+        }
+        self.sources.push(SourceHeads {
+            source,
+            model,
+            heads,
+        });
+    }
+
+    /// Registers the model for the ordered pair `(source, target)`: the
+    /// one-head case of [`AssociationEngine::insert_source`].
     ///
     /// # Panics
     ///
     /// Panics unless `source < target < num_cameras`.
-    pub fn insert_model(
-        &mut self,
-        source: usize,
-        target: usize,
-        model: impl Into<Arc<CameraPairModel>>,
-    ) {
-        assert!(
-            source < target && target < self.num_cameras,
-            "pair must satisfy source < target < num_cameras"
-        );
-        self.models.insert((source, target), model.into());
+    pub fn insert_model(&mut self, source: usize, target: usize, model: CameraPairModel) {
+        self.insert_source(source, model.source, vec![(target, 0)]);
     }
 
-    /// Number of registered pair models.
+    /// Number of registered pair models (heads).
     pub fn num_models(&self) -> usize {
-        self.models.len()
+        self.sources.iter().map(|s| s.heads.len()).sum()
     }
 
     /// Associates one frame's detections (`detections[c]` are camera `c`'s
@@ -129,6 +159,8 @@ impl AssociationEngine {
         let AssociationScratch {
             offsets,
             uf,
+            nearest,
+            nearest_ends,
             predicted,
             scores,
             solver,
@@ -143,34 +175,51 @@ impl AssociationEngine {
             total += d.len();
         }
         uf.reset(total);
-        for (&(i, ip), model) in &self.models {
-            let (src, dst) = (&detections[i], &detections[ip]);
-            if src.is_empty() || dst.is_empty() {
+        for entry in &self.sources {
+            let (i, model) = (entry.source, &entry.model);
+            let src = &detections[i];
+            if src.is_empty() {
                 continue;
             }
-            // Step 1+2: classify visibility and regress predicted locations.
-            predicted.clear();
-            predicted.extend(
-                src.iter()
-                    .enumerate()
-                    .filter_map(|(j, b)| model.predict(b).map(|p| (j, p))),
-            );
-            if predicted.is_empty() {
-                continue;
-            }
-            // Step 3: proximity matrix (row-major, one row per predicted
-            // box) and Hungarian matching.
-            scores.clear();
-            for (_, p) in predicted.iter() {
-                scores.extend(dst.iter().map(|d| p.iou(d)));
-            }
-            let assignment = solver
-                .solve_max(predicted.len(), dst.len(), scores)
-                .expect("IoU scores are finite");
-            for (row, col) in assignment.iter() {
-                if scores[row * dst.len() + col] >= self.iou_threshold {
-                    let (j, _) = predicted[row];
-                    uf.union(offsets[i] + j, offsets[ip] + col);
+            // A box's neighbours among the source rows are the same for
+            // every target: swept once, before the first pair that votes.
+            let mut swept = false;
+            for &(ip, head) in &entry.heads {
+                let dst = &detections[ip];
+                if dst.is_empty() {
+                    continue;
+                }
+                if !swept {
+                    swept = true;
+                    model.sweep_into(src, nearest, nearest_ends);
+                }
+                // Step 1+2: classify visibility and regress predicted
+                // locations.
+                predicted.clear();
+                let mut start = 0;
+                for (j, (b, &end)) in src.iter().zip(nearest_ends.iter()).enumerate() {
+                    if let Some(p) = model.predict_from(head, b, &nearest[start..end]) {
+                        predicted.push((j, p));
+                    }
+                    start = end;
+                }
+                if predicted.is_empty() {
+                    continue;
+                }
+                // Step 3: proximity matrix (row-major, one row per
+                // predicted box) and Hungarian matching.
+                scores.clear();
+                for (_, p) in predicted.iter() {
+                    scores.extend(dst.iter().map(|d| p.iou(d)));
+                }
+                let assignment = solver
+                    .solve_max(predicted.len(), dst.len(), scores)
+                    .expect("IoU scores are finite");
+                for (row, col) in assignment.iter() {
+                    if scores[row * dst.len() + col] >= self.iou_threshold {
+                        let (j, _) = predicted[row];
+                        uf.union(offsets[i] + j, offsets[ip] + col);
+                    }
                 }
             }
         }
@@ -217,6 +266,11 @@ pub struct AssociationScratch {
     /// Flat index of each camera's first detection.
     offsets: Vec<usize>,
     uf: UnionFind,
+    /// The current source camera's neighbour lists, one per detection,
+    /// back to back (`detections × k` entries).
+    nearest: Vec<Neighbour>,
+    /// Where each detection's list ends in `nearest`.
+    nearest_ends: Vec<usize>,
     /// `(source detection, predicted target box)` of the current pair.
     predicted: Vec<(usize, BBox)>,
     /// Row-major IoU matrix of the current pair.

@@ -13,8 +13,16 @@
 //! IoU proximity via the Hungarian algorithm, and matches are merged into
 //! global identities with a union-find.
 //!
-//! * [`CameraPairModel`] — the classifier+regressor bundle for one pair;
-//! * [`train_pair_model`] — fits a pair model from labeled correspondences;
+//! All of camera `i`'s pair models memorize the same boxes — `i`'s own —
+//! under different labels, so they are stored as one table with one head
+//! per `i'`:
+//!
+//! * [`CameraSourceModel`] — a camera's labeled boxes, indexed once, plus a
+//!   classifier vote and a regressor per paired destination
+//!   ([`train_source_model`] fits it);
+//! * [`CameraPairModel`] — its one-destination case, the bundle for a
+//!   single pair ([`train_pair_model`] fits it from labeled
+//!   correspondences);
 //! * [`AssociationEngine`] — runs a full association round over all
 //!   cameras' detections and returns the global object list
 //!   ([`AssociationScratch`] is its reusable working memory);
@@ -28,5 +36,7 @@ mod model;
 mod union_find;
 
 pub use engine::{AssociationEngine, AssociationScratch, GlobalObject};
-pub use model::{train_pair_model, CameraPairModel, CorrespondenceSample};
+pub use model::{
+    train_pair_model, train_source_model, CameraPairModel, CameraSourceModel, CorrespondenceSample,
+};
 pub use union_find::UnionFind;

@@ -1,13 +1,17 @@
 //! Allocation regression gate for the association hot path.
 //!
-//! `CameraPairModel::predict` runs for every detection on every camera
-//! every frame (takeover scan, association round), so it must not touch
-//! the heap: at `k = 3` the KNN top-k, the feature row and the regressed
-//! box all live on the stack. A whole association round over warm scratch
-//! allocates only the list it returns. Events are counted per thread, so
-//! the tests of this binary do not see each other.
+//! A model's `predict` / `is_visible` runs for every detection on every
+//! camera every frame (takeover scan, association round), so it must not
+//! touch the heap: at `k = 3` the KNN top-k, the feature row and the
+//! regressed box all live on the stack. A whole association round over warm
+//! scratch — the per-source neighbour lists included — allocates only the
+//! list it returns. Events are counted per thread, so the tests of this
+//! binary do not see each other.
 
-use mvs_assoc::{train_pair_model, AssociationEngine, AssociationScratch, CorrespondenceSample};
+use mvs_assoc::{
+    train_pair_model, train_source_model, AssociationEngine, AssociationScratch,
+    CorrespondenceSample,
+};
 use mvs_geometry::BBox;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,7 +96,9 @@ fn pair_model_predict_never_allocates() {
     let before = events();
     let (mut none, mut some) = (0u32, 0u32);
     for probe in &probes {
-        match model.predict(probe) {
+        let mapped = model.predict(probe);
+        assert_eq!(model.is_visible(probe), mapped.is_some());
+        match mapped {
             None => none += 1,
             Some(mapped) => {
                 std::hint::black_box(mapped);
@@ -109,7 +115,7 @@ fn pair_model_predict_never_allocates() {
     assert_eq!(
         allocated,
         0,
-        "predict allocated {allocated} times over {} queries",
+        "predict / is_visible allocated {allocated} times over {} queries",
         probes.len()
     );
 
@@ -121,27 +127,34 @@ fn pair_model_predict_never_allocates() {
 
 #[test]
 fn warm_association_round_allocates_only_what_it_returns() {
-    // Three cameras in a chain, each view the previous one shifted 150 px.
-    let shift: Vec<CorrespondenceSample> = (0..80)
-        .map(|i| {
-            let x = 12.0 * f64::from(i);
-            CorrespondenceSample {
-                src: bb(x, 200.0, 50.0, 40.0),
-                dst: Some(bb(x + 150.0, 200.0, 50.0, 40.0)),
-            }
+    // Three cameras, each view the previous one shifted 150 px. Camera 0
+    // is a source table with a head toward either neighbour (one sweep per
+    // box, two votes); camera 1 → 2 is a pair model.
+    let rows: Vec<BBox> = (0..80)
+        .map(|i| bb(12.0 * f64::from(i), 200.0, 50.0, 40.0))
+        .collect();
+    let shifted = |dx: f64| -> Vec<(usize, BBox)> {
+        let there = |b: &BBox| bb(b.x1() + dx, 200.0, 50.0, 40.0);
+        rows.iter().map(there).enumerate().collect()
+    };
+    let shift: Vec<CorrespondenceSample> = (rows.iter().zip(shifted(150.0)))
+        .map(|(&src, (_, there))| CorrespondenceSample {
+            src,
+            dst: Some(there),
         })
         .collect();
     let mut engine = AssociationEngine::new(3, AssociationEngine::DEFAULT_IOU_THRESHOLD);
-    engine.insert_model(
+    engine.insert_source(
         0,
-        1,
-        train_pair_model(3, &shift).expect("non-empty samples"),
+        train_source_model(3, &rows, &[&shifted(150.0), &shifted(300.0)]).expect("non-empty rows"),
+        vec![(1, 0), (2, 1)],
     );
     engine.insert_model(
         1,
         2,
         train_pair_model(3, &shift).expect("non-empty samples"),
     );
+    assert_eq!(engine.num_models(), 3);
     let row = |dx: f64| -> Vec<BBox> {
         (0..6)
             .map(|i| bb(100.0 + 90.0 * f64::from(i) + dx, 200.0, 50.0, 40.0))

@@ -28,8 +28,8 @@ fn main() {
     let data = CorrespondenceData::collect(&scenario, TRAIN_S, 2, &mut rng);
     let mut pooled_x = Vec::new();
     let mut pooled_y = Vec::new();
-    for samples in data.pairs.values() {
-        let (xs, ys) = classification_dataset(samples);
+    for &(src, dst) in data.pairs.keys() {
+        let (xs, ys) = classification_dataset(data.samples(src, dst));
         pooled_x.extend(xs);
         pooled_y.extend(ys);
     }

@@ -41,8 +41,8 @@ fn main() {
             ("Logistic", BinaryConfusion::default()),
             ("DecisionTree", BinaryConfusion::default()),
         ];
-        for samples in data.pairs.values() {
-            let (xs, ys) = classification_dataset(samples);
+        for &(src, dst) in data.pairs.keys() {
+            let (xs, ys) = classification_dataset(data.samples(src, dst));
             let Ok((xtr, ytr, xte, yte)) = train_test_split(&xs, &ys, 0.5) else {
                 continue;
             };

@@ -58,8 +58,8 @@ fn main() {
             ("LinearRegression", MaeAcc::default()),
             ("RANSAC", MaeAcc::default()),
         ];
-        for samples in data.pairs.values() {
-            let (xs, ys) = regression_dataset(samples);
+        for &(src, dst) in data.pairs.keys() {
+            let (xs, ys) = regression_dataset(data.samples(src, dst));
             if xs.len() < 40 {
                 continue; // not enough shared observations on this pair
             }

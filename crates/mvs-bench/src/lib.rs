@@ -70,25 +70,27 @@ where
 /// Classification dataset extracted from correspondence samples: features
 /// are the source bounding-box coordinates, the label is whether the object
 /// is visible in the target camera (Fig. 10's task).
-pub fn classification_dataset(samples: &[CorrespondenceSample]) -> (Vec<Vec<f64>>, Vec<usize>) {
-    let xs = samples.iter().map(|s| s.src.to_array().to_vec()).collect();
-    let ys = samples
-        .iter()
-        .map(|s| usize::from(s.dst.is_some()))
-        .collect();
-    (xs, ys)
+///
+/// Takes a pair's samples in arrival order, e.g.
+/// `CorrespondenceData::samples(src, dst)`.
+pub fn classification_dataset(
+    samples: impl IntoIterator<Item = CorrespondenceSample>,
+) -> (Vec<Vec<f64>>, Vec<usize>) {
+    samples
+        .into_iter()
+        .map(|s| (s.src.to_array().to_vec(), usize::from(s.dst.is_some())))
+        .unzip()
 }
 
 /// Regression dataset: visible pairs only; targets are the target-camera
 /// box coordinates (Fig. 11's task).
-pub fn regression_dataset(samples: &[CorrespondenceSample]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let pos: Vec<_> = samples.iter().filter(|s| s.dst.is_some()).collect();
-    let xs = pos.iter().map(|s| s.src.to_array().to_vec()).collect();
-    let ys = pos
-        .iter()
-        .map(|s| s.dst.expect("filtered to visible").to_array().to_vec())
-        .collect();
-    (xs, ys)
+pub fn regression_dataset(
+    samples: impl IntoIterator<Item = CorrespondenceSample>,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    samples
+        .into_iter()
+        .filter_map(|s| Some((s.src.to_array().to_vec(), s.dst?.to_array().to_vec())))
+        .unzip()
 }
 
 #[cfg(test)]
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn classification_dataset_labels() {
-        let (xs, ys) = classification_dataset(&[sample(true), sample(false)]);
+        let (xs, ys) = classification_dataset([sample(true), sample(false)]);
         assert_eq!(xs.len(), 2);
         assert_eq!(ys, vec![1, 0]);
         assert_eq!(xs[0], vec![0.0, 0.0, 10.0, 10.0]);
@@ -113,7 +115,7 @@ mod tests {
 
     #[test]
     fn regression_dataset_filters_invisible() {
-        let (xs, ys) = regression_dataset(&[sample(true), sample(false)]);
+        let (xs, ys) = regression_dataset([sample(true), sample(false)]);
         assert_eq!(xs.len(), 1);
         assert_eq!(ys[0], vec![5.0, 5.0, 15.0, 15.0]);
     }

@@ -5,10 +5,13 @@
 //! predict (a) whether an object seen by camera *i* is visible in camera
 //! *i'* and (b) where its bounding box lands there.
 //!
-//! Both models query one flat, immutable, **exact** index (`KnnIndex`, see
-//! DESIGN.md §17): the neighbour list is the brute-force scan's, bit for
-//! bit, at a fraction of the rows touched and without heap traffic for
-//! small `k`.
+//! Both models query one flat, immutable, **exact** index ([`KnnIndex`],
+//! see DESIGN.md §17): the neighbour list is the brute-force scan's, bit
+//! for bit, at a fraction of the rows touched and without heap traffic for
+//! small `k`. The index is a type of its own because a neighbour list
+//! depends on the rows alone: models that memorize the same rows under
+//! different labels share one index and one sweep per query, each casting
+//! its own [`majority_vote`].
 
 use crate::{Classifier, MlError, Regressor};
 use serde::{Deserialize, Serialize};
@@ -51,7 +54,7 @@ pub fn brute_force_k_nearest<R: AsRef<[f64]>>(
 }
 
 /// One neighbour: original (arrival-order) row index and distance.
-type Neighbour = (u32, f64);
+pub type Neighbour = (u32, f64);
 
 /// Neighbour lists up to this long live on the stack; longer ones spill to
 /// one heap buffer per query.
@@ -72,8 +75,23 @@ fn ordered_bits(v: f64) -> u64 {
 
 /// Flat exact nearest-neighbour index: row-major features sorted along
 /// their widest axis, queried by a binary search plus an outward sweep.
+///
+/// # Examples
+///
+/// ```
+/// use mvs_ml::{majority_vote, KnnIndex};
+///
+/// // One set of rows, two label sets voting on the same neighbour list.
+/// let index = KnnIndex::build(&[[0.0], [1.0], [10.0], [11.0]])?;
+/// let (parity, side) = ([0, 1, 0, 1], [0, 0, 1, 1]);
+/// let votes = index.with_nearest(&[9.0], 3, |nearest| {
+///     (majority_vote(nearest, |row| parity[row]), majority_vote(nearest, |row| side[row]))
+/// });
+/// assert_eq!(votes, (1, 1));
+/// # Ok::<(), mvs_ml::MlError>(())
+/// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct KnnIndex {
+pub struct KnnIndex {
     dim: usize,
     /// The sweep axis: the feature column with the largest value range.
     axis: usize,
@@ -84,8 +102,17 @@ struct KnnIndex {
 }
 
 impl KnnIndex {
-    /// Validates and indexes the feature rows.
-    fn build<R: AsRef<[f64]>>(xs: &[R]) -> Result<KnnIndex, MlError> {
+    /// Validates and indexes the feature rows (`&[Vec<f64>]`,
+    /// `&[[f64; N]]`, …).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::EmptyTrainingSet`] for empty input,
+    /// [`MlError::InvalidParameter`] when the rows have no columns or
+    /// number more than `u32::MAX`, [`MlError::DimensionMismatch`] when
+    /// they are ragged and [`MlError::NonFinite`] when a feature is NaN or
+    /// infinite.
+    pub fn build<R: AsRef<[f64]>>(xs: &[R]) -> Result<KnnIndex, MlError> {
         let dim = validate_rows(xs)?;
         if dim == 0 {
             return Err(MlError::InvalidParameter(
@@ -133,15 +160,33 @@ impl KnnIndex {
         })
     }
 
-    fn len(&self) -> usize {
+    /// Number of indexed rows.
+    pub fn len(&self) -> usize {
         self.order.len()
+    }
+
+    /// Whether the index holds no rows (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// How many neighbours a query for `k` of them lists: `min(k, len)`,
+    /// or none for a query of the wrong length or with a non-finite
+    /// coordinate.
+    fn neighbours_of(&self, x: &[f64], k: usize) -> usize {
+        if x.len() == self.dim && x.iter().all(|v| v.is_finite()) {
+            k.min(self.len())
+        } else {
+            0
+        }
     }
 
     /// Calls `f` with the `k` nearest rows as the brute-force scan would
     /// list them: ascending `(distance, arrival index)`. A query of the
     /// wrong length or with a non-finite coordinate has no neighbours.
-    fn with_nearest<T>(&self, x: &[f64], k: usize, f: impl FnOnce(&[Neighbour]) -> T) -> T {
-        let cap = k.min(self.len());
+    /// Does not allocate for `k ≤ 8`.
+    pub fn with_nearest<T>(&self, x: &[f64], k: usize, f: impl FnOnce(&[Neighbour]) -> T) -> T {
+        let cap = self.neighbours_of(x, k);
         let mut inline = [(0u32, 0.0f64); INLINE_K];
         let mut spill = Vec::new();
         let top = if cap <= INLINE_K {
@@ -150,16 +195,27 @@ impl KnnIndex {
             spill.resize(cap, (0u32, 0.0f64));
             &mut spill[..]
         };
-        if x.len() == self.dim && x.iter().all(|v| v.is_finite()) {
+        if cap > 0 {
             self.sweep(x, top);
-            f(top)
-        } else {
-            f(&[])
+        }
+        f(top)
+    }
+
+    /// Appends the list [`KnnIndex::with_nearest`] hands its closure to
+    /// `out`, for a caller that keeps the lists of many queries (the
+    /// association round votes on each once per destination camera).
+    pub fn nearest_into(&self, x: &[f64], k: usize, out: &mut Vec<Neighbour>) {
+        let cap = self.neighbours_of(x, k);
+        if cap > 0 {
+            let start = out.len();
+            out.resize(start + cap, (0u32, 0.0f64));
+            self.sweep(x, &mut out[start..]);
         }
     }
 
     /// Fills `top`, whose length is the number of neighbours wanted (≥ 1
-    /// and ≤ `len()`, so every slot gets a row).
+    /// and ≤ `len()`, so every slot gets a row) for a finite `x` of the
+    /// index's width.
     ///
     /// Rows are visited outward from the query's position on the sweep
     /// axis, nearer key first, so the key gaps `|key − x[axis]|` arrive in
@@ -229,6 +285,27 @@ impl KnnIndex {
     }
 }
 
+/// The classifier's vote over a neighbour list: the label most of the
+/// listed rows carry, ties to the lower label, `0` for an empty list.
+/// `label_of` maps an arrival-order row to its label.
+pub fn majority_vote(nearest: &[Neighbour], label_of: impl Fn(usize) -> usize) -> usize {
+    let label_at = |&(row, _): &Neighbour| label_of(row as usize);
+    let mut winner: Option<(usize, usize)> = None; // (count, label)
+    for (pos, label) in nearest.iter().map(label_at).enumerate() {
+        if nearest[..pos].iter().any(|n| label_at(n) == label) {
+            continue; // counted at its first occurrence
+        }
+        let count = nearest[pos..]
+            .iter()
+            .filter(|n| label_at(n) == label)
+            .count();
+        if winner.is_none_or(|(c, l)| count > c || (count == c && label < l)) {
+            winner = Some((count, label));
+        }
+    }
+    winner.map_or(0, |(_, label)| label)
+}
+
 /// K-nearest-neighbour classifier (majority vote, ties to lower label).
 ///
 /// # Examples
@@ -290,7 +367,7 @@ impl KnnClassifier {
 
     /// Whether the training set is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.index.len() == 0
+        self.index.is_empty()
     }
 
     /// The index's neighbour list for `x` as `(training row, distance)`,
@@ -309,21 +386,7 @@ impl Classifier for KnnClassifier {
     /// length) has no neighbours and gets label `0`.
     fn predict(&self, x: &[f64]) -> usize {
         self.index.with_nearest(x, self.k, |nearest| {
-            let label_of = |&(i, _): &Neighbour| self.ys[i as usize];
-            let mut winner: Option<(usize, usize)> = None; // (count, label)
-            for (pos, label) in nearest.iter().map(label_of).enumerate() {
-                if nearest[..pos].iter().any(|n| label_of(n) == label) {
-                    continue; // counted at its first occurrence
-                }
-                let count = nearest[pos..]
-                    .iter()
-                    .filter(|n| label_of(n) == label)
-                    .count();
-                if winner.is_none_or(|(c, l)| count > c || (count == c && label < l)) {
-                    winner = Some((count, label));
-                }
-            }
-            winner.map_or(0, |(_, label)| label)
+            majority_vote(nearest, |row| self.ys[row])
         })
     }
 
@@ -394,6 +457,16 @@ impl KnnRegressor {
     /// Number of neighbours consulted per query.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// Size of the memorized training set.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the training set is empty (never, by construction).
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
     }
 
     /// [`Regressor::predict`] into a caller-provided row (a stack array on

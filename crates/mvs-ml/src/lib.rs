@@ -4,7 +4,9 @@
 //! compares a K-nearest-neighbour classifier/regressor against several
 //! classical baselines. All of them are implemented here from scratch:
 //!
-//! * [`KnnClassifier`] / [`KnnRegressor`] — the paper's chosen models;
+//! * [`KnnClassifier`] / [`KnnRegressor`] — the paper's chosen models, over
+//!   the exact [`KnnIndex`] (shareable: several label sets can cast their
+//!   [`majority_vote`] on one neighbour list);
 //! * [`LogisticRegression`] — binary classification baseline;
 //! * [`LinearSvm`] — linear support-vector machine (Pegasos) baseline;
 //! * [`DecisionTree`] — CART classification baseline;
@@ -57,7 +59,7 @@ pub use homography::estimate_homography;
 pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment, HungarianSolver};
 #[doc(hidden)]
 pub use knn::brute_force_k_nearest;
-pub use knn::{KnnClassifier, KnnRegressor};
+pub use knn::{majority_vote, KnnClassifier, KnnIndex, KnnRegressor, Neighbour};
 pub use linreg::LinearRegression;
 pub use logistic::LogisticRegression;
 pub use matrix::Matrix;

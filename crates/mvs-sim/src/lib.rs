@@ -51,7 +51,7 @@ mod worker;
 mod world;
 
 pub use camera::CameraModel;
-pub use correspond::{CorrespondenceData, TrainedAssociation};
+pub use correspond::{CorrespondenceData, PairLabels, TrainedAssociation};
 pub use faults::{FaultModel, FaultModelError, PoolDegrade, ServeFaultError, ServeFaultModel};
 pub use masks::{MaskPrecompute, StaticWorldPartition};
 pub use messages::{AssignmentMessage, ObjectRecord, UploadMessage};

@@ -55,9 +55,11 @@ impl MaskPrecompute {
         let grids: Vec<Grid> = frames.iter().map(|&f| Grid::new(f, cell_px)).collect();
         let mut covered_by = Vec::with_capacity(m);
         let mut canon_frac = Vec::with_capacity(m);
-        // One source camera's accumulators, reused across sources: labeled
-        // objects per cell, and per (cell, paired destination) how many of
-        // them the destination saw plus the sum of their mapped x there.
+        // One source camera's accumulators, reused across sources: the
+        // cell of each labeled object, labeled objects per cell, and per
+        // (cell, paired destination) how many of them the destination saw
+        // plus the sum of their mapped x there.
+        let mut cell_of_row: Vec<Option<usize>> = Vec::new();
         let mut totals: Vec<usize> = Vec::new();
         let mut visible: Vec<usize> = Vec::new();
         let mut dst_x_sum: Vec<f64> = Vec::new();
@@ -74,19 +76,17 @@ impl MaskPrecompute {
             visible.resize(grid.len() * degree, 0);
             dst_x_sum.clear();
             dst_x_sum.resize(grid.len() * degree, 0.0);
-            for (slot, (_, samples)) in pairs.enumerate() {
-                for s in samples {
-                    let Some(cell) = grid.cell_at(s.src.center()) else {
-                        continue;
-                    };
-                    // Totals are per source camera: every paired destination
-                    // lists the same source samples, so count the first's.
-                    if slot == 0 {
-                        totals[cell.0] += 1;
-                    }
-                    if let Some(d) = s.dst {
-                        visible[cell.0 * degree + slot] += 1;
-                        dst_x_sum[cell.0 * degree + slot] += d.center().x;
+            cell_of_row.clear();
+            cell_of_row.extend(data.rows(cam).iter().map(|seen| {
+                let cell = grid.cell_at(seen.center())?.0;
+                totals[cell] += 1;
+                Some(cell)
+            }));
+            for (slot, (_, labels)) in pairs.enumerate() {
+                for &(row, there) in labels.positives() {
+                    if let Some(cell) = cell_of_row[row] {
+                        visible[cell * degree + slot] += 1;
+                        dst_x_sum[cell * degree + slot] += there.center().x;
                     }
                 }
             }

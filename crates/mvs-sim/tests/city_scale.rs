@@ -4,12 +4,15 @@
 //! [`MaskPrecompute::mask_for_into`], and [`CameraModel::visible_objects`]
 //! over the world's per-frame object positions — which [`World::step`]
 //! produces from one sort of a reused index buffer, pinned below against
-//! the per-lane rescans it replaced.
+//! the per-lane rescans it replaced — and [`TrainedAssociation`]'s one KNN
+//! table per source camera, held to the per-pair models it replaced.
 
+use mvs_assoc::{train_pair_model, AssociationEngine, CameraPairModel};
 use mvs_core::{CameraId, CameraMask};
-use mvs_geometry::{Grid, Point2};
+use mvs_geometry::{BBox, Grid, Point2};
 use mvs_sim::{
-    CameraModel, CityConfig, CorrespondenceData, MaskPrecompute, Scenario, ScenarioKind, World,
+    CameraModel, CityConfig, CorrespondenceData, MaskPrecompute, Scenario, ScenarioKind,
+    TrainedAssociation, World,
 };
 use mvs_vision::GroundTruthObject;
 use proptest::prelude::*;
@@ -359,4 +362,130 @@ fn world_step_positions_are_pinned_on_s1_s3_and_a_city() {
         ["a26883b6c50e5242", "5347adba8eae2f99", "6041ccad442c9cf0"],
         "S1, S3, city16"
     );
+}
+
+/// The layout `TrainedAssociation` had before the source tables, rebuilt
+/// from the same labels: one pair model per labeled pair, fitted on the
+/// pair's expanded samples with a classifier index of its own, and an
+/// engine that sweeps once per (box, pair).
+fn per_pair_reference(
+    cameras: usize,
+    data: &CorrespondenceData,
+    k: usize,
+    iou: f64,
+) -> (
+    std::collections::BTreeMap<(usize, usize), CameraPairModel>,
+    AssociationEngine,
+) {
+    let mut models = std::collections::BTreeMap::new();
+    let mut engine = AssociationEngine::new(cameras, iou);
+    for &(src, dst) in data.pairs.keys() {
+        let samples: Vec<_> = data.samples(src, dst).collect();
+        assert_eq!(samples.len(), data.pairs[&(src, dst)].len());
+        if samples.is_empty() {
+            continue;
+        }
+        let model = train_pair_model(k, &samples).expect("finite samples");
+        if src < dst {
+            engine.insert_model(src, dst, model.clone());
+        }
+        models.insert((src, dst), model);
+    }
+    (models, engine)
+}
+
+fn box_bits(mapped: Option<BBox>) -> Option<[u64; 4]> {
+    mapped.map(|b| b.to_array().map(f64::to_bits))
+}
+
+/// Every pair, every training box and a jittered copy of it, then 50
+/// stepped frames of whole association rounds: the source tables answer as
+/// the per-pair models do, bit for bit. Returns the data and the models for
+/// the caller's own checks.
+fn assert_source_tables_match_per_pair_models(
+    scenario: &Scenario,
+    train_s: f64,
+) -> (CorrespondenceData, TrainedAssociation) {
+    let (k, iou) = (3, 0.15);
+    let m = scenario.num_cameras();
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let data = CorrespondenceData::collect(scenario, train_s, 3, &mut rng);
+    let trained = TrainedAssociation::train(m, &data, k, iou).expect("scenario data trains");
+    let (models, engine) = per_pair_reference(m, &data, k, iou);
+    assert_eq!(
+        trained.models.keys().collect::<Vec<_>>(),
+        models.keys().collect::<Vec<_>>(),
+        "modeled pairs"
+    );
+    assert_eq!(trained.engine.num_models(), engine.num_models());
+
+    let jitter = Point2::new(3.7, -2.3);
+    let (mut queries, mut mapped) = (0usize, 0usize);
+    for (&(src, dst), model) in &models {
+        for row in data.rows(src) {
+            for q in [*row, row.translated(jitter)] {
+                let want = model.predict(&q);
+                assert_eq!(
+                    box_bits(trained.map_box(src, dst, &q)),
+                    box_bits(want),
+                    "pair ({src},{dst}) diverged on {q:?}"
+                );
+                assert_eq!(
+                    trained.is_visible(src, dst, &q),
+                    want.is_some(),
+                    "pair ({src},{dst}): visibility verdict diverged on {q:?}"
+                );
+                queries += 1;
+                mapped += usize::from(want.is_some());
+            }
+        }
+    }
+    assert!(mapped > 0 && mapped < queries, "{mapped}/{queries} mapped");
+    // A pair nobody labeled has no model on either side.
+    assert!(trained.map_box(0, 0, &data.rows(0)[0]).is_none());
+    assert!(!trained.is_visible(0, m, &data.rows(0)[0]));
+
+    let mut world = scenario.warmed_world(30.0, &mut rng);
+    let mut merged = 0;
+    for _ in 0..50 {
+        world.step(scenario.frame_dt_s(), &mut rng);
+        let boxes: Vec<Vec<BBox>> = (scenario.cameras.iter())
+            .map(|c| c.visible_objects(&world, scenario.occlusion_threshold))
+            .map(|view| view.iter().map(|g| g.bbox).collect())
+            .collect();
+        let globals = trained.engine.associate(&boxes);
+        assert_eq!(globals, engine.associate(&boxes));
+        merged += globals.iter().filter(|g| g.members.len() > 1).count();
+    }
+    assert!(merged > 0, "no round ever merged two views");
+    (data, trained)
+}
+
+#[test]
+fn source_tables_answer_as_per_pair_models_on_s1() {
+    assert_source_tables_match_per_pair_models(&Scenario::new(ScenarioKind::S1), 40.0);
+}
+
+#[test]
+fn source_tables_answer_as_per_pair_models_on_s3() {
+    assert_source_tables_match_per_pair_models(&Scenario::new(ScenarioKind::S3), 40.0);
+}
+
+/// On the city the size gate rides along: a camera's observations are
+/// indexed once — not once per paired destination, as the per-pair layout
+/// did — and the regressors hold the positives and nothing else.
+#[test]
+fn source_tables_answer_as_per_pair_models_on_a_city_at_one_index_row_per_observation() {
+    let scenario = city16();
+    let (data, trained) = assert_source_tables_match_per_pair_models(&scenario, 30.0);
+    let m = scenario.num_cameras();
+    let observations: usize = (0..m).map(|cam| data.rows(cam).len()).sum();
+    let positives: usize = data.pairs.values().map(|l| l.positives().len()).sum();
+    assert_eq!(trained.indexed_rows(), (observations, positives));
+    // What one classifier index per pair held: every observation once per
+    // destination its camera is paired with (seven in a full district).
+    let degree = |cam: usize| data.pairs.range((cam, 0)..=(cam, usize::MAX)).count();
+    assert!((0..m).all(|cam| degree(cam) == 7), "two full districts");
+    assert_eq!(data.len(), 7 * observations);
+    assert!(positives > 0 && positives < data.len());
 }
