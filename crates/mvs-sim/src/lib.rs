@@ -59,8 +59,8 @@ pub use network::{NetworkModel, BYTES_PER_OBJECT, MESSAGE_HEADER_BYTES};
 pub use render::render_ascii;
 pub use response::{replay_response, QueuePolicy, ResponseStats};
 pub use runtime::{
-    run_pipeline, run_pipeline_traced, Algorithm, OverheadModel, PipelineConfig, PipelineResult,
-    PipelineStats, PoisonPanic, TenantPipeline,
+    run_pipeline, run_pipeline_traced, Algorithm, Deployment, OverheadModel, PipelineConfig,
+    PipelineResult, PipelineStats, PoisonPanic, TenantPipeline,
 };
 pub use scenario::{CityConfig, Scenario, ScenarioBuildError, ScenarioBuilder, ScenarioKind};
 pub use serve::{

@@ -31,7 +31,7 @@ use crate::world::World;
 use mvs_assoc::AssociationScratch;
 use mvs_core::extensions::balb_redundant;
 use mvs_core::{
-    balb_sharded, scan_takeovers_into, BalbSchedule, BalbSolver, CameraId, CameraInfo,
+    balb_sharded, scan_takeovers_into, BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask,
     CameraSubset, MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShadowVerdict,
     ShardPlan,
 };
@@ -41,8 +41,8 @@ use mvs_metrics::{
 };
 use mvs_trace::{span_into, Stage, Trace, TraceRecorder};
 use mvs_vision::{
-    slice_regions_into, Detection, DetectionModel, FlowTracker, LatencyProfile, RegionTask,
-    SimulatedDetector, SizeCounts, TrackerConfig,
+    slice_regions_into, Detection, DetectionModel, FlowTracker, GroundTruthObject, LatencyProfile,
+    RegionTask, SimulatedDetector, SizeCounts, TrackerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,6 +50,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which scheduling algorithm the pipeline runs (the paper's comparison
@@ -320,7 +321,7 @@ pub fn run_pipeline_traced(
 /// The closed run loop: steps every frame of the configured evaluation
 /// window, then finalizes.
 fn run_frames(mut pipeline: TenantPipeline) -> (PipelineResult, Option<Trace>) {
-    let frames = (pipeline.inner.config.eval_s * pipeline.fps()).round() as usize;
+    let frames = (pipeline.inner.deployment.config.eval_s * pipeline.fps()).round() as usize;
     for _ in 0..frames {
         pipeline.step();
     }
@@ -379,8 +380,9 @@ struct CoordinatorScratch {
 ///   cold with [`balb_redundant`], which equals `balb_central` at
 ///   redundancy 1;
 /// * fully-synced single-owner horizons run [`balb_sharded`] on the
-///   instance's component plan under [`PipelineConfig::shard_solver`], and
-///   the persistent [`BalbSolver`] otherwise.
+///   instance's component plan when `shard_solver`
+///   ([`PipelineConfig::shard_solver`]), and the persistent [`BalbSolver`]
+///   otherwise.
 ///
 /// All three produce the bits of `balb_central` on a single-owner instance,
 /// so the choice never shows in a [`PipelineResult`]. The schedule is in
@@ -389,13 +391,14 @@ fn central_schedule<'s>(
     solver: &'s mut BalbSolver,
     problem: MvsProblem,
     subset: Option<&CameraSubset>,
-    config: &PipelineConfig,
+    redundancy: usize,
+    shard_solver: bool,
 ) -> Cow<'s, BalbSchedule> {
-    let redundancy = config.redundancy.max(1);
+    let redundancy = redundancy.max(1);
     match subset {
         Some(subset) => Cow::Owned(balb_redundant(&subset.problem, redundancy)),
         None if redundancy > 1 => Cow::Owned(balb_redundant(&problem, redundancy)),
-        None if config.shard_solver => {
+        None if shard_solver => {
             let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&problem));
             Cow::Owned(balb_sharded(&problem, &plan))
         }
@@ -403,56 +406,55 @@ fn central_schedule<'s>(
     }
 }
 
-struct Pipeline {
+/// Everything a pipeline run reads and never writes: the scenario and
+/// configuration it serves, and what [`Deployment::build`] derived from the
+/// two — device profiles, the trained cross-camera models, the coverage
+/// precompute, SP's offline allocation, and the world as it stands after
+/// the training segment and the warm-up, with the position those left the
+/// world RNG stream at. The paper trains once, offline, per deployment
+/// (Sec. II-C / IV) and only queries online; this is that "once".
+///
+/// A pipeline is started from a deployment ([`TenantPipeline::start`]) and
+/// shares it through an [`Arc`]: any number of pipelines — one after the
+/// other, or side by side — run from one deployment, each bitwise the run
+/// a freshly built deployment would give, because a start clones the world
+/// and the RNG position and everything else here is only read. The one
+/// post-start reconfiguration, [`TenantPipeline::set_redundancy`], is
+/// per-run state and never touches the deployment.
+#[derive(Debug)]
+pub struct Deployment {
     scenario: Scenario,
     config: PipelineConfig,
+    /// Resolved worker-thread count for the per-camera stages.
     threads: usize,
+    /// Device latency profile per camera.
+    profiles: Vec<LatencyProfile>,
     trained: Option<TrainedAssociation>,
     precompute: Option<MaskPrecompute>,
+    /// SP's fixed speed-priority mask per camera (empty for every other
+    /// algorithm).
+    static_masks: Vec<CameraMask>,
     partition: Option<StaticWorldPartition>,
-    /// World/coordinator RNG: stream 0 of the run seed. Camera draws live
-    /// on the per-worker streams.
-    rng: ChaCha8Rng,
+    /// The world after the training segment and the 30 s warm-up; a run
+    /// steps a clone of it.
     world: World,
-    /// Fault schedule: dedicated RNG stream, stepped at key frames on the
-    /// coordinator thread only.
-    faults: FaultState,
-    /// Owner cameras per global object of the current horizon (one entry
-    /// with redundancy 1; more under the redundant-assignment extension).
-    assignment: Vec<Vec<usize>>,
-    /// Persistent solver of the central stage's default path (see
-    /// [`central_schedule`]): repairs the previous horizon's schedule when
-    /// the scene barely changed, reusing its buffers either way.
-    solver: BalbSolver,
-    /// Reused snapshot of the per-camera liveness flags for the current
-    /// key frame (the snapshot decouples the flags from later fault-state
-    /// mutations without a per-key-frame allocation).
-    alive_scratch: Vec<bool>,
-    /// Reused backing store for key-frame [`UploadMessage`] object lists.
-    upload_scratch: Vec<ObjectRecord>,
-    /// Reused per-frame coordinator buffers (see [`CoordinatorScratch`]).
-    scratch: CoordinatorScratch,
-    /// Amortized central-stage cost charged to every frame of the horizon.
-    central_per_frame_ms: f64,
-    /// Structured-tracing recorder; `None` (the default) keeps every
-    /// span-recording site a no-op.
-    tracer: Option<TraceRecorder>,
-    /// Frames actually processed so far (skipped frames excluded).
-    frames_done: usize,
-    // Outputs.
-    recall: RecallAccumulator,
-    latency: LatencySeries,
-    per_camera: Vec<Vec<f64>>,
-    overhead: OverheadBreakdown,
-    stats: PipelineStats,
-    degradation: DegradationCounters,
+    /// Where training and warm-up left the world stream (stream 0 of the
+    /// run seed); a run continues a clone of it.
+    rng: ChaCha8Rng,
+    /// Each camera's view of `world`: the first frame's flow reference.
+    first_views: Vec<Vec<GroundTruthObject>>,
 }
 
-impl Pipeline {
-    /// Builds the coordinator state and the per-camera workers it steps
-    /// (owned side by side by [`TenantPipeline`], so a frame can borrow
-    /// both mutably).
-    fn new(scenario: &Scenario, config: &PipelineConfig) -> (Self, Vec<CameraWorker>) {
+impl Deployment {
+    /// Trains the association models on the "first half", precomputes the
+    /// coverage masks and warms the world — the whole offline phase of
+    /// [`run_pipeline`], every draw in its order.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`run_pipeline`].
+    pub fn build(scenario: &Scenario, config: &PipelineConfig) -> Deployment {
+        assert!(config.horizon > 0, "horizon must be positive");
         let m = scenario.num_cameras();
         assert!(m > 0, "scenario has no cameras");
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -493,14 +495,13 @@ impl Pipeline {
         };
         // SP's offline allocation: overlap cells divided among covering
         // cameras in proportion to processing power, frozen for the run.
-        let mut static_masks: Vec<Option<mvs_core::CameraMask>> =
-            if config.algorithm == Algorithm::StaticPartition {
-                let weights: Vec<f64> = profiles.iter().map(|p| p.speed_score()).collect();
-                let pre = precompute.as_ref().expect("SP precomputes coverage");
-                pre.sp_masks(&weights).into_iter().map(Some).collect()
-            } else {
-                vec![None; m]
-            };
+        let static_masks = if config.algorithm == Algorithm::StaticPartition {
+            let weights: Vec<f64> = profiles.iter().map(|p| p.speed_score()).collect();
+            let pre = precompute.as_ref().expect("SP precomputes coverage");
+            pre.sp_masks(&weights)
+        } else {
+            Vec::new()
+        };
         let partition = matches!(config.algorithm, Algorithm::StaticPartitionOracle).then(|| {
             StaticWorldPartition::new(
                 scenario.cameras.iter().map(|c| c.view_polygon()).collect(),
@@ -509,40 +510,107 @@ impl Pipeline {
         });
 
         let world = scenario.warmed_world(30.0, &mut rng);
+        let first_views = scenario
+            .cameras
+            .iter()
+            .map(|c| c.visible_objects(&world, scenario.occlusion_threshold))
+            .collect();
+        Deployment {
+            scenario: scenario.clone(),
+            config: config.clone(),
+            threads: resolve_threads(config.threads).min(m),
+            profiles,
+            trained,
+            precompute,
+            static_masks,
+            partition,
+            world,
+            rng,
+            first_views,
+        }
+    }
+}
+
+struct Pipeline {
+    /// What the run reads and never writes — scenario, configuration,
+    /// models, masks — shared with every other run of the deployment.
+    deployment: Arc<Deployment>,
+    /// Cameras assigned per object: [`PipelineConfig::redundancy`] until
+    /// [`TenantPipeline::set_redundancy`] says otherwise.
+    redundancy: usize,
+    /// World/coordinator RNG: stream 0 of the run seed, continued from
+    /// where the deployment's training and warm-up left it. Camera draws
+    /// live on the per-worker streams.
+    rng: ChaCha8Rng,
+    world: World,
+    /// Fault schedule: dedicated RNG stream, stepped at key frames on the
+    /// coordinator thread only.
+    faults: FaultState,
+    /// Owner cameras per global object of the current horizon (one entry
+    /// with redundancy 1; more under the redundant-assignment extension).
+    assignment: Vec<Vec<usize>>,
+    /// Persistent solver of the central stage's default path (see
+    /// [`central_schedule`]): repairs the previous horizon's schedule when
+    /// the scene barely changed, reusing its buffers either way.
+    solver: BalbSolver,
+    /// Reused snapshot of the per-camera liveness flags for the current
+    /// key frame (the snapshot decouples the flags from later fault-state
+    /// mutations without a per-key-frame allocation).
+    alive_scratch: Vec<bool>,
+    /// Reused backing store for key-frame [`UploadMessage`] object lists.
+    upload_scratch: Vec<ObjectRecord>,
+    /// Reused per-frame coordinator buffers (see [`CoordinatorScratch`]).
+    scratch: CoordinatorScratch,
+    /// Amortized central-stage cost charged to every frame of the horizon.
+    central_per_frame_ms: f64,
+    /// Structured-tracing recorder; `None` (the default) keeps every
+    /// span-recording site a no-op.
+    tracer: Option<TraceRecorder>,
+    /// Frames actually processed so far (skipped frames excluded).
+    frames_done: usize,
+    // Outputs.
+    recall: RecallAccumulator,
+    latency: LatencySeries,
+    per_camera: Vec<Vec<f64>>,
+    overhead: OverheadBreakdown,
+    stats: PipelineStats,
+    degradation: DegradationCounters,
+}
+
+impl Pipeline {
+    /// Starts a run of `deployment`: the coordinator state and the
+    /// per-camera workers it steps (owned side by side by
+    /// [`TenantPipeline`], so a frame can borrow both mutably), each in
+    /// the state a freshly built deployment hands its first run.
+    fn start(deployment: Arc<Deployment>) -> (Self, Vec<CameraWorker>) {
+        let config = &deployment.config;
+        let m = deployment.scenario.num_cameras();
         let workers: Vec<CameraWorker> = (0..m)
             .map(|i| {
-                let frame = scenario.cameras[i].frame;
+                let frame = deployment.scenario.cameras[i].frame;
                 CameraWorker {
                     index: i,
                     frame,
                     lag: config.camera_lag_frames.get(i).copied().unwrap_or(0),
-                    profile: profiles[i].clone(),
                     detector: SimulatedDetector::new(config.detection, frame),
                     tracker: FlowTracker::new(config.tracker, frame),
                     rng: CameraWorker::stream_rng(config.seed, i),
                     view: Vec::new(),
-                    prev_view: scenario.cameras[i]
-                        .visible_objects(&world, scenario.occlusion_threshold),
+                    prev_view: deployment.first_views[i].clone(),
                     truth: Vec::new(),
                     history: VecDeque::new(),
                     shadows: BTreeMap::new(),
                     track_global: HashMap::new(),
                     mask: None,
-                    static_mask: static_masks[i].take(),
                     trace: None,
                     scratch: FrameScratch::new(),
                 }
             })
             .collect();
         let pipeline = Pipeline {
-            scenario: scenario.clone(),
-            config: config.clone(),
-            threads: resolve_threads(config.threads).min(m),
-            trained,
-            precompute,
-            partition,
-            rng,
-            world,
+            redundancy: config.redundancy,
+            rng: deployment.rng.clone(),
+            world: deployment.world.clone(),
             faults: FaultState::new(config.faults, config.seed, m),
             assignment: Vec::new(),
             solver: BalbSolver::new(),
@@ -558,6 +626,7 @@ impl Pipeline {
             overhead: OverheadBreakdown::new(),
             stats: PipelineStats::default(),
             degradation: DegradationCounters::default(),
+            deployment,
         };
         (pipeline, workers)
     }
@@ -575,7 +644,7 @@ impl Pipeline {
     /// lost key-frame round trip — trackers coast until the next processed
     /// key frame.
     fn step_frame(&mut self, workers: &mut [CameraWorker], frame: usize) -> f64 {
-        let dt = self.scenario.frame_dt_s();
+        let dt = self.deployment.scenario.frame_dt_s();
         self.world.step(dt, &mut self.rng);
         if let Some(t) = &mut self.tracer {
             let start_us = t.begin_frame(frame);
@@ -585,7 +654,7 @@ impl Pipeline {
                 }
             }
         }
-        let is_key = frame.is_multiple_of(self.config.horizon);
+        let is_key = frame.is_multiple_of(self.deployment.config.horizon);
         if is_key {
             self.step_faults(workers);
         }
@@ -602,7 +671,7 @@ impl Pipeline {
         }
 
         // Each fills this frame's `latency`, `detected` and `oh`.
-        match self.config.algorithm {
+        match self.deployment.config.algorithm {
             Algorithm::Full => self.full_frame(workers),
             _ if is_key => self.key_frame(workers),
             _ => self.regular_frame(workers),
@@ -653,7 +722,7 @@ impl Pipeline {
     /// `prev_view`, so its optical flow spans the gap — exactly the larger
     /// displacement a real camera would measure across dropped frames.
     fn skip_frame(&mut self) {
-        let dt = self.scenario.frame_dt_s();
+        let dt = self.deployment.scenario.frame_dt_s();
         self.world.step(dt, &mut self.rng);
         self.stats.skipped_frames += 1;
     }
@@ -666,7 +735,7 @@ impl Pipeline {
             .map(|s| s.iter().sum::<f64>() / s.len().max(1) as f64)
             .collect();
         let result = PipelineResult {
-            algorithm: self.config.algorithm,
+            algorithm: self.deployment.config.algorithm,
             frames: self.frames_done,
             recall: self.recall.recall(),
             mean_latency_ms: self.latency.mean_ms(),
@@ -715,13 +784,14 @@ impl Pipeline {
     /// [`CoordinatorScratch::visible`] and, while a camera is dead,
     /// [`CoordinatorScratch::covered`].
     fn observe(&mut self, workers: &mut [CameraWorker]) {
-        let wants_flow = self.config.algorithm != Algorithm::Full;
-        let occlusion = self.scenario.occlusion_threshold;
-        let noise = self.config.flow_noise_px;
-        let cameras = &self.scenario.cameras;
+        let dep = &*self.deployment;
+        let wants_flow = dep.config.algorithm != Algorithm::Full;
+        let occlusion = dep.scenario.occlusion_threshold;
+        let noise = dep.config.flow_noise_px;
+        let cameras = &dep.scenario.cameras;
         let world = &self.world;
         let alive = self.faults.alive();
-        par_map(workers, self.threads, |w| {
+        par_map(workers, dep.threads, |w| {
             w.observe(&cameras[w.index], world, occlusion, alive[w.index]);
             // A dead camera's empty view degenerates the flow estimate to
             // the identity (drawing nothing from its RNG stream).
@@ -749,11 +819,12 @@ impl Pipeline {
     /// The Full baseline: full-frame inspection everywhere, every frame.
     fn full_frame(&mut self, workers: &mut [CameraWorker]) {
         let alive = self.faults.alive();
-        let outs = par_map(workers, self.threads, |w| {
+        let profiles = &self.deployment.profiles;
+        let outs = par_map(workers, self.deployment.threads, |w| {
             if !alive[w.index] {
                 return (0.0, Vec::new());
             }
-            let full_ms = w.profile.full_frame_ms();
+            let full_ms = profiles[w.index].full_frame_ms();
             let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
             span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
             (full_ms, dets)
@@ -822,14 +893,16 @@ impl Pipeline {
     fn key_frame(&mut self, workers: &mut [CameraWorker]) {
         self.stats.key_frames += 1;
         let m = workers.len();
+        let dep = &*self.deployment;
+        let config = &dep.config;
         self.alive_scratch.clear();
         self.alive_scratch.extend_from_slice(self.faults.alive());
         let alive = &self.alive_scratch;
-        let det_outs: Vec<(Vec<Detection>, f64)> = par_map(workers, self.threads, |w| {
+        let det_outs: Vec<(Vec<Detection>, f64)> = par_map(workers, dep.threads, |w| {
             if !alive[w.index] {
                 return (Vec::new(), 0.0);
             }
-            let full_ms = w.profile.full_frame_ms();
+            let full_ms = dep.profiles[w.index].full_frame_ms();
             let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
             span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
             (dets, full_ms)
@@ -859,7 +932,7 @@ impl Pipeline {
         // retry budget. `Some(k)` = delivered after `k` lost attempts.
         // All draws happen here, on the coordinator, in camera-index
         // order; the scheduler only answers cameras it heard from.
-        let is_central = matches!(self.config.algorithm, Algorithm::BalbCen | Algorithm::Balb);
+        let is_central = matches!(config.algorithm, Algorithm::BalbCen | Algorithm::Balb);
         for leg in [&mut *up, &mut *down] {
             leg.clear();
             leg.resize(m, None);
@@ -930,7 +1003,7 @@ impl Pipeline {
         }
         self.central_per_frame_ms = 0.0;
 
-        match self.config.algorithm {
+        match config.algorithm {
             Algorithm::BalbInd => {
                 // Every camera keeps everything it saw.
                 for (w, dets) in workers.iter_mut().zip(&all_dets) {
@@ -944,18 +1017,17 @@ impl Pipeline {
                 // static speed-priority mask owns (same imperfect models
                 // as BALB's masks, but load-oblivious).
                 for (w, dets) in workers.iter_mut().zip(&all_dets) {
-                    let mask = w.static_mask.take().expect("SP masks built");
+                    let mask = &dep.static_masks[w.index];
                     for d in dets {
                         if mask.is_responsible_for(&d.bbox) {
                             w.tracker.seed(d.bbox, d.truth_id);
                         }
                     }
-                    w.static_mask = Some(mask);
                 }
             }
             Algorithm::StaticPartitionOracle => {
                 // Ablation: allocation by oracle world geometry.
-                let partition = self.partition.as_ref().expect("oracle SP has a partition");
+                let partition = dep.partition.as_ref().expect("oracle SP has a partition");
                 let world_pos: HashMap<u64, mvs_geometry::Point2> = self
                     .world
                     .objects()
@@ -977,7 +1049,7 @@ impl Pipeline {
                 }
             }
             Algorithm::BalbCen | Algorithm::Balb => {
-                let started = self.config.measured_overheads.then(Instant::now);
+                let started = config.measured_overheads.then(Instant::now);
                 let model = *self.faults.model();
                 // Only uploads the scheduler both received *and* answered
                 // enter the schedule: an unacknowledged camera discards
@@ -997,7 +1069,7 @@ impl Pipeline {
                     .iter()
                     .map(|w| CameraInfo {
                         id: CameraId(w.index),
-                        profile: w.profile.clone(),
+                        profile: dep.profiles[w.index].clone(),
                     })
                     .collect();
 
@@ -1010,8 +1082,8 @@ impl Pipeline {
                 // stale mask and running tracks until the next key frame.
                 // In a long-running service this is a degradation event,
                 // never a panic.
-                let config = &self.config;
-                let trained = &self.trained;
+                let trained = &dep.trained;
+                let redundancy = self.redundancy;
                 let solver = &mut self.solver;
                 let assignment = &mut self.assignment;
                 let mut recorder = self.tracer.as_mut();
@@ -1062,7 +1134,13 @@ impl Pipeline {
                         } else {
                             Some(problem.restrict_to_cameras(synced_cams_ref).ok()?)
                         };
-                        let schedule = central_schedule(solver, problem, subset.as_ref(), config);
+                        let schedule = central_schedule(
+                            solver,
+                            problem,
+                            subset.as_ref(),
+                            redundancy,
+                            config.shard_solver,
+                        );
                         let solved = schedule.assignment.len();
                         span_into(
                             recorder.as_mut().map(|t| t.coordinator()),
@@ -1100,8 +1178,8 @@ impl Pipeline {
                 // sequential order, so results and traces are bitwise
                 // identical either way.
                 let mut records = std::mem::take(&mut self.upload_scratch);
-                let network = &self.config.network;
-                let (outcome, uplink_phase) = if self.config.pipelined && self.threads > 1 {
+                let network = &config.network;
+                let (outcome, uplink_phase) = if config.pipelined && dep.threads > 1 {
                     mvs_exec::pool().join(solve, || {
                         Self::uplink_phase_ms(&all_dets, up, &model, network, &mut records)
                     })
@@ -1126,7 +1204,7 @@ impl Pipeline {
                                 if owners.contains(&cam) {
                                     let id = workers[cam].tracker.seed(d.bbox, d.truth_id);
                                     workers[cam].track_global.insert(id, g);
-                                } else if self.config.algorithm == Algorithm::Balb {
+                                } else if config.algorithm == Algorithm::Balb {
                                     workers[cam].shadows.insert(g, ShadowTrack::new(d.bbox));
                                 }
                             }
@@ -1136,8 +1214,8 @@ impl Pipeline {
                         // omits everyone else, so survivors absorb dead
                         // cameras' cells while desynced cameras coast on
                         // their stale masks.
-                        if self.config.algorithm == Algorithm::Balb {
-                            let pre = self.precompute.as_ref().expect("BALB precomputes masks");
+                        if config.algorithm == Algorithm::Balb {
+                            let pre = dep.precompute.as_ref().expect("BALB precomputes masks");
                             for w in workers.iter_mut() {
                                 if synced[w.index] {
                                     pre.mask_for_into(w.index, &priority, &mut w.mask);
@@ -1171,7 +1249,7 @@ impl Pipeline {
                         self.assignment.iter().map(Vec::len),
                         priority.len(),
                     );
-                    self.config.network.downlink_ms(reply_len)
+                    config.network.downlink_ms(reply_len)
                 };
                 let downlink_phase = (0..m)
                     .map(|cam| match (up[cam].is_some(), down[cam]) {
@@ -1181,7 +1259,7 @@ impl Pipeline {
                     })
                     .fold(0.0, f64::max);
                 self.central_per_frame_ms =
-                    (compute_ms + uplink_phase + downlink_phase) / self.config.horizon as f64;
+                    (compute_ms + uplink_phase + downlink_phase) / config.horizon as f64;
                 if let Some(t) = &mut self.tracer {
                     t.coordinator().span(
                         Stage::Sync,
@@ -1212,10 +1290,11 @@ impl Pipeline {
     /// cannot depend on camera scheduling order). The winners extend the
     /// shared assignment during the serial merge.
     fn regular_frame(&mut self, workers: &mut [CameraWorker]) {
-        let algorithm = self.config.algorithm;
-        let measured = self.config.measured_overheads;
+        let dep = &*self.deployment;
+        let algorithm = dep.config.algorithm;
+        let measured = dep.config.measured_overheads;
         let central_ms = self.central_per_frame_ms;
-        let overhead = self.config.overhead;
+        let overhead = dep.config.overhead;
         let probe_allowed = matches!(
             algorithm,
             Algorithm::BalbInd
@@ -1225,12 +1304,13 @@ impl Pipeline {
         );
         let outs: Vec<RegularOutput> = {
             let assignment = &self.assignment;
-            let trained = self.trained.as_ref();
-            let partition = self.partition.as_ref();
+            let trained = dep.trained.as_ref();
+            let partition = dep.partition.as_ref();
             let world = &self.world;
             let alive = self.faults.alive();
-            par_map(workers, self.threads, |w| {
+            par_map(workers, dep.threads, |w| {
                 let i = w.index;
+                let profile = &dep.profiles[i];
                 let frame_dims = w.frame;
                 // The merge reads these two lists from every worker.
                 w.scratch.takeover_seeds.clear();
@@ -1350,11 +1430,9 @@ impl Pipeline {
                                 .mask
                                 .as_ref()
                                 .is_some_and(|mask| mask.is_responsible_for(&region)),
-                            Algorithm::StaticPartition => w
-                                .static_mask
-                                .as_ref()
-                                .expect("SP masks built")
-                                .is_responsible_for(&region),
+                            Algorithm::StaticPartition => {
+                                dep.static_masks[i].is_responsible_for(&region)
+                            }
                             Algorithm::StaticPartitionOracle => {
                                 // The oracle SP allocation is geometric;
                                 // check the world region behind the
@@ -1386,10 +1464,10 @@ impl Pipeline {
                 // 5. Run the (simulated) DNN on every crop; batching
                 // decides the latency.
                 let counts = SizeCounts::from_sizes(w.scratch.tasks.iter().map(|t| t.size));
-                let batches: usize = counts.batches(&w.profile).iter().sum();
+                let batches: usize = counts.batches(profile).iter().sum();
                 let batching_ms = overhead.batch_per_crop_ms * w.scratch.tasks.len() as f64
                     + overhead.batch_per_batch_ms * batches as f64;
-                let latency_ms = counts.latency_ms(&w.profile);
+                let latency_ms = counts.latency_ms(profile);
                 span_into(w.trace.as_mut(), Stage::Batch, batching_ms, batches);
                 span_into(w.trace.as_mut(), Stage::Detect, latency_ms, counts.total());
                 for task in &w.scratch.tasks {
@@ -1476,8 +1554,9 @@ impl Pipeline {
 /// One tenant's steppable pipeline for the multi-tenant serving front-end
 /// (`mvs serve`): the same runtime as [`run_pipeline`], but driven frame
 /// by frame by an external event loop instead of a closed run loop. Owns
-/// its scenario, configuration, and all runtime state, so N instances
-/// multiplex freely onto one scheduler core.
+/// all of its runtime state and shares only the immutable [`Deployment`] it
+/// was started from, so N instances multiplex freely onto one scheduler
+/// core.
 ///
 /// The capture clock advances by exactly one frame per [`TenantPipeline::step`]
 /// or [`TenantPipeline::skip`] call; key frames fall on capture indices
@@ -1524,8 +1603,18 @@ impl TenantPipeline {
     ///
     /// Same conditions as [`run_pipeline`].
     pub fn new(scenario: &Scenario, config: &PipelineConfig) -> TenantPipeline {
-        assert!(config.horizon > 0, "horizon must be positive");
-        let (inner, workers) = Pipeline::new(scenario, config);
+        TenantPipeline::start(Arc::new(Deployment::build(scenario, config)))
+    }
+
+    /// Starts a run of an already built deployment: clones its post-warm-up
+    /// world and RNG position and seeds the per-run state (workers,
+    /// trackers, the fault schedule), sharing everything else. Trains
+    /// nothing, so what it costs does not grow with the training window or
+    /// the number of camera pairs; the run is bitwise the one
+    /// [`TenantPipeline::new`] starts on the same scenario and
+    /// configuration, however many runs the deployment started before.
+    pub fn start(deployment: Arc<Deployment>) -> TenantPipeline {
+        let (inner, workers) = Pipeline::start(deployment);
         TenantPipeline {
             inner,
             workers,
@@ -1536,7 +1625,7 @@ impl TenantPipeline {
 
     /// Frames per second of the tenant's scenario (its capture clock).
     pub fn fps(&self) -> f64 {
-        self.inner.scenario.fps
+        self.inner.deployment.scenario.fps
     }
 
     /// Number of cameras in the tenant's deployment.
@@ -1552,7 +1641,7 @@ impl TenantPipeline {
 
     /// Currently configured redundancy degree.
     pub fn redundancy(&self) -> usize {
-        self.inner.config.redundancy
+        self.inner.redundancy
     }
 
     /// Reconfigures the redundancy degree, effective at the next processed
@@ -1562,8 +1651,8 @@ impl TenantPipeline {
     /// configuration.
     pub fn set_redundancy(&mut self, redundancy: usize) {
         assert!(redundancy > 0, "redundancy must be at least one");
-        if self.inner.config.redundancy != redundancy {
-            self.inner.config.redundancy = redundancy;
+        if self.inner.redundancy != redundancy {
+            self.inner.redundancy = redundancy;
             self.inner.solver.reset();
         }
     }
@@ -1572,7 +1661,7 @@ impl TenantPipeline {
     /// carry this tenant's frames only, so a serving front-end can label
     /// each trace with its tenant.
     pub fn enable_tracing(&mut self) {
-        self.inner.tracer = Some(TraceRecorder::new(self.inner.scenario.fps));
+        self.inner.tracer = Some(TraceRecorder::new(self.fps()));
         for (i, w) in self.workers.iter_mut().enumerate() {
             w.trace = Some(TraceRecorder::camera_buf(i));
         }

@@ -3,11 +3,13 @@
 //! shifts. The ladder arithmetic ([`fit_keep_every`], [`rung`]) is pure;
 //! the only stateful step is the re-pilot after shedding redundancy.
 
+use std::sync::Arc;
+
 use mvs_exec::pool;
 use serde::{Deserialize, Serialize};
 
 use super::{PipelineRecipe, ServeLoop, Tenant};
-use crate::runtime::TenantPipeline;
+use crate::runtime::{Deployment, TenantPipeline};
 use crate::scenario::Scenario;
 
 /// What admission control decided for one tenant, in degradation order.
@@ -108,15 +110,20 @@ pub(super) fn pilot_load(pipeline: &mut TenantPipeline, horizon: usize, fps: f64
 }
 
 impl Tenant {
-    /// Deploys the tenant from scratch — scenario, pipeline, tracing — and
-    /// takes the unconditional first pilot. Returns the pipeline and the
-    /// pilot load in cores. Admission, quarantine re-admission and
-    /// snapshot restore all start here, so a restored pipeline's RNG and
-    /// world state line up with the original's.
+    /// Starts a fresh pipeline on the tenant's deployment — tracing
+    /// included — and takes the unconditional first pilot. Returns the
+    /// pipeline and the pilot load in cores. Admission, quarantine
+    /// re-admission and snapshot restore all start here, so a restored
+    /// pipeline's RNG and world state line up with the original's. Only the
+    /// first call generates the scenario and trains; every later one
+    /// starts from the same post-warm-up world and trained models.
     pub(super) fn deploy(&self, fps: f64, traced: bool) -> (TenantPipeline, f64) {
-        let mut scenario = Scenario::city(&self.city);
-        scenario.fps = fps;
-        let mut pipeline = TenantPipeline::new(&scenario, &self.pipe_config);
+        let deployment = self.deployment.get_or_init(|| {
+            let mut scenario = Scenario::city(&self.city);
+            scenario.fps = fps;
+            Arc::new(Deployment::build(&scenario, &self.pipe_config))
+        });
+        let mut pipeline = TenantPipeline::start(Arc::clone(deployment));
         if traced {
             pipeline.enable_tracing();
         }
@@ -192,8 +199,9 @@ impl ServeLoop {
     }
 
     /// Re-admits every tenant whose quarantine window has expired: each
-    /// redeploys (its world restarts from scratch) and walks the ladder
-    /// against the current spare capacity.
+    /// starts a fresh pipeline on the deployment it kept through the
+    /// quarantine (its world restarts at the post-warm-up state; nothing
+    /// retrains) and walks the ladder against the current spare capacity.
     pub(super) fn readmit_due(&mut self) {
         let now_us = self.state.now_us;
         let due: Vec<usize> = (0..self.tenants.len())

@@ -58,6 +58,7 @@
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use mvs_metrics::RecoveryCounters;
 use mvs_trace::Trace;
@@ -67,7 +68,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::{FaultModelError, ServeFaultError, ServeFaultModel};
-use crate::runtime::{Algorithm, PipelineConfig, TenantPipeline};
+use crate::runtime::{Algorithm, Deployment, PipelineConfig, TenantPipeline};
 use crate::scenario::CityConfig;
 use crate::FaultModel;
 
@@ -209,6 +210,16 @@ pub enum ServeConfigError {
         /// Cameras of the first snapshot tenant that disagrees.
         got: usize,
     },
+    /// A snapshot passed to [`ServeLoop::recover`] holds state no run of
+    /// this configuration checkpoints; restoring it would spin or rebuild
+    /// a history that never happened.
+    SnapshotCorrupt {
+        /// The first tenant whose state is inconsistent; `None` when it is
+        /// the loop's own.
+        tenant: Option<usize>,
+        /// Which constraint it violates.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServeConfigError {
@@ -243,6 +254,14 @@ impl fmt::Display for ServeConfigError {
                 "snapshot describes a tenant with {got} cameras but the configuration \
                  has {expected} per tenant"
             ),
+            ServeConfigError::SnapshotCorrupt {
+                tenant: Some(tenant),
+                reason,
+            } => write!(f, "snapshot is corrupt at tenant {tenant}: {reason}"),
+            ServeConfigError::SnapshotCorrupt {
+                tenant: None,
+                reason,
+            } => write!(f, "snapshot is corrupt: {reason}"),
         }
     }
 }
@@ -368,12 +387,18 @@ struct TenantState {
     service_ms: Vec<f64>,
 }
 
-/// One tenant inside the event loop: its deployment parameters (a
-/// function of the [`ServeConfig`]), its checkpointed [`TenantState`],
-/// and the pipeline rebuilt from the two.
+/// One tenant inside the event loop: its deployment (a function of the
+/// [`ServeConfig`]), its checkpointed [`TenantState`], and the pipeline
+/// rebuilt from the two.
 struct Tenant {
     city: CityConfig,
     pipe_config: PipelineConfig,
+    /// The tenant's trained models, masks and warmed world: built from
+    /// `city` and `pipe_config` by the first [`Tenant::deploy`] and kept for
+    /// the life of the loop — across quarantine, crash and pipeline
+    /// teardown, none of which can change what it holds. Like the two
+    /// fields it is built from, never checkpointed.
+    deployment: OnceLock<Arc<Deployment>>,
     /// Virtual-time offset of this tenant's capture clock, µs.
     phase_us: u64,
     state: TenantState,
@@ -537,6 +562,7 @@ impl ServeLoop {
                 Tenant {
                     city,
                     pipe_config,
+                    deployment: OnceLock::new(),
                     // Stagger tenants across the capture interval so
                     // arrivals do not all land on the same instant.
                     phase_us: interval_us * t as u64 / config.tenants as u64,
@@ -953,6 +979,47 @@ mod tests {
             crash_no_snap.validate(),
             Err(ServeConfigError::CrashWithoutSnapshots)
         );
+    }
+
+    #[test]
+    fn tenants_keep_their_deployment_through_crash_and_quarantine() {
+        let config = ServeConfig {
+            tenants: 2,
+            cameras_per_tenant: 3,
+            duration_s: 3.0,
+            train_s: 8.0,
+            capacity_cores: 6.0,
+            chaos: ServeFaultModel {
+                seed: 11,
+                crash_at_us: vec![1_200_000],
+                restart_delay_us: 300_000,
+                poison_per_frame: 0.05,
+                quarantine_us: 800_000,
+                ..ServeFaultModel::none()
+            },
+            snapshot_every_horizons: 1,
+            ..ServeConfig::default()
+        };
+        let deployments = |served: &ServeLoop| -> Vec<*const Deployment> {
+            (served.tenants.iter())
+                .map(|t| Arc::as_ptr(t.deployment.get().expect("deployed at admission")))
+                .collect()
+        };
+        let mut served = ServeLoop::new(&config).expect("valid config");
+        let built = deployments(&served);
+        served.run_until(2_900_000);
+        let recovery = served.state.recovery;
+        assert!(
+            recovery.restarts == 1 && recovery.readmissions > 0,
+            "{recovery:?}"
+        );
+        assert_eq!(deployments(&served), built, "a tenant was redeployed cold");
+        // One handle is the tenant's, the other its live pipeline's: no
+        // torn-down pipeline keeps one, nothing else took one.
+        for tenant in &served.tenants {
+            let handles = Arc::strong_count(tenant.deployment.get().expect("deployed"));
+            assert_eq!(handles, 1 + usize::from(tenant.pipeline.is_some()));
+        }
     }
 
     #[test]

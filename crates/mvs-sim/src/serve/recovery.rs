@@ -40,11 +40,48 @@ impl ServeSnapshot {
     }
 }
 
+impl TenantState {
+    /// Checks what [`Tenant::rebuild`] and the event loop take on trust
+    /// from a checkpoint: a snapshot is deserialized outside input, and a
+    /// recipe naming a frame the loop never dispatches would be replayed
+    /// for as long as the number says. `frames` is the capture window.
+    fn validate(&self, frames: u64, max_keep_every: u64) -> Result<(), &'static str> {
+        if !(1..=max_keep_every).contains(&self.keep_every) {
+            return Err("keep_every is outside 1..=max_keep_every");
+        }
+        if self.next_capture > frames {
+            return Err("capture cursor is past the capture window");
+        }
+        let quarantined = self.decision == AdmissionDecision::Quarantined;
+        let recipe = match (&self.recipe, quarantined) {
+            (None, true) => return Ok(()),
+            (None, false) => return Err("a tenant that is not quarantined has no replay recipe"),
+            (Some(_), true) => return Err("a quarantined tenant has a replay recipe"),
+            (Some(recipe), false) => recipe,
+        };
+        if recipe.base > self.next_capture {
+            return Err("replay recipe starts past the capture cursor");
+        }
+        // What `try_dispatch` emits: strictly increasing serving frames of
+        // the window, none before the pipeline's anchor.
+        let mut floor = recipe.base;
+        for &frame in &recipe.processed {
+            if frame < floor || frame >= frames {
+                return Err("replay recipe is not strictly increasing within the capture window");
+            }
+            floor = frame + 1;
+        }
+        Ok(())
+    }
+}
+
 impl Tenant {
     /// Rebuilds the pipeline a restored [`TenantState`] describes by
-    /// replaying its recipe: deploy and pilot exactly as admission did,
-    /// shed if admission shed, then the exact skip/step sequence. Leaves a
-    /// quarantined tenant (no recipe) without a pipeline.
+    /// replaying its recipe: start from the tenant's deployment and pilot
+    /// exactly as admission did, shed if admission shed, then the exact
+    /// skip/step sequence — O(frames replayed), with no training term once
+    /// the deployment exists. Leaves a quarantined tenant (no recipe)
+    /// without a pipeline.
     fn rebuild(&mut self, fps: f64, traced: bool) {
         self.pipeline = None;
         let Some(recipe) = self.state.recipe.as_ref() else {
@@ -110,7 +147,14 @@ impl ServeLoop {
     /// [`ServeConfigError::SnapshotMismatch`] /
     /// [`ServeConfigError::SnapshotCameraMismatch`] when the snapshot was
     /// taken on a deployment with a different tenant count / a different
-    /// number of cameras per tenant than the configuration's.
+    /// number of cameras per tenant than the configuration's, and
+    /// [`ServeConfigError::SnapshotCorrupt`] when the snapshot holds state
+    /// no run checkpoints (a replay recipe that is not a strictly
+    /// increasing frame sequence inside the capture window, a capture
+    /// cursor or thinning divisor out of range, a recipe on a quarantined
+    /// tenant or none on a live one, more chaos draws than frames, a
+    /// checkpoint cadence the configuration does not have). All are
+    /// checked before any tenant is deployed.
     pub fn recover(
         config: &ServeConfig,
         snapshot: &ServeSnapshot,
@@ -129,6 +173,28 @@ impl ServeLoop {
                 expected: config.cameras_per_tenant,
                 got,
             });
+        }
+        let corrupt = |tenant, reason| ServeConfigError::SnapshotCorrupt { tenant, reason };
+        for (tenant, state) in snapshot.tenants.iter().enumerate() {
+            state
+                .validate(served.frames_per_tenant, config.max_keep_every)
+                .map_err(|reason| corrupt(Some(tenant), reason))?;
+        }
+        // The two loop-level counts a restore iterates over. Every chaos
+        // draw decides the fate of one waiting frame, so there are at most
+        // as many as frames captured.
+        let captured = snapshot
+            .tenants
+            .iter()
+            .fold(0u64, |sum, t| sum.saturating_add(t.next_capture));
+        if snapshot.core.chaos_draws > captured {
+            return Err(corrupt(None, "more chaos draws than captured frames"));
+        }
+        if snapshot.core.next_snapshot_us.is_some() && served.snapshot_period_us == 0 {
+            return Err(corrupt(
+                None,
+                "a checkpoint cadence is pending but the configuration disables snapshotting",
+            ));
         }
         served.restore(snapshot.clone(), resume_at_us.max(snapshot.taken_at_us()));
         served.last_snapshot = Some(snapshot.clone());

@@ -1,10 +1,12 @@
 //! Per-camera execution state and its fan-out over the persistent pool.
 //!
 //! The pipeline owns one [`CameraWorker`] per camera. A worker bundles
-//! everything a camera touches every frame — detector, tracker, shadows,
-//! distributed-stage mask, device latency profile, lag ring buffer, and a
-//! *private* deterministic RNG stream — so per-frame camera stages can run
-//! on independent pool threads without sharing mutable state.
+//! everything a camera *mutates* every frame — detector, tracker, shadows,
+//! distributed-stage mask, lag ring buffer, and a *private* deterministic
+//! RNG stream — so per-frame camera stages can run on independent pool
+//! threads without sharing mutable state. What a camera only reads (its
+//! device latency profile, SP's static mask) stays in the run's shared
+//! `Deployment`.
 //!
 //! Determinism contract: every random draw a camera makes comes from its
 //! own ChaCha stream (`set_stream(index + 1)` over the run seed; stream 0
@@ -19,8 +21,8 @@ use mvs_core::{CameraMask, ShadowTrack};
 use mvs_geometry::{BBox, FrameDims};
 use mvs_trace::TraceBuf;
 use mvs_vision::{
-    AssociationOutcome, Detection, FlowField, FlowTracker, GroundTruthObject, LatencyProfile,
-    NewRegionFinder, RegionTask, SimulatedDetector, TrackId,
+    AssociationOutcome, Detection, FlowField, FlowTracker, GroundTruthObject, NewRegionFinder,
+    RegionTask, SimulatedDetector, TrackId,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -72,8 +74,6 @@ pub(crate) struct CameraWorker {
     pub frame: FrameDims,
     /// Processing lag in frames (Sec. V imperfect synchronization).
     pub lag: usize,
-    /// Device latency profile.
-    pub profile: LatencyProfile,
     /// Detector quality model for this camera's frame.
     pub detector: SimulatedDetector,
     /// Flow tracker (per-horizon track state).
@@ -100,8 +100,6 @@ pub(crate) struct CameraWorker {
     pub track_global: HashMap<TrackId, usize>,
     /// Distributed-stage mask for the current horizon (full BALB only).
     pub mask: Option<CameraMask>,
-    /// SP's fixed speed-priority mask (static for the whole run).
-    pub static_mask: Option<CameraMask>,
     /// Span buffer for this camera's lane, populated on the pool thread and
     /// drained by the coordinator per frame. `None` (the default) disables
     /// tracing with zero hot-path cost.
@@ -182,7 +180,7 @@ pub use mvs_exec::resolve_threads;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvs_vision::{DetectionModel, DeviceKind, TrackerConfig};
+    use mvs_vision::{DetectionModel, TrackerConfig};
     use rand::Rng;
 
     fn dummy_worker(index: usize) -> CameraWorker {
@@ -191,7 +189,6 @@ mod tests {
             index,
             frame,
             lag: 0,
-            profile: LatencyProfile::for_device(DeviceKind::Nano),
             detector: SimulatedDetector::new(DetectionModel::default(), frame),
             tracker: FlowTracker::new(TrackerConfig::default(), frame),
             rng: CameraWorker::stream_rng(7, index),
@@ -202,7 +199,6 @@ mod tests {
             shadows: BTreeMap::new(),
             track_global: HashMap::new(),
             mask: None,
-            static_mask: None,
             trace: None,
             scratch: FrameScratch::new(),
         }

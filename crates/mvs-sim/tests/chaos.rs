@@ -260,6 +260,82 @@ fn serve_loop_surfaces_typed_errors() {
             got: 3
         }
     );
+
+    // A snapshot is outside input: whatever a deserialized one says, a
+    // restore answers with a typed error naming the tenant — it never
+    // replays a history no run produces, spins on a count, or panics.
+    let config = ServeConfig {
+        snapshot_every_horizons: 1,
+        ..small_config()
+    };
+    let mut live = ServeLoop::new(&config).expect("valid config");
+    live.run_until(900_000);
+    let json = serde_json::to_string(&live.snapshot()).expect("snapshots serialize");
+    let recover = |json: &str| {
+        let snapshot = serde_json::from_str(json).expect("tampered snapshots still parse");
+        ServeLoop::recover(&config, &snapshot, 900_000).map(|_| ())
+    };
+    assert_eq!(recover(&json), Ok(()), "the untouched snapshot restores");
+    // (what to rewrite, into what, in which tenant's state — `None`: the loop's)
+    let no_recipe = {
+        let start = json.find("\"recipe\":{").expect("tenant 0 has a recipe");
+        let end = start + json[start..].find('}').expect("recipe object closes");
+        (&json[start..=end], "\"recipe\":null")
+    };
+    let cases = [
+        (
+            "\"processed\":[",
+            "\"processed\":[18446744073709551615,",
+            Some(0),
+        ),
+        ("\"processed\":[", "\"processed\":[0,0,", Some(0)),
+        ("\"base\":0", "\"base\":7", Some(0)),
+        ("\"keep_every\":1", "\"keep_every\":0", Some(0)),
+        ("\"keep_every\":1", "\"keep_every\":5", Some(0)),
+        ("\"next_capture\":9", "\"next_capture\":31", Some(0)),
+        (
+            "\"decision\":\"Admitted\"",
+            "\"decision\":\"Quarantined\"",
+            Some(0),
+        ),
+        (no_recipe.0, no_recipe.1, Some(0)),
+        (
+            "\"chaos_draws\":0",
+            "\"chaos_draws\":18446744073709551615",
+            None,
+        ),
+    ];
+    for (from, to, tenant) in cases {
+        assert!(json.contains(from), "{from} is not in {json}");
+        let err = recover(&json.replacen(from, to, 1)).expect_err(to);
+        assert!(
+            matches!(err, ServeConfigError::SnapshotCorrupt { tenant: t, .. } if t == tenant),
+            "{from} -> {to}: {err}"
+        );
+        let named = tenant.map_or("corrupt: ".into(), |t| format!("tenant {t}: "));
+        assert!(err.to_string().contains(&named), "{err}");
+    }
+    // The same rewrite in the second tenant's state names the second tenant.
+    let unthinned = "\"keep_every\":1";
+    let at = json.rfind(unthinned).expect("tenant 1 is unthinned");
+    let (before, after) = (&json[..at], &json[at + unthinned.len()..]);
+    let second = format!("{before}\"keep_every\":0{after}");
+    assert_eq!(
+        recover(&second),
+        Err(ServeConfigError::SnapshotCorrupt {
+            tenant: Some(1),
+            reason: "keep_every is outside 1..=max_keep_every"
+        })
+    );
+    // A cadence the configuration does not have would never advance.
+    let snapshot = serde_json::from_str(&json).expect("parses");
+    let err = ServeLoop::recover(&small_config(), &snapshot, 900_000)
+        .err()
+        .expect("no snapshot period to step the pending cadence by");
+    assert!(matches!(
+        err,
+        ServeConfigError::SnapshotCorrupt { tenant: None, .. }
+    ));
 }
 
 proptest! {
