@@ -1,27 +1,12 @@
-//! Perf-trajectory artifact: steady-state frame-loop time and
-//! allocations-per-frame, cold vs. warm, written to
+//! Perf-trajectory artifact: the data-oriented (SoA) vision kernels
+//! against their retained scalar references, written to
 //! `results/BENCH_hotpath.json`.
 //!
-//! The kernel is the per-frame steady-state work of an S2-style two-camera
-//! deployment (Xavier + Nano): the four per-camera vision stages (optical
-//! flow, slicing, predicted-box collection, new-region detection) followed
-//! by rescheduling against a frame-over-frame [`ProblemDelta`]. Two arms
-//! run the identical frame sequence with identical RNG streams:
-//!
-//! * **cold** — the pre-warm-start path: allocating vision calls
-//!   ([`FlowField::estimate`], [`slice_regions`], a fresh predicted `Vec`,
-//!   [`find_new_regions`]) and a full rebuild-and-resolve of the scheduling
-//!   instance ([`MvsProblem::new`] over cloned cameras/objects +
-//!   [`balb_central`]) every frame.
-//! * **warm** — the steady-state path this repo ships: `_into` vision
-//!   variants over per-camera scratch buffers and
-//!   [`BalbSolver::apply_delta`] repairing the previous schedule in place.
-//!
-//! A second pair of arms isolates the data-oriented kernel rewrite: the
-//! same per-frame kernel battery — a displacement lookup per track,
-//! cluster×predicted pairwise IoU, new-region detection, and the
-//! per-camera batched latency model — runs once through the retained
-//! scalar references ([`ScalarFlowField`], [`find_new_regions_into`],
+//! The workload is the per-frame steady state of an S2-style two-camera
+//! deployment (Xavier + Nano). One kernel battery — a displacement lookup
+//! per track, cluster×predicted pairwise IoU, new-region detection, and the
+//! per-camera batched latency model — runs once through the scalar
+//! references ([`ScalarFlowField`], [`find_new_regions_into`],
 //! [`SizeCounts`]) and once through the SoA kernels the hot path ships
 //! ([`FlowField`]/`FlowSoA`, [`BBoxSoA::iou_matrix_into`],
 //! [`NewRegionFinder`], [`SizeCountsBatch`]). Both arms query flow fields
@@ -31,102 +16,37 @@
 //! dilute the layout comparison toward 1x. The reported `soa_speedup` is
 //! the scalar/SoA frame-time ratio over the kernel battery.
 //!
-//! A third pair of arms isolates dispatch overhead (ISSUE 10): the same
-//! tiny per-camera payload fanned out per frame via a fresh
-//! `std::thread::scope` spawn per camera (the style the hot path used to
-//! ship — retained only here, as the reference arm) and via the
-//! persistent pool ([`mvs_exec::pool`]). The reported
-//! `pool_dispatch_speedup` is the scoped/pool frame-time ratio; `--check`
-//! holds it above an absolute 1.2x floor plus the usual baseline band.
+//! A verification pass runs first and asserts the arms produce identical
+//! clusters, displacement bits, IoU matrices, fresh regions, and latency
+//! bits on every frame; only then are they timed.
 //!
-//! A verification pass runs first and asserts the arms produce
-//! bitwise-identical schedules and identical vision outputs on every frame
-//! (kernel arms: identical clusters, displacement bits, IoU matrices,
-//! fresh regions, and latency bits); only then are the arms timed. With
-//! `--features bench-alloc` the bin installs a counting global allocator
-//! and also reports allocations-per-frame for the cold/warm arms (without
-//! the feature the alloc fields are `null`).
+//! The program's own frame loop is not measured here: tier-1
+//! `steady_state_allocs` gates its allocations and `bench-e2e/` times it
+//! (`allocs_per_step`, the per-layer ledger).
 //!
-//! `--check <baseline.json>` re-reads a checked-in baseline report and
-//! exits nonzero if the steady-state win regressed: the cold/warm speedup
-//! ratio fell more than 15% below the baseline's, the SoA kernel speedup
-//! fell below its absolute 1.3x floor (or more than 15% below the
-//! baseline's), or (when both reports carry alloc counts) warm
-//! allocations-per-frame grew more than 15%. Comparing ratios rather than
-//! absolute times keeps the check portable across CI machines.
+//! `--check` compares a fresh run against the checked-in
+//! `results/BENCH_hotpath.json` (left as it is) and exits nonzero if the
+//! SoA kernel speedup fell below its absolute 1.3x floor or more than 15%
+//! below the checked-in ratio. Comparing ratios rather than absolute times
+//! keeps the check portable across CI machines. Without `--check` the run
+//! rewrites that file.
 //!
-//! Run with
-//! `cargo run --release -p mvs-bench --features bench-alloc --bin bench_hotpath`.
+//! Run with `cargo run --release -p mvs-bench --bin bench_hotpath`.
 
-use mvs_bench::{write_json, SEED};
-use mvs_core::{
-    balb_central, BalbSolver, CameraId, CameraInfo, MvsProblem, ObjectId, ProblemDelta,
-};
+use mvs_bench::{results_dir, write_json, SEED};
 use mvs_geometry::{BBox, BBoxSoA, FrameDims, Point2, SizeClass};
 use mvs_metrics::TextTable;
 use mvs_vision::{
-    find_new_regions, find_new_regions_into, slice_regions, slice_regions_into, DeviceKind,
-    FlowField, GroundTruthObject, LatencyProfile, NewRegionFinder, RegionTask, ScalarFlowField,
-    SizeCounts, SizeCountsBatch, Track, TrackId,
+    find_new_regions_into, DeviceKind, FlowField, GroundTruthObject, LatencyProfile,
+    NewRegionFinder, ScalarFlowField, SizeCounts, SizeCountsBatch, Track, TrackId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-#[cfg(feature = "bench-alloc")]
-mod counting_alloc {
-    //! A pass-through global allocator that counts allocation events.
-    //! Lives in the bench bin only — the library crates stay
-    //! `forbid(unsafe_code)`-clean.
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System`; the counter is a relaxed
-    // atomic with no effect on the returned memory.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-}
-
-#[cfg(feature = "bench-alloc")]
-#[global_allocator]
-static GLOBAL: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
-
-/// Current allocation-event count, when the counting allocator is in.
-fn alloc_events() -> Option<u64> {
-    #[cfg(feature = "bench-alloc")]
-    {
-        Some(counting_alloc::ALLOCS.load(std::sync::atomic::Ordering::Relaxed))
-    }
-    #[cfg(not(feature = "bench-alloc"))]
-    {
-        None
-    }
-}
-
 /// Cameras in the deployment (S2: one Xavier, one Nano).
 const M: usize = 2;
-/// Stable coverage-1 objects occupying the scheduling-order prefix.
-const BASE_OBJECTS: usize = 40;
-/// Full-coverage churn objects at the order tail (enter/move/leave).
-const CHURN_OBJECTS: usize = 8;
 /// Ground-truth objects each camera sees (vision-stage workload; dense
 /// enough that the pairwise kernels dominate the vision stages).
 const VIEW_OBJECTS: usize = 64;
@@ -146,13 +66,8 @@ struct Workload {
     /// `[frame][camera]` ground-truth views (frame 0's previous view is
     /// empty, as at a horizon start).
     views: Vec<Vec<Vec<GroundTruthObject>>>,
-    /// `[frame][camera]` current track lists (slicing input).
+    /// `[frame][camera]` current track lists.
     tracks: Vec<Vec<Vec<Track>>>,
-    /// Per-frame scheduling edit scripts (tail churn only).
-    deltas: Vec<ProblemDelta>,
-    /// The frame-0 scheduling instance.
-    initial: MvsProblem,
-    frame: FrameDims,
 }
 
 impl Workload {
@@ -160,78 +75,9 @@ impl Workload {
         let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         let frame = FrameDims::REGULAR;
 
-        // Scheduling instance: coverage-1 base objects (they sort first,
-        // so the order prefix survives tail churn) plus full-coverage
-        // churn objects (they sort last).
-        let cameras = vec![
-            CameraInfo {
-                id: CameraId(0),
-                profile: LatencyProfile::for_device(DeviceKind::Xavier),
-            },
-            CameraInfo {
-                id: CameraId(1),
-                profile: LatencyProfile::for_device(DeviceKind::Nano),
-            },
-        ];
-        let base_sizes = [SizeClass::S128, SizeClass::S256, SizeClass::S512];
-        let churn_map = |rng: &mut ChaCha8Rng| {
-            let tail = if rng.gen_bool(0.5) {
-                SizeClass::S64
-            } else {
-                SizeClass::S128
-            };
-            [(CameraId(0), SizeClass::S64), (CameraId(1), tail)]
-                .into_iter()
-                .collect()
-        };
-        let mut objects = Vec::new();
-        for j in 0..BASE_OBJECTS {
-            let cam = CameraId(j % M);
-            let size = base_sizes[rng.gen_range(0..base_sizes.len())];
-            objects.push([(cam, size)].into_iter().collect());
-        }
-        for _ in 0..CHURN_OBJECTS {
-            objects.push(churn_map(&mut rng));
-        }
-        let initial = MvsProblem::new(
-            cameras,
-            objects
-                .into_iter()
-                .enumerate()
-                .map(|(j, sizes)| mvs_core::ObjectInfo {
-                    id: ObjectId(j),
-                    sizes,
-                })
-                .collect(),
-        )
-        .expect("synthetic instance is valid");
-
-        // Per-frame deltas: one churn object leaves, one enters, one moves
-        // to a fresh size map — all at the order tail, so the warm solver
-        // replays the whole base prefix every frame.
-        let mut mirror = initial.clone();
-        let mut deltas = Vec::with_capacity(frames);
-        for _ in 0..frames {
-            let slots: Vec<usize> = (BASE_OBJECTS..mirror.num_objects()).collect();
-            let leave = slots[rng.gen_range(0..slots.len())];
-            let moved = loop {
-                let s = slots[rng.gen_range(0..slots.len())];
-                if s != leave {
-                    break s;
-                }
-            };
-            let delta = ProblemDelta {
-                left: vec![ObjectId(leave)],
-                moved: vec![(ObjectId(moved), churn_map(&mut rng))],
-                entered: vec![churn_map(&mut rng)],
-            };
-            delta.apply(&mut mirror).expect("generated delta is valid");
-            deltas.push(delta);
-        }
-
-        // Vision workload: per camera, a fixed population of objects
-        // drifting horizontally with wraparound. Tracks mirror the views
-        // one frame behind (as the tracker would predict them).
+        // Per camera, a fixed population of objects drifting horizontally
+        // with wraparound. Tracks mirror the views one frame behind (as
+        // the tracker would predict them).
         let mut views = Vec::with_capacity(frames);
         let mut tracks = Vec::with_capacity(frames);
         // `(id, x0, y0, side, vx)` per object.
@@ -285,13 +131,7 @@ impl Workload {
             );
         }
 
-        Workload {
-            views,
-            tracks,
-            deltas,
-            initial,
-            frame,
-        }
+        Workload { views, tracks }
     }
 
     fn prev_view(&self, f: usize, cam: usize) -> &[GroundTruthObject] {
@@ -302,217 +142,7 @@ impl Workload {
         }
     }
 }
-
-/// Folds a schedule and the vision outputs into a checksum: keeps the
-/// optimizer from discarding the work and lets the timed arms cross-check
-/// without storing per-frame outputs.
-fn fold(
-    acc: &mut u64,
-    latencies: &[f64],
-    priority: &[CameraId],
-    tasks_len: usize,
-    fresh_len: usize,
-) {
-    for &l in latencies {
-        *acc = acc.rotate_left(7) ^ l.to_bits();
-    }
-    for &c in priority {
-        *acc = acc.rotate_left(3) ^ c.0 as u64;
-    }
-    *acc = acc.rotate_left(5) ^ (tasks_len as u64) ^ ((fresh_len as u64) << 32);
-}
-
-/// Per-camera scratch for the warm arm (the bin-local analogue of the
-/// pipeline's `FrameScratch`).
-#[derive(Default)]
-struct Scratch {
-    flow: FlowField,
-    tasks: Vec<RegionTask>,
-    predicted: Vec<BBox>,
-    fresh: Vec<BBox>,
-}
-
-/// One cold frame: allocating vision calls + rebuild-and-resolve.
-fn cold_frame(
-    w: &Workload,
-    f: usize,
-    rng: &mut ChaCha8Rng,
-    mirror: &mut MvsProblem,
-    acc: &mut u64,
-) {
-    let mut vision: u64 = 0;
-    for cam in 0..M {
-        let flow = FlowField::estimate(w.prev_view(f, cam), &w.views[f][cam], NOISE_PX, rng);
-        let tasks = slice_regions(&w.tracks[f][cam], w.frame);
-        let predicted: Vec<BBox> = w.tracks[f][cam].iter().map(|t| t.bbox).collect();
-        let fresh = find_new_regions(flow.moving_clusters(), &predicted, 0.5);
-        vision ^= ((tasks.len() as u64) << (cam * 16)) ^ ((fresh.len() as u64) << (cam * 16 + 8));
-    }
-    w.deltas[f].apply(mirror).expect("delta is valid");
-    let problem = MvsProblem::new(mirror.cameras().to_vec(), mirror.objects().to_vec())
-        .expect("mirror instance stays valid");
-    let schedule = balb_central(&problem);
-    fold(
-        acc,
-        &schedule.camera_latencies_ms,
-        &schedule.priority,
-        (vision & 0xffff) as usize,
-        ((vision >> 8) & 0xffff) as usize,
-    );
-}
-
-/// One warm frame: `_into` vision over scratch + in-place schedule repair.
-fn warm_frame(
-    w: &Workload,
-    f: usize,
-    rng: &mut ChaCha8Rng,
-    solver: &mut BalbSolver,
-    scratch: &mut [Scratch],
-    acc: &mut u64,
-) {
-    let mut vision: u64 = 0;
-    for (cam, s) in scratch.iter_mut().enumerate() {
-        s.flow
-            .estimate_into(w.prev_view(f, cam), &w.views[f][cam], NOISE_PX, rng);
-        slice_regions_into(&w.tracks[f][cam], w.frame, &mut s.tasks);
-        s.predicted.clear();
-        s.predicted.extend(w.tracks[f][cam].iter().map(|t| t.bbox));
-        find_new_regions_into(s.flow.moving_clusters(), &s.predicted, 0.5, &mut s.fresh);
-        vision ^=
-            ((s.tasks.len() as u64) << (cam * 16)) ^ ((s.fresh.len() as u64) << (cam * 16 + 8));
-    }
-    let schedule = solver.apply_delta(&w.deltas[f]).expect("delta is valid");
-    fold(
-        acc,
-        &schedule.camera_latencies_ms,
-        &schedule.priority,
-        (vision & 0xffff) as usize,
-        ((vision >> 8) & 0xffff) as usize,
-    );
-}
-
-/// Runs both arms frame-by-frame and asserts bitwise-identical outputs
-/// (schedule latencies via `f64::to_bits`, assignments, priorities, task
-/// and fresh-region lists) before any timing happens.
-fn verify(w: &Workload, frames: usize) {
-    let mut cold_rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5eed);
-    let mut warm_rng = cold_rng.clone();
-    let mut mirror = w.initial.clone();
-    let mut solver = BalbSolver::new();
-    solver.solve(&w.initial);
-    let cold0 = balb_central(&w.initial);
-    assert_eq!(cold0, *solver.schedule(), "initial solves disagree");
-
-    let mut scratch: Vec<Scratch> = (0..M).map(|_| Scratch::default()).collect();
-    for f in 0..frames {
-        // Vision stages, both ways.
-        for (cam, s) in scratch.iter_mut().enumerate() {
-            let flow = FlowField::estimate(
-                w.prev_view(f, cam),
-                &w.views[f][cam],
-                NOISE_PX,
-                &mut cold_rng,
-            );
-            s.flow.estimate_into(
-                w.prev_view(f, cam),
-                &w.views[f][cam],
-                NOISE_PX,
-                &mut warm_rng,
-            );
-            let tasks = slice_regions(&w.tracks[f][cam], w.frame);
-            slice_regions_into(&w.tracks[f][cam], w.frame, &mut s.tasks);
-            assert_eq!(tasks, s.tasks, "frame {f} cam {cam}: tasks diverge");
-            let predicted: Vec<BBox> = w.tracks[f][cam].iter().map(|t| t.bbox).collect();
-            s.predicted.clear();
-            s.predicted.extend(w.tracks[f][cam].iter().map(|t| t.bbox));
-            let fresh = find_new_regions(flow.moving_clusters(), &predicted, 0.5);
-            find_new_regions_into(s.flow.moving_clusters(), &s.predicted, 0.5, &mut s.fresh);
-            assert_eq!(fresh, s.fresh, "frame {f} cam {cam}: fresh regions diverge");
-        }
-        // Scheduling, both ways.
-        w.deltas[f].apply(&mut mirror).expect("delta is valid");
-        let problem = MvsProblem::new(mirror.cameras().to_vec(), mirror.objects().to_vec())
-            .expect("mirror instance stays valid");
-        let cold = balb_central(&problem);
-        let warm = solver.apply_delta(&w.deltas[f]).expect("delta is valid");
-        assert_eq!(cold.assignment, warm.assignment, "frame {f}: assignment");
-        assert_eq!(cold.priority, warm.priority, "frame {f}: priority");
-        let cold_bits: Vec<u64> = cold
-            .camera_latencies_ms
-            .iter()
-            .map(|l| l.to_bits())
-            .collect();
-        let warm_bits: Vec<u64> = warm
-            .camera_latencies_ms
-            .iter()
-            .map(|l| l.to_bits())
-            .collect();
-        assert_eq!(cold_bits, warm_bits, "frame {f}: latency bits");
-    }
-    assert!(
-        solver.stats().warm_solves > 0,
-        "workload never exercised the warm path"
-    );
-}
-
-/// Timed + alloc-counted run of one arm over the measured window.
-struct ArmResult {
-    ms_per_frame: f64,
-    allocs_per_frame: Option<f64>,
-    checksum: u64,
-}
-
-fn run_cold(w: &Workload) -> ArmResult {
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5eed);
-    let mut mirror = w.initial.clone();
-    let mut acc: u64 = 0;
-    for f in 0..WARMUP_FRAMES {
-        cold_frame(w, f, &mut rng, &mut mirror, &mut acc);
-    }
-    acc = 0;
-    let allocs_before = alloc_events();
-    let start = Instant::now();
-    for f in WARMUP_FRAMES..WARMUP_FRAMES + MEASURED_FRAMES {
-        cold_frame(w, f, &mut rng, &mut mirror, &mut acc);
-    }
-    let elapsed = start.elapsed();
-    let allocs = alloc_events().zip(allocs_before).map(|(a, b)| a - b);
-    ArmResult {
-        ms_per_frame: elapsed.as_secs_f64() * 1e3 / MEASURED_FRAMES as f64,
-        allocs_per_frame: allocs.map(|a| a as f64 / MEASURED_FRAMES as f64),
-        checksum: acc,
-    }
-}
-
-fn run_warm(w: &Workload) -> ArmResult {
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5eed);
-    let mut solver = BalbSolver::new();
-    solver.solve(&w.initial);
-    let mut scratch: Vec<Scratch> = (0..M).map(|_| Scratch::default()).collect();
-    let mut acc: u64 = 0;
-    for f in 0..WARMUP_FRAMES {
-        warm_frame(w, f, &mut rng, &mut solver, &mut scratch, &mut acc);
-    }
-    acc = 0;
-    let allocs_before = alloc_events();
-    let start = Instant::now();
-    for f in WARMUP_FRAMES..WARMUP_FRAMES + MEASURED_FRAMES {
-        warm_frame(w, f, &mut rng, &mut solver, &mut scratch, &mut acc);
-    }
-    let elapsed = start.elapsed();
-    let allocs = alloc_events().zip(allocs_before).map(|(a, b)| a - b);
-    ArmResult {
-        ms_per_frame: elapsed.as_secs_f64() * 1e3 / MEASURED_FRAMES as f64,
-        allocs_per_frame: allocs.map(|a| a as f64 / MEASURED_FRAMES as f64),
-        checksum: acc,
-    }
-}
-
-/// RNG seed for the kernel-arm flow fields (distinct from the cold/warm
-/// arms so the two batteries cannot mask each other's divergences).
-const KERNEL_SEED: u64 = SEED ^ 0x50a;
-
-/// Flow fields prebuilt for the kernel arms, `[frame][camera]`, in both
+/// Flow fields prebuilt for the two arms, `[frame][camera]`, in both
 /// layouts. Construction consumes the RNG identically for both (asserted
 /// at build time), so the timed arms are pure layout comparisons.
 struct KernelFields {
@@ -522,7 +152,7 @@ struct KernelFields {
 
 impl KernelFields {
     fn build(w: &Workload, frames: usize) -> KernelFields {
-        let mut scalar_rng = ChaCha8Rng::seed_from_u64(KERNEL_SEED);
+        let mut scalar_rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x50a);
         let mut soa_rng = scalar_rng.clone();
         let mut scalar = Vec::with_capacity(frames);
         let mut soa = Vec::with_capacity(frames);
@@ -721,87 +351,14 @@ fn verify_kernels(w: &Workload, fields: &KernelFields, frames: usize, profiles: 
     }
 }
 
-/// Per-camera payload for the dispatch arms: a small deterministic fold
-/// over the camera's tracks — a few microseconds, so the measured time is
-/// dominated by how the work *reaches* a thread, not the work itself.
-fn dispatch_payload(w: &Workload, f: usize, cam: usize) -> u64 {
-    let mut acc: u64 = 0;
-    for t in &w.tracks[f][cam] {
-        let c = t.bbox.center();
-        acc = acc.rotate_left(7) ^ c.x.to_bits() ^ c.y.to_bits().rotate_left(19);
-        acc = acc.rotate_left(3) ^ t.bbox.area().to_bits();
-    }
-    acc
+/// One arm's steady-state frame time and the checksum of what it computed.
+struct ArmResult {
+    ms_per_frame: f64,
+    checksum: u64,
 }
 
-/// The dispatch style this repo used to ship: a fresh scoped thread per
-/// camera per frame. Retained here as the spawn-overhead reference arm —
-/// the library hot paths no longer contain any such spawn.
-// The intermediate collect is the point: spawn every thread before
-// joining any, as the old scoped call sites did.
-#[allow(clippy::needless_collect)]
-fn run_dispatch_scoped(w: &Workload) -> ArmResult {
-    let mut acc: u64 = 0;
-    let frame = |f: usize, acc: &mut u64| {
-        let outs: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..M)
-                .map(|cam| scope.spawn(move || dispatch_payload(w, f, cam)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("payload thread panicked"))
-                .collect()
-        });
-        for o in outs {
-            *acc = acc.rotate_left(13) ^ o;
-        }
-    };
-    for f in 0..WARMUP_FRAMES {
-        frame(f, &mut acc);
-    }
-    acc = 0;
-    let start = Instant::now();
-    for f in WARMUP_FRAMES..WARMUP_FRAMES + MEASURED_FRAMES {
-        frame(f, &mut acc);
-    }
-    let elapsed = start.elapsed();
-    ArmResult {
-        ms_per_frame: elapsed.as_secs_f64() * 1e3 / MEASURED_FRAMES as f64,
-        allocs_per_frame: None,
-        checksum: acc,
-    }
-}
-
-/// The same per-frame fan-out through the persistent pool
-/// ([`mvs_exec::pool`]): workers are parked between frames, so dispatch is
-/// a channel send and a latch wait instead of two thread spawns.
-fn run_dispatch_pool(w: &Workload) -> ArmResult {
-    let cams: Vec<usize> = (0..M).collect();
-    let mut acc: u64 = 0;
-    let frame = |f: usize, acc: &mut u64| {
-        let outs = mvs_exec::pool().par_map(&cams, M, |&cam| dispatch_payload(w, f, cam));
-        for o in outs {
-            *acc = acc.rotate_left(13) ^ o;
-        }
-    };
-    for f in 0..WARMUP_FRAMES {
-        frame(f, &mut acc);
-    }
-    acc = 0;
-    let start = Instant::now();
-    for f in WARMUP_FRAMES..WARMUP_FRAMES + MEASURED_FRAMES {
-        frame(f, &mut acc);
-    }
-    let elapsed = start.elapsed();
-    ArmResult {
-        ms_per_frame: elapsed.as_secs_f64() * 1e3 / MEASURED_FRAMES as f64,
-        allocs_per_frame: None,
-        checksum: acc,
-    }
-}
-
-/// Timed run of one kernel arm over the measured window (same
-/// warmup/measure/checksum protocol as the cold/warm arms).
+/// Timed run of one kernel arm: warm-up frames fill the scratch, then the
+/// measured window is clocked and folded into a checksum.
 fn run_kernel_arm<S: Default>(
     w: &Workload,
     fields: &KernelFields,
@@ -821,7 +378,6 @@ fn run_kernel_arm<S: Default>(
     let elapsed = start.elapsed();
     ArmResult {
         ms_per_frame: elapsed.as_secs_f64() * 1e3 / MEASURED_FRAMES as f64,
-        allocs_per_frame: None,
         checksum: acc,
     }
 }
@@ -829,115 +385,50 @@ fn run_kernel_arm<S: Default>(
 #[derive(Serialize, Deserialize)]
 struct Report {
     cameras: usize,
-    base_objects: usize,
-    churn_objects: usize,
     view_objects: usize,
     warmup_frames: usize,
     measured_frames: usize,
-    cold_ms_per_frame: f64,
-    warm_ms_per_frame: f64,
-    /// Cold frame time over warm frame time (higher is better).
-    speedup: f64,
-    cold_allocs_per_frame: Option<f64>,
-    warm_allocs_per_frame: Option<f64>,
-    /// Fraction of cold-arm allocations the warm arm avoids (0..1).
-    alloc_reduction: Option<f64>,
-    warm_solves: u64,
-    cold_solves: u64,
     /// Steady-state per-frame time of the scalar (AoS) kernel battery.
-    #[serde(default)]
     scalar_kernel_ms_per_frame: f64,
     /// Same battery through the data-oriented (SoA) kernels.
-    #[serde(default)]
     soa_kernel_ms_per_frame: f64,
     /// Scalar kernel time over SoA kernel time (higher is better).
-    #[serde(default)]
     soa_speedup: f64,
-    /// Per-frame fan-out via a fresh scoped thread per camera (the
-    /// dispatch style the hot path used to ship).
-    #[serde(default)]
-    scoped_dispatch_ms_per_frame: f64,
-    /// The same fan-out through the persistent pool.
-    #[serde(default)]
-    pool_dispatch_ms_per_frame: f64,
-    /// Scoped dispatch time over pool dispatch time (higher is better).
-    #[serde(default)]
-    pool_dispatch_speedup: f64,
 }
 
 /// `--check` tolerance: fail when the speedup ratio falls more than this
-/// factor below the baseline's (a machine-portable "frame time regressed
-/// by >15%" signal), or warm allocations grow by more than it.
+/// factor below the checked-in one (a machine-portable "frame time
+/// regressed by >15%" signal).
 const CHECK_TOLERANCE: f64 = 1.15;
 
 /// Absolute floor on the SoA kernel speedup: the data-oriented rewrite
 /// must stay at least this much faster than the scalar references on the
-/// check machine, independent of the baseline's ratio.
+/// check machine, independent of the checked-in ratio.
 const SOA_SPEEDUP_FLOOR: f64 = 1.3;
 
-/// Absolute floor on the pool-dispatch speedup: parked-worker dispatch
-/// must stay at least this much faster than per-frame thread spawns on
-/// the check machine, independent of the baseline's ratio.
-const POOL_DISPATCH_FLOOR: f64 = 1.2;
-
-fn check_against(report: &Report, baseline_path: &str) -> Result<(), String> {
+fn check_against(report: &Report, baseline_path: &std::path::Path) -> Result<(), String> {
+    let shown = baseline_path.display();
     let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+        .map_err(|e| format!("cannot read baseline {shown}: {e}"))?;
     let baseline: Report =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse {baseline_path}: {e}"))?;
-    if report.speedup < baseline.speedup / CHECK_TOLERANCE {
-        return Err(format!(
-            "steady-state regression: cold/warm speedup {:.2}x fell below baseline {:.2}x / {}",
-            report.speedup, baseline.speedup, CHECK_TOLERANCE
-        ));
-    }
+        serde_json::from_str(&text).map_err(|e| format!("cannot parse {shown}: {e}"))?;
     if report.soa_speedup < SOA_SPEEDUP_FLOOR {
         return Err(format!(
             "SoA kernel regression: speedup {:.2}x fell below the {SOA_SPEEDUP_FLOOR}x floor",
             report.soa_speedup
         ));
     }
-    if baseline.soa_speedup > 0.0 && report.soa_speedup < baseline.soa_speedup / CHECK_TOLERANCE {
+    if report.soa_speedup < baseline.soa_speedup / CHECK_TOLERANCE {
         return Err(format!(
             "SoA kernel regression: speedup {:.2}x fell below baseline {:.2}x / {}",
             report.soa_speedup, baseline.soa_speedup, CHECK_TOLERANCE
         ));
     }
-    if report.pool_dispatch_speedup < POOL_DISPATCH_FLOOR {
-        return Err(format!(
-            "dispatch regression: pool speedup {:.2}x fell below the {POOL_DISPATCH_FLOOR}x floor",
-            report.pool_dispatch_speedup
-        ));
-    }
-    if baseline.pool_dispatch_speedup > 0.0
-        && report.pool_dispatch_speedup < baseline.pool_dispatch_speedup / CHECK_TOLERANCE
-    {
-        return Err(format!(
-            "dispatch regression: pool speedup {:.2}x fell below baseline {:.2}x / {}",
-            report.pool_dispatch_speedup, baseline.pool_dispatch_speedup, CHECK_TOLERANCE
-        ));
-    }
-    if let (Some(now), Some(then)) = (report.warm_allocs_per_frame, baseline.warm_allocs_per_frame)
-    {
-        if now > then * CHECK_TOLERANCE {
-            return Err(format!(
-                "allocation regression: warm arm now allocates {now:.1}/frame vs baseline {then:.1}/frame"
-            ));
-        }
-    }
     Ok(())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--check requires a baseline path");
-                std::process::exit(2);
-            })
-            .clone()
-    });
+    let check = std::env::args().any(|a| a == "--check");
 
     let frames = WARMUP_FRAMES + MEASURED_FRAMES;
     eprintln!("generating workload ({frames} frames)...");
@@ -946,104 +437,35 @@ fn main() {
         LatencyProfile::for_device(DeviceKind::Xavier),
         LatencyProfile::for_device(DeviceKind::Nano),
     ];
-    eprintln!("verifying cold and warm arms agree bitwise...");
-    verify(&w, frames);
-    eprintln!("prebuilding kernel-arm flow fields...");
+    eprintln!("prebuilding flow fields...");
     let fields = KernelFields::build(&w, frames);
     eprintln!("verifying scalar and SoA kernel arms agree bitwise...");
     verify_kernels(&w, &fields, frames, &profiles);
     eprintln!("timing {REPS} interleaved repetitions per arm...");
-    let mut cold = run_cold(&w);
-    let mut warm = run_warm(&w);
     let mut scalar =
         run_kernel_arm::<ScalarKernelScratch>(&w, &fields, &profiles, scalar_kernel_frame);
     let mut soa = run_kernel_arm::<SoaKernelScratch>(&w, &fields, &profiles, soa_kernel_frame);
-    let mut scoped_dispatch = run_dispatch_scoped(&w);
-    let mut pool_dispatch = run_dispatch_pool(&w);
-    assert_eq!(
-        cold.checksum, warm.checksum,
-        "timed arms diverged after verification"
-    );
     assert_eq!(
         scalar.checksum, soa.checksum,
         "timed kernel arms diverged after verification"
     );
-    assert_eq!(
-        scoped_dispatch.checksum, pool_dispatch.checksum,
-        "dispatch arms computed different payloads"
-    );
     for _ in 1..REPS {
-        let c = run_cold(&w);
-        let h = run_warm(&w);
         let sc = run_kernel_arm::<ScalarKernelScratch>(&w, &fields, &profiles, scalar_kernel_frame);
         let so = run_kernel_arm::<SoaKernelScratch>(&w, &fields, &profiles, soa_kernel_frame);
-        let sd = run_dispatch_scoped(&w);
-        let pd = run_dispatch_pool(&w);
-        cold.ms_per_frame = cold.ms_per_frame.min(c.ms_per_frame);
-        warm.ms_per_frame = warm.ms_per_frame.min(h.ms_per_frame);
         scalar.ms_per_frame = scalar.ms_per_frame.min(sc.ms_per_frame);
         soa.ms_per_frame = soa.ms_per_frame.min(so.ms_per_frame);
-        scoped_dispatch.ms_per_frame = scoped_dispatch.ms_per_frame.min(sd.ms_per_frame);
-        pool_dispatch.ms_per_frame = pool_dispatch.ms_per_frame.min(pd.ms_per_frame);
     }
-
-    // Solver stats from a fresh warm run over the whole frame sequence
-    // (the timed warm arm's counters mix in the initial cold solve).
-    let stats = {
-        let mut solver = BalbSolver::new();
-        solver.solve(&w.initial);
-        for delta in &w.deltas {
-            solver.apply_delta(delta).expect("delta is valid");
-        }
-        solver.stats()
-    };
 
     let report = Report {
         cameras: M,
-        base_objects: BASE_OBJECTS,
-        churn_objects: CHURN_OBJECTS,
         view_objects: VIEW_OBJECTS,
         warmup_frames: WARMUP_FRAMES,
         measured_frames: MEASURED_FRAMES,
-        cold_ms_per_frame: cold.ms_per_frame,
-        warm_ms_per_frame: warm.ms_per_frame,
-        speedup: cold.ms_per_frame / warm.ms_per_frame,
-        cold_allocs_per_frame: cold.allocs_per_frame,
-        warm_allocs_per_frame: warm.allocs_per_frame,
-        alloc_reduction: cold
-            .allocs_per_frame
-            .zip(warm.allocs_per_frame)
-            .map(|(c, h)| 1.0 - h / c),
-        warm_solves: stats.warm_solves,
-        cold_solves: stats.cold_solves,
         scalar_kernel_ms_per_frame: scalar.ms_per_frame,
         soa_kernel_ms_per_frame: soa.ms_per_frame,
         soa_speedup: scalar.ms_per_frame / soa.ms_per_frame,
-        scoped_dispatch_ms_per_frame: scoped_dispatch.ms_per_frame,
-        pool_dispatch_ms_per_frame: pool_dispatch.ms_per_frame,
-        pool_dispatch_speedup: scoped_dispatch.ms_per_frame / pool_dispatch.ms_per_frame,
     };
 
-    let mut table = TextTable::new(vec!["metric", "cold", "warm"]);
-    table.row(vec![
-        "ms/frame".to_string(),
-        format!("{:.4}", report.cold_ms_per_frame),
-        format!("{:.4}", report.warm_ms_per_frame),
-    ]);
-    table.row(vec![
-        "allocs/frame".to_string(),
-        report
-            .cold_allocs_per_frame
-            .map_or("n/a".into(), |a| format!("{a:.1}")),
-        report
-            .warm_allocs_per_frame
-            .map_or("n/a".into(), |a| format!("{a:.1}")),
-    ]);
-    println!("{table}");
-    println!("speedup: {:.2}x", report.speedup);
-    if let Some(r) = report.alloc_reduction {
-        println!("alloc reduction: {:.1}%", r * 100.0);
-    }
     let mut kernels = TextTable::new(vec!["metric", "scalar", "soa"]);
     kernels.row(vec![
         "kernel ms/frame".to_string(),
@@ -1052,28 +474,18 @@ fn main() {
     ]);
     println!("{kernels}");
     println!("soa kernel speedup: {:.2}x", report.soa_speedup);
-    let mut dispatch = TextTable::new(vec!["metric", "scoped", "pool"]);
-    dispatch.row(vec![
-        "dispatch ms/frame".to_string(),
-        format!("{:.4}", report.scoped_dispatch_ms_per_frame),
-        format!("{:.4}", report.pool_dispatch_ms_per_frame),
-    ]);
-    println!("{dispatch}");
-    println!(
-        "pool dispatch speedup: {:.2}x",
-        report.pool_dispatch_speedup
-    );
 
-    let path = write_json("BENCH_hotpath", &report);
-    println!("wrote {}", path.display());
-
-    if let Some(baseline_path) = baseline {
+    if check {
+        let baseline_path = results_dir().join("BENCH_hotpath.json");
         match check_against(&report, &baseline_path) {
-            Ok(()) => println!("regression check vs {baseline_path}: OK"),
+            Ok(()) => println!("regression check vs {}: OK", baseline_path.display()),
             Err(msg) => {
-                eprintln!("regression check vs {baseline_path}: {msg}");
+                eprintln!("regression check vs {}: {msg}", baseline_path.display());
                 std::process::exit(1);
             }
         }
+    } else {
+        let path = write_json("BENCH_hotpath", &report);
+        println!("wrote {}", path.display());
     }
 }

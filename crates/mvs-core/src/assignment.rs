@@ -51,10 +51,9 @@ impl Assignment {
     }
 
     /// Clears every owner list in place and resizes to `num_objects`,
-    /// reusing the outer table and each per-object list's capacity — the
-    /// buffer-reuse path of the warm scheduler
-    /// ([`BalbSolver`](crate::BalbSolver)): once the object count is
-    /// steady, repeated solves allocate nothing here.
+    /// reusing the outer table and each per-object list's capacity: once
+    /// the object count is steady, repeated solves on one
+    /// [`BalbSolver`](crate::BalbSolver) allocate nothing here.
     pub fn reset(&mut self, num_objects: usize) {
         self.owners.iter_mut().for_each(Vec::clear);
         self.owners.resize_with(num_objects, Vec::new);

@@ -18,9 +18,8 @@
 //!   system latency arithmetic (Definition 1);
 //! * [`balb_central`] — Algorithm 1, the central-stage scheduler run at
 //!   every key frame;
-//! * [`BalbSolver`] — a persistent re-solver that reuses every buffer
-//!   across frames and repairs the previous schedule (from a
-//!   [`ProblemDelta`] or a diff) when little changed, bit-equal to a cold solve;
+//! * [`BalbSolver`] — the same pass on buffers reused across key frames,
+//!   bit-equal to [`balb_central`];
 //! * [`balb_sharded`] over a [`ShardPlan`] — one independent pass per shard,
 //!   bit-equal to [`balb_central`] when shards are whole overlap components;
 //! * [`CameraMask`] / [`DistributedPolicy`] — the distributed stage run at
@@ -59,13 +58,11 @@ mod problem;
 mod shard;
 
 pub use assignment::Assignment;
-pub use balb::{balb_central, BalbSchedule, BalbSolver, SolverStats};
+pub use balb::{balb_central, BalbSchedule, BalbSolver};
 pub use distributed::{
     scan_takeovers, scan_takeovers_into, DistributedPolicy, ShadowTrack, ShadowVerdict,
 };
 pub use ids::{CameraId, ObjectId};
 pub use mask::CameraMask;
-pub use problem::{
-    CameraInfo, CameraSubset, MvsProblem, ObjectInfo, ProblemConfig, ProblemDelta, ProblemError,
-};
+pub use problem::{CameraInfo, CameraSubset, MvsProblem, ObjectInfo, ProblemConfig, ProblemError};
 pub use shard::{balb_sharded, OverlapGraph, ShardPlan};

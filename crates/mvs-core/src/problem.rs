@@ -70,8 +70,6 @@ pub enum ProblemError {
     EmptyCoverage(ObjectId),
     /// An object referenced a camera outside the camera list.
     UnknownCamera(ObjectId, CameraId),
-    /// A [`ProblemDelta`] referenced an object id absent from the instance.
-    UnknownObject(ObjectId),
 }
 
 impl fmt::Display for ProblemError {
@@ -83,9 +81,6 @@ impl fmt::Display for ProblemError {
             ProblemError::EmptyCoverage(o) => write!(f, "object {o} has an empty coverage set"),
             ProblemError::UnknownCamera(o, c) => {
                 write!(f, "object {o} references unknown camera {c}")
-            }
-            ProblemError::UnknownObject(o) => {
-                write!(f, "delta references unknown object {o}")
             }
         }
     }
@@ -316,134 +311,6 @@ impl MvsProblem {
     }
 }
 
-/// A frame-over-frame edit script between two MVS instances that share the
-/// same camera fleet: which objects left the scene, which changed coverage
-/// or crop sizes, and which entered. Consumed by
-/// [`BalbSolver::apply_delta`](crate::BalbSolver::apply_delta) to repair
-/// the stored instance in place instead of rebuilding it.
-///
-/// Ids in [`ProblemDelta::left`] and [`ProblemDelta::moved`] refer to the
-/// *previous* instance's dense object ids. Application order: `moved` size
-/// maps are swapped in first, then `left` objects are removed and the
-/// survivors re-indexed densely (keeping their relative order), then
-/// `entered` objects are appended with fresh ids.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ProblemDelta {
-    /// Previous-frame ids of objects that left every visibility set.
-    pub left: Vec<ObjectId>,
-    /// Previous-frame ids of objects whose coverage set or crop sizes
-    /// changed, with the replacement size map.
-    pub moved: Vec<(ObjectId, BTreeMap<CameraId, SizeClass>)>,
-    /// Size maps of objects that entered the scene.
-    pub entered: Vec<BTreeMap<CameraId, SizeClass>>,
-}
-
-impl ProblemDelta {
-    /// True when the delta edits nothing.
-    pub fn is_empty(&self) -> bool {
-        self.left.is_empty() && self.moved.is_empty() && self.entered.is_empty()
-    }
-
-    /// Number of edited objects.
-    pub fn len(&self) -> usize {
-        self.left.len() + self.moved.len() + self.entered.len()
-    }
-
-    /// Applies the edit script to `problem` in place.
-    ///
-    /// # Errors
-    ///
-    /// Validates the whole delta *before* mutating, so on error the
-    /// instance is unchanged: [`ProblemError::UnknownObject`] for
-    /// out-of-range `left`/`moved` ids, [`ProblemError::EmptyCoverage`] /
-    /// [`ProblemError::UnknownCamera`] for invalid size maps (for `entered`
-    /// maps the reported id is the one the object would have received).
-    pub fn apply(&self, problem: &mut MvsProblem) -> Result<(), ProblemError> {
-        let n = problem.objects.len();
-        let m = problem.cameras.len();
-        let check_sizes = |id: ObjectId, sizes: &BTreeMap<CameraId, SizeClass>| {
-            if sizes.is_empty() {
-                return Err(ProblemError::EmptyCoverage(id));
-            }
-            for &c in sizes.keys() {
-                if c.0 >= m {
-                    return Err(ProblemError::UnknownCamera(id, c));
-                }
-            }
-            Ok(())
-        };
-        for &id in &self.left {
-            if id.0 >= n {
-                return Err(ProblemError::UnknownObject(id));
-            }
-        }
-        for (id, sizes) in &self.moved {
-            if id.0 >= n {
-                return Err(ProblemError::UnknownObject(*id));
-            }
-            check_sizes(*id, sizes)?;
-        }
-        // Ids the entered objects will receive (duplicates in `left`
-        // remove only one object, so count distinct ids).
-        let distinct_left = self
-            .left
-            .iter()
-            .enumerate()
-            .filter(|(i, id)| !self.left[..*i].contains(id))
-            .count();
-        for (k, sizes) in self.entered.iter().enumerate() {
-            check_sizes(ObjectId(n - distinct_left + k), sizes)?;
-        }
-
-        for (id, sizes) in &self.moved {
-            problem.objects[id.0].sizes = sizes.clone();
-        }
-        problem.objects.retain(|o| !self.left.contains(&o.id));
-        for (j, o) in problem.objects.iter_mut().enumerate() {
-            o.id = ObjectId(j);
-        }
-        for sizes in &self.entered {
-            let id = ObjectId(problem.objects.len());
-            problem.objects.push(ObjectInfo {
-                id,
-                sizes: sizes.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Positional diff between two instances over the same camera fleet:
-    /// objects at the same dense id with different size maps become
-    /// [`ProblemDelta::moved`]; a shrinking tail becomes
-    /// [`ProblemDelta::left`], a growing one [`ProblemDelta::entered`].
-    /// Applying the result to `prev` reproduces `next` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two instances have different camera fleets.
-    pub fn between(prev: &MvsProblem, next: &MvsProblem) -> ProblemDelta {
-        assert_eq!(
-            prev.cameras, next.cameras,
-            "delta requires an unchanged camera fleet"
-        );
-        let np = prev.objects.len();
-        let nn = next.objects.len();
-        let mut delta = ProblemDelta::default();
-        for j in 0..np.min(nn) {
-            if prev.objects[j].sizes != next.objects[j].sizes {
-                delta
-                    .moved
-                    .push((ObjectId(j), next.objects[j].sizes.clone()));
-            }
-        }
-        delta.left.extend((nn..np).map(ObjectId));
-        delta
-            .entered
-            .extend(next.objects[np.min(nn)..].iter().map(|o| o.sizes.clone()));
-        delta
-    }
-}
-
 fn random_size<R: Rng + ?Sized>(rng: &mut R, config: &ProblemConfig) -> SizeClass {
     // Geometric-ish distribution over size classes: small crops dominate,
     // mirroring the long-tail object-size distribution of traffic scenes.
@@ -611,130 +478,6 @@ mod tests {
         let s = p.restrict_to_cameras(&all).unwrap();
         assert_eq!(s.problem, p);
         assert!(s.lost_objects.is_empty());
-    }
-
-    #[test]
-    fn delta_between_and_apply_round_trip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let prev = MvsProblem::random(&mut rng, 4, 25, &ProblemConfig::default());
-        // Same fleet, different objects (both sides drawn from the same
-        // generator, so entered/left/moved all occur across sizes).
-        let mut next = MvsProblem::random(&mut rng, 4, 31, &ProblemConfig::default());
-        next = MvsProblem::new(prev.cameras().to_vec(), next.objects().to_vec()).unwrap();
-        let delta = ProblemDelta::between(&prev, &next);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.entered.len(), 6);
-        let mut patched = prev;
-        delta.apply(&mut patched).unwrap();
-        assert_eq!(patched, next);
-    }
-
-    #[test]
-    fn empty_delta_is_identity() {
-        let mut rng = ChaCha8Rng::seed_from_u64(34);
-        let p = MvsProblem::random(&mut rng, 3, 10, &ProblemConfig::default());
-        let delta = ProblemDelta::between(&p, &p);
-        assert!(delta.is_empty());
-        assert_eq!(delta.len(), 0);
-        let mut patched = p.clone();
-        delta.apply(&mut patched).unwrap();
-        assert_eq!(patched, p);
-    }
-
-    #[test]
-    fn delta_apply_reindexes_survivors_densely() {
-        let cameras = vec![camera(0), camera(1)];
-        let objects = vec![
-            object(0, &[(0, SizeClass::S64)]),
-            object(1, &[(1, SizeClass::S128)]),
-            object(2, &[(0, SizeClass::S256), (1, SizeClass::S64)]),
-        ];
-        let mut p = MvsProblem::new(cameras, objects).unwrap();
-        let delta = ProblemDelta {
-            left: vec![ObjectId(1), ObjectId(1)], // duplicate removes once
-            moved: vec![(
-                ObjectId(2),
-                [(CameraId(0), SizeClass::S512)].into_iter().collect(),
-            )],
-            entered: vec![[(CameraId(1), SizeClass::S64)].into_iter().collect()],
-        };
-        delta.apply(&mut p).unwrap();
-        assert_eq!(p.num_objects(), 3);
-        // Survivors keep relative order with fresh dense ids.
-        assert_eq!(
-            p.objects()[0].sizes,
-            object(0, &[(0, SizeClass::S64)]).sizes
-        );
-        assert_eq!(p.objects()[1].id, ObjectId(1));
-        assert_eq!(p.objects()[1].size_on(CameraId(0)), Some(SizeClass::S512));
-        assert_eq!(p.objects()[2].size_on(CameraId(1)), Some(SizeClass::S64));
-        // The patched instance still passes full validation.
-        assert!(MvsProblem::new(p.cameras().to_vec(), p.objects().to_vec()).is_ok());
-    }
-
-    #[test]
-    fn delta_apply_validates_before_mutating() {
-        let cameras = vec![camera(0)];
-        let objects = vec![object(0, &[(0, SizeClass::S64)])];
-        let p = MvsProblem::new(cameras, objects).unwrap();
-        let cases = [
-            (
-                ProblemDelta {
-                    left: vec![ObjectId(5)],
-                    ..Default::default()
-                },
-                ProblemError::UnknownObject(ObjectId(5)),
-            ),
-            (
-                ProblemDelta {
-                    moved: vec![(
-                        ObjectId(3),
-                        [(CameraId(0), SizeClass::S64)].into_iter().collect(),
-                    )],
-                    ..Default::default()
-                },
-                ProblemError::UnknownObject(ObjectId(3)),
-            ),
-            (
-                ProblemDelta {
-                    moved: vec![(ObjectId(0), BTreeMap::new())],
-                    ..Default::default()
-                },
-                ProblemError::EmptyCoverage(ObjectId(0)),
-            ),
-            (
-                ProblemDelta {
-                    entered: vec![[(CameraId(7), SizeClass::S64)].into_iter().collect()],
-                    ..Default::default()
-                },
-                ProblemError::UnknownCamera(ObjectId(1), CameraId(7)),
-            ),
-            (
-                ProblemDelta {
-                    left: vec![ObjectId(0)],
-                    entered: vec![BTreeMap::new()],
-                    ..Default::default()
-                },
-                ProblemError::EmptyCoverage(ObjectId(0)),
-            ),
-        ];
-        for (delta, expected) in cases {
-            let mut patched = p.clone();
-            assert_eq!(delta.apply(&mut patched), Err(expected));
-            assert_eq!(patched, p, "failed apply must leave the instance unchanged");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unchanged camera fleet")]
-    fn delta_between_rejects_fleet_changes() {
-        let a = MvsProblem::new(vec![camera(0)], vec![object(0, &[(0, SizeClass::S64)])]).unwrap();
-        let b = MvsProblem::new(
-            vec![camera(0), camera(1)],
-            vec![object(0, &[(1, SizeClass::S64)])],
-        )
-        .unwrap();
-        let _ = ProblemDelta::between(&a, &b);
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! Instances that exhaust the solver's node budget are discarded via
 //! `prop_assume` — the budget is sized so that essentially none do at
 //! these instance sizes.
+//!
+//! A third case holds [`BalbSolver`] — the same pass on reused buffers — to
+//! [`balb_central`] bit for bit over instance sequences that grow, shrink
+//! and change fleet size.
 
-use mvs_core::{balb_central, exact, MvsProblem, ProblemConfig};
+use mvs_core::{balb_central, exact, BalbSolver, MvsProblem, ProblemConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -86,5 +90,35 @@ proptest! {
         );
         // And the optimum is itself feasible under the same model.
         prop_assert!(opt.assignment.is_feasible(&p));
+    }
+
+    #[test]
+    fn reused_solver_matches_central_bitwise(
+        seed in any::<u64>(),
+        shapes in proptest::collection::vec((1usize..9, 0usize..25), 1..8),
+    ) {
+        // Buffers sized by one instance must leave nothing behind for the
+        // next: fleets and object lists grow and shrink (down to no objects
+        // at all) between consecutive solves on one solver.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut solver = BalbSolver::new();
+        prop_assert!(
+            std::panic::catch_unwind(|| BalbSolver::new().schedule().clone()).is_err(),
+            "schedule() before any solve must panic"
+        );
+        for (m, n) in shapes {
+            let p = MvsProblem::random(&mut rng, m, n, &ProblemConfig::default());
+            let fresh = balb_central(&p);
+            let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for reused in [solver.solve(&p).clone(), solver.schedule().clone()] {
+                prop_assert_eq!(&reused.assignment, &fresh.assignment);
+                prop_assert_eq!(&reused.priority, &fresh.priority);
+                prop_assert_eq!(
+                    bits(&reused.camera_latencies_ms),
+                    bits(&fresh.camera_latencies_ms)
+                );
+            }
+            prop_assert!(!solver.last_solve_was_warm());
+        }
     }
 }

@@ -187,8 +187,8 @@ pub struct PipelineConfig {
     pub faults: FaultModel,
     /// When true, fully-synced single-owner horizons solve the central
     /// stage shard-by-shard along the instance's view-overlap components
-    /// (`mvs_core::balb_sharded`, a cold solve every key frame) instead of
-    /// with the persistent [`BalbSolver`]. Results are bitwise identical
+    /// (`mvs_core::balb_sharded`) instead of in one pass on the persistent
+    /// [`BalbSolver`]'s buffers. Results are bitwise identical
     /// either way: instance-coverage shard plans are always exact, so the
     /// sharded schedule reproduces `balb_central`. Degraded or redundant
     /// horizons solve with `balb_redundant` regardless. Default false.
@@ -377,19 +377,18 @@ struct CoordinatorScratch {
 /// The one central solve of a key frame, chosen by what the horizon needs:
 ///
 /// * degraded (`subset` is the synced sub-fleet) or redundant horizons solve
-///   cold with [`balb_redundant`], which equals `balb_central` at
-///   redundancy 1;
+///   with [`balb_redundant`], which equals `balb_central` at redundancy 1;
 /// * fully-synced single-owner horizons run [`balb_sharded`] on the
 ///   instance's component plan when `shard_solver`
-///   ([`PipelineConfig::shard_solver`]), and the persistent [`BalbSolver`]
-///   otherwise.
+///   ([`PipelineConfig::shard_solver`]), and otherwise the monolithic pass
+///   on `solver`'s reused buffers.
 ///
 /// All three produce the bits of `balb_central` on a single-owner instance,
 /// so the choice never shows in a [`PipelineResult`]. The schedule is in
 /// the solved instance's ids (`subset`'s when degraded).
 fn central_schedule<'s>(
     solver: &'s mut BalbSolver,
-    problem: MvsProblem,
+    problem: &MvsProblem,
     subset: Option<&CameraSubset>,
     redundancy: usize,
     shard_solver: bool,
@@ -397,12 +396,12 @@ fn central_schedule<'s>(
     let redundancy = redundancy.max(1);
     match subset {
         Some(subset) => Cow::Owned(balb_redundant(&subset.problem, redundancy)),
-        None if redundancy > 1 => Cow::Owned(balb_redundant(&problem, redundancy)),
+        None if redundancy > 1 => Cow::Owned(balb_redundant(problem, redundancy)),
         None if shard_solver => {
-            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&problem));
-            Cow::Owned(balb_sharded(&problem, &plan))
+            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(problem));
+            Cow::Owned(balb_sharded(problem, &plan))
         }
-        None => Cow::Borrowed(solver.solve_owned(problem)),
+        None => Cow::Borrowed(solver.solve(problem)),
     }
 }
 
@@ -550,8 +549,7 @@ struct Pipeline {
     /// with redundancy 1; more under the redundant-assignment extension).
     assignment: Vec<Vec<usize>>,
     /// Persistent solver of the central stage's default path (see
-    /// [`central_schedule`]): repairs the previous horizon's schedule when
-    /// the scene barely changed, reusing its buffers either way.
+    /// [`central_schedule`]): its buffers are reused across horizons.
     solver: BalbSolver,
     /// Reused snapshot of the per-camera liveness flags for the current
     /// key frame (the snapshot decouples the flags from later fault-state
@@ -1074,7 +1072,7 @@ impl Pipeline {
                     .collect();
 
                 // The central solve as a pure function of the uploaded
-                // boxes and the persistent solver state. It touches no
+                // boxes (the solver contributes only buffers). It touches no
                 // worker, network, or upload state, so the pipelined path
                 // can run it on a pool worker while the coordinator
                 // encodes the uplink leg below. `None` means the horizon
@@ -1136,7 +1134,7 @@ impl Pipeline {
                         };
                         let schedule = central_schedule(
                             solver,
-                            problem,
+                            &problem,
                             subset.as_ref(),
                             redundancy,
                             config.shard_solver,
@@ -1646,15 +1644,10 @@ impl TenantPipeline {
 
     /// Reconfigures the redundancy degree, effective at the next processed
     /// key frame. Admission control uses this to shed load (redundancy
-    /// first, frames second) without tearing the tenant down. Any warm
-    /// solver state is discarded: it described schedules of the old
-    /// configuration.
+    /// first, frames second) without tearing the tenant down.
     pub fn set_redundancy(&mut self, redundancy: usize) {
         assert!(redundancy > 0, "redundancy must be at least one");
-        if self.inner.redundancy != redundancy {
-            self.inner.redundancy = redundancy;
-            self.inner.solver.reset();
-        }
+        self.inner.redundancy = redundancy;
     }
 
     /// Turns on structured tracing (see [`run_pipeline_traced`]); spans
@@ -1818,10 +1811,11 @@ mod tests {
 
     #[test]
     fn shard_solver_matches_central_bitwise_at_any_thread_count() {
-        // The pipeline-level warm-vs-cold differential: the persistent
-        // `BalbSolver` (repairing the previous schedule where it can) on
-        // one side, a cold per-component `balb_sharded` solve every key
-        // frame on the other, bitwise identical at 1, 2, and 4 threads.
+        // The pipeline-level solver differential: the persistent
+        // `BalbSolver` (one monolithic pass on buffers carried over from
+        // earlier horizons) on one side, a per-component `balb_sharded`
+        // solve on fresh buffers every key frame on the other, bitwise
+        // identical at 1, 2, and 4 threads.
         // Measured overheads off so the whole PipelineResult is comparable
         // with `==`.
         let sc = Scenario::new(ScenarioKind::S2);

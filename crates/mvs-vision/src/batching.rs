@@ -264,102 +264,6 @@ impl SizeCountsBatch {
     }
 }
 
-/// Greedy batch-sequence builder: collects size classes and emits concrete
-/// batches (lists of task indices) per size.
-///
-/// # Examples
-///
-/// ```
-/// use mvs_geometry::SizeClass;
-/// use mvs_vision::BatchBuilder;
-///
-/// let mut b = BatchBuilder::new();
-/// b.push(SizeClass::S64);
-/// b.push(SizeClass::S128);
-/// b.push(SizeClass::S64);
-/// let batches = b.build(3); // batch limit 3 for every size
-/// assert_eq!(batches.len(), 2); // one S64 batch (2 crops), one S128 batch
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BatchBuilder {
-    tasks: Vec<SizeClass>,
-}
-
-/// A concrete batch: one size class and the indices (into the push order)
-/// of the tasks it contains.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Batch {
-    /// The shared spatial size of every crop in this batch.
-    pub size: SizeClass,
-    /// Indices of the batched tasks in push order.
-    pub task_indices: Vec<usize>,
-}
-
-impl BatchBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        BatchBuilder::default()
-    }
-
-    /// Adds a task and returns its index.
-    pub fn push(&mut self, size: SizeClass) -> usize {
-        self.tasks.push(size);
-        self.tasks.len() - 1
-    }
-
-    /// Removes all tasks, keeping the buffer's capacity so a per-frame
-    /// batching bin can be refilled without reallocating.
-    pub fn clear(&mut self) {
-        self.tasks.clear();
-    }
-
-    /// Number of pushed tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when no tasks have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Builds batches with a uniform `limit` for every size class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn build(&self, limit: usize) -> Vec<Batch> {
-        self.build_with(|_| limit)
-    }
-
-    /// Builds batches using the device profile's per-size batch limits.
-    pub fn build_for(&self, profile: &LatencyProfile) -> Vec<Batch> {
-        self.build_with(|s| profile.batch_limit(s))
-    }
-
-    fn build_with<F: Fn(SizeClass) -> usize>(&self, limit_of: F) -> Vec<Batch> {
-        let mut out = Vec::new();
-        for &size in &SizeClass::ALL {
-            let limit = limit_of(size);
-            assert!(limit > 0, "batch limit must be positive");
-            let idx: Vec<usize> = self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, &s)| s == size)
-                .map(|(i, _)| i)
-                .collect();
-            for chunk in idx.chunks(limit) {
-                out.push(Batch {
-                    size,
-                    task_indices: chunk.to_vec(),
-                });
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,43 +369,5 @@ mod tests {
         assert!(c.remove(SizeClass::S64));
         assert_eq!(c.count(SizeClass::S64), 1);
         assert!(!c.remove(SizeClass::S512));
-    }
-
-    #[test]
-    fn builder_groups_by_size_and_respects_limit() {
-        let mut b = BatchBuilder::new();
-        let i0 = b.push(SizeClass::S64);
-        let i1 = b.push(SizeClass::S128);
-        let i2 = b.push(SizeClass::S64);
-        let i3 = b.push(SizeClass::S64);
-        let batches = b.build(2);
-        // S64: {i0,i2} then {i3}; S128: {i1}.
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].task_indices, vec![i0, i2]);
-        assert_eq!(batches[1].task_indices, vec![i3]);
-        assert_eq!(batches[2].task_indices, vec![i1]);
-        assert_eq!(batches[2].size, SizeClass::S128);
-    }
-
-    #[test]
-    fn builder_batch_count_matches_size_counts() {
-        let p = LatencyProfile::for_device(DeviceKind::Nano);
-        let sizes = [
-            SizeClass::S64,
-            SizeClass::S64,
-            SizeClass::S64,
-            SizeClass::S64,
-            SizeClass::S64, // limit 4 → 2 batches
-            SizeClass::S512,
-            SizeClass::S512, // limit 1 → 2 batches
-        ];
-        let mut b = BatchBuilder::new();
-        for s in sizes {
-            b.push(s);
-        }
-        let concrete = b.build_for(&p);
-        let counts = SizeCounts::from_sizes(sizes);
-        let expected: usize = counts.batches(&p).iter().sum();
-        assert_eq!(concrete.len(), expected);
     }
 }

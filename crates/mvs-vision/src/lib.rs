@@ -8,7 +8,7 @@
 //!   (`t_i^full`, `t_i^s`, batch limits `B_i^s`) that the paper feeds into
 //!   BALB. Profiles with realistic Jetson Nano / TX2 / Xavier magnitudes
 //!   are built in.
-//! * [`BatchBuilder`] / [`batches_needed`] — greedy same-size batching and
+//! * [`SizeCounts`] / [`batches_needed`] — greedy same-size batching and
 //!   the camera-latency arithmetic of Definition 1.
 //! * [`SimulatedDetector`] — a detection-quality model standing in for the
 //!   DNN: per-object miss probability (small objects are harder), bounding
@@ -32,7 +32,7 @@ mod scalar;
 mod slicing;
 mod tracker;
 
-pub use batching::{batches_needed, Batch, BatchBuilder, SizeCounts, SizeCountsBatch};
+pub use batching::{batches_needed, SizeCounts, SizeCountsBatch};
 pub use detector::{Detection, DetectionModel, GroundTruthObject, SimulatedDetector};
 pub use latency::{DeviceKind, LatencyProfile, SizeProfile};
 pub use new_region::{find_new_regions, find_new_regions_into, NewRegionFinder};

@@ -91,9 +91,9 @@ mod cli {
         pub cameras: usize,
         /// Traffic intensity multiplier of the `city` scenario.
         pub intensity: f64,
-        /// Solve key frames cold, shard-by-shard over the camera overlap
-        /// graph, instead of with the persistent solver (identical
-        /// schedules; compute-only knob).
+        /// Solve key frames shard-by-shard over the camera overlap graph
+        /// instead of in one pass (identical schedules; compute-only
+        /// knob).
         pub shard_solver: bool,
         /// Overlap the central solve with uplink-leg encoding on key
         /// frames (identical results; wall-clock-only knob).
@@ -185,6 +185,16 @@ mod cli {
         }
     }
 
+    /// A duration, rate or scale the run divides by or loops up to: zero,
+    /// negative, infinite and NaN values are refused where they are typed.
+    fn positive(name: &str, v: f64) -> Result<f64, String> {
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("{name} must be positive and finite"))
+        }
+    }
+
     fn parse_options(scenario: ScenarioKind, rest: &[String]) -> Result<Options, String> {
         let mut options = Options::default();
         // Flags that only make sense for the procedural city scenario —
@@ -216,14 +226,16 @@ mod cli {
                     }
                 }
                 "--train-s" => {
-                    options.train_s = value("--train-s")?
+                    let v = value("--train-s")?
                         .parse()
                         .map_err(|e| format!("--train-s: {e}"))?;
+                    options.train_s = positive("--train-s", v)?;
                 }
                 "--eval-s" => {
-                    options.eval_s = value("--eval-s")?
+                    let v = value("--eval-s")?
                         .parse()
                         .map_err(|e| format!("--eval-s: {e}"))?;
+                    options.eval_s = positive("--eval-s", v)?;
                 }
                 "--seed" => {
                     options.seed = value("--seed")?
@@ -253,12 +265,10 @@ mod cli {
                 }
                 "--intensity" => {
                     city_only("--intensity")?;
-                    options.intensity = value("--intensity")?
+                    let v = value("--intensity")?
                         .parse()
                         .map_err(|e| format!("--intensity: {e}"))?;
-                    if !(options.intensity.is_finite() && options.intensity > 0.0) {
-                        return Err("--intensity must be positive and finite".to_string());
-                    }
+                    options.intensity = positive("--intensity", v)?;
                 }
                 "--threads" => {
                     options.threads = value("--threads")?
@@ -288,13 +298,6 @@ mod cli {
                     .cloned()
                     .ok_or_else(|| format!("{name} requires a value"))
             };
-            fn positive(name: &str, v: f64) -> Result<f64, String> {
-                if v.is_finite() && v > 0.0 {
-                    Ok(v)
-                } else {
-                    Err(format!("{name} must be positive and finite"))
-                }
-            }
             fn probability(name: &str, v: f64) -> Result<f64, String> {
                 if (0.0..=1.0).contains(&v) {
                     Ok(v)
@@ -597,6 +600,15 @@ mod cli {
             assert!(parse(&args("run city balb --cameras 0")).is_err());
             assert!(parse(&args("run city balb --intensity 0")).is_err());
             assert!(parse(&args("run city balb --intensity nan")).is_err());
+            // Durations become frame counts: `inf` used to run forever and
+            // the rest printed a report over no samples.
+            for flag in ["--train-s", "--eval-s"] {
+                for bad in ["inf", "nan", "0", "-1"] {
+                    let err = parse(&args(&format!("run s1 balb {flag} {bad}"))).unwrap_err();
+                    assert!(err.contains(flag), "{flag} {bad}: {err}");
+                    assert!(parse(&args(&format!("compare s1 {flag} {bad}"))).is_err());
+                }
+            }
         }
 
         #[test]
@@ -813,9 +825,9 @@ OPTIONS:
                       (golden format), plus a per-stage latency table.
     --cameras N       city fleet size                (default 128; city only)
     --intensity X     city traffic multiplier        (default 1.0; city only)
-    --shard-solver    solve key frames cold, shard-by-shard over the camera
-                      overlap graph, instead of with the persistent
-                      solver (identical schedules; compute-only knob)
+    --shard-solver    solve key frames shard-by-shard over the camera
+                      overlap graph instead of in one pass (identical
+                      schedules; compute-only knob)
     --pipelined       overlap the central solve with uplink-leg encoding
                       on key frames (identical results; wall-clock-only
                       knob)

@@ -43,6 +43,25 @@ fn invalid_option_value_fails() {
 }
 
 #[test]
+fn unusable_duration_fails_at_parse_time() {
+    // `--eval-s inf` used to become `usize::MAX` frames and never return.
+    for (flag, bad) in [
+        ("--eval-s", "inf"),
+        ("--eval-s", "nan"),
+        ("--train-s", "-1"),
+    ] {
+        let out = mvs()
+            .args(["run", "s1", "balb", flag, bad])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag} {bad} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag} {bad}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{flag} {bad}: stderr: {err}");
+    }
+}
+
+#[test]
 fn short_run_reports_metrics() {
     let out = mvs()
         .args([

@@ -159,7 +159,8 @@ fn central_sharded_and_persistent_solver_agree_bitwise_on_a_city_fleet() {
     // The three solve entry points the pipeline calls must produce one
     // schedule: three consecutive 10-frame horizons of a 64-camera city,
     // snapshotted from ground truth (every visible object, true projected
-    // crop sizes) and fed to the same persistent solver.
+    // crop sizes) and fed to one `BalbSolver`, whose buffers carry over
+    // from horizon to horizon.
     let scenario = Scenario::city(&CityConfig {
         cameras: 64,
         seed: 2022,
