@@ -161,25 +161,10 @@ pub enum ShadowVerdict {
 ///
 /// Records a [`Stage::Distributed`] span (items = takeovers; duration zero,
 /// since the scan's wall-clock cost is accounted by the caller).
-pub fn scan_takeovers<V, R>(
-    shadows: &mut BTreeMap<usize, ShadowTrack>,
-    hysteresis: u32,
-    verdict: V,
-    responsible: R,
-    trace: Option<&mut TraceBuf>,
-) -> Vec<(usize, BBox)>
-where
-    V: FnMut(usize, &BBox) -> ShadowVerdict,
-    R: FnMut(&BBox) -> bool,
-{
-    let mut seeds: Vec<(usize, BBox)> = Vec::new();
-    scan_takeovers_into(shadows, hysteresis, verdict, responsible, trace, &mut seeds);
-    seeds
-}
-
-/// Buffer-reusing variant of [`scan_takeovers`]: clears `seeds` and fills
-/// it with this frame's takeovers, so a caller that keeps the buffer
-/// across frames allocates nothing here in steady state.
+///
+/// `seeds` is cleared and filled with this frame's takeovers, so a caller
+/// that keeps the buffer across frames allocates nothing here in steady
+/// state.
 pub fn scan_takeovers_into<V, R>(
     shadows: &mut BTreeMap<usize, ShadowTrack>,
     hysteresis: u32,
@@ -294,6 +279,18 @@ mod tests {
         ShadowTrack::new(BBox::new(x, 0.0, x + 10.0, 10.0).unwrap())
     }
 
+    /// One untraced scan into a fresh buffer.
+    fn scan(
+        shadows: &mut BTreeMap<usize, ShadowTrack>,
+        hysteresis: u32,
+        verdict: impl FnMut(usize, &BBox) -> ShadowVerdict,
+        responsible: impl FnMut(&BBox) -> bool,
+    ) -> Vec<(usize, BBox)> {
+        let mut seeds = Vec::new();
+        scan_takeovers_into(shadows, hysteresis, verdict, responsible, None, &mut seeds);
+        seeds
+    }
+
     #[test]
     fn takeover_requires_consecutive_gone_frames() {
         let mut shadows = BTreeMap::from([(4usize, shadow_at(0.0))]);
@@ -306,13 +303,13 @@ mod tests {
             ShadowVerdict::Gone,
             ShadowVerdict::Gone,
         ] {
-            let seeds = scan_takeovers(&mut shadows, 3, |_, _| v, |_| true, None);
+            let seeds = scan(&mut shadows, 3, |_, _| v, |_| true);
             assert!(seeds.is_empty());
         }
         assert_eq!(shadows[&4].gone_frames, 2);
         // A third consecutive gone frame finally triggers the takeover and
         // removes the shadow.
-        let seeds = scan_takeovers(&mut shadows, 3, |_, _| ShadowVerdict::Gone, |_| true, None);
+        let seeds = scan(&mut shadows, 3, |_, _| ShadowVerdict::Gone, |_| true);
         assert_eq!(seeds.len(), 1);
         assert_eq!(seeds[0].0, 4);
         assert!(shadows.is_empty());
@@ -322,13 +319,7 @@ mod tests {
     fn owned_shadows_are_skipped_entirely() {
         let mut shadows = BTreeMap::from([(0usize, shadow_at(0.0))]);
         for _ in 0..5 {
-            let seeds = scan_takeovers(
-                &mut shadows,
-                1,
-                |_, _| ShadowVerdict::OwnedHere,
-                |_| true,
-                None,
-            );
+            let seeds = scan(&mut shadows, 1, |_, _| ShadowVerdict::OwnedHere, |_| true);
             assert!(seeds.is_empty());
         }
         // OwnedHere neither increments nor resets the streak.
@@ -339,8 +330,7 @@ mod tests {
     fn irresponsible_camera_keeps_counting_but_never_takes() {
         let mut shadows = BTreeMap::from([(1usize, shadow_at(0.0))]);
         for _ in 0..4 {
-            let seeds =
-                scan_takeovers(&mut shadows, 3, |_, _| ShadowVerdict::Gone, |_| false, None);
+            let seeds = scan(&mut shadows, 3, |_, _| ShadowVerdict::Gone, |_| false);
             assert!(seeds.is_empty());
         }
         assert_eq!(shadows[&1].gone_frames, 4);
@@ -354,7 +344,7 @@ mod tests {
             (5usize, shadow_at(40.0)),
         ]);
         let mut visited = Vec::new();
-        scan_takeovers(
+        scan(
             &mut shadows,
             1,
             |g, _| {
@@ -362,7 +352,6 @@ mod tests {
                 ShadowVerdict::Gone
             },
             |_| true,
-            None,
         );
         assert_eq!(visited, vec![2, 5, 9]);
         assert!(shadows.is_empty());

@@ -59,9 +59,7 @@ mod shard;
 
 pub use assignment::Assignment;
 pub use balb::{balb_central, BalbSchedule, BalbSolver};
-pub use distributed::{
-    scan_takeovers, scan_takeovers_into, DistributedPolicy, ShadowTrack, ShadowVerdict,
-};
+pub use distributed::{scan_takeovers_into, DistributedPolicy, ShadowTrack, ShadowVerdict};
 pub use ids::{CameraId, ObjectId};
 pub use mask::CameraMask;
 pub use problem::{CameraInfo, CameraSubset, MvsProblem, ObjectInfo, ProblemConfig, ProblemError};

@@ -1,18 +1,13 @@
 //! Persistent deterministic executor.
 //!
-//! Every parallel site in this workspace used to pay OS-thread spawn and
-//! join costs per frame (`std::thread::scope` in the camera pool, the
-//! pipelined key-frame overlap, and the experiment sweeps). This crate
-//! replaces all of them with one long-lived pool of parked worker threads
-//! and a small family of chunked fan-out primitives:
-//!
-//! - [`Executor::par_map`] / [`Executor::par_map_mut`] — contiguous-chunk
-//!   map with an index-ordered merge (drop-in for the old scoped helpers).
-//! - [`Executor::par_chunks`] / [`Executor::par_chunks_mut`] — the same
-//!   fan-out at chunk granularity, for scatter passes that keep per-worker
-//!   local state.
-//! - [`Executor::join`] — a two-way fork for overlapping one computation
-//!   with the caller's own work.
+//! Every parallel site in this workspace (the per-camera frame stages,
+//! the serve loop's tenant-parallel phases, the experiment sweeps) fans out
+//! over one long-lived pool of parked worker threads instead of paying
+//! OS-thread spawn and join costs per frame. The whole fan-out surface is
+//! a contiguous-chunk map with an index-ordered merge:
+//! [`Executor::par_map`] over `&` items, [`Executor::par_map_mut`] over
+//! `&mut` items, and [`Executor::par_for_each_mut`] when there is nothing
+//! to collect.
 //!
 //! # Determinism contract
 //!
@@ -149,6 +144,8 @@ impl<F> TaskCell<F> {
 /// `data` must point to a live `TaskCell<F>` that no other thread touches
 /// until the batch's latch (or inline loop) says this call has returned.
 unsafe fn run_cell<F: FnOnce()>(data: *mut ()) {
+    // SAFETY: the caller's contract — `data` is a live `TaskCell<F>` and this
+    // call is its only accessor (one writer per cell) until it returns.
     let cell = unsafe { &mut *data.cast::<TaskCell<F>>() };
     let f = cell.f.take().expect("executor task runs exactly once");
     if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
@@ -189,10 +186,12 @@ struct Worker {
 fn worker_loop(rx: &Receiver<RawTask>) {
     IN_TASK.with(|t| t.set(true));
     while let Ok(task) = rx.recv() {
-        // SAFETY: the submitting thread keeps the cell and latch alive
-        // until the latch opens, and `count_down` runs strictly after the
-        // cell's last write (program order here, release on the latch
-        // mutex for the caller).
+        // SAFETY: the cell and the latch outlive the latch wait — the
+        // submitting thread blocks in `Latch::wait` until this task has
+        // counted down — and this worker is the cell's only writer.
+        // `count_down` runs strictly after the cell's last write (program
+        // order here, release on the latch mutex for the caller) and is
+        // this thread's last touch of either pointer.
         unsafe {
             (task.run)(task.data);
             (*task.latch).count_down();
@@ -306,7 +305,8 @@ impl Executor {
         };
         if senders.is_empty() {
             for cell in &mut cells {
-                // SAFETY: exclusive `&mut` access on this thread.
+                // SAFETY: `cell` is a live exclusive borrow and nothing
+                // else runs until this call returns.
                 unsafe { run_cell::<F>(std::ptr::from_mut(cell).cast()) };
             }
         } else {
@@ -316,9 +316,10 @@ impl Executor {
             // cannot invalidate the workers' pointers.
             let base: *mut TaskCell<F> = cells.as_mut_ptr();
             for i in 1..k {
-                // SAFETY: `i < k == cells.len()`; each cell is handed to
-                // exactly one worker and untouched here until the latch
-                // opens.
+                // SAFETY: `i < k == cells.len()`, so the pointer is in
+                // bounds; the cell goes to exactly one worker (one writer
+                // per slot), and `cells` and `latch` stay alive and
+                // untouched here until `latch.wait()` below has returned.
                 let task = raw_task_for(unsafe { base.add(i) }, &latch);
                 senders[(i - 1) % senders.len()]
                     .send(task)
@@ -326,7 +327,8 @@ impl Executor {
             }
             {
                 let _in_task = InTaskGuard::enter();
-                // SAFETY: cell 0 was not sent to any worker.
+                // SAFETY: cell 0 was sent to no worker, so this thread
+                // is its only accessor.
                 unsafe { run_cell::<F>(base.cast()) };
             }
             latch.wait();
@@ -336,63 +338,24 @@ impl Executor {
         }
     }
 
-    /// Maps `f` over chunk starts and contiguous chunks of `items`
-    /// (`chunk_len = n.div_ceil(lanes)`), returning per-chunk outputs in
-    /// chunk order. The chunk *structure* is a function of `lanes` alone,
-    /// so a caller-chosen lane count gives identical chunking whether the
-    /// chunks run on the pool or inline.
-    pub fn par_chunks<I, T, F>(&self, items: &[I], lanes: usize, f: F) -> Vec<T>
+    /// Runs `f` on every chunk — one batch task each — and returns the
+    /// per-chunk outputs in chunk order. Callers cut contiguous chunks of
+    /// `n.div_ceil(lanes)` items (`chunks` and `chunks_mut` both fit), so
+    /// the chunk *structure* is a function of the lane count alone, whether
+    /// the chunks run on the pool or inline.
+    fn run_chunks<C, T, F>(&self, chunks: impl ExactSizeIterator<Item = C>, f: F) -> Vec<T>
     where
-        I: Sync,
+        C: Send,
         T: Send,
-        F: Fn(usize, &[I]) -> T + Sync,
+        F: Fn(C) -> T + Sync,
     {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let lanes = lanes.clamp(1, n);
-        let chunk_len = n.div_ceil(lanes);
         let mut slots: Vec<Option<T>> = Vec::new();
-        slots.resize_with(n.div_ceil(chunk_len), || None);
+        slots.resize_with(chunks.len(), || None);
         {
             let f = &f;
-            let tasks: Vec<_> = items
-                .chunks(chunk_len)
+            let tasks: Vec<_> = chunks
                 .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(c, (chunk, slot))| move || *slot = Some(f(c * chunk_len, chunk)))
-                .collect();
-            self.run_batch(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every chunk ran"))
-            .collect()
-    }
-
-    /// [`Executor::par_chunks`] over mutable chunks.
-    pub fn par_chunks_mut<I, T, F>(&self, items: &mut [I], lanes: usize, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, &mut [I]) -> T + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let lanes = lanes.clamp(1, n);
-        let chunk_len = n.div_ceil(lanes);
-        let mut slots: Vec<Option<T>> = Vec::new();
-        slots.resize_with(n.div_ceil(chunk_len), || None);
-        {
-            let f = &f;
-            let tasks: Vec<_> = items
-                .chunks_mut(chunk_len)
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(c, (chunk, slot))| move || *slot = Some(f(c * chunk_len, chunk)))
+                .map(|(chunk, slot)| move || *slot = Some(f(chunk)))
                 .collect();
             self.run_batch(tasks);
         }
@@ -418,10 +381,12 @@ impl Executor {
         if lanes == 1 || in_executor_task() {
             return items.iter().map(f).collect();
         }
-        self.par_chunks(items, lanes, |_, chunk| chunk.iter().map(&f).collect())
-            .into_iter()
-            .flat_map(|v: Vec<T>| v)
-            .collect()
+        self.run_chunks(items.chunks(n.div_ceil(lanes)), |chunk| {
+            chunk.iter().map(&f).collect()
+        })
+        .into_iter()
+        .flat_map(|v: Vec<T>| v)
+        .collect()
     }
 
     /// [`Executor::par_map`] over `&mut` items (workers get disjoint
@@ -437,10 +402,12 @@ impl Executor {
         if lanes == 1 || in_executor_task() {
             return items.iter_mut().map(f).collect();
         }
-        self.par_chunks_mut(items, lanes, |_, chunk| chunk.iter_mut().map(&f).collect())
-            .into_iter()
-            .flat_map(|v: Vec<T>| v)
-            .collect()
+        self.run_chunks(items.chunks_mut(n.div_ceil(lanes)), |chunk| {
+            chunk.iter_mut().map(&f).collect()
+        })
+        .into_iter()
+        .flat_map(|v: Vec<T>| v)
+        .collect()
     }
 
     /// [`Executor::par_map_mut`] discarding outputs.
@@ -450,57 +417,6 @@ impl Executor {
         F: Fn(&mut I) + Sync,
     {
         let _: Vec<()> = self.par_map_mut(items, lanes, |it| f(it));
-    }
-
-    /// Runs `a` on a pool worker while `b` runs on the caller, returning
-    /// both results — the two-phase overlap shape (e.g. a central solve
-    /// behind the caller's uplink encoding). Inline (and from inside an
-    /// executor task) it runs `a` then `b`, matching the sequential
-    /// order. If both panic, `a`'s payload wins deterministically.
-    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
-    where
-        RA: Send,
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB,
-    {
-        let senders = if in_executor_task() {
-            Vec::new()
-        } else {
-            self.senders_for(1)
-        };
-        if senders.is_empty() {
-            return (a(), b());
-        }
-        let mut slot: Option<RA> = None;
-        let mut rb = None;
-        let mut panic_b = None;
-        {
-            let slot = &mut slot;
-            let mut cells = vec![TaskCell::new(move || *slot = Some(a()))];
-            let latch = Latch::new(1);
-            let task = raw_task_for(cells.as_mut_ptr(), &latch);
-            senders[0]
-                .send(task)
-                .expect("pool workers outlive the executor");
-            {
-                let _in_task = InTaskGuard::enter();
-                match catch_unwind(AssertUnwindSafe(b)) {
-                    Ok(v) => rb = Some(v),
-                    Err(payload) => panic_b = Some(payload),
-                }
-            }
-            latch.wait();
-            if let Some(payload) = cells.pop().and_then(|c| c.panic) {
-                resume_unwind(payload);
-            }
-        }
-        if let Some(payload) = panic_b {
-            resume_unwind(payload);
-        }
-        (
-            slot.expect("joined task ran to completion"),
-            rb.expect("caller closure ran to completion"),
-        )
     }
 }
 
@@ -515,7 +431,6 @@ pub fn pool() -> &'static Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Tiny deterministic generator so determinism tests need no deps.
     fn splitmix(state: &mut u64) -> u64 {
@@ -559,46 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_item_once_with_chunk_starts() {
-        let exec = Executor::new();
-        let items: Vec<usize> = (0..11).collect();
-        for lanes in [1, 2, 4, 16] {
-            let chunks = exec.par_chunks(&items, lanes, |start, chunk| (start, chunk.to_vec()));
-            let mut seen = Vec::new();
-            for (start, chunk) in chunks {
-                assert_eq!(seen.len(), start, "chunks arrive in offset order");
-                seen.extend(chunk);
-            }
-            assert_eq!(seen, items, "lanes={lanes}");
-        }
-    }
-
-    #[test]
     fn par_for_each_mut_mutates_disjoint_chunks() {
         let exec = Executor::new();
         let mut items: Vec<usize> = (0..9).collect();
         exec.par_for_each_mut(&mut items, 4, |i| *i += 100);
         assert_eq!(items, (100..109).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both_results_and_orders_inline_a_before_b() {
-        let exec = Executor::new();
-        // Inside a genuine executor task (two items on two lanes, so both
-        // the caller's lane and the worker's run with `IN_TASK` set) a
-        // nested `join` is forced inline: `a` must run before `b` — the
-        // sequential order the pipelined overlap degenerates to.
-        let logs = exec.par_map(&[0, 1], 2, |_| {
-            let log = Mutex::new(Vec::new());
-            pool().join(
-                || log.lock().unwrap().push('a'),
-                || log.lock().unwrap().push('b'),
-            );
-            log.into_inner().unwrap()
-        });
-        assert_eq!(logs, vec![vec!['a', 'b']; 2]);
-        let (ra, rb) = exec.join(|| 6 * 7, || "right");
-        assert_eq!((ra, rb), (42, "right"));
     }
 
     #[test]
@@ -671,21 +551,6 @@ mod tests {
         let exec = Executor::new();
         assert_eq!(exec.par_map(&Vec::<u8>::new(), 8, |&b| b), Vec::<u8>::new());
         assert_eq!(exec.par_map(&[1u8], 64, |&b| b + 1), vec![2]);
-    }
-
-    #[test]
-    fn join_overlaps_and_propagates_a_panic_first() {
-        let exec = Executor::new();
-        let ran_b = AtomicU64::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            exec.join(
-                || std::panic::panic_any("a failed"),
-                || ran_b.store(7, Ordering::SeqCst),
-            )
-        }))
-        .expect_err("a's panic reaches the caller");
-        assert_eq!(*caught.downcast_ref::<&str>().unwrap(), "a failed");
-        assert_eq!(ran_b.load(Ordering::SeqCst), 7, "b still ran to completion");
     }
 
     #[test]

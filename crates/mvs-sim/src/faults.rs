@@ -29,6 +29,8 @@
 use std::error::Error;
 use std::fmt;
 
+use mvs_metrics::DegradationCounters;
+
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -425,17 +427,56 @@ impl FaultState {
         events
     }
 
-    /// Simulates one message's timeout-plus-retry delivery: returns
-    /// `Some(k)` if the message got through after `k` lost attempts, or
-    /// `None` if the whole retry budget was lost. Draws nothing when loss
-    /// is off (the message trivially arrives on the first attempt).
-    pub fn delivery(&mut self) -> Option<u32> {
-        if self.model.keyframe_loss <= 0.0 {
-            return Some(0);
-        }
-        (0..self.model.attempts_budget())
-            .find(|_| self.rng.gen::<f64>() >= self.model.keyframe_loss)
+    /// One key frame's round trip to the central scheduler: every live
+    /// camera uploads (`up`), and the scheduler answers each upload it
+    /// received (`down`). `Some(k)` = delivered after `k` lost attempts;
+    /// `None` = never sent, or lost for the whole retry budget. All uplink
+    /// draws come first, then all downlink draws, each in camera-index
+    /// order. Lost attempts, retransmitted messages and the live cameras
+    /// left without an answer are added to `tally`.
+    pub fn round_trip(
+        &mut self,
+        up: &mut Vec<Option<u32>>,
+        down: &mut Vec<Option<u32>>,
+        tally: &mut DegradationCounters,
+    ) {
+        let FaultState { model, rng, alive } = self;
+        let mut leg = |leg: &mut Vec<Option<u32>>, sends: &dyn Fn(usize) -> bool| {
+            let mut lost = 0;
+            leg.clear();
+            leg.extend((0..alive.len()).map(|i| {
+                let delivered = sends(i).then(|| deliver(model, rng));
+                match delivered {
+                    None | Some(Some(0)) => {}
+                    Some(Some(k)) => {
+                        lost += u64::from(k);
+                        tally.retransmits += 1;
+                    }
+                    Some(None) => lost += u64::from(model.attempts_budget()),
+                }
+                delivered.flatten()
+            }));
+            lost
+        };
+        tally.lost_uploads += leg(up, &|i| alive[i]);
+        tally.lost_downlinks += leg(down, &|i| up[i].is_some());
+        let unanswered = alive
+            .iter()
+            .zip(down.iter())
+            .filter(|(&a, d)| a && d.is_none());
+        tally.desynced_horizons += unanswered.count() as u64;
     }
+}
+
+/// Simulates one message's timeout-plus-retry delivery: returns `Some(k)`
+/// if the message got through after `k` lost attempts, or `None` if the
+/// whole retry budget was lost. Draws nothing when loss is off (the message
+/// trivially arrives on the first attempt).
+fn deliver(model: &FaultModel, rng: &mut ChaCha8Rng) -> Option<u32> {
+    if model.keyframe_loss <= 0.0 {
+        return Some(0);
+    }
+    (0..model.attempts_budget()).find(|_| rng.gen::<f64>() >= model.keyframe_loss)
 }
 
 #[cfg(test)]
@@ -448,7 +489,7 @@ mod tests {
         let mut pristine = s.rng.clone();
         for _ in 0..50 {
             assert_eq!(s.step_key_frame(), KeyFrameEvents::default());
-            assert_eq!(s.delivery(), Some(0));
+            assert_eq!(deliver(&s.model, &mut s.rng), Some(0));
         }
         assert!(s.all_alive());
         // The RNG never advanced: fault-free runs are bitwise untouched.
@@ -470,7 +511,7 @@ mod tests {
             for _ in 0..20 {
                 events.push(s.step_key_frame());
                 for _ in 0..5 {
-                    deliveries.push(s.delivery());
+                    deliveries.push(deliver(&s.model, &mut s.rng));
                 }
             }
             (events, deliveries)
@@ -502,7 +543,7 @@ mod tests {
             ..FaultModel::none()
         };
         let mut s = FaultState::new(model, 9, 1);
-        assert_eq!(s.delivery(), None);
+        assert_eq!(deliver(&s.model, &mut s.rng), None);
         assert_eq!(model.attempts_budget(), 4);
         assert_eq!(model.deadline_ms(), 120.0);
     }

@@ -55,6 +55,7 @@ pub use correspond::{CorrespondenceData, PairLabels, TrainedAssociation};
 pub use faults::{FaultModel, FaultModelError, PoolDegrade, ServeFaultError, ServeFaultModel};
 pub use masks::{MaskPrecompute, StaticWorldPartition};
 pub use messages::{AssignmentMessage, ObjectRecord, UploadMessage};
+pub use mvs_exec::resolve_threads;
 pub use network::{NetworkModel, BYTES_PER_OBJECT, MESSAGE_HEADER_BYTES};
 pub use render::render_ascii;
 pub use response::{replay_response, QueuePolicy, ResponseStats};
@@ -69,5 +70,4 @@ pub use serve::{
     TransitionReason,
 };
 pub use trajectory::{FollowingModel, Route, SpawnConfig, TrafficLight};
-pub use worker::resolve_threads;
 pub use world::{Lane, World, WorldObject};

@@ -45,7 +45,13 @@ impl UploadMessage {
 
     /// Bytes of the compact encoding.
     pub fn encoded_len(&self) -> usize {
-        Self::HEADER_LEN + self.objects.len() * ObjectRecord::ENCODED_LEN
+        Self::encoded_len_of(self.objects.len())
+    }
+
+    /// [`UploadMessage::encoded_len`] of a message reporting `objects`
+    /// detections, without building the message.
+    pub(crate) fn encoded_len_of(objects: usize) -> usize {
+        Self::HEADER_LEN + objects * ObjectRecord::ENCODED_LEN
     }
 }
 

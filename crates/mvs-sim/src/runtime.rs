@@ -23,26 +23,26 @@
 use crate::correspond::{CorrespondenceData, TrainedAssociation};
 use crate::faults::{FaultModel, FaultState};
 use crate::masks::{MaskPrecompute, StaticWorldPartition};
-use crate::messages::{AssignmentMessage, ObjectRecord, UploadMessage};
+use crate::messages::{AssignmentMessage, UploadMessage};
 use crate::network::NetworkModel;
 use crate::scenario::Scenario;
-use crate::worker::{par_map, resolve_threads, CameraWorker, FrameScratch};
+use crate::worker::{CameraWorker, FrameScratch, RegularFrame};
 use crate::world::World;
-use mvs_assoc::AssociationScratch;
+use mvs_assoc::{AssociationScratch, GlobalObject};
 use mvs_core::extensions::balb_redundant;
 use mvs_core::{
-    balb_sharded, scan_takeovers_into, BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask,
-    CameraSubset, MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShadowVerdict,
-    ShardPlan,
+    balb_sharded, BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask, CameraSubset,
+    MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShardPlan,
 };
+use mvs_exec::{pool, resolve_threads};
 use mvs_geometry::{BBox, SizeClass};
 use mvs_metrics::{
     DegradationCounters, LatencySeries, OverheadBreakdown, OverheadSample, RecallAccumulator,
 };
 use mvs_trace::{span_into, Stage, Trace, TraceRecorder};
 use mvs_vision::{
-    slice_regions_into, Detection, DetectionModel, FlowTracker, GroundTruthObject, LatencyProfile,
-    RegionTask, SimulatedDetector, SizeCounts, TrackerConfig,
+    Detection, DetectionModel, FlowTracker, GroundTruthObject, LatencyProfile, SimulatedDetector,
+    TrackerConfig,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -87,6 +87,17 @@ impl Algorithm {
         Algorithm::StaticPartition,
         Algorithm::StaticPartitionOracle,
     ];
+
+    /// Whether key frames upload to the central scheduler and run
+    /// Algorithm 1 (every other algorithm schedules each camera alone).
+    fn has_central_stage(self) -> bool {
+        matches!(self, Algorithm::BalbCen | Algorithm::Balb)
+    }
+
+    /// Whether regular frames inspect moving regions no track explains.
+    pub(crate) fn probes_new_regions(self) -> bool {
+        !matches!(self, Algorithm::Full | Algorithm::BalbCen)
+    }
 }
 
 impl fmt::Display for Algorithm {
@@ -193,13 +204,12 @@ pub struct PipelineConfig {
     /// sharded schedule reproduces `balb_central`. Degraded or redundant
     /// horizons solve with `balb_redundant` regardless. Default false.
     pub shard_solver: bool,
-    /// When true and `threads > 1`, key frames overlap the central BALB
-    /// solve with the (solve-independent) uplink-leg message encoding on a
-    /// pool worker. The overlap hides the solve behind a sync leg the
-    /// pipeline already models, so it is semantically a no-op: results and
-    /// traces are bitwise identical to the sequential path at any thread
-    /// count (with one thread the solve simply runs inline first). Default
-    /// false.
+    /// Inert: nothing reads it. The solve/uplink overlap it selected is
+    /// gone — a key frame is one sequential pass — and any value, or none,
+    /// deserializes to the same run. It is still a field only because
+    /// `bench-e2e/src/workload.rs` spells it; the `benchmark`-class PR that
+    /// stops naming it (ROADMAP item 1) removes it.
+    #[doc(hidden)]
     #[serde(default)]
     pub pipelined: bool,
 }
@@ -328,21 +338,6 @@ fn run_frames(mut pipeline: TenantPipeline) -> (PipelineResult, Option<Trace>) {
     pipeline.finish()
 }
 
-/// Consecutive "gone from owner" frames required before a takeover; one
-/// noisy classifier answer must not steal a tracked object.
-const TAKEOVER_HYSTERESIS: u32 = 3;
-
-/// One camera's numbers for a regular frame, produced on a pool thread and
-/// merged in camera-index order. The lists of the frame — detected
-/// identities, takeovers (already seeded in the worker's own tracker; the
-/// shared assignment is extended at merge) — stay in the worker's
-/// [`FrameScratch`], where the merge reads them.
-struct RegularOutput {
-    latency_ms: f64,
-    probes: usize,
-    sample: OverheadSample,
-}
-
 /// The coordinator's counterpart of [`FrameScratch`]: the per-frame lists
 /// and sets of the serial merge, and the key frame's round-trip and
 /// association buffers. Cleared, never shrunk, so the coordinator side of a
@@ -369,8 +364,7 @@ struct CoordinatorScratch {
     synced: Vec<bool>,
     /// The synced cameras' uploaded boxes, input to association.
     boxes: Vec<Vec<BBox>>,
-    /// Working memory of the association round; borrowed by the solve
-    /// closure, which may run on a pool worker.
+    /// Working memory of the association round.
     assoc: AssociationScratch,
 }
 
@@ -528,6 +522,30 @@ impl Deployment {
             first_views,
         }
     }
+
+    /// The MVS instance of a key frame: every camera of the deployment
+    /// with its device profile, and one object per global object, sized —
+    /// crop margin included — on each camera that uploaded it.
+    fn mvs_instance(&self, boxes: &[Vec<BBox>], globals: &[GlobalObject]) -> MvsProblem {
+        let cameras = self.profiles.iter().enumerate().map(|(i, p)| CameraInfo {
+            id: CameraId(i),
+            profile: p.clone(),
+        });
+        let margin = 1.0 + self.config.tracker.margin_frac;
+        let objects = globals.iter().enumerate().map(|(g, go)| {
+            let sizes = go.members.iter().map(|&(cam, det)| {
+                let b = boxes[cam][det];
+                let size = SizeClass::quantize(b.width() * margin, b.height() * margin);
+                (CameraId(cam), size)
+            });
+            ObjectInfo {
+                id: ObjectId(g),
+                sizes: sizes.collect(),
+            }
+        });
+        MvsProblem::new(cameras.collect(), objects.collect())
+            .expect("pipeline builds valid instances")
+    }
 }
 
 struct Pipeline {
@@ -551,12 +569,6 @@ struct Pipeline {
     /// Persistent solver of the central stage's default path (see
     /// [`central_schedule`]): its buffers are reused across horizons.
     solver: BalbSolver,
-    /// Reused snapshot of the per-camera liveness flags for the current
-    /// key frame (the snapshot decouples the flags from later fault-state
-    /// mutations without a per-key-frame allocation).
-    alive_scratch: Vec<bool>,
-    /// Reused backing store for key-frame [`UploadMessage`] object lists.
-    upload_scratch: Vec<ObjectRecord>,
     /// Reused per-frame coordinator buffers (see [`CoordinatorScratch`]).
     scratch: CoordinatorScratch,
     /// Amortized central-stage cost charged to every frame of the horizon.
@@ -601,7 +613,7 @@ impl Pipeline {
                     track_global: HashMap::new(),
                     mask: None,
                     trace: None,
-                    scratch: FrameScratch::new(),
+                    scratch: FrameScratch::default(),
                 }
             })
             .collect();
@@ -612,8 +624,6 @@ impl Pipeline {
             faults: FaultState::new(config.faults, config.seed, m),
             assignment: Vec::new(),
             solver: BalbSolver::new(),
-            alive_scratch: Vec::new(),
-            upload_scratch: Vec::new(),
             scratch: CoordinatorScratch::default(),
             central_per_frame_ms: 0.0,
             tracer: None,
@@ -748,20 +758,13 @@ impl Pipeline {
     }
 
     /// Advances the fault schedule at a key frame: draws this horizon's
-    /// dropout/rejoin decisions and wipes the state of cameras that just
-    /// went dark (their tracks, shadows, masks, and lag history would be
-    /// stale by the time they rejoin).
+    /// dropout/rejoin decisions and wipes the cameras that just went dark.
     fn step_faults(&mut self, workers: &mut [CameraWorker]) {
         let events = self.faults.step_key_frame();
         self.degradation.dropouts += events.dropped.len() as u64;
         self.degradation.rejoins += events.rejoined.len() as u64;
         for &i in &events.dropped {
-            let w = &mut workers[i];
-            w.tracker.clear();
-            w.shadows.clear();
-            w.track_global.clear();
-            w.mask = None;
-            w.history.clear();
+            workers[i].wipe();
         }
         if let Some(t) = &mut self.tracer {
             t.coordinator().span(
@@ -789,7 +792,7 @@ impl Pipeline {
         let cameras = &dep.scenario.cameras;
         let world = &self.world;
         let alive = self.faults.alive();
-        par_map(workers, dep.threads, |w| {
+        pool().par_for_each_mut(workers, dep.threads, |w| {
             w.observe(&cameras[w.index], world, occlusion, alive[w.index]);
             // A dead camera's empty view degenerates the flow estimate to
             // the identity (drawing nothing from its RNG stream).
@@ -814,463 +817,71 @@ impl Pipeline {
         }
     }
 
-    /// The Full baseline: full-frame inspection everywhere, every frame.
-    fn full_frame(&mut self, workers: &mut [CameraWorker]) {
+    /// Full-frame inspection on every live camera (parallel): the whole of
+    /// a Full-baseline frame and the first stage of every key frame. Fills
+    /// this frame's `latency` and `detected` and returns each camera's
+    /// detections (none for a dead camera).
+    fn detect_full(&mut self, workers: &mut [CameraWorker]) -> Vec<Vec<Detection>> {
         let alive = self.faults.alive();
         let profiles = &self.deployment.profiles;
-        let outs = par_map(workers, self.deployment.threads, |w| {
+        let full_ms = |i: usize| profiles[i].full_frame_ms();
+        let all_dets = pool().par_map_mut(workers, self.deployment.threads, |w| {
             if !alive[w.index] {
-                return (0.0, Vec::new());
+                return Vec::new();
             }
-            let full_ms = profiles[w.index].full_frame_ms();
             let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
-            span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
-            (full_ms, dets)
+            span_into(
+                w.trace.as_mut(),
+                Stage::Detect,
+                full_ms(w.index),
+                dets.len(),
+            );
+            dets
         });
         let CoordinatorScratch {
-            latency,
-            oh,
-            detected,
-            ..
+            latency, detected, ..
         } = &mut self.scratch;
         latency.clear();
         detected.clear();
-        for (l, dets) in outs {
-            latency.push(l);
+        for (i, dets) in all_dets.iter().enumerate() {
+            latency.push(if alive[i] { full_ms(i) } else { 0.0 });
             detected.extend(dets.iter().filter_map(|d| d.truth_id));
         }
+        all_dets
+    }
+
+    /// The Full baseline: full-frame inspection everywhere, every frame.
+    fn full_frame(&mut self, workers: &mut [CameraWorker]) {
+        self.detect_full(workers);
+        let oh = &mut self.scratch.oh;
         oh.clear();
         oh.resize(workers.len(), OverheadSample::default());
     }
 
-    /// The key-frame uplink leg: the slowest camera's upload round trip
-    /// as typed wire messages over one reused record buffer. `Some(k)` in
-    /// `up` means the upload was delivered after `k` lost attempts; `None`
-    /// means the camera never got through and the scheduler waits out the
-    /// whole retry schedule. The leg depends only on what the cameras
-    /// uploaded and the fault/network models — never on the solve — which
-    /// is what lets the pipelined key frame encode it while the central
-    /// solve runs on its own thread.
-    fn uplink_phase_ms(
-        all_dets: &[Vec<Detection>],
-        up: &[Option<u32>],
-        model: &FaultModel,
-        network: &NetworkModel,
-        records: &mut Vec<ObjectRecord>,
-    ) -> f64 {
-        let mut uplink_phase: f64 = 0.0;
-        for (cam, dets) in all_dets.iter().enumerate() {
-            let leg = match up[cam] {
-                Some(lost) => {
-                    records.clear();
-                    records.extend(dets.iter().enumerate().map(|(d, det)| ObjectRecord {
-                        detection: d as u32,
-                        bbox: det.bbox,
-                        confidence: det.confidence as f32,
-                        size: SizeClass::quantize(det.bbox.width(), det.bbox.height()),
-                    }));
-                    let msg = UploadMessage {
-                        camera: cam as u32,
-                        frame: 0,
-                        objects: std::mem::take(records),
-                    };
-                    let ms =
-                        lost as f64 * model.retry_timeout_ms + network.uplink_ms(msg.encoded_len());
-                    *records = msg.objects;
-                    ms
-                }
-                None => model.deadline_ms(),
-            };
-            uplink_phase = uplink_phase.max(leg);
-        }
-        uplink_phase
-    }
-
-    /// A key frame for the tracking-based algorithms: parallel full-frame
-    /// inspection, then serial cross-camera coordination.
+    /// A key frame for the tracking-based algorithms, in the paper's order
+    /// (Sec. III–IV, Fig. 5): full-frame inspection on every camera, the
+    /// round trip to the scheduler, a fresh horizon, and then either each
+    /// camera seeding its own tracks or the central stage assigning them.
     fn key_frame(&mut self, workers: &mut [CameraWorker]) {
         self.stats.key_frames += 1;
-        let m = workers.len();
-        let dep = &*self.deployment;
-        let config = &dep.config;
-        self.alive_scratch.clear();
-        self.alive_scratch.extend_from_slice(self.faults.alive());
-        let alive = &self.alive_scratch;
-        let det_outs: Vec<(Vec<Detection>, f64)> = par_map(workers, dep.threads, |w| {
-            if !alive[w.index] {
-                return (Vec::new(), 0.0);
-            }
-            let full_ms = dep.profiles[w.index].full_frame_ms();
-            let dets = w.detector.detect_full_frame(&w.view, &mut w.rng);
-            span_into(w.trace.as_mut(), Stage::Detect, full_ms, dets.len());
-            (dets, full_ms)
-        });
-        let CoordinatorScratch {
-            latency,
-            oh,
-            detected,
-            up,
-            down,
-            synced,
-            boxes,
-            assoc,
-            ..
-        } = &mut self.scratch;
-        detected.clear();
-        latency.clear();
-        let mut all_dets: Vec<Vec<Detection>> = Vec::with_capacity(m);
-        for (dets, l) in det_outs {
-            detected.extend(dets.iter().filter_map(|d| d.truth_id));
-            latency.push(l);
-            all_dets.push(dets);
-        }
-
-        // Key-frame round trip under message loss: a camera joins this
-        // horizon's schedule only if it is alive and both legs beat the
-        // retry budget. `Some(k)` = delivered after `k` lost attempts.
-        // All draws happen here, on the coordinator, in camera-index
-        // order; the scheduler only answers cameras it heard from.
-        let is_central = matches!(config.algorithm, Algorithm::BalbCen | Algorithm::Balb);
-        for leg in [&mut *up, &mut *down] {
-            leg.clear();
-            leg.resize(m, None);
-        }
-        if is_central {
-            for i in 0..m {
-                if alive[i] {
-                    up[i] = self.faults.delivery();
-                }
-            }
-            for i in 0..m {
-                if up[i].is_some() {
-                    down[i] = self.faults.delivery();
-                }
-            }
-            let budget = self.faults.model().attempts_budget() as u64;
-            for i in 0..m {
-                if !alive[i] {
-                    continue;
-                }
-                match up[i] {
-                    Some(0) => {}
-                    Some(k) => {
-                        self.degradation.lost_uploads += k as u64;
-                        self.degradation.retransmits += 1;
-                    }
-                    None => self.degradation.lost_uploads += budget,
-                }
-                match down[i] {
-                    Some(0) => {}
-                    Some(k) => {
-                        self.degradation.lost_downlinks += k as u64;
-                        self.degradation.retransmits += 1;
-                    }
-                    None if up[i].is_some() => self.degradation.lost_downlinks += budget,
-                    None => {}
-                }
-                if down[i].is_none() {
-                    self.degradation.desynced_horizons += 1;
-                }
-            }
-        } else {
-            for i in 0..m {
-                if alive[i] {
-                    up[i] = Some(0);
-                    down[i] = Some(0);
-                }
-            }
-        }
-        synced.clear();
-        synced.extend(down.iter().map(Option::is_some));
-
-        // Reset per-horizon state. A desynchronized camera (alive but out
-        // of the round trip) keeps its running tracks and stale mask, but
-        // drops the global bookkeeping tied to the superseded assignment.
-        // Dead cameras were wiped at the dropout event. The mask of a
-        // synced camera is left in place: BALB rebuilds it in place below
-        // (reusing its owner table), and no other algorithm ever sets it.
-        for w in workers.iter_mut() {
-            if synced[w.index] {
-                w.tracker.clear();
-                w.shadows.clear();
-                w.track_global.clear();
-            } else if alive[w.index] {
-                w.shadows.clear();
-                w.track_global.clear();
-            }
-        }
+        let dets = self.detect_full(workers);
+        self.sync_round_trip();
+        self.reset_horizon(workers);
         self.central_per_frame_ms = 0.0;
-
-        match config.algorithm {
-            Algorithm::BalbInd => {
-                // Every camera keeps everything it saw.
-                for (w, dets) in workers.iter_mut().zip(&all_dets) {
-                    for d in dets {
-                        w.tracker.seed(d.bbox, d.truth_id);
-                    }
-                }
-            }
-            Algorithm::StaticPartition => {
-                // Each camera keeps the detections falling in cells its
-                // static speed-priority mask owns (same imperfect models
-                // as BALB's masks, but load-oblivious).
-                for (w, dets) in workers.iter_mut().zip(&all_dets) {
-                    let mask = &dep.static_masks[w.index];
-                    for d in dets {
-                        if mask.is_responsible_for(&d.bbox) {
-                            w.tracker.seed(d.bbox, d.truth_id);
-                        }
-                    }
-                }
-            }
-            Algorithm::StaticPartitionOracle => {
-                // Ablation: allocation by oracle world geometry.
-                let partition = dep.partition.as_ref().expect("oracle SP has a partition");
-                let world_pos: HashMap<u64, mvs_geometry::Point2> = self
-                    .world
-                    .objects()
-                    .iter()
-                    .map(|o| (o.id, self.world.position_of(o)))
-                    .collect();
-                for (w, dets) in workers.iter_mut().zip(&all_dets) {
-                    for d in dets {
-                        let mine = match d.truth_id.and_then(|id| world_pos.get(&id)) {
-                            Some(&pos) => partition.owner(pos) == Some(w.index),
-                            // False positives have no world anchor; the
-                            // observing camera keeps them.
-                            None => true,
-                        };
-                        if mine {
-                            w.tracker.seed(d.bbox, d.truth_id);
-                        }
-                    }
-                }
-            }
-            Algorithm::BalbCen | Algorithm::Balb => {
-                let started = config.measured_overheads.then(Instant::now);
-                let model = *self.faults.model();
-                // Only uploads the scheduler both received *and* answered
-                // enter the schedule: an unacknowledged camera discards
-                // the horizon, so every scheduled object has a camera that
-                // actually tracks it.
-                boxes.resize_with(m, Vec::new);
-                for (cam, (list, dets)) in boxes.iter_mut().zip(&all_dets).enumerate() {
-                    list.clear();
-                    if synced[cam] {
-                        list.extend(dets.iter().map(|d| d.bbox));
-                    }
-                }
-                let boxes = &*boxes;
-                let synced_cams: Vec<CameraId> =
-                    (0..m).filter(|&i| synced[i]).map(CameraId).collect();
-                let cameras: Vec<CameraInfo> = workers
-                    .iter()
-                    .map(|w| CameraInfo {
-                        id: CameraId(w.index),
-                        profile: dep.profiles[w.index].clone(),
-                    })
-                    .collect();
-
-                // The central solve as a pure function of the uploaded
-                // boxes (the solver contributes only buffers). It touches no
-                // worker, network, or upload state, so the pipelined path
-                // can run it on a pool worker while the coordinator
-                // encodes the uplink leg below. `None` means the horizon
-                // produced no schedule at all: every camera coasts on its
-                // stale mask and running tracks until the next key frame.
-                // In a long-running service this is a degradation event,
-                // never a panic.
-                let trained = &dep.trained;
-                let redundancy = self.redundancy;
-                let solver = &mut self.solver;
-                let assignment = &mut self.assignment;
-                let mut recorder = self.tracer.as_mut();
-                let synced_cams_ref = &synced_cams;
-                let solve =
-                    move || {
-                        if synced_cams_ref.is_empty() {
-                            return None;
-                        }
-                        let globals = {
-                            let trained = trained.as_ref().expect("association is trained");
-                            trained.engine.associate_with(boxes, assoc)
-                        };
-                        // Build the MVS instance over the full deployment …
-                        let margin = 1.0 + config.tracker.margin_frac;
-                        let objects: Vec<ObjectInfo> = globals
-                            .iter()
-                            .enumerate()
-                            .map(|(g, go)| {
-                                let sizes: BTreeMap<CameraId, SizeClass> = go
-                                    .members
-                                    .iter()
-                                    .map(|&(cam, det)| {
-                                        let b = boxes[cam][det];
-                                        (
-                                            CameraId(cam),
-                                            SizeClass::quantize(
-                                                b.width() * margin,
-                                                b.height() * margin,
-                                            ),
-                                        )
-                                    })
-                                    .collect();
-                                ObjectInfo {
-                                    id: ObjectId(g),
-                                    sizes,
-                                }
-                            })
-                            .collect();
-                        let problem = MvsProblem::new(cameras, objects)
-                            .expect("pipeline builds valid instances");
-                        // … and solve on the synced sub-fleet when degraded. An
-                        // `Err` means no schedulable camera survived the
-                        // restriction after all — coast like the all-desynced
-                        // case instead of crashing.
-                        let subset = if synced_cams_ref.len() == m {
-                            None
-                        } else {
-                            Some(problem.restrict_to_cameras(synced_cams_ref).ok()?)
-                        };
-                        let schedule = central_schedule(
-                            solver,
-                            &problem,
-                            subset.as_ref(),
-                            redundancy,
-                            config.shard_solver,
-                        );
-                        let solved = schedule.assignment.len();
-                        span_into(
-                            recorder.as_mut().map(|t| t.coordinator()),
-                            Stage::Central,
-                            0.0,
-                            solved,
-                        );
-                        // Owners and priority back in deployment ids (objects
-                        // the restriction lost keep an empty owner list), over
-                        // the previous horizon's owner lists.
-                        assignment.iter_mut().for_each(Vec::clear);
-                        assignment.resize_with(globals.len(), Vec::new);
-                        for j in 0..solved {
-                            let orig = subset.as_ref().map_or(j, |s| s.objects[j].0);
-                            assignment[orig].extend(
-                                schedule.assignment.owners_of(ObjectId(j)).iter().map(|&c| {
-                                    subset.as_ref().map_or(c, |s| s.original_camera(c)).0
-                                }),
-                            );
-                        }
-                        let priority = match (&subset, schedule) {
-                            (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
-                            (None, Cow::Owned(schedule)) => schedule.priority,
-                            (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
-                        };
-                        Some((globals, priority))
-                    };
-
-                // The uplink leg never depends on the solve, only on what
-                // the cameras uploaded — the sync delay the pipelined path
-                // hides the solve behind. Sequentially: solve, then
-                // encode. Pipelined: encode on this thread while the solve
-                // runs on a pool worker; the join completes before the
-                // apply phase, keeping every downstream effect in the
-                // sequential order, so results and traces are bitwise
-                // identical either way.
-                let mut records = std::mem::take(&mut self.upload_scratch);
-                let network = &config.network;
-                let (outcome, uplink_phase) = if config.pipelined && dep.threads > 1 {
-                    mvs_exec::pool().join(solve, || {
-                        Self::uplink_phase_ms(&all_dets, up, &model, network, &mut records)
-                    })
-                } else {
-                    let outcome = solve();
-                    let uplink =
-                        Self::uplink_phase_ms(&all_dets, up, &model, network, &mut records);
-                    (outcome, uplink)
-                };
-                self.upload_scratch = records;
-
-                // Apply phase: seed trackers per the assignment, record
-                // shadows, rebuild the distributed-stage masks.
-                let mut priority: Vec<CameraId> = Vec::new();
-                let solved = match outcome {
-                    Some((globals, new_priority)) => {
-                        priority = new_priority;
-                        for (g, go) in globals.iter().enumerate() {
-                            let owners = &self.assignment[g];
-                            for &(cam, det) in &go.members {
-                                let d = &all_dets[cam][det];
-                                if owners.contains(&cam) {
-                                    let id = workers[cam].tracker.seed(d.bbox, d.truth_id);
-                                    workers[cam].track_global.insert(id, g);
-                                } else if config.algorithm == Algorithm::Balb {
-                                    workers[cam].shadows.insert(g, ShadowTrack::new(d.bbox));
-                                }
-                            }
-                        }
-                        // Distributed-stage masks under the new priority
-                        // order. Only synced cameras hear it; the priority
-                        // omits everyone else, so survivors absorb dead
-                        // cameras' cells while desynced cameras coast on
-                        // their stale masks.
-                        if config.algorithm == Algorithm::Balb {
-                            let pre = dep.precompute.as_ref().expect("BALB precomputes masks");
-                            for w in workers.iter_mut() {
-                                if synced[w.index] {
-                                    pre.mask_for_into(w.index, &priority, &mut w.mask);
-                                }
-                            }
-                        }
-                        true
-                    }
-                    None => {
-                        self.assignment.clear();
-                        false
-                    }
-                };
-                if !solved {
-                    // Nobody heard the scheduler this horizon (or nothing
-                    // was schedulable): the previous assignment stays in
-                    // force implicitly via the coasting trackers.
-                    self.degradation.coasted_horizons += 1;
-                }
-                let compute_ms = started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
-
-                // Central-stage cost: computation plus the slowest
-                // camera's key-frame round trip (typed wire messages),
-                // amortized over the horizon. Lost attempts cost one
-                // retry timeout each; a camera that never answers makes
-                // the scheduler wait out the whole retry schedule.
-                let reply_ms = if synced_cams.is_empty() {
-                    0.0
-                } else {
-                    let reply_len = AssignmentMessage::encoded_len_of(
-                        self.assignment.iter().map(Vec::len),
-                        priority.len(),
-                    );
-                    config.network.downlink_ms(reply_len)
-                };
-                let downlink_phase = (0..m)
-                    .map(|cam| match (up[cam].is_some(), down[cam]) {
-                        (true, Some(lost)) => lost as f64 * model.retry_timeout_ms + reply_ms,
-                        (true, None) => model.deadline_ms(),
-                        (false, _) => 0.0,
-                    })
-                    .fold(0.0, f64::max);
-                self.central_per_frame_ms =
-                    (compute_ms + uplink_phase + downlink_phase) / config.horizon as f64;
-                if let Some(t) = &mut self.tracer {
-                    t.coordinator().span(
-                        Stage::Sync,
-                        uplink_phase + downlink_phase,
-                        synced_cams.len(),
-                    );
-                }
-            }
-            Algorithm::Full => unreachable!("handled by full_frame"),
+        let config = &self.deployment.config;
+        if config.algorithm.has_central_stage() {
+            let started = config.measured_overheads.then(Instant::now);
+            let schedule = self.central_stage(&dets);
+            self.apply_schedule(workers, &dets, schedule.as_ref());
+            let compute_ms = started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
+            self.charge_central(compute_ms, &dets, schedule.map_or(0, |(_, p)| p.len()));
+        } else {
+            self.seed_locally(workers, &dets);
         }
+        let oh = &mut self.scratch.oh;
         oh.clear();
         oh.resize(
-            m,
+            workers.len(),
             OverheadSample {
                 central_ms: self.central_per_frame_ms,
                 ..Default::default()
@@ -1278,255 +889,271 @@ impl Pipeline {
         );
     }
 
-    /// A regular frame: flow prediction, slicing, batched partial
-    /// inspection, and the distributed stage — all per-camera work runs on
-    /// the pool, then cross-camera effects merge in camera-index order.
-    ///
-    /// Takeover decisions read a snapshot of the horizon assignment taken
-    /// at the start of the frame: a camera does not observe another
-    /// camera's takeover from the *same* frame (in exchange, the outcome
-    /// cannot depend on camera scheduling order). The winners extend the
-    /// shared assignment during the serial merge.
-    fn regular_frame(&mut self, workers: &mut [CameraWorker]) {
+    /// The key-frame round trip under message loss: a camera joins this
+    /// horizon's schedule (`synced`) only if it is alive and both legs beat
+    /// the retry budget. All draws happen here, on the coordinator, in
+    /// camera-index order. Without a central stage there is nothing to
+    /// exchange and every live camera schedules itself.
+    fn sync_round_trip(&mut self) {
+        let CoordinatorScratch {
+            up, down, synced, ..
+        } = &mut self.scratch;
+        synced.clear();
+        if self.deployment.config.algorithm.has_central_stage() {
+            self.faults.round_trip(up, down, &mut self.degradation);
+            synced.extend(down.iter().map(Option::is_some));
+        } else {
+            synced.extend_from_slice(self.faults.alive());
+        }
+    }
+
+    /// Resets per-horizon state. A desynchronized camera (alive but out of
+    /// the round trip) keeps its running tracks and stale mask, but drops
+    /// the global bookkeeping tied to the superseded assignment. Dead
+    /// cameras were wiped at the dropout event.
+    fn reset_horizon(&mut self, workers: &mut [CameraWorker]) {
+        let alive = self.faults.alive();
+        for w in workers.iter_mut() {
+            if self.scratch.synced[w.index] {
+                w.reset_horizon();
+            } else if alive[w.index] {
+                w.forget_assignment();
+            }
+        }
+    }
+
+    /// Key-frame seeding without a central stage: each camera keeps the
+    /// detections its own rule makes it responsible for.
+    fn seed_locally(&self, workers: &mut [CameraWorker], all_dets: &[Vec<Detection>]) {
         let dep = &*self.deployment;
         let algorithm = dep.config.algorithm;
-        let measured = dep.config.measured_overheads;
-        let central_ms = self.central_per_frame_ms;
-        let overhead = dep.config.overhead;
-        let probe_allowed = matches!(
-            algorithm,
-            Algorithm::BalbInd
-                | Algorithm::Balb
-                | Algorithm::StaticPartition
-                | Algorithm::StaticPartitionOracle
-        );
-        let outs: Vec<RegularOutput> = {
-            let assignment = &self.assignment;
-            let trained = dep.trained.as_ref();
-            let partition = dep.partition.as_ref();
-            let world = &self.world;
-            let alive = self.faults.alive();
-            par_map(workers, dep.threads, |w| {
-                let i = w.index;
-                let profile = &dep.profiles[i];
-                let frame_dims = w.frame;
-                // The merge reads these two lists from every worker.
-                w.scratch.takeover_seeds.clear();
-                w.scratch.detections.clear();
-                if !alive[i] {
-                    // A dead camera does no work; it still carries the
-                    // amortized central cost like every other column of
-                    // Table II.
-                    return RegularOutput {
-                        latency_ms: 0.0,
-                        probes: 0,
-                        sample: OverheadSample {
-                            central_ms,
-                            ..Default::default()
-                        },
-                    };
-                }
-                // 1. Flow-predict tracks and shadows (the flow was
-                // estimated into the worker's scratch arena at observe).
-                w.tracker.predict(&w.scratch.flow);
-                if algorithm == Algorithm::Balb {
-                    let flow = &w.scratch.flow;
-                    w.shadows.retain(|_, s| {
-                        let moved = s
-                            .bbox
-                            .translated(flow.displacement_at(s.bbox.center()).displacement);
-                        match moved.clamped_to(frame_dims) {
-                            Some(c) if c.area() > 0.25 * s.bbox.area() => {
-                                s.bbox = moved;
-                                true
-                            }
-                            _ => false,
-                        }
-                    });
-                }
-                span_into(
-                    w.trace.as_mut(),
-                    Stage::Flow,
-                    overhead.flow_base_ms,
-                    w.tracker.tracks().len(),
-                );
-
-                // 2. Distributed stage (measured): takeover scan against
-                // the frame-start assignment snapshot.
-                let distributed_started = measured.then(Instant::now);
-                // A camera without a mask (rejoined but not yet resynced)
-                // skips the takeover scan; its shadows are empty anyway.
-                if let (Algorithm::Balb, Some(mask)) = (algorithm, w.mask.as_ref()) {
-                    let trained = trained.expect("trained");
-                    // The object has left *every* assigned camera's view
-                    // (per the synchronized pair models); require the
-                    // verdict to persist so one noisy classifier answer
-                    // does not steal a still-tracked object. If this
-                    // camera owns the cell where the object now is, it
-                    // takes over.
-                    scan_takeovers_into(
-                        &mut w.shadows,
-                        TAKEOVER_HYSTERESIS,
-                        |g, bbox| {
-                            let owners = &assignment[g];
-                            if owners.contains(&i) {
-                                ShadowVerdict::OwnedHere
-                            } else if owners
-                                .iter()
-                                .all(|&owner| !trained.is_visible(i, owner, bbox))
-                            {
-                                ShadowVerdict::Gone
-                            } else {
-                                ShadowVerdict::Visible
-                            }
-                        },
-                        |bbox| mask.is_responsible_for(bbox),
-                        w.trace.as_mut(),
-                        &mut w.scratch.takeover_seeds,
-                    );
-                    for k in 0..w.scratch.takeover_seeds.len() {
-                        let (g, bbox) = w.scratch.takeover_seeds[k];
-                        let id = w.tracker.seed(bbox, None);
-                        w.track_global.insert(id, g);
+        // Oracle SP (ablation) allocates by true world position.
+        let world_pos: HashMap<u64, mvs_geometry::Point2> =
+            if algorithm == Algorithm::StaticPartitionOracle {
+                let objects = self.world.objects().iter();
+                objects.map(|o| (o.id, self.world.position_of(o))).collect()
+            } else {
+                HashMap::new()
+            };
+        for (w, dets) in workers.iter_mut().zip(all_dets) {
+            for d in dets {
+                let mine = match algorithm {
+                    // Every camera keeps everything it saw.
+                    Algorithm::BalbInd => true,
+                    // The cells its static speed-priority mask owns (same
+                    // imperfect models as BALB's masks, but load-oblivious).
+                    Algorithm::StaticPartition => {
+                        dep.static_masks[w.index].is_responsible_for(&d.bbox)
                     }
-                }
-                let distributed_ms =
-                    distributed_started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
-
-                // 3. Slice regions for live tracks (into the scratch task
-                // buffer; new-region probes append below).
-                slice_regions_into(w.tracker.tracks(), frame_dims, &mut w.scratch.tasks);
-                // Pure geometry with negligible modeled cost: the span
-                // witnesses the crop count and stage order in the trace.
-                span_into(w.trace.as_mut(), Stage::Slice, 0.0, w.scratch.tasks.len());
-
-                // 4. New-region probing.
-                let mut probes = 0;
-                if probe_allowed {
-                    w.scratch.predicted.clear();
-                    w.scratch
-                        .predicted
-                        .extend(w.tracker.tracks().iter().map(|t| t.bbox));
-                    if algorithm == Algorithm::Balb {
-                        w.scratch
-                            .predicted
-                            .extend(w.shadows.values().map(|s| s.bbox));
-                    }
-                    w.scratch.regions.find_into(
-                        w.scratch.flow.moving_clusters(),
-                        &w.scratch.predicted,
-                        0.5,
-                        &mut w.scratch.fresh,
-                    );
-                    for k in 0..w.scratch.fresh.len() {
-                        let region = w.scratch.fresh[k];
-                        let responsible = match algorithm {
-                            Algorithm::BalbInd => true,
-                            // No mask (awaiting resync) ⇒ not responsible
-                            // for anything new.
-                            Algorithm::Balb => w
-                                .mask
-                                .as_ref()
-                                .is_some_and(|mask| mask.is_responsible_for(&region)),
-                            Algorithm::StaticPartition => {
-                                dep.static_masks[i].is_responsible_for(&region)
-                            }
-                            Algorithm::StaticPartitionOracle => {
-                                // The oracle SP allocation is geometric;
-                                // check the world region behind the
-                                // cluster.
-                                let partition = partition.expect("SP partition");
-                                w.view.iter().any(|g| {
-                                    g.bbox.coverage_by(&region) >= 0.35
-                                        && world
-                                            .objects()
-                                            .iter()
-                                            .find(|o| o.id == g.id)
-                                            .map(|o| {
-                                                partition.owner(world.position_of(o)) == Some(i)
-                                            })
-                                            .unwrap_or(false)
-                                })
-                            }
-                            _ => false,
-                        };
-                        if responsible {
-                            if let Some(task) = RegionTask::for_region(region, frame_dims) {
-                                w.scratch.tasks.push(task);
-                                probes += 1;
-                            }
+                    Algorithm::StaticPartitionOracle => {
+                        let partition = dep.partition.as_ref().expect("oracle SP has a partition");
+                        match d.truth_id.and_then(|id| world_pos.get(&id)) {
+                            Some(&pos) => partition.owner(pos) == Some(w.index),
+                            // False positives have no world anchor; the
+                            // observing camera keeps them.
+                            None => true,
                         }
                     }
+                    _ => unreachable!("{algorithm} does not seed locally"),
+                };
+                if mine {
+                    w.tracker.seed(d.bbox, d.truth_id);
                 }
+            }
+        }
+    }
 
-                // 5. Run the (simulated) DNN on every crop; batching
-                // decides the latency.
-                let counts = SizeCounts::from_sizes(w.scratch.tasks.iter().map(|t| t.size));
-                let batches: usize = counts.batches(profile).iter().sum();
-                let batching_ms = overhead.batch_per_crop_ms * w.scratch.tasks.len() as f64
-                    + overhead.batch_per_batch_ms * batches as f64;
-                let latency_ms = counts.latency_ms(profile);
-                span_into(w.trace.as_mut(), Stage::Batch, batching_ms, batches);
-                span_into(w.trace.as_mut(), Stage::Detect, latency_ms, counts.total());
-                for task in &w.scratch.tasks {
-                    w.detector.detect_region_into(
-                        &task.region,
-                        task.size,
-                        &w.view,
-                        &mut w.rng,
-                        &mut w.scratch.detections,
-                    );
-                }
-                // Deduplicate: neighbouring crops can both cover one
-                // object. (Stable sort: equal ids keep insertion order, so
-                // dedup keeps the first crop's detection.)
-                w.scratch.detections.sort_by_key(|a| a.truth_id);
-                w.scratch
-                    .detections
-                    .dedup_by(|a, b| a.truth_id.is_some() && a.truth_id == b.truth_id);
-
-                // 6. Track association + lifecycle.
-                w.tracker
-                    .associate_into(&w.scratch.detections, &mut w.scratch.outcome);
-                if probe_allowed {
-                    for &di in &w.scratch.outcome.unmatched_detections {
-                        let d = &w.scratch.detections[di];
-                        w.tracker.seed(d.bbox, d.truth_id);
-                    }
-                }
-                let dropped = w.tracker.prune();
-                for id in dropped {
-                    w.track_global.remove(&id);
-                }
-
-                // 7. Overheads.
-                let tracked = w.tracker.tracks().len()
-                    + if algorithm == Algorithm::Balb {
-                        w.shadows.len()
-                    } else {
-                        0
-                    };
-                span_into(
-                    w.trace.as_mut(),
-                    Stage::Track,
-                    overhead.tracking_per_object_ms * tracked as f64,
-                    tracked,
-                );
-                RegularOutput {
-                    latency_ms,
-                    probes,
-                    sample: OverheadSample {
-                        central_ms,
-                        tracking_ms: overhead.flow_base_ms
-                            + overhead.tracking_per_object_ms * tracked as f64,
-                        distributed_ms,
-                        batching_ms,
-                    },
-                }
-            })
+    /// The central stage (Sec. IV): associate the synced cameras' uploads
+    /// into global objects, build the MVS instance, solve it
+    /// ([`central_schedule`]) and write the horizon's owners into
+    /// `self.assignment`. Returns the global objects and the camera priority
+    /// order in deployment ids — or `None` when nobody completed the round
+    /// trip or no schedulable camera survived the restriction: the horizon
+    /// then coasts, a degradation event in a long-running service, never a
+    /// panic.
+    fn central_stage(
+        &mut self,
+        all_dets: &[Vec<Detection>],
+    ) -> Option<(Vec<GlobalObject>, Vec<CameraId>)> {
+        let dep = &*self.deployment;
+        let m = all_dets.len();
+        let CoordinatorScratch {
+            synced,
+            boxes,
+            assoc,
+            ..
+        } = &mut self.scratch;
+        // Only uploads the scheduler both received *and* answered enter the
+        // schedule: an unacknowledged camera discards the horizon, so every
+        // scheduled object has a camera that actually tracks it.
+        boxes.resize_with(m, Vec::new);
+        for (cam, (list, dets)) in boxes.iter_mut().zip(all_dets).enumerate() {
+            list.clear();
+            if synced[cam] {
+                list.extend(dets.iter().map(|d| d.bbox));
+            }
+        }
+        let boxes = &*boxes;
+        let synced_cams: Vec<CameraId> = (0..m).filter(|&i| synced[i]).map(CameraId).collect();
+        if synced_cams.is_empty() {
+            return None;
+        }
+        let trained = dep.trained.as_ref().expect("association is trained");
+        let globals = trained.engine.associate_with(boxes, assoc);
+        // The instance covers the full deployment; a degraded horizon
+        // solves its restriction to the synced sub-fleet.
+        let problem = dep.mvs_instance(boxes, &globals);
+        let subset = if synced_cams.len() == m {
+            None
+        } else {
+            Some(problem.restrict_to_cameras(&synced_cams).ok()?)
         };
+        let subset = subset.as_ref();
+        let schedule = central_schedule(
+            &mut self.solver,
+            &problem,
+            subset,
+            self.redundancy,
+            dep.config.shard_solver,
+        );
+        let solved = schedule.assignment.len();
+        span_into(
+            self.tracer.as_mut().map(|t| t.coordinator()),
+            Stage::Central,
+            0.0,
+            solved,
+        );
+        // Owners and priority back in deployment ids (objects the
+        // restriction lost keep an empty owner list), over the previous
+        // horizon's owner lists.
+        self.assignment.iter_mut().for_each(Vec::clear);
+        self.assignment.resize_with(globals.len(), Vec::new);
+        for j in 0..solved {
+            let orig = subset.map_or(j, |s| s.objects[j].0);
+            let owners = schedule.assignment.owners_of(ObjectId(j)).iter();
+            self.assignment[orig]
+                .extend(owners.map(|&c| subset.map_or(c, |s| s.original_camera(c)).0));
+        }
+        let priority = match (subset, schedule) {
+            (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
+            (None, Cow::Owned(schedule)) => schedule.priority,
+            (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
+        };
+        Some((globals, priority))
+    }
 
-        // Index-ordered merge of the cross-camera effects.
+    /// Applies the new schedule: seeds every owner's tracker, records
+    /// shadows on the cameras that see an object without owning it, and
+    /// rebuilds the distributed-stage masks. Without a schedule every camera
+    /// coasts on its stale mask and running tracks until the next key frame.
+    fn apply_schedule(
+        &mut self,
+        workers: &mut [CameraWorker],
+        all_dets: &[Vec<Detection>],
+        schedule: Option<&(Vec<GlobalObject>, Vec<CameraId>)>,
+    ) {
+        let Some((globals, priority)) = schedule else {
+            self.assignment.clear();
+            self.degradation.coasted_horizons += 1;
+            return;
+        };
+        let dep = &*self.deployment;
+        let balb = dep.config.algorithm == Algorithm::Balb;
+        for (g, go) in globals.iter().enumerate() {
+            let owners = &self.assignment[g];
+            for &(cam, det) in &go.members {
+                let d = &all_dets[cam][det];
+                let w = &mut workers[cam];
+                if owners.contains(&cam) {
+                    let id = w.tracker.seed(d.bbox, d.truth_id);
+                    w.track_global.insert(id, g);
+                } else if balb {
+                    w.shadows.insert(g, ShadowTrack::new(d.bbox));
+                }
+            }
+        }
+        // Only synced cameras hear the new priority order; it omits
+        // everyone else, so survivors absorb dead cameras' cells while
+        // desynced cameras coast on their stale masks.
+        if balb {
+            let pre = dep.precompute.as_ref().expect("BALB precomputes masks");
+            for w in workers.iter_mut().filter(|w| self.scratch.synced[w.index]) {
+                pre.mask_for_into(w.index, priority, &mut w.mask);
+            }
+        }
+    }
+
+    /// Charges the central stage to the horizon: computation plus the
+    /// slowest camera's key-frame round trip (typed wire messages),
+    /// amortized over the horizon's frames. Lost attempts cost one retry
+    /// timeout each; a camera that never answers makes the scheduler wait
+    /// out the whole retry schedule.
+    fn charge_central(
+        &mut self,
+        compute_ms: f64,
+        all_dets: &[Vec<Detection>],
+        priority_len: usize,
+    ) {
+        let config = &self.deployment.config;
+        let model = self.faults.model();
+        let CoordinatorScratch {
+            up, down, synced, ..
+        } = &self.scratch;
+        let uplink_phase = all_dets
+            .iter()
+            .zip(up)
+            .map(|(dets, up)| match up {
+                Some(lost) => {
+                    let upload_len = UploadMessage::encoded_len_of(dets.len());
+                    *lost as f64 * model.retry_timeout_ms + config.network.uplink_ms(upload_len)
+                }
+                None => model.deadline_ms(),
+            })
+            .fold(0.0, f64::max);
+        let synced_cams = synced.iter().filter(|&&s| s).count();
+        let reply_ms = if synced_cams == 0 {
+            0.0
+        } else {
+            let owners = self.assignment.iter().map(Vec::len);
+            let reply_len = AssignmentMessage::encoded_len_of(owners, priority_len);
+            config.network.downlink_ms(reply_len)
+        };
+        let downlink_phase = up
+            .iter()
+            .zip(down)
+            .map(|(up, down)| match (up.is_some(), down) {
+                (true, Some(lost)) => *lost as f64 * model.retry_timeout_ms + reply_ms,
+                (true, None) => model.deadline_ms(),
+                (false, _) => 0.0,
+            })
+            .fold(0.0, f64::max);
+        self.central_per_frame_ms =
+            (compute_ms + uplink_phase + downlink_phase) / config.horizon as f64;
+        if let Some(t) = &mut self.tracer {
+            t.coordinator()
+                .span(Stage::Sync, uplink_phase + downlink_phase, synced_cams);
+        }
+    }
+
+    /// A regular frame: every camera's stages run on the pool
+    /// ([`CameraWorker::regular_frame`]), then the cross-camera effects —
+    /// takeovers extending the shared assignment, the frame's numbers —
+    /// merge in camera-index order.
+    fn regular_frame(&mut self, workers: &mut [CameraWorker]) {
+        let dep = &*self.deployment;
+        let cx = RegularFrame {
+            config: &dep.config,
+            central_ms: self.central_per_frame_ms,
+            alive: self.faults.alive(),
+            profiles: &dep.profiles,
+            static_masks: &dep.static_masks,
+            trained: dep.trained.as_ref(),
+            partition: dep.partition.as_ref(),
+            world: &self.world,
+            assignment: &self.assignment,
+        };
+        let outs = pool().par_map_mut(workers, dep.threads, |w| w.regular_frame(&cx));
+
         let CoordinatorScratch {
             latency,
             oh,

@@ -118,9 +118,10 @@ pub struct ServeConfig {
     pub max_keep_every: u64,
     /// Solve key frames with `balb_sharded` ([`PipelineConfig::shard_solver`]).
     pub shard_solver: bool,
-    /// Overlap each tenant's central solve with uplink-leg encoding on key
-    /// frames (see [`PipelineConfig::pipelined`]). Semantically a no-op:
-    /// reports are bitwise identical with it on or off.
+    /// Inert: nothing reads it and the tenants' pipelines never see it; still
+    /// a field for the reason [`PipelineConfig::pipelined`] gives, and removed
+    /// with it.
+    #[doc(hidden)]
     #[serde(default)]
     pub pipelined: bool,
     /// Serve-level chaos schedule: coordinator crashes, pipeline poison,
@@ -325,7 +326,6 @@ impl ServeConfig {
             measured_overheads: false,
             faults: self.faults,
             shard_solver: self.shard_solver,
-            pipelined: self.pipelined,
             ..PipelineConfig::paper_default(Algorithm::Balb)
         };
         (city, pipe_config)

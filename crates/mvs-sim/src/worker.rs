@@ -1,4 +1,4 @@
-//! Per-camera execution state and its fan-out over the persistent pool.
+//! Per-camera execution state and the stages that run on it.
 //!
 //! The pipeline owns one [`CameraWorker`] per camera. A worker bundles
 //! everything a camera *mutates* every frame — detector, tracker, shadows,
@@ -16,17 +16,26 @@
 //! count — including one.
 
 use crate::camera::CameraModel;
+use crate::correspond::TrainedAssociation;
+use crate::masks::StaticWorldPartition;
+use crate::runtime::{Algorithm, PipelineConfig};
 use crate::world::World;
-use mvs_core::{CameraMask, ShadowTrack};
+use mvs_core::{scan_takeovers_into, CameraMask, ShadowTrack, ShadowVerdict};
 use mvs_geometry::{BBox, FrameDims};
-use mvs_trace::TraceBuf;
+use mvs_metrics::OverheadSample;
+use mvs_trace::{span_into, Stage, TraceBuf};
 use mvs_vision::{
-    AssociationOutcome, Detection, FlowField, FlowTracker, GroundTruthObject, NewRegionFinder,
-    RegionTask, SimulatedDetector, TrackId,
+    slice_regions_into, AssociationOutcome, Detection, FlowField, FlowTracker, GroundTruthObject,
+    LatencyProfile, NewRegionFinder, RegionTask, SimulatedDetector, SizeCounts, TrackId,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::time::Instant;
+
+/// Consecutive "gone from owner" frames required before a takeover; one
+/// noisy classifier answer must not steal a tracked object.
+const TAKEOVER_HYSTERESIS: u32 = 3;
 
 /// Per-camera scratch arena: every buffer the steady-state frame loop
 /// fills and drains each frame. Buffers are cleared (never shrunk) between
@@ -56,12 +65,6 @@ pub(crate) struct FrameScratch {
     pub outcome: AssociationOutcome,
     /// Depth-sort buffer of the view projection.
     pub by_depth: Vec<(f64, GroundTruthObject)>,
-}
-
-impl FrameScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Everything one camera mutates during a frame. Sending a `&mut
@@ -160,49 +163,303 @@ impl CameraWorker {
             &self.truth
         }
     }
+
+    /// Drops the bookkeeping tied to a superseded assignment (shadows and
+    /// global ids) but keeps the running tracks: what a camera that missed
+    /// the key-frame round trip does while it coasts.
+    pub fn forget_assignment(&mut self) {
+        self.shadows.clear();
+        self.track_global.clear();
+    }
+
+    /// Starts a horizon from nothing: a synced camera's tracks are reseeded
+    /// from the new schedule. Its mask stays — BALB rebuilds it in place,
+    /// reusing its owner table, and no other algorithm ever sets one.
+    pub fn reset_horizon(&mut self) {
+        self.tracker.clear();
+        self.forget_assignment();
+    }
+
+    /// A camera that went dark: its tracks, shadows, mask and lag history
+    /// would all be stale by the time it rejoins.
+    pub fn wipe(&mut self) {
+        self.reset_horizon();
+        self.mask = None;
+        self.history.clear();
+    }
 }
 
-/// Maps `f` over the workers, fanning out across up to `threads` lanes of
-/// the persistent pool ([`mvs_exec::pool`]), and returns the outputs in
-/// camera-index order regardless of which lane ran which camera. With
-/// `threads <= 1` (or one camera) it runs inline — same results, no
-/// dispatch.
-pub(crate) fn par_map<T, F>(workers: &mut [CameraWorker], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut CameraWorker) -> T + Sync,
-{
-    mvs_exec::pool().par_map_mut(workers, threads, f)
+/// What every camera of a regular frame reads and none of them writes.
+pub(crate) struct RegularFrame<'a> {
+    pub config: &'a PipelineConfig,
+    /// The horizon's amortized central-stage cost, charged to every camera.
+    pub central_ms: f64,
+    pub alive: &'a [bool],
+    pub profiles: &'a [LatencyProfile],
+    /// SP's fixed masks (empty for every other algorithm).
+    pub static_masks: &'a [CameraMask],
+    pub trained: Option<&'a TrainedAssociation>,
+    pub partition: Option<&'a StaticWorldPartition>,
+    pub world: &'a World,
+    /// Owner cameras per global object as of the start of the frame: a
+    /// camera does not observe another camera's takeover from the *same*
+    /// frame (in exchange, the outcome cannot depend on camera scheduling
+    /// order). The winners extend the shared assignment at the merge.
+    pub assignment: &'a [Vec<usize>],
 }
 
-pub use mvs_exec::resolve_threads;
+/// One camera's numbers for a regular frame, produced on a pool thread and
+/// merged in camera-index order. The lists of the frame — detected
+/// identities, takeovers (already seeded in the worker's own tracker; the
+/// shared assignment is extended at merge) — stay in the worker's
+/// [`FrameScratch`], where the merge reads them.
+pub(crate) struct RegularOutput {
+    pub latency_ms: f64,
+    pub probes: usize,
+    pub sample: OverheadSample,
+}
+
+/// The per-camera stages of a regular frame, in the order
+/// [`CameraWorker::regular_frame`] runs them. Each works on the worker's
+/// own state and scratch and records its own span.
+impl CameraWorker {
+    /// A regular frame on this camera: flow prediction, the distributed
+    /// stage, slicing, new-region probing, batched partial inspection and
+    /// track upkeep.
+    pub fn regular_frame(&mut self, cx: &RegularFrame<'_>) -> RegularOutput {
+        // The merge reads these two lists from every worker.
+        self.scratch.takeover_seeds.clear();
+        self.scratch.detections.clear();
+        let mut sample = OverheadSample {
+            central_ms: cx.central_ms,
+            ..Default::default()
+        };
+        if !cx.alive[self.index] {
+            // A dead camera does no work; it still carries the amortized
+            // central cost like every other column of Table II.
+            return RegularOutput {
+                latency_ms: 0.0,
+                probes: 0,
+                sample,
+            };
+        }
+        self.predict(cx);
+        sample.distributed_ms = self.takeover_scan(cx);
+        self.slice();
+        let probes = self.probe(cx);
+        let (latency_ms, batching_ms) = self.inspect(cx);
+        sample.batching_ms = batching_ms;
+        sample.tracking_ms = cx.config.overhead.flow_base_ms + self.track(cx);
+        RegularOutput {
+            latency_ms,
+            probes,
+            sample,
+        }
+    }
+
+    /// Stage 1: flow-predicts tracks and shadows (the flow was estimated
+    /// into the worker's scratch arena at observe).
+    fn predict(&mut self, cx: &RegularFrame<'_>) {
+        let flow = &self.scratch.flow;
+        self.tracker.predict(flow);
+        if cx.config.algorithm == Algorithm::Balb {
+            let frame = self.frame;
+            self.shadows.retain(|_, s| {
+                let moved = s
+                    .bbox
+                    .translated(flow.displacement_at(s.bbox.center()).displacement);
+                match moved.clamped_to(frame) {
+                    Some(c) if c.area() > 0.25 * s.bbox.area() => {
+                        s.bbox = moved;
+                        true
+                    }
+                    _ => false,
+                }
+            });
+        }
+        span_into(
+            self.trace.as_mut(),
+            Stage::Flow,
+            cx.config.overhead.flow_base_ms,
+            self.tracker.tracks().len(),
+        );
+    }
+
+    /// Stage 2, the distributed stage (measured): scans the shadows against
+    /// the frame-start assignment and seeds a track for every object this
+    /// camera takes over. Returns the measured cost in milliseconds.
+    ///
+    /// A takeover needs the object to have left *every* assigned camera's
+    /// view (per the synchronized pair models) for [`TAKEOVER_HYSTERESIS`]
+    /// frames, and this camera to own the cell where the object now is. A
+    /// camera without a mask (rejoined but not yet resynced) skips the
+    /// scan; its shadows are empty anyway.
+    fn takeover_scan(&mut self, cx: &RegularFrame<'_>) -> f64 {
+        let started = cx.config.measured_overheads.then(Instant::now);
+        if let (Algorithm::Balb, Some(mask)) = (cx.config.algorithm, self.mask.as_ref()) {
+            let trained = cx.trained.expect("BALB trains association");
+            let i = self.index;
+            scan_takeovers_into(
+                &mut self.shadows,
+                TAKEOVER_HYSTERESIS,
+                |g, bbox| {
+                    let owners = &cx.assignment[g];
+                    if owners.contains(&i) {
+                        ShadowVerdict::OwnedHere
+                    } else if owners
+                        .iter()
+                        .all(|&owner| !trained.is_visible(i, owner, bbox))
+                    {
+                        ShadowVerdict::Gone
+                    } else {
+                        ShadowVerdict::Visible
+                    }
+                },
+                |bbox| mask.is_responsible_for(bbox),
+                self.trace.as_mut(),
+                &mut self.scratch.takeover_seeds,
+            );
+            for &(g, bbox) in &self.scratch.takeover_seeds {
+                let id = self.tracker.seed(bbox, None);
+                self.track_global.insert(id, g);
+            }
+        }
+        started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3)
+    }
+
+    /// Stage 3: slices one crop per live track into the scratch task
+    /// buffer (new-region probes append to it). Pure geometry with negligible
+    /// modeled cost: the span witnesses the crop count and stage order.
+    fn slice(&mut self) {
+        slice_regions_into(self.tracker.tracks(), self.frame, &mut self.scratch.tasks);
+        span_into(
+            self.trace.as_mut(),
+            Stage::Slice,
+            0.0,
+            self.scratch.tasks.len(),
+        );
+    }
+
+    /// Stage 4, new-region probing: queues a crop for every moving cluster
+    /// that no track or shadow explains and that this camera is responsible
+    /// for. Returns the number of probes queued.
+    fn probe(&mut self, cx: &RegularFrame<'_>) -> usize {
+        if !cx.config.algorithm.probes_new_regions() {
+            return 0;
+        }
+        let i = self.index;
+        let s = &mut self.scratch;
+        s.predicted.clear();
+        s.predicted
+            .extend(self.tracker.tracks().iter().map(|t| t.bbox));
+        if cx.config.algorithm == Algorithm::Balb {
+            s.predicted.extend(self.shadows.values().map(|s| s.bbox));
+        }
+        s.regions
+            .find_into(s.flow.moving_clusters(), &s.predicted, 0.5, &mut s.fresh);
+        let mut probes = 0;
+        for region in &s.fresh {
+            let responsible = match cx.config.algorithm {
+                Algorithm::BalbInd => true,
+                // No mask (awaiting resync) ⇒ not responsible for
+                // anything new.
+                Algorithm::Balb => self
+                    .mask
+                    .as_ref()
+                    .is_some_and(|mask| mask.is_responsible_for(region)),
+                Algorithm::StaticPartition => cx.static_masks[i].is_responsible_for(region),
+                Algorithm::StaticPartitionOracle => {
+                    // The oracle SP allocation is geometric; check the
+                    // world region behind the cluster.
+                    let partition = cx.partition.expect("oracle SP has a partition");
+                    self.view.iter().any(|g| {
+                        g.bbox.coverage_by(region) >= 0.35
+                            && cx
+                                .world
+                                .objects()
+                                .iter()
+                                .find(|o| o.id == g.id)
+                                .is_some_and(|o| {
+                                    partition.owner(cx.world.position_of(o)) == Some(i)
+                                })
+                    })
+                }
+                Algorithm::Full | Algorithm::BalbCen => false,
+            };
+            if responsible {
+                if let Some(task) = RegionTask::for_region(*region, self.frame) {
+                    s.tasks.push(task);
+                    probes += 1;
+                }
+            }
+        }
+        probes
+    }
+
+    /// Stage 5: runs the (simulated) DNN on every crop; batching decides
+    /// the latency. Returns `(DNN latency, batch-assembly cost)` in
+    /// milliseconds.
+    fn inspect(&mut self, cx: &RegularFrame<'_>) -> (f64, f64) {
+        let profile = &cx.profiles[self.index];
+        let s = &mut self.scratch;
+        let counts = SizeCounts::from_sizes(s.tasks.iter().map(|t| t.size));
+        let batches: usize = counts.batches(profile).iter().sum();
+        let batching_ms = cx.config.overhead.batch_per_crop_ms * s.tasks.len() as f64
+            + cx.config.overhead.batch_per_batch_ms * batches as f64;
+        let latency_ms = counts.latency_ms(profile);
+        span_into(self.trace.as_mut(), Stage::Batch, batching_ms, batches);
+        span_into(
+            self.trace.as_mut(),
+            Stage::Detect,
+            latency_ms,
+            counts.total(),
+        );
+        for task in &s.tasks {
+            self.detector.detect_region_into(
+                &task.region,
+                task.size,
+                &self.view,
+                &mut self.rng,
+                &mut s.detections,
+            );
+        }
+        // Deduplicate: neighbouring crops can both cover one object.
+        // (Stable sort: equal ids keep insertion order, so dedup keeps the
+        // first crop's detection.)
+        s.detections.sort_by_key(|a| a.truth_id);
+        s.detections
+            .dedup_by(|a, b| a.truth_id.is_some() && a.truth_id == b.truth_id);
+        (latency_ms, batching_ms)
+    }
+
+    /// Stage 6: track association and lifecycle. Returns the modeled
+    /// per-object tracking cost in milliseconds.
+    fn track(&mut self, cx: &RegularFrame<'_>) -> f64 {
+        let s = &mut self.scratch;
+        self.tracker.associate_into(&s.detections, &mut s.outcome);
+        if cx.config.algorithm.probes_new_regions() {
+            for &di in &s.outcome.unmatched_detections {
+                let d = &s.detections[di];
+                self.tracker.seed(d.bbox, d.truth_id);
+            }
+        }
+        for id in self.tracker.prune() {
+            self.track_global.remove(&id);
+        }
+        let mut tracked = self.tracker.tracks().len();
+        if cx.config.algorithm == Algorithm::Balb {
+            tracked += self.shadows.len();
+        }
+        let tracking_ms = cx.config.overhead.tracking_per_object_ms * tracked as f64;
+        span_into(self.trace.as_mut(), Stage::Track, tracking_ms, tracked);
+        tracking_ms
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvs_vision::{DetectionModel, TrackerConfig};
     use rand::Rng;
-
-    fn dummy_worker(index: usize) -> CameraWorker {
-        let frame = FrameDims::REGULAR;
-        CameraWorker {
-            index,
-            frame,
-            lag: 0,
-            detector: SimulatedDetector::new(DetectionModel::default(), frame),
-            tracker: FlowTracker::new(TrackerConfig::default(), frame),
-            rng: CameraWorker::stream_rng(7, index),
-            view: Vec::new(),
-            prev_view: Vec::new(),
-            truth: Vec::new(),
-            history: VecDeque::new(),
-            shadows: BTreeMap::new(),
-            track_global: HashMap::new(),
-            mask: None,
-            trace: None,
-            scratch: FrameScratch::new(),
-        }
-    }
 
     #[test]
     fn streams_are_distinct_per_camera() {
@@ -219,37 +476,5 @@ mod tests {
             CameraWorker::stream_rng(42, 0).gen::<u64>(),
             CameraWorker::stream_rng(43, 0).gen::<u64>()
         );
-    }
-
-    #[test]
-    fn par_map_output_is_index_ordered_at_any_thread_count() {
-        for threads in [1, 2, 3, 8, 64] {
-            let mut workers: Vec<CameraWorker> = (0..7).map(dummy_worker).collect();
-            let out = par_map(&mut workers, threads, |w| w.index * 10);
-            assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60], "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_draws_match_serial_draws() {
-        // Each worker draws from its own stream; the collected draws must
-        // not depend on the thread count.
-        let draw = |threads: usize| -> Vec<u64> {
-            let mut workers: Vec<CameraWorker> = (0..5).map(dummy_worker).collect();
-            let mut out = Vec::new();
-            for _ in 0..3 {
-                out.extend(par_map(&mut workers, threads, |w| w.rng.gen::<u64>()));
-            }
-            out
-        };
-        let serial = draw(1);
-        assert_eq!(serial, draw(2));
-        assert_eq!(serial, draw(5));
-    }
-
-    #[test]
-    fn resolve_threads_prefers_explicit_request() {
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
     }
 }

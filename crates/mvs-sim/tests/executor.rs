@@ -6,7 +6,7 @@
 //! runs, never what it computes. These tests pin that contract bitwise —
 //! latency series are compared through `f64::to_bits`, not float equality,
 //! so `-0.0` vs `0.0` or NaN drift cannot hide behind `PartialEq` — at
-//! 1/2/4/8 threads across default, sharded, faulted, and pipelined runs,
+//! 1/2/4/8 threads across default, sharded, and faulted runs,
 //! plus the serve layer's parallel admission/restore/readmission phases
 //! under a full chaos storm.
 
@@ -121,17 +121,6 @@ fn pool_matches_single_thread_under_faults() {
         ..base_config()
     };
     assert_pool_invisible("faulted", &config);
-}
-
-#[test]
-fn pool_matches_single_thread_pipelined() {
-    // `pipelined` routes the key-frame solve through `Executor::join`.
-    let config = PipelineConfig {
-        pipelined: true,
-        shard_solver: true,
-        ..base_config()
-    };
-    assert_pool_invisible("pipelined", &config);
 }
 
 /// A serve chaos storm exercising every parallel serve phase: admission

@@ -22,6 +22,55 @@ fn pipeline_config_round_trips() {
     assert_eq!(cfg, back);
 }
 
+/// `pipelined` is an inert field kept for `bench-e2e`: JSON that sets it,
+/// clears it, or predates it all deserializes, and to the same run — traced
+/// at four threads, where the overlap it used to select would have run.
+#[test]
+fn pipelined_is_accepted_and_changes_nothing() {
+    use mvs_sim::{run_pipeline_traced, run_serve, ServeConfig};
+    /// `json` with the field set, cleared and cut out (wherever it sits).
+    fn variants(json: &str) -> [String; 3] {
+        let field = "\"pipelined\":false";
+        assert!(json.contains(field), "{json}");
+        let cut = json
+            .replace(&format!("{field},"), "")
+            .replace(&format!(",{field}"), "");
+        assert!(!cut.contains("pipelined"), "{cut}");
+        [json.replace(field, "\"pipelined\":true"), json.into(), cut]
+    }
+
+    let config = PipelineConfig {
+        train_s: 20.0,
+        eval_s: 3.0,
+        threads: 4,
+        measured_overheads: false,
+        ..PipelineConfig::paper_default(Algorithm::Balb)
+    };
+    let runs = variants(&serde_json::to_string(&config).unwrap()).map(|json| {
+        let config: PipelineConfig = serde_json::from_str(&json).unwrap();
+        let (result, trace) = run_pipeline_traced(&Scenario::new(ScenarioKind::S2), &config);
+        (result, trace.golden_text())
+    });
+    assert!(runs[0].0.frames > 0);
+    assert!(runs.iter().all(|run| *run == runs[0]));
+
+    let config = ServeConfig {
+        tenants: 2,
+        cameras_per_tenant: 2,
+        duration_s: 2.0,
+        train_s: 5.0,
+        threads: 4,
+        ..ServeConfig::default()
+    };
+    let reports = variants(&serde_json::to_string(&config).unwrap()).map(|json| {
+        let mut report = run_serve(&serde_json::from_str(&json).unwrap());
+        report.config.pipelined = false;
+        report
+    });
+    assert!(reports[0].processed > 0);
+    assert!(reports.iter().all(|report| *report == reports[0]));
+}
+
 #[test]
 fn algorithm_names_are_stable_in_json() {
     let json = serde_json::to_string(&Algorithm::StaticPartition).unwrap();

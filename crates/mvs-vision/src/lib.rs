@@ -17,7 +17,7 @@
 //!   flow-predicted search regions, Hungarian association, track lifecycle.
 //! * [`slice_regions`] — tracking-based image slicing with size
 //!   quantization (Sec. II-B).
-//! * [`find_new_regions`] — moving-pixel clusters that belong to no
+//! * [`NewRegionFinder`] — moving-pixel clusters that belong to no
 //!   existing track, used to catch newly appearing objects mid-horizon.
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ mod tracker;
 pub use batching::{batches_needed, SizeCounts, SizeCountsBatch};
 pub use detector::{Detection, DetectionModel, GroundTruthObject, SimulatedDetector};
 pub use latency::{DeviceKind, LatencyProfile, SizeProfile};
-pub use new_region::{find_new_regions, find_new_regions_into, NewRegionFinder};
+pub use new_region::{find_new_regions_into, NewRegionFinder};
 pub use optical_flow::{FlowField, FlowSoA, FlowVector};
 pub use scalar::ScalarFlowField;
 pub use slicing::{slice_regions, slice_regions_into, RegionTask};

@@ -12,37 +12,27 @@ use mvs_geometry::{BBox, BBoxSoA};
 /// A cluster is *explained* when at least `coverage_threshold` of its area
 /// is covered by some single predicted box. Unexplained clusters that
 /// overlap each other are merged (hull) so one new object produces one
-/// probe region.
+/// probe region. Clears `out` and fills it with the merged regions.
+///
+/// This is the scalar reference; the frame loop runs
+/// [`NewRegionFinder::find_into`], which returns the same regions.
 ///
 /// # Examples
 ///
 /// ```
 /// use mvs_geometry::BBox;
-/// use mvs_vision::find_new_regions;
+/// use mvs_vision::find_new_regions_into;
 ///
 /// let clusters = [
 ///     BBox::new(100.0, 100.0, 150.0, 150.0)?, // tracked object
 ///     BBox::new(600.0, 300.0, 660.0, 360.0)?, // brand new object
 /// ];
 /// let predicted = [BBox::new(95.0, 95.0, 155.0, 155.0)?];
-/// let fresh = find_new_regions(&clusters, &predicted, 0.5);
-/// assert_eq!(fresh.len(), 1);
-/// assert_eq!(fresh[0], clusters[1]);
+/// let mut fresh = Vec::new();
+/// find_new_regions_into(&clusters, &predicted, 0.5, &mut fresh);
+/// assert_eq!(fresh, [clusters[1]]);
 /// # Ok::<(), mvs_geometry::BBoxError>(())
 /// ```
-pub fn find_new_regions(
-    clusters: &[BBox],
-    predicted: &[BBox],
-    coverage_threshold: f64,
-) -> Vec<BBox> {
-    let mut fresh = Vec::new();
-    find_new_regions_into(clusters, predicted, coverage_threshold, &mut fresh);
-    fresh
-}
-
-/// Buffer-reusing variant of [`find_new_regions`]: clears `out` and fills
-/// it with the same merged regions, so the per-frame new-object probe
-/// allocates nothing in steady state.
 pub fn find_new_regions_into(
     clusters: &[BBox],
     predicted: &[BBox],
@@ -75,17 +65,17 @@ pub fn find_new_regions_into(
 ///
 /// ```
 /// use mvs_geometry::BBox;
-/// use mvs_vision::{find_new_regions, NewRegionFinder};
+/// use mvs_vision::{find_new_regions_into, NewRegionFinder};
 ///
 /// let clusters = [
 ///     BBox::new(100.0, 100.0, 150.0, 150.0)?,
 ///     BBox::new(600.0, 300.0, 660.0, 360.0)?,
 /// ];
 /// let predicted = [BBox::new(95.0, 95.0, 155.0, 155.0)?];
-/// let mut finder = NewRegionFinder::new();
-/// let mut fresh = Vec::new();
-/// finder.find_into(&clusters, &predicted, 0.5, &mut fresh);
-/// assert_eq!(fresh, find_new_regions(&clusters, &predicted, 0.5));
+/// let (mut fresh, mut scalar) = (Vec::new(), Vec::new());
+/// NewRegionFinder::new().find_into(&clusters, &predicted, 0.5, &mut fresh);
+/// find_new_regions_into(&clusters, &predicted, 0.5, &mut scalar);
+/// assert_eq!(fresh, scalar);
 /// # Ok::<(), mvs_geometry::BBoxError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -152,6 +142,13 @@ mod tests {
         BBox::new(x, y, x + s, y + s).unwrap()
     }
 
+    /// The regions the frame loop's finder reports, at threshold 0.5.
+    fn fresh_regions(clusters: &[BBox], predicted: &[BBox]) -> Vec<BBox> {
+        let mut fresh = Vec::new();
+        NewRegionFinder::new().find_into(clusters, predicted, 0.5, &mut fresh);
+        fresh
+    }
+
     #[test]
     fn finder_matches_scalar_on_mixed_scene() {
         let clusters = [
@@ -161,28 +158,29 @@ mod tests {
             bb(900.0, 0.0, 20.0),
         ];
         let predicted = [bb(95.0, 95.0, 60.0), bb(0.0, 0.0, 10.0)];
-        let scalar = find_new_regions(&clusters, &predicted, 0.5);
         let mut finder = NewRegionFinder::new();
-        let mut fresh = Vec::new();
+        let (mut fresh, mut scalar) = (Vec::new(), Vec::new());
         finder.find_into(&clusters, &predicted, 0.5, &mut fresh);
+        find_new_regions_into(&clusters, &predicted, 0.5, &mut scalar);
         assert_eq!(fresh, scalar);
         // Scratch reuse: a second, different query stays consistent.
         finder.find_into(&clusters[..1], &predicted, 0.5, &mut fresh);
-        assert_eq!(fresh, find_new_regions(&clusters[..1], &predicted, 0.5));
+        find_new_regions_into(&clusters[..1], &predicted, 0.5, &mut scalar);
+        assert_eq!(fresh, scalar);
     }
 
     #[test]
     fn covered_clusters_are_dropped() {
         let clusters = [bb(100.0, 100.0, 50.0)];
         let predicted = [bb(95.0, 95.0, 60.0)];
-        assert!(find_new_regions(&clusters, &predicted, 0.5).is_empty());
+        assert!(fresh_regions(&clusters, &predicted).is_empty());
     }
 
     #[test]
     fn uncovered_clusters_survive() {
         let clusters = [bb(100.0, 100.0, 50.0), bb(500.0, 400.0, 40.0)];
         let predicted = [bb(95.0, 95.0, 60.0)];
-        let fresh = find_new_regions(&clusters, &predicted, 0.5);
+        let fresh = fresh_regions(&clusters, &predicted);
         assert_eq!(fresh, vec![bb(500.0, 400.0, 40.0)]);
     }
 
@@ -191,14 +189,14 @@ mod tests {
         let clusters = [bb(100.0, 100.0, 100.0)];
         // Covers only ~25% of the cluster.
         let predicted = [bb(100.0, 100.0, 50.0)];
-        let fresh = find_new_regions(&clusters, &predicted, 0.5);
+        let fresh = fresh_regions(&clusters, &predicted);
         assert_eq!(fresh.len(), 1);
     }
 
     #[test]
     fn overlapping_new_clusters_merge() {
         let clusters = [bb(100.0, 100.0, 60.0), bb(140.0, 120.0, 60.0)];
-        let fresh = find_new_regions(&clusters, &[], 0.5);
+        let fresh = fresh_regions(&clusters, &[]);
         assert_eq!(fresh.len(), 1);
         assert!(fresh[0].contains_box(&clusters[0]));
         assert!(fresh[0].contains_box(&clusters[1]));
@@ -207,7 +205,7 @@ mod tests {
     #[test]
     fn chain_of_overlaps_merges_transitively() {
         let clusters = [bb(0.0, 0.0, 50.0), bb(40.0, 0.0, 50.0), bb(80.0, 0.0, 50.0)];
-        let fresh = find_new_regions(&clusters, &[], 0.5);
+        let fresh = fresh_regions(&clusters, &[]);
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0], BBox::new(0.0, 0.0, 130.0, 50.0).unwrap());
     }
@@ -215,14 +213,14 @@ mod tests {
     #[test]
     fn disjoint_new_clusters_stay_separate() {
         let clusters = [bb(0.0, 0.0, 30.0), bb(500.0, 500.0, 30.0)];
-        let fresh = find_new_regions(&clusters, &[], 0.5);
+        let fresh = fresh_regions(&clusters, &[]);
         assert_eq!(fresh.len(), 2);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(find_new_regions(&[], &[], 0.5).is_empty());
+        assert!(fresh_regions(&[], &[]).is_empty());
         let clusters = [bb(0.0, 0.0, 30.0)];
-        assert_eq!(find_new_regions(&clusters, &[], 0.5), clusters.to_vec());
+        assert_eq!(fresh_regions(&clusters, &[]), clusters.to_vec());
     }
 }

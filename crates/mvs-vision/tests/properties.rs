@@ -4,8 +4,8 @@
 
 use mvs_geometry::{BBox, FrameDims, SizeClass};
 use mvs_vision::{
-    batches_needed, find_new_regions, slice_regions, AssociationOutcome, Detection, DetectionModel,
-    DeviceKind, FlowTracker, GroundTruthObject, LatencyProfile, SimulatedDetector, SizeCounts,
+    batches_needed, slice_regions, AssociationOutcome, Detection, DetectionModel, DeviceKind,
+    FlowTracker, GroundTruthObject, LatencyProfile, NewRegionFinder, SimulatedDetector, SizeCounts,
     TrackerConfig,
 };
 use proptest::prelude::*;
@@ -162,7 +162,8 @@ proptest! {
             .iter()
             .map(|&(x, y, s)| BBox::new(x, y, x + s, y + s).expect("valid box"))
             .collect();
-        let fresh = find_new_regions(&boxes, &[], 0.5);
+        let mut fresh = Vec::new();
+        NewRegionFinder::new().find_into(&boxes, &[], 0.5, &mut fresh);
         // After merging, the returned regions are pairwise disjoint.
         for i in 0..fresh.len() {
             for j in i + 1..fresh.len() {

@@ -10,9 +10,8 @@
 //! Scenarios: the paper presets `s1`, `s2`, `s3`, plus `city` — a
 //! procedural city-scale fleet sized by `--cameras`/`--intensity`.
 //! Algorithms: `full`, `balb`, `balb-ind`, `balb-cen`, `sp`, `sp-oracle`.
-//! Options: `--horizon N`, `--train-s S`, `--eval-s S`, `--seed N`,
-//! `--redundancy N`, `--no-batching`, `--threads N`, `--trace DIR`,
-//! `--cameras N`, `--intensity X`, `--shard-solver`, `--pipelined`.
+//! Options: `mvs --help` lists them; it is rendered from the same option
+//! tables ([`cli`]) the parser runs on, so this comment does not repeat them.
 
 use multiview_scheduler::metrics::{sparkline_fit, TextTable};
 use multiview_scheduler::sim::{
@@ -27,15 +26,22 @@ use std::process::ExitCode;
 mod cli {
     //! Hand-rolled argument parsing (kept dependency-free and testable).
     //!
-    //! Options are validated against the command and scenario they are
-    //! given with: a flag that exists but does not apply (`--intensity` on
-    //! the fixed-geometry `s1` preset, any option after `workload`) is an
-    //! error, not a silent no-op — a typo'd invocation should fail loudly
-    //! rather than measure something other than what was asked.
+    //! Every flag is one row of a per-command option table — its name and
+    //! value placeholder, how the value is checked and stored, its help text
+    //! — and both the parser and `mvs --help` are driven from those rows, so
+    //! a flag cannot be accepted without being documented, or the reverse.
+    //!
+    //! A flag that exists but does not apply where it is typed
+    //! (`--intensity` on the fixed-geometry `s1` preset, `--trace` on
+    //! `compare`, any option after `workload`) is an error, not a silent
+    //! no-op — a typo'd invocation should fail loudly rather than measure
+    //! something other than what was asked.
 
     use multiview_scheduler::sim::{
         Algorithm, CityConfig, FaultModel, PoolDegrade, ScenarioKind, ServeConfig,
     };
+    use std::fmt::Write;
+    use std::str::FromStr;
 
     /// A parsed invocation.
     #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +89,9 @@ mod cli {
         pub redundancy: usize,
         pub disable_batching: bool,
         pub threads: usize,
-        /// When set, record per-stage spans and write the trace exports
-        /// (Chrome JSON, Prometheus text, golden text) into this directory.
+        /// When set (`run` only), record per-stage spans and write the
+        /// trace exports (Chrome JSON, Prometheus text, golden text) into
+        /// this directory.
         pub trace_dir: Option<String>,
         /// Fleet size of the `city` scenario (ignored by the paper
         /// presets, whose camera counts are fixed).
@@ -95,9 +102,6 @@ mod cli {
         /// instead of in one pass (identical schedules; compute-only
         /// knob).
         pub shard_solver: bool,
-        /// Overlap the central solve with uplink-leg encoding on key
-        /// frames (identical results; wall-clock-only knob).
-        pub pipelined: bool,
     }
 
     impl Default for Options {
@@ -114,8 +118,410 @@ mod cli {
                 cameras: CityConfig::default().cameras,
                 intensity: 1.0,
                 shard_solver: false,
-                pipelined: false,
             }
+        }
+    }
+
+    /// One flag as typed: its name (for messages) and the value after it
+    /// (empty for a switch). The methods are the value kinds — each parses,
+    /// range-checks and names the flag in its error.
+    struct Arg<'a> {
+        flag: &'a str,
+        value: &'a str,
+    }
+
+    impl Arg<'_> {
+        /// One `:`- or `,`-separated `part` of the value.
+        fn part<T: FromStr<Err: std::fmt::Display>>(&self, part: &str) -> Result<T, String> {
+            part.parse()
+                .map_err(|e| format!("{} `{part}`: {e}", self.flag))
+        }
+
+        /// Any value of the target type.
+        fn number<T: FromStr<Err: std::fmt::Display>>(&self) -> Result<T, String> {
+            self.part(self.value)
+        }
+
+        /// A count the run divides by or loops over: at least one.
+        fn count<T: FromStr<Err: std::fmt::Display> + Default + PartialEq>(
+            &self,
+        ) -> Result<T, String> {
+            let n = self.number()?;
+            if n == T::default() {
+                return Err(format!("{} must be positive", self.flag));
+            }
+            Ok(n)
+        }
+
+        /// A duration, rate or scale the run divides by or loops up to:
+        /// zero, negative, infinite and NaN values are refused where they
+        /// are typed.
+        fn positive(&self) -> Result<f64, String> {
+            let v: f64 = self.number()?;
+            if v.is_finite() && v > 0.0 {
+                Ok(v)
+            } else {
+                Err(format!("{} must be positive and finite", self.flag))
+            }
+        }
+
+        fn probability(&self) -> Result<f64, String> {
+            let v: f64 = self.number()?;
+            if (0.0..=1.0).contains(&v) {
+                Ok(v)
+            } else {
+                Err(format!("{} must be a probability in [0, 1]", self.flag))
+            }
+        }
+
+        /// A positive number of seconds, as virtual microseconds.
+        fn seconds_us(&self) -> Result<u64, String> {
+            Ok((self.positive()? * 1e6).round() as u64)
+        }
+
+        fn text(&self) -> Result<String, String> {
+            Ok(self.value.to_string())
+        }
+
+        /// A switch takes no value: naming it turns it on.
+        fn switch(&self) -> Result<bool, String> {
+            Ok(true)
+        }
+
+        /// One `part` of the value as a non-negative instant in seconds,
+        /// in virtual microseconds.
+        fn instant_us(&self, part: &str, what: &str) -> Result<u64, String> {
+            let v: f64 = self.part(part)?;
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!("{} {what} must be non-negative seconds", self.flag));
+            }
+            Ok((v * 1e6).round() as u64)
+        }
+
+        /// `AT_S:CAPACITY_FACTOR[:SERVICE_INFLATION]`; the factors are
+        /// range-checked by `ServeConfig::validate`.
+        fn degrade(&self) -> Result<PoolDegrade, String> {
+            let parts: Vec<&str> = self.value.split(':').collect();
+            if parts.len() < 2 || parts.len() > 3 {
+                return Err(format!(
+                    "--degrade expects AT_S:CAPACITY_FACTOR[:SERVICE_INFLATION], got `{}`",
+                    self.value
+                ));
+            }
+            Ok(PoolDegrade {
+                at_us: self.instant_us(parts[0], "time")?,
+                capacity_factor: self.part(parts[1])?,
+                service_inflation: parts.get(2).map_or(Ok(1.0), |p| self.part(p))?,
+            })
+        }
+    }
+
+    /// One row of an option table, for a command whose parse target is `T`.
+    struct Opt<T> {
+        /// The flag as the help shows it: its name and, unless it is a
+        /// switch, the placeholder of the value it takes.
+        spec: &'static str,
+        /// Help text; continuation lines are separated by `\n`.
+        help: &'static str,
+        /// Checks the typed value and stores it.
+        set: fn(&mut T, Arg<'_>) -> Result<(), String>,
+    }
+
+    impl<T> Opt<T> {
+        fn flag(&self) -> &'static str {
+            self.spec.split(' ').next().unwrap_or(self.spec)
+        }
+
+        fn takes_value(&self) -> bool {
+            self.spec.contains(' ')
+        }
+    }
+
+    /// Applies `rest` to `target` through `tables`. A flag none of them
+    /// lists is refused by name, whatever other command may accept it.
+    fn parse_flags<T>(
+        command: &str,
+        tables: &[&[Opt<T>]],
+        target: &mut T,
+        rest: &[String],
+    ) -> Result<(), String> {
+        let mut it = rest.iter();
+        while let Some(flag) = it.next() {
+            let opt = tables
+                .iter()
+                .flat_map(|table| table.iter())
+                .find(|opt| opt.flag() == flag)
+                .ok_or_else(|| format!("unknown option `{flag}` for `mvs {command}`"))?;
+            let value = match opt.takes_value() {
+                true => it
+                    .next()
+                    .ok_or_else(|| format!("{flag} requires a value"))?,
+                false => "",
+            };
+            (opt.set)(target, Arg { flag, value })?;
+        }
+        Ok(())
+    }
+
+    /// Appends one help section rendered from `table`.
+    fn render_section<T>(out: &mut String, title: &str, table: &[Opt<T>]) {
+        writeln!(out, "\n{title}:").unwrap();
+        for opt in table {
+            let mut head = opt.spec;
+            for line in opt.help.lines() {
+                writeln!(out, "    {head:<18} {line}").unwrap();
+                head = "";
+            }
+        }
+    }
+
+    /// Parse target of `run` and `compare`: the options plus the scenario
+    /// they are checked against.
+    struct PipelineArgs {
+        scenario: ScenarioKind,
+        options: Options,
+    }
+
+    impl PipelineArgs {
+        /// Flags that only make sense for the procedural city scenario —
+        /// the paper presets have fixed geometry and traffic, so accepting
+        /// these silently would run something other than what was asked.
+        fn city_only<'a>(&self, arg: Arg<'a>) -> Result<Arg<'a>, String> {
+            if self.scenario == ScenarioKind::City {
+                Ok(arg)
+            } else {
+                Err(format!(
+                    "{} only applies to the `city` scenario, not `{:?}`",
+                    arg.flag, self.scenario
+                ))
+            }
+        }
+    }
+
+    const PIPELINE_OPTIONS: &[Opt<PipelineArgs>] = &[
+        Opt {
+            spec: "--horizon N",
+            help: "scheduling horizon in frames   (default 10)",
+            set: |t, a| a.count().map(|v| t.options.horizon = v),
+        },
+        Opt {
+            spec: "--train-s S",
+            help: "association training seconds   (default 60)",
+            set: |t, a| a.positive().map(|v| t.options.train_s = v),
+        },
+        Opt {
+            spec: "--eval-s S",
+            help: "evaluated seconds, at least one frame (default 60)",
+            set: |t, a| a.positive().map(|v| t.options.eval_s = v),
+        },
+        Opt {
+            spec: "--seed N",
+            help: "RNG seed                       (default 17)",
+            set: |t, a| a.number().map(|v| t.options.seed = v),
+        },
+        Opt {
+            spec: "--redundancy N",
+            help: "owners per object              (default 1)",
+            set: |t, a| a.count().map(|v| t.options.redundancy = v),
+        },
+        Opt {
+            spec: "--no-batching",
+            help: "force GPU batch limits to one",
+            set: |t, a| a.switch().map(|v| t.options.disable_batching = v),
+        },
+        Opt {
+            spec: "--threads N",
+            help: "camera worker threads; 0 = auto (default 0):\n\
+                   MVS_THREADS env, else available CPU parallelism.\n\
+                   Results are identical at any thread count.",
+            set: |t, a| a.number().map(|v| t.options.threads = v),
+        },
+        Opt {
+            spec: "--cameras N",
+            help: "city fleet size                (default 128; city only)",
+            set: |t, a| t.city_only(a)?.count().map(|v| t.options.cameras = v),
+        },
+        Opt {
+            spec: "--intensity X",
+            help: "city traffic multiplier        (default 1.0; city only)",
+            set: |t, a| t.city_only(a)?.positive().map(|v| t.options.intensity = v),
+        },
+        Opt {
+            spec: "--shard-solver",
+            help: "solve key frames shard-by-shard over the camera\n\
+                   overlap graph instead of in one pass (identical\n\
+                   schedules; compute-only knob)",
+            set: |t, a| a.switch().map(|v| t.options.shard_solver = v),
+        },
+    ];
+
+    const RUN_OPTIONS: &[Opt<PipelineArgs>] = &[Opt {
+        spec: "--trace DIR",
+        help: "record per-stage spans (sim-clock, deterministic) and\n\
+               write DIR/trace.chrome.json (chrome://tracing),\n\
+               DIR/stages.prom (Prometheus text), DIR/trace.golden.txt\n\
+               (golden format), plus a per-stage latency table.",
+        set: |t, a| a.text().map(|v| t.options.trace_dir = Some(v)),
+    }];
+
+    /// Parse target of `serve`: the configuration plus the flags that only
+    /// become configuration once all of them are known.
+    struct ServeArgs {
+        config: ServeConfig,
+        trace_dir: Option<String>,
+        loss: f64,
+        dropout: f64,
+        snapshot_every: Option<u64>,
+    }
+
+    const SERVE_OPTIONS: &[Opt<ServeArgs>] = &[
+        Opt {
+            spec: "--tenants N",
+            help: "tenant deployments               (default 4)",
+            set: |t, a| a.count().map(|v| t.config.tenants = v),
+        },
+        Opt {
+            spec: "--cameras N",
+            help: "cameras per tenant               (default 8)",
+            set: |t, a| a.count().map(|v| t.config.cameras_per_tenant = v),
+        },
+        Opt {
+            spec: "--fps X",
+            help: "capture rate per tenant          (default 10)",
+            set: |t, a| a.positive().map(|v| t.config.fps = v),
+        },
+        Opt {
+            spec: "--duration-s S",
+            help: "served seconds of virtual time, at least one frame\n\
+                   (default 30)",
+            set: |t, a| a.positive().map(|v| t.config.duration_s = v),
+        },
+        Opt {
+            spec: "--capacity X",
+            help: "provisioned compute, in cores    (default 4);\n\
+                   admission degrades tenants (shed redundancy, then\n\
+                   process every d-th frame, then reject) until the\n\
+                   aggregate modeled load fits",
+            set: |t, a| a.positive().map(|v| t.config.capacity_cores = v),
+        },
+        Opt {
+            spec: "--seed N",
+            help: "base seed; tenant t uses seed+t  (default 2022)",
+            set: |t, a| a.number().map(|v| t.config.seed = v),
+        },
+        Opt {
+            spec: "--threads N",
+            help: "persistent-pool lanes for tenant-parallel phases\n\
+                   (admission pilots, restores, readmissions) and each\n\
+                   tenant's camera workers; 0 = auto (MVS_THREADS env,\n\
+                   else the machine). Reports identical at any value.",
+            set: |t, a| a.number().map(|v| t.config.threads = v),
+        },
+        Opt {
+            spec: "--redundancy N",
+            help: "requested owners per object      (default 1)",
+            set: |t, a| a.count().map(|v| t.config.redundancy = v),
+        },
+        Opt {
+            spec: "--intensity X",
+            help: "city traffic multiplier          (default 1.0)",
+            set: |t, a| a.positive().map(|v| t.config.intensity = v),
+        },
+        Opt {
+            spec: "--train-s S",
+            help: "association training seconds     (default 20)",
+            set: |t, a| a.positive().map(|v| t.config.train_s = v),
+        },
+        Opt {
+            spec: "--loss P",
+            help: "key-frame message loss probability per attempt",
+            set: |t, a| a.probability().map(|v| t.loss = v),
+        },
+        Opt {
+            spec: "--dropout P",
+            help: "camera dropout probability per horizon",
+            set: |t, a| a.probability().map(|v| t.dropout = v),
+        },
+        Opt {
+            spec: "--max-keep-every N",
+            help: "deepest frame-thinning rung      (default 4)",
+            set: |t, a| a.count().map(|v| t.config.max_keep_every = v),
+        },
+        Opt {
+            spec: "--shard-solver",
+            help: "sharded central solver",
+            set: |t, a| a.switch().map(|v| t.config.shard_solver = v),
+        },
+        Opt {
+            spec: "--trace DIR",
+            help: "write per-tenant labeled Prometheus text and Chrome\n\
+                   traces into DIR/",
+            set: |t, a| a.text().map(|v| t.trace_dir = Some(v)),
+        },
+    ];
+
+    const SERVE_CHAOS_OPTIONS: &[Opt<ServeArgs>] = &[
+        Opt {
+            spec: "--chaos-seed N",
+            help: "seed of the serve-level chaos stream (default 0)",
+            set: |t, a| a.number().map(|v| t.config.chaos.seed = v),
+        },
+        Opt {
+            spec: "--crash-at S[,S…]",
+            help: "crash the coordinator at these virtual seconds; it\n\
+                   restores the latest snapshot after the restart\n\
+                   delay and counts the gap as replayed frames",
+            set: |t, a| {
+                for part in a.value.split(',') {
+                    let at_us = a.instant_us(part, "times")?;
+                    t.config.chaos.crash_at_us.push(at_us);
+                }
+                Ok(())
+            },
+        },
+        Opt {
+            spec: "--restart-delay-s S",
+            help: "outage length per crash     (default 0.5)",
+            set: |t, a| a.seconds_us().map(|v| t.config.chaos.restart_delay_us = v),
+        },
+        Opt {
+            spec: "--poison P",
+            help: "per-dispatch probability that a tenant's pipeline\n\
+                   step panics; the panic is caught and the tenant\n\
+                   quarantined, then re-admitted through the ladder",
+            set: |t, a| a.probability().map(|v| t.config.chaos.poison_per_frame = v),
+        },
+        Opt {
+            spec: "--quarantine-s S",
+            help: "quarantine window             (default 5)",
+            set: |t, a| a.seconds_us().map(|v| t.config.chaos.quarantine_us = v),
+        },
+        Opt {
+            spec: "--degrade AT:CAP[:INFL]",
+            help: "at AT seconds scale pool capacity by CAP and\n\
+                   service times by INFL (repeatable; admission is\n\
+                   re-evaluated at each event)",
+            set: |t, a| a.degrade().map(|d| t.config.chaos.degrades.push(d)),
+        },
+        Opt {
+            spec: "--snapshot-every N",
+            help: "checkpoint every N scheduling horizons (0 = off;\n\
+                   defaults to 1 when --crash-at is given). Snapshots\n\
+                   never change results.",
+            set: |t, a| a.number().map(|v| t.snapshot_every = Some(v)),
+        },
+    ];
+
+    /// Refuses a window that rounds to zero frames: the run would report
+    /// success over no samples.
+    pub fn at_least_one_frame(flag: &str, seconds: f64, fps: f64) -> Result<(), String> {
+        if (seconds * fps).round() >= 1.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "{flag} {seconds} is shorter than one frame (the frame period is {} s at {fps} fps)",
+                1.0 / fps
+            ))
         }
     }
 
@@ -130,7 +536,8 @@ mod cli {
             "run" => {
                 let scenario = parse_scenario(it.next())?;
                 let algorithm = parse_algorithm(it.next())?;
-                let options = parse_options(scenario, it.as_slice())?;
+                let tables = [PIPELINE_OPTIONS, RUN_OPTIONS];
+                let options = parse_options("run", &tables, scenario, it.as_slice())?;
                 Ok(Command::Run {
                     scenario,
                     algorithm,
@@ -139,7 +546,8 @@ mod cli {
             }
             "compare" => {
                 let scenario = parse_scenario(it.next())?;
-                let options = parse_options(scenario, it.as_slice())?;
+                let tables = [PIPELINE_OPTIONS];
+                let options = parse_options("compare", &tables, scenario, it.as_slice())?;
                 Ok(Command::Compare { scenario, options })
             }
             "workload" => {
@@ -185,309 +593,99 @@ mod cli {
         }
     }
 
-    /// A duration, rate or scale the run divides by or loops up to: zero,
-    /// negative, infinite and NaN values are refused where they are typed.
-    fn positive(name: &str, v: f64) -> Result<f64, String> {
-        if v.is_finite() && v > 0.0 {
-            Ok(v)
-        } else {
-            Err(format!("{name} must be positive and finite"))
-        }
-    }
-
-    fn parse_options(scenario: ScenarioKind, rest: &[String]) -> Result<Options, String> {
-        let mut options = Options::default();
-        // Flags that only make sense for the procedural city scenario —
-        // the paper presets have fixed geometry and traffic, so accepting
-        // these silently would run something other than what was asked.
-        let city_only = |flag: &str| {
-            if scenario == ScenarioKind::City {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{flag} only applies to the `city` scenario, not `{scenario:?}`"
-                ))
-            }
+    fn parse_options(
+        command: &str,
+        tables: &[&[Opt<PipelineArgs>]],
+        scenario: ScenarioKind,
+        rest: &[String],
+    ) -> Result<Options, String> {
+        let mut args = PipelineArgs {
+            scenario,
+            options: Options::default(),
         };
-        let mut it = rest.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
-            match flag.as_str() {
-                "--horizon" => {
-                    options.horizon = value("--horizon")?
-                        .parse()
-                        .map_err(|e| format!("--horizon: {e}"))?;
-                    if options.horizon == 0 {
-                        return Err("--horizon must be positive".to_string());
-                    }
-                }
-                "--train-s" => {
-                    let v = value("--train-s")?
-                        .parse()
-                        .map_err(|e| format!("--train-s: {e}"))?;
-                    options.train_s = positive("--train-s", v)?;
-                }
-                "--eval-s" => {
-                    let v = value("--eval-s")?
-                        .parse()
-                        .map_err(|e| format!("--eval-s: {e}"))?;
-                    options.eval_s = positive("--eval-s", v)?;
-                }
-                "--seed" => {
-                    options.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--redundancy" => {
-                    options.redundancy = value("--redundancy")?
-                        .parse()
-                        .map_err(|e| format!("--redundancy: {e}"))?;
-                    if options.redundancy == 0 {
-                        return Err("--redundancy must be positive".to_string());
-                    }
-                }
-                "--no-batching" => options.disable_batching = true,
-                "--shard-solver" => options.shard_solver = true,
-                "--pipelined" => options.pipelined = true,
-                "--trace" => options.trace_dir = Some(value("--trace")?),
-                "--cameras" => {
-                    city_only("--cameras")?;
-                    options.cameras = value("--cameras")?
-                        .parse()
-                        .map_err(|e| format!("--cameras: {e}"))?;
-                    if options.cameras == 0 {
-                        return Err("--cameras must be positive".to_string());
-                    }
-                }
-                "--intensity" => {
-                    city_only("--intensity")?;
-                    let v = value("--intensity")?
-                        .parse()
-                        .map_err(|e| format!("--intensity: {e}"))?;
-                    options.intensity = positive("--intensity", v)?;
-                }
-                "--threads" => {
-                    options.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                other => return Err(format!("unknown option `{other}`")),
-            }
-        }
-        Ok(options)
+        parse_flags(command, tables, &mut args, rest)?;
+        Ok(args.options)
     }
 
     /// Parses `mvs serve` options into a [`ServeConfig`] plus an optional
-    /// trace directory. Serving has its own flag set — pipeline-tuning
-    /// flags like `--horizon` or `--eval-s` are rejected here just like
-    /// serve flags are rejected on `run`.
+    /// trace directory. Serving has its own tables — pipeline-tuning flags
+    /// like `--horizon` or `--eval-s` are rejected here just like serve
+    /// flags are rejected on `run`.
     fn parse_serve_options(rest: &[String]) -> Result<(ServeConfig, Option<String>), String> {
-        let mut config = ServeConfig::default();
-        let mut trace_dir = None;
-        let mut loss = 0.0f64;
-        let mut dropout = 0.0f64;
-        let mut snapshot_every: Option<u64> = None;
-        let mut it = rest.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
-            fn probability(name: &str, v: f64) -> Result<f64, String> {
-                if (0.0..=1.0).contains(&v) {
-                    Ok(v)
-                } else {
-                    Err(format!("{name} must be a probability in [0, 1]"))
-                }
-            }
-            match flag.as_str() {
-                "--tenants" => {
-                    config.tenants = value("--tenants")?
-                        .parse()
-                        .map_err(|e| format!("--tenants: {e}"))?;
-                    if config.tenants == 0 {
-                        return Err("--tenants must be positive".to_string());
-                    }
-                }
-                "--cameras" => {
-                    config.cameras_per_tenant = value("--cameras")?
-                        .parse()
-                        .map_err(|e| format!("--cameras: {e}"))?;
-                    if config.cameras_per_tenant == 0 {
-                        return Err("--cameras must be positive".to_string());
-                    }
-                }
-                "--fps" => {
-                    let v = value("--fps")?.parse().map_err(|e| format!("--fps: {e}"))?;
-                    config.fps = positive("--fps", v)?;
-                }
-                "--duration-s" => {
-                    let v = value("--duration-s")?
-                        .parse()
-                        .map_err(|e| format!("--duration-s: {e}"))?;
-                    config.duration_s = positive("--duration-s", v)?;
-                }
-                "--capacity" => {
-                    let v = value("--capacity")?
-                        .parse()
-                        .map_err(|e| format!("--capacity: {e}"))?;
-                    config.capacity_cores = positive("--capacity", v)?;
-                }
-                "--seed" => {
-                    config.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--threads" => {
-                    config.threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--redundancy" => {
-                    config.redundancy = value("--redundancy")?
-                        .parse()
-                        .map_err(|e| format!("--redundancy: {e}"))?;
-                    if config.redundancy == 0 {
-                        return Err("--redundancy must be positive".to_string());
-                    }
-                }
-                "--intensity" => {
-                    let v = value("--intensity")?
-                        .parse()
-                        .map_err(|e| format!("--intensity: {e}"))?;
-                    config.intensity = positive("--intensity", v)?;
-                }
-                "--train-s" => {
-                    let v = value("--train-s")?
-                        .parse()
-                        .map_err(|e| format!("--train-s: {e}"))?;
-                    config.train_s = positive("--train-s", v)?;
-                }
-                "--loss" => {
-                    let v = value("--loss")?
-                        .parse()
-                        .map_err(|e| format!("--loss: {e}"))?;
-                    loss = probability("--loss", v)?;
-                }
-                "--dropout" => {
-                    let v = value("--dropout")?
-                        .parse()
-                        .map_err(|e| format!("--dropout: {e}"))?;
-                    dropout = probability("--dropout", v)?;
-                }
-                "--max-keep-every" => {
-                    config.max_keep_every = value("--max-keep-every")?
-                        .parse()
-                        .map_err(|e| format!("--max-keep-every: {e}"))?;
-                    if config.max_keep_every == 0 {
-                        return Err("--max-keep-every must be positive".to_string());
-                    }
-                }
-                "--shard-solver" => config.shard_solver = true,
-                "--pipelined" => config.pipelined = true,
-                "--trace" => trace_dir = Some(value("--trace")?),
-                "--chaos-seed" => {
-                    config.chaos.seed = value("--chaos-seed")?
-                        .parse()
-                        .map_err(|e| format!("--chaos-seed: {e}"))?;
-                }
-                "--crash-at" => {
-                    for part in value("--crash-at")?.split(',') {
-                        let v: f64 = part
-                            .parse()
-                            .map_err(|e| format!("--crash-at `{part}`: {e}"))?;
-                        if !v.is_finite() || v < 0.0 {
-                            return Err("--crash-at times must be non-negative seconds".into());
-                        }
-                        config.chaos.crash_at_us.push((v * 1e6).round() as u64);
-                    }
-                }
-                "--restart-delay-s" => {
-                    let v = value("--restart-delay-s")?
-                        .parse()
-                        .map_err(|e| format!("--restart-delay-s: {e}"))?;
-                    config.chaos.restart_delay_us =
-                        (positive("--restart-delay-s", v)? * 1e6).round() as u64;
-                }
-                "--poison" => {
-                    let v = value("--poison")?
-                        .parse()
-                        .map_err(|e| format!("--poison: {e}"))?;
-                    config.chaos.poison_per_frame = probability("--poison", v)?;
-                }
-                "--quarantine-s" => {
-                    let v = value("--quarantine-s")?
-                        .parse()
-                        .map_err(|e| format!("--quarantine-s: {e}"))?;
-                    config.chaos.quarantine_us =
-                        (positive("--quarantine-s", v)? * 1e6).round() as u64;
-                }
-                "--degrade" => {
-                    let spec = value("--degrade")?;
-                    let parts: Vec<&str> = spec.split(':').collect();
-                    if parts.len() < 2 || parts.len() > 3 {
-                        return Err(format!(
-                            "--degrade expects AT_S:CAPACITY_FACTOR[:SERVICE_INFLATION], \
-                             got `{spec}`"
-                        ));
-                    }
-                    let at_s: f64 = parts[0]
-                        .parse()
-                        .map_err(|e| format!("--degrade at `{}`: {e}", parts[0]))?;
-                    if !at_s.is_finite() || at_s < 0.0 {
-                        return Err("--degrade time must be non-negative seconds".into());
-                    }
-                    let factor: f64 = parts[1]
-                        .parse()
-                        .map_err(|e| format!("--degrade factor `{}`: {e}", parts[1]))?;
-                    let inflation: f64 = match parts.get(2) {
-                        Some(p) => p
-                            .parse()
-                            .map_err(|e| format!("--degrade inflation `{p}`: {e}"))?,
-                        None => 1.0,
-                    };
-                    config.chaos.degrades.push(PoolDegrade {
-                        at_us: (at_s * 1e6).round() as u64,
-                        capacity_factor: factor,
-                        service_inflation: inflation,
-                    });
-                }
-                "--snapshot-every" => {
-                    snapshot_every = Some(
-                        value("--snapshot-every")?
-                            .parse()
-                            .map_err(|e| format!("--snapshot-every: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown serve option `{other}`")),
-            }
-        }
-        if loss > 0.0 || dropout > 0.0 {
+        let mut args = ServeArgs {
+            config: ServeConfig::default(),
+            trace_dir: None,
+            loss: 0.0,
+            dropout: 0.0,
+            snapshot_every: None,
+        };
+        let tables = [SERVE_OPTIONS, SERVE_CHAOS_OPTIONS];
+        parse_flags("serve", &tables, &mut args, rest)?;
+        let mut config = args.config;
+        if args.loss > 0.0 || args.dropout > 0.0 {
             config.faults = FaultModel {
-                keyframe_loss: loss,
-                dropout_per_horizon: dropout,
-                rejoin_per_horizon: if dropout > 0.0 { 0.3 } else { 0.0 },
+                keyframe_loss: args.loss,
+                dropout_per_horizon: args.dropout,
+                rejoin_per_horizon: if args.dropout > 0.0 { 0.3 } else { 0.0 },
                 ..FaultModel::none()
             };
         }
         // Crashes need checkpoints to recover from: default to a
         // one-horizon cadence when crashes are scheduled and the user
         // did not pick one explicitly.
-        config.snapshot_every_horizons =
-            snapshot_every.unwrap_or(u64::from(!config.chaos.crash_at_us.is_empty()));
+        config.snapshot_every_horizons = args
+            .snapshot_every
+            .unwrap_or(u64::from(!config.chaos.crash_at_us.is_empty()));
+        at_least_one_frame("--duration-s", config.duration_s, config.fps)?;
         // Cross-field consistency comes from the typed validator, so a
         // nonsensical mix fails here with its message instead of
         // panicking mid-run.
         config
             .validate()
             .map_err(|e| format!("invalid serve configuration: {e}"))?;
-        Ok((config, trace_dir))
+        Ok((config, args.trace_dir))
     }
+
+    /// The `--help` text: the fixed preamble, then one section per table.
+    pub fn usage() -> String {
+        let mut out = String::from(USAGE_HEAD);
+        render_section(&mut out, "OPTIONS (run, compare)", PIPELINE_OPTIONS);
+        render_section(&mut out, "OPTIONS (run only)", RUN_OPTIONS);
+        out.push_str(
+            "\nOptions only apply where they make sense: city knobs are rejected on the\n\
+             fixed presets, serve flags are rejected on `run`, and vice versa.\n",
+        );
+        render_section(&mut out, "SERVE OPTIONS", SERVE_OPTIONS);
+        render_section(
+            &mut out,
+            "SERVE CHAOS OPTIONS (all virtual-time, seeded, deterministic)",
+            SERVE_CHAOS_OPTIONS,
+        );
+        out
+    }
+
+    const USAGE_HEAD: &str = "\
+mvs — multi-view scheduling of onboard live video analytics (ICDCS 2022)
+
+USAGE:
+    mvs run <scenario> <algorithm> [options]   run one pipeline configuration
+    mvs compare <scenario> [options]           run every algorithm side by side
+    mvs workload <scenario>                    per-camera workload series (Fig. 2)
+    mvs serve [serve options]                  multi-tenant serving event loop
+
+SCENARIOS:
+    s1 s2 s3    the paper's deployment presets
+    city        procedural city-scale fleet (size it with --cameras,
+                load it with --intensity; generated from --seed)
+
+ALGORITHMS:
+    full        full-frame inspection on every frame
+    balb        the paper's complete scheduler
+    balb-ind    per-camera BALB without coordination
+    balb-cen    central stage only
+    sp          static spatial partitioning baseline
+    sp-oracle   SP with oracle world geometry (ablation)
+";
 
     #[cfg(test)]
     mod tests {
@@ -600,6 +798,10 @@ mod cli {
             assert!(parse(&args("run city balb --cameras 0")).is_err());
             assert!(parse(&args("run city balb --intensity 0")).is_err());
             assert!(parse(&args("run city balb --intensity nan")).is_err());
+            // `compare` writes no trace: it used to accept the flag and
+            // ignore it.
+            let err = parse(&args("compare s1 --trace d")).unwrap_err();
+            assert!(err.contains("--trace"), "{err}");
             // Durations become frame counts: `inf` used to run forever and
             // the rest printed a report over no samples.
             for flag in ["--train-s", "--eval-s"] {
@@ -765,6 +967,37 @@ mod cli {
         }
 
         #[test]
+        fn every_table_flag_parses_and_is_documented() {
+            // One row per flag drives both the parser and the help, so
+            // neither can name a flag the other does not: every row is
+            // accepted by its command (with one of a few sample values) and
+            // listed under it, and the help names no flag without a row.
+            fn walk<T>(command: &str, tables: &[&[Opt<T>]]) -> Vec<&'static str> {
+                let usage = usage();
+                let mut flags = Vec::new();
+                for opt in tables.iter().flat_map(|t| t.iter()) {
+                    let accepted = ["", "2", "0.5", "2:0.5"].iter().any(|v| {
+                        v.is_empty() != opt.takes_value()
+                            && parse(&args(&format!("{command} {} {v}", opt.flag()))).is_ok()
+                    });
+                    assert!(accepted, "`{command} {}` is never accepted", opt.flag());
+                    let listed = format!("\n    {} ", opt.spec);
+                    assert!(usage.contains(&listed), "{listed} not in --help");
+                    flags.push(opt.flag());
+                }
+                flags
+            }
+            let mut flags = walk("run city balb", &[PIPELINE_OPTIONS, RUN_OPTIONS]);
+            flags.extend(walk("compare city", &[PIPELINE_OPTIONS]));
+            flags.extend(walk("serve", &[SERVE_OPTIONS, SERVE_CHAOS_OPTIONS]));
+            for word in usage().split(|c: char| !(c.is_alphanumeric() || c == '-')) {
+                if word.starts_with("--") && word != "--help" {
+                    assert!(flags.contains(&word), "--help names unparsed `{word}`");
+                }
+            }
+        }
+
+        #[test]
         fn empty_and_help() {
             assert_eq!(parse(&[]).unwrap(), Command::Help);
             assert_eq!(parse(&args("--help")).unwrap(), Command::Help);
@@ -786,98 +1019,6 @@ mod cli {
         }
     }
 }
-
-const USAGE: &str = "\
-mvs — multi-view scheduling of onboard live video analytics (ICDCS 2022)
-
-USAGE:
-    mvs run <scenario> <algorithm> [options]   run one pipeline configuration
-    mvs compare <scenario> [options]           run every algorithm side by side
-    mvs workload <scenario>                    per-camera workload series (Fig. 2)
-    mvs serve [serve options]                  multi-tenant serving event loop
-
-SCENARIOS:
-    s1 s2 s3    the paper's deployment presets
-    city        procedural city-scale fleet (size it with --cameras,
-                load it with --intensity; generated from --seed)
-
-ALGORITHMS:
-    full        full-frame inspection on every frame
-    balb        the paper's complete scheduler
-    balb-ind    per-camera BALB without coordination
-    balb-cen    central stage only
-    sp          static spatial partitioning baseline
-    sp-oracle   SP with oracle world geometry (ablation)
-
-OPTIONS:
-    --horizon N       scheduling horizon in frames   (default 10)
-    --train-s S       association training seconds   (default 60)
-    --eval-s S        evaluated seconds              (default 60)
-    --seed N          RNG seed                       (default 17)
-    --redundancy N    owners per object              (default 1)
-    --no-batching     force GPU batch limits to one
-    --threads N       camera worker threads; 0 = auto (default 0):
-                      MVS_THREADS env, else available CPU parallelism.
-                      Results are identical at any thread count.
-    --trace DIR       record per-stage spans (sim-clock, deterministic) and
-                      write DIR/trace.chrome.json (chrome://tracing),
-                      DIR/stages.prom (Prometheus text), DIR/trace.golden.txt
-                      (golden format), plus a per-stage latency table.
-    --cameras N       city fleet size                (default 128; city only)
-    --intensity X     city traffic multiplier        (default 1.0; city only)
-    --shard-solver    solve key frames shard-by-shard over the camera
-                      overlap graph instead of in one pass (identical
-                      schedules; compute-only knob)
-    --pipelined       overlap the central solve with uplink-leg encoding
-                      on key frames (identical results; wall-clock-only
-                      knob)
-
-Options only apply where they make sense: city knobs are rejected on the
-fixed presets, serve flags are rejected on `run`, and vice versa.
-
-SERVE OPTIONS:
-    --tenants N        tenant deployments               (default 4)
-    --cameras N        cameras per tenant               (default 8)
-    --fps X            capture rate per tenant          (default 10)
-    --duration-s S     served seconds of virtual time   (default 30)
-    --capacity X       provisioned compute, in cores    (default 4);
-                       admission degrades tenants (shed redundancy, then
-                       process every d-th frame, then reject) until the
-                       aggregate modeled load fits
-    --seed N           base seed; tenant t uses seed+t  (default 2022)
-    --threads N        persistent-pool lanes for tenant-parallel phases
-                       (admission pilots, restores, readmissions) and each
-                       tenant's camera workers; 0 = auto (MVS_THREADS env,
-                       else the machine). Reports identical at any value.
-    --redundancy N     requested owners per object      (default 1)
-    --intensity X      city traffic multiplier          (default 1.0)
-    --train-s S        association training seconds     (default 20)
-    --loss P           key-frame message loss probability per attempt
-    --dropout P        camera dropout probability per horizon
-    --max-keep-every N deepest frame-thinning rung      (default 4)
-    --shard-solver     sharded central solver
-    --pipelined        overlap each tenant's central solve with uplink
-                       encoding (identical reports)
-    --trace DIR        write per-tenant labeled Prometheus text and Chrome
-                       traces into DIR/
-
-SERVE CHAOS OPTIONS (all virtual-time, seeded, deterministic):
-    --chaos-seed N     seed of the serve-level chaos stream (default 0)
-    --crash-at S[,S…]  crash the coordinator at these virtual seconds; it
-                       restores the latest snapshot after the restart
-                       delay and counts the gap as replayed frames
-    --restart-delay-s S  outage length per crash     (default 0.5)
-    --poison P         per-dispatch probability that a tenant's pipeline
-                       step panics; the panic is caught and the tenant
-                       quarantined, then re-admitted through the ladder
-    --quarantine-s S   quarantine window             (default 5)
-    --degrade AT:CAP[:INFL]  at AT seconds scale pool capacity by CAP and
-                       service times by INFL (repeatable; admission is
-                       re-evaluated at each event)
-    --snapshot-every N checkpoint every N scheduling horizons (0 = off;
-                       defaults to 1 when --crash-at is given). Snapshots
-                       never change results.
-";
 
 /// Prints the per-stage latency table and writes the three trace exports.
 fn report_trace(trace: &Trace, dir: &str) -> std::io::Result<()> {
@@ -1054,7 +1195,6 @@ fn config_from(algorithm: Algorithm, options: &cli::Options) -> PipelineConfig {
         disable_batching: options.disable_batching,
         threads: options.threads,
         shard_solver: options.shard_solver,
-        pipelined: options.pipelined,
         ..PipelineConfig::paper_default(algorithm)
     }
 }
@@ -1074,21 +1214,25 @@ fn scenario_from(kind: ScenarioKind, options: &cli::Options) -> Scenario {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match cli::parse(&args) {
-        Ok(c) => c,
+    match cli::parse(&args).and_then(execute) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn execute(command: cli::Command) -> Result<(), String> {
     match command {
-        cli::Command::Help => print!("{USAGE}"),
+        cli::Command::Help => print!("{}", cli::usage()),
         cli::Command::Run {
             scenario,
             algorithm,
             options,
         } => {
             let sc = scenario_from(scenario, &options);
+            cli::at_least_one_frame("--eval-s", options.eval_s, sc.fps)?;
             println!(
                 "running {algorithm} on {scenario} ({} cameras)…",
                 sc.num_cameras()
@@ -1122,14 +1266,13 @@ fn main() -> ExitCode {
                 oh.central_ms, oh.tracking_ms, oh.distributed_ms, oh.batching_ms
             );
             if let (Some(dir), Some(trace)) = (&options.trace_dir, &trace) {
-                if let Err(e) = report_trace(trace, dir) {
-                    eprintln!("error: writing trace exports to {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                report_trace(trace, dir)
+                    .map_err(|e| format!("writing trace exports to {dir}: {e}"))?;
             }
         }
         cli::Command::Compare { scenario, options } => {
             let sc = scenario_from(scenario, &options);
+            cli::at_least_one_frame("--eval-s", options.eval_s, sc.fps)?;
             let mut table = TextTable::new(vec!["algorithm", "recall", "latency (ms)", "speedup"]);
             let mut full = None;
             for algorithm in [
@@ -1168,10 +1311,8 @@ fn main() -> ExitCode {
             };
             report_serve(&report);
             if let (Some(dir), Some(traces)) = (&trace_dir, &traces) {
-                if let Err(e) = write_serve_traces(traces, dir) {
-                    eprintln!("error: writing serve traces to {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                write_serve_traces(traces, dir)
+                    .map_err(|e| format!("writing serve traces to {dir}: {e}"))?;
             }
         }
         cli::Command::Workload { scenario } => {
@@ -1185,7 +1326,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]

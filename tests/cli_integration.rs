@@ -62,6 +62,26 @@ fn unusable_duration_fails_at_parse_time() {
 }
 
 #[test]
+fn runs_that_used_to_do_nothing_are_refused() {
+    // These used to run zero frames and report success: recall 1.000 over
+    // no samples (`run`), recall from the admission pilot (`serve`).
+    for args in [
+        &["run", "s1", "balb", "--eval-s", "0.01"][..],
+        &["compare", "s1", "--eval-s", "0.01"],
+        &["serve", "--duration-s", "0.01"],
+        // … and `compare` took `--trace` and wrote nothing.
+        &["compare", "s1", "--trace", "d"],
+    ] {
+        let out = mvs().args(args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert!(err.contains(flag), "{args:?}: stderr: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+#[test]
 fn short_run_reports_metrics() {
     let out = mvs()
         .args([

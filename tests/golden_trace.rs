@@ -4,9 +4,8 @@
 //! (`measured_overheads = false`), renders the trace in the compact golden
 //! format, and compares it byte-for-byte against the file checked into
 //! `tests/golden/`. The render is repeated at 1, 2, 4, and 8 worker
-//! threads inside each test — sequentially and with the pipelined
-//! key-frame path on — so any thread-count or overlap dependence fails
-//! here before it reaches CI's `MVS_THREADS` matrix.
+//! threads inside each test, so any thread-count dependence fails here
+//! before it reaches CI's `MVS_THREADS` matrix.
 //!
 //! To regenerate after an intentional pipeline or format change:
 //!
@@ -43,26 +42,18 @@ fn base_config() -> PipelineConfig {
 }
 
 fn check_golden(name: &str, scenario: &Scenario, config: &PipelineConfig) {
-    let mut rendered: Vec<String> = Vec::new();
-    for threads in THREAD_COUNTS {
-        for pipelined in [false, true] {
+    let rendered: Vec<String> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| {
             let cfg = PipelineConfig {
                 threads,
-                pipelined,
                 ..config.clone()
             };
-            let (_, trace) = run_pipeline_traced(scenario, &cfg);
-            rendered.push(trace.golden_text());
-        }
-    }
-    for (i, r) in rendered.iter().enumerate().skip(1) {
-        let threads = THREAD_COUNTS[i / 2];
-        let mode = if i % 2 == 1 {
-            "pipelined"
-        } else {
-            "sequential"
-        };
-        assert_eq!(&rendered[0], r, "{name}: {mode} at {threads} threads");
+            run_pipeline_traced(scenario, &cfg).1.golden_text()
+        })
+        .collect();
+    for (r, threads) in rendered.iter().zip(THREAD_COUNTS).skip(1) {
+        assert_eq!(&rendered[0], r, "{name}: at {threads} threads");
     }
 
     let path = golden_path(name);
