@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates the deterministic KNN-derived result files. Each is a pure
-# function of the checkout, so a difference from the checked-in copy is a
-# behaviour change on the KNN / association path (or a stale file):
+# Regenerates the deterministic result files (`names` below; one mvs-bench
+# bin each, results/<name>.json). Each is a pure function of the checkout at
+# any MVS_THREADS, so a difference from the checked-in copy is a behaviour
+# change (or a stale file). Wall-clock results (table2_overhead, BENCH_*)
+# are not listed.
 #
-#   results/fig10_classification.json
-#   results/fig11_regression.json
-#   results/ablation_knn_k.json
-#
-#   scripts/regen-results.sh             # rewrite the three files in place
+#   scripts/regen-results.sh             # rewrite the files in place
 #   scripts/regen-results.sh --check     # regenerate, diff against the
 #                                        # checked-in copies, put them back;
 #                                        # exit 1 on any difference
@@ -29,7 +27,11 @@ for arg in "$@"; do
   esac
 done
 
-names=(fig10_classification fig11_regression ablation_knn_k)
+names=(
+  fig2_workload fig10_classification fig11_regression fig12_recall
+  fig13_latency fig14_horizon table1_config ablation_knn_k ablation_balb
+  extension_sync extension_response extension_redundancy
+)
 bins=()
 for name in "${names[@]}"; do
   bins+=(--bin "${name}")
