@@ -20,7 +20,7 @@
 //! cameras at 10 fps under the fault model (key-frame loss and camera
 //! dropout), which must complete with zero panics and bounded lanes.
 //!
-//! The flagship shape (4 and 16 tenants, sharded key frames) also runs
+//! The flagship shape (4 and 16 tenants) also runs
 //! for real at 1 and 8 threads and the two reports must be equal — the
 //! serve layer's parallel phases may never show in a report. Wall-clock serve throughput is measured by `bench-e2e/`
 //! (`serve-steady`, `serve-chaos`), not here.
@@ -172,13 +172,11 @@ fn row(name: &str, report: &ServeReport) -> MixRow {
 fn assert_thread_invariant_reports() {
     for tenants in [4usize, 16] {
         // The flagship shape, scaled: capacity tracks the tenant count so
-        // the ladder stresses admission identically per row, with the
-        // compute-only solver knob on so every pool-routed phase runs.
+        // the ladder stresses admission identically per row.
         let config = ServeConfig {
             tenants,
             capacity_cores: 24.0 * tenants as f64 / 16.0,
             threads: 1,
-            shard_solver: true,
             ..flagship()
         };
         let reference = run_serve(&config);

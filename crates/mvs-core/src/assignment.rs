@@ -1,7 +1,7 @@
 //! Object→camera assignments and the latency arithmetic of Definition 1.
 
 use crate::{CameraId, MvsProblem, ObjectId};
-use mvs_vision::{SizeCounts, SizeCountsBatch};
+use mvs_vision::SizeCounts;
 use serde::{Deserialize, Serialize};
 
 /// An assignment matrix `X` between cameras and objects (Definition 2),
@@ -71,22 +71,6 @@ impl Assignment {
         }
     }
 
-    /// Removes `camera` from `object`'s owners. Returns whether it was set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object id is out of range.
-    pub fn unassign(&mut self, object: ObjectId, camera: CameraId) -> bool {
-        let owners = &mut self.owners[object.0];
-        match owners.binary_search(&camera) {
-            Ok(pos) => {
-                owners.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Cameras tracking `object`.
     ///
     /// # Panics
@@ -127,12 +111,7 @@ impl Assignment {
     }
 
     /// Per-size crop counts charged to `camera` by this assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an owner camera lies outside some object's coverage set
-    /// (infeasible assignments have no defined latency).
-    pub fn size_counts(&self, problem: &MvsProblem, camera: CameraId) -> SizeCounts {
+    fn size_counts(&self, problem: &MvsProblem, camera: CameraId) -> SizeCounts {
         let mut counts = SizeCounts::new();
         for (j, owners) in self.owners.iter().enumerate() {
             if owners.contains(&camera) {
@@ -148,6 +127,11 @@ impl Assignment {
     /// Camera latency `L_i` (Definition 1): greedy-batched partial-frame
     /// inspection time, plus the camera's full-frame time when
     /// `include_full_frame` (Algorithm 1 initializes `L_i := t_i^full`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an owner camera lies outside some object's coverage set
+    /// (infeasible assignments have no defined latency).
     pub fn camera_latency_ms(
         &self,
         problem: &MvsProblem,
@@ -163,59 +147,11 @@ impl Assignment {
         base + self.size_counts(problem, camera).latency_ms(profile)
     }
 
-    /// Per-camera latencies `L_i` for *every* camera at once, through the
-    /// batched size-count matrix: one object-major pass over the owner
-    /// lists fills `scratch`, then one flat pass over the matrix computes
-    /// each camera's latency. `out[i]` is bitwise identical to
-    /// [`camera_latency_ms`](Self::camera_latency_ms) for camera `i` —
-    /// the per-camera counts are the same multiset and the latency terms
-    /// are summed in the same size-class order — while avoiding the
-    /// scalar path's full owner-table scan per camera.
-    pub fn camera_latencies_batched_into(
-        &self,
-        problem: &MvsProblem,
-        include_full_frame: bool,
-        scratch: &mut SizeCountsBatch,
-        out: &mut Vec<f64>,
-    ) {
-        let m = problem.num_cameras();
-        scratch.reset(m);
-        for (j, owners) in self.owners.iter().enumerate() {
-            for &camera in owners {
-                let size = problem.objects()[j]
-                    .size_on(camera)
-                    .expect("owner camera must cover the object");
-                scratch.add(camera.0, size);
-            }
-        }
-        out.clear();
-        out.extend((0..m).map(|i| {
-            let profile = problem.profile(CameraId(i));
-            let base = if include_full_frame {
-                profile.full_frame_ms()
-            } else {
-                0.0
-            };
-            base + scratch.latency_row_ms(i, profile)
-        }));
-    }
-
     /// System latency `L = max_i L_i` over all cameras.
-    ///
-    /// Runs on the batched path
-    /// ([`camera_latencies_batched_into`](Self::camera_latencies_batched_into)),
-    /// folding the max in camera order — the exact value the per-camera
-    /// scalar loop produced.
     pub fn system_latency_ms(&self, problem: &MvsProblem, include_full_frame: bool) -> f64 {
-        let mut scratch = SizeCountsBatch::new();
-        let mut latencies = Vec::new();
-        self.camera_latencies_batched_into(
-            problem,
-            include_full_frame,
-            &mut scratch,
-            &mut latencies,
-        );
-        latencies.into_iter().fold(0.0, f64::max)
+        (0..problem.num_cameras())
+            .map(|i| self.camera_latency_ms(problem, CameraId(i), include_full_frame))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -257,15 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn assign_unassign_round_trip() {
+    fn assign_is_idempotent_and_sorted() {
         let mut a = Assignment::empty(3);
         a.assign(ObjectId(1), CameraId(2));
         a.assign(ObjectId(1), CameraId(0));
         a.assign(ObjectId(1), CameraId(2)); // idempotent
         assert_eq!(a.owners_of(ObjectId(1)), &[CameraId(0), CameraId(2)]);
-        assert!(a.unassign(ObjectId(1), CameraId(0)));
-        assert!(!a.unassign(ObjectId(1), CameraId(0)));
-        assert_eq!(a.sole_owner(ObjectId(1)), Some(CameraId(2)));
+        assert_eq!(a.sole_owner(ObjectId(1)), None);
+        a.assign(ObjectId(0), CameraId(2));
+        assert_eq!(a.sole_owner(ObjectId(0)), Some(CameraId(2)));
     }
 
     #[test]

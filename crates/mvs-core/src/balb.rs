@@ -136,7 +136,7 @@ pub(crate) fn order_key_index(key: u64) -> usize {
 }
 
 /// One greedy placement decision of Algorithm 1 lines 4-12, shared verbatim
-/// by the monolithic pass and the sharded solve so both make
+/// by the monolithic pass and the per-component solve so both make
 /// bitwise-identical choices: it mutates `latencies`/`counts` and returns
 /// the chosen camera (the caller records the assignment).
 pub(crate) fn greedy_place(
@@ -229,8 +229,7 @@ pub(crate) fn sort_priority(priority: &mut [CameraId], latencies: &[f64]) {
     // City fleets: non-negative finite doubles order identically by IEEE
     // bit pattern, and the camera id in the low bits makes every key
     // unique, so one unstable integer sort reproduces the (latency, id)
-    // lexicographic order of the float comparator exactly — this is the
-    // serial tail of the sharded key-frame solve, so its constant matters.
+    // lexicographic order of the float comparator exactly.
     let mut keys: Vec<u128> = priority
         .iter()
         .map(|c| ((latencies[c.0].to_bits() as u128) << 64) | c.0 as u128)

@@ -192,15 +192,10 @@ pub fn min_total_workload(problem: &MvsProblem) -> (Assignment, f64) {
 
 /// Total workload `Σ_i L_i` (ms, without full-frame floors) of an
 /// arbitrary assignment — the metric [`min_total_workload`] optimizes.
-///
-/// Computed through the batched size-count matrix (one pass over the
-/// assignment instead of one owner-table scan per camera); the summands
-/// and summation order match the per-camera scalar loop exactly.
 pub fn total_workload_ms(problem: &MvsProblem, assignment: &Assignment) -> f64 {
-    let mut scratch = mvs_vision::SizeCountsBatch::new();
-    let mut latencies = Vec::new();
-    assignment.camera_latencies_batched_into(problem, false, &mut scratch, &mut latencies);
-    latencies.into_iter().sum()
+    (0..problem.num_cameras())
+        .map(|i| assignment.camera_latency_ms(problem, CameraId(i), false))
+        .sum()
 }
 
 #[cfg(test)]

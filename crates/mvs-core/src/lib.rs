@@ -20,8 +20,10 @@
 //!   every key frame;
 //! * [`BalbSolver`] — the same pass on buffers reused across key frames,
 //!   bit-equal to [`balb_central`];
-//! * [`balb_sharded`] over a [`ShardPlan`] — one independent pass per shard,
-//!   bit-equal to [`balb_central`] when shards are whole overlap components;
+//! * [`OverlapGraph`] — which cameras can co-observe — and, over its
+//!   components ([`ShardPlan`]), [`balb_sharded`]: one independent pass per
+//!   component, bit-equal to [`balb_central`] (no pipeline calls it; it is
+//!   the executable form of that decomposition argument);
 //! * [`CameraMask`] / [`DistributedPolicy`] — the distributed stage run at
 //!   every regular frame, deciding new-object and takeover responsibility
 //!   from synchronized cell masks without cross-camera communication;

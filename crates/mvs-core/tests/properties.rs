@@ -110,18 +110,6 @@ proptest! {
     }
 
     #[test]
-    fn unassign_then_assign_round_trips(p in arb_problem()) {
-        let s = balb_central(&p);
-        let mut a = s.assignment.clone();
-        let obj = ObjectId(p.num_objects() - 1);
-        let owner = a.owners_of(obj)[0];
-        prop_assert!(a.unassign(obj, owner));
-        prop_assert!(!a.is_feasible(&p)); // the object is now untracked
-        a.assign(obj, owner);
-        prop_assert_eq!(a, s.assignment);
-    }
-
-    #[test]
     fn empty_assignment_latency_is_just_the_floor(p in arb_problem()) {
         let a = Assignment::empty(p.num_objects());
         for i in 0..p.num_cameras() {

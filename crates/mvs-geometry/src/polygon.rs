@@ -162,7 +162,7 @@ impl Polygon {
     /// normal of both polygons is a complete test — no sampling, unlike
     /// [`Polygon::overlap_area_approx`]. Used to build camera view-overlap
     /// graphs, where a false negative would split an overlapping pair into
-    /// different shards.
+    /// different components.
     ///
     /// # Examples
     ///

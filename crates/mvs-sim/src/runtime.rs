@@ -31,8 +31,8 @@ use crate::world::World;
 use mvs_assoc::{AssociationScratch, GlobalObject};
 use mvs_core::extensions::balb_redundant;
 use mvs_core::{
-    balb_sharded, BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask, CameraSubset,
-    MvsProblem, ObjectId, ObjectInfo, OverlapGraph, ShadowTrack, ShardPlan,
+    BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask, CameraSubset, MvsProblem, ObjectId,
+    ObjectInfo, ShadowTrack,
 };
 use mvs_exec::{pool, resolve_threads};
 use mvs_geometry::{BBox, SizeClass};
@@ -196,13 +196,14 @@ pub struct PipelineConfig {
     /// [`FaultModel::none`] (the default) makes the run bitwise identical
     /// to the fault-free pipeline.
     pub faults: FaultModel,
-    /// When true, fully-synced single-owner horizons solve the central
-    /// stage shard-by-shard along the instance's view-overlap components
-    /// (`mvs_core::balb_sharded`) instead of in one pass on the persistent
-    /// [`BalbSolver`]'s buffers. Results are bitwise identical
-    /// either way: instance-coverage shard plans are always exact, so the
-    /// sharded schedule reproduces `balb_central`. Degraded or redundant
-    /// horizons solve with `balb_redundant` regardless. Default false.
+    /// Inert: nothing reads it. The per-component key-frame solve it
+    /// selected is gone — every fully-synced single-owner horizon is one
+    /// pass on the pipeline's [`BalbSolver`] — and any value, or none,
+    /// deserializes to the same run. It is still a field only because
+    /// `bench-e2e/src/workload.rs` spells it; the `benchmark`-class PR that
+    /// stops naming it (ROADMAP item 1) removes it.
+    #[doc(hidden)]
+    #[serde(default)]
     pub shard_solver: bool,
     /// Inert: nothing reads it. The solve/uplink overlap it selected is
     /// gone — a key frame is one sequential pass — and any value, or none,
@@ -372,29 +373,21 @@ struct CoordinatorScratch {
 ///
 /// * degraded (`subset` is the synced sub-fleet) or redundant horizons solve
 ///   with [`balb_redundant`], which equals `balb_central` at redundancy 1;
-/// * fully-synced single-owner horizons run [`balb_sharded`] on the
-///   instance's component plan when `shard_solver`
-///   ([`PipelineConfig::shard_solver`]), and otherwise the monolithic pass
-///   on `solver`'s reused buffers.
+/// * fully-synced single-owner horizons run the one greedy pass on
+///   `solver`'s reused buffers.
 ///
-/// All three produce the bits of `balb_central` on a single-owner instance,
-/// so the choice never shows in a [`PipelineResult`]. The schedule is in
-/// the solved instance's ids (`subset`'s when degraded).
+/// Both produce the bits of `balb_central` on a single-owner instance. The
+/// schedule is in the solved instance's ids (`subset`'s when degraded).
 fn central_schedule<'s>(
     solver: &'s mut BalbSolver,
     problem: &MvsProblem,
     subset: Option<&CameraSubset>,
     redundancy: usize,
-    shard_solver: bool,
 ) -> Cow<'s, BalbSchedule> {
     let redundancy = redundancy.max(1);
     match subset {
         Some(subset) => Cow::Owned(balb_redundant(&subset.problem, redundancy)),
         None if redundancy > 1 => Cow::Owned(balb_redundant(problem, redundancy)),
-        None if shard_solver => {
-            let plan = ShardPlan::from_components(&OverlapGraph::from_problem(problem));
-            Cow::Owned(balb_sharded(problem, &plan))
-        }
         None => Cow::Borrowed(solver.solve(problem)),
     }
 }
@@ -1009,13 +1002,7 @@ impl Pipeline {
             Some(problem.restrict_to_cameras(&synced_cams).ok()?)
         };
         let subset = subset.as_ref();
-        let schedule = central_schedule(
-            &mut self.solver,
-            &problem,
-            subset,
-            self.redundancy,
-            dep.config.shard_solver,
-        );
+        let schedule = central_schedule(&mut self.solver, &problem, subset, self.redundancy);
         let solved = schedule.assignment.len();
         span_into(
             self.tracer.as_mut().map(|t| t.coordinator()),
@@ -1434,99 +1421,6 @@ mod tests {
             assert_eq!(runs[0], runs[1], "{algorithm}: 1 vs 2 threads");
             assert_eq!(runs[0], runs[2], "{algorithm}: 1 vs 7 threads");
         }
-    }
-
-    #[test]
-    fn shard_solver_matches_central_bitwise_at_any_thread_count() {
-        // The pipeline-level solver differential: the persistent
-        // `BalbSolver` (one monolithic pass on buffers carried over from
-        // earlier horizons) on one side, a per-component `balb_sharded`
-        // solve on fresh buffers every key frame on the other, bitwise
-        // identical at 1, 2, and 4 threads.
-        // Measured overheads off so the whole PipelineResult is comparable
-        // with `==`.
-        let sc = Scenario::new(ScenarioKind::S2);
-        for algorithm in [Algorithm::Balb, Algorithm::BalbCen] {
-            let mut base = quick_config(algorithm);
-            base.measured_overheads = false;
-            for threads in [1usize, 2, 4] {
-                let sharded = run_pipeline(
-                    &sc,
-                    &PipelineConfig {
-                        threads,
-                        shard_solver: true,
-                        ..base.clone()
-                    },
-                );
-                let central = run_pipeline(
-                    &sc,
-                    &PipelineConfig {
-                        threads,
-                        shard_solver: false,
-                        ..base.clone()
-                    },
-                );
-                assert_eq!(
-                    sharded, central,
-                    "{algorithm}: sharded vs central at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_solver_matches_central_under_faults() {
-        // Degraded horizons bypass the sharded path; fully-synced horizons
-        // between them shard. The mix must still be bitwise identical to a
-        // never-sharded run.
-        let sc = Scenario::new(ScenarioKind::S2);
-        let mut base = quick_config(Algorithm::Balb);
-        base.measured_overheads = false;
-        base.faults = FaultModel {
-            dropout_per_horizon: 0.3,
-            rejoin_per_horizon: 0.5,
-            keyframe_loss: 0.2,
-            ..FaultModel::none()
-        };
-        let sharded = run_pipeline(
-            &sc,
-            &PipelineConfig {
-                shard_solver: true,
-                ..base.clone()
-            },
-        );
-        let central = run_pipeline(
-            &sc,
-            &PipelineConfig {
-                shard_solver: false,
-                ..base
-            },
-        );
-        assert_eq!(sharded, central);
-    }
-
-    #[test]
-    fn shard_solver_runs_a_city_scenario() {
-        // A small city fleet end-to-end on the sharded path: every
-        // district schedules, the run stays deterministic, and tracing
-        // records central spans.
-        let sc = Scenario::city(&crate::scenario::CityConfig {
-            cameras: 12,
-            seed: 11,
-            intensity: 1.2,
-        });
-        let mut cfg = quick_config(Algorithm::BalbCen);
-        cfg.measured_overheads = false;
-        cfg.shard_solver = true;
-        let (a, trace) = run_pipeline_traced(&sc, &cfg);
-        let (b, _) = run_pipeline_traced(&sc, &cfg);
-        assert_eq!(a, b, "sharded city run must be deterministic");
-        assert!(a.recall > 0.5, "recall {}", a.recall);
-        let stats = trace.stage_stats();
-        assert!(
-            stats.contains_key(&Stage::Central),
-            "sharded path must still record central spans"
-        );
     }
 
     #[test]

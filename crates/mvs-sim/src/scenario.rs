@@ -9,7 +9,7 @@
 //! Beyond the paper's deployments, [`Scenario::city`] procedurally
 //! generates city-scale fleets (100–1000 cameras) on a seeded road grid:
 //! camera clusters around intersections ("districts") with per-district
-//! traffic intensity — the workload for the sharded scheduling path.
+//! traffic intensity.
 
 use crate::camera::CameraModel;
 use crate::trajectory::{FollowingModel, Route, SpawnConfig, TrafficLight};

@@ -116,7 +116,11 @@ pub struct ServeConfig {
     /// Deepest frame-dropping rung admission control may assign before
     /// rejecting a tenant (`keep_every` never exceeds this).
     pub max_keep_every: u64,
-    /// Solve key frames with `balb_sharded` ([`PipelineConfig::shard_solver`]).
+    /// Inert: nothing reads it and the tenants' pipelines never see it; still
+    /// a field for the reason [`PipelineConfig::shard_solver`] gives, and
+    /// removed with it.
+    #[doc(hidden)]
+    #[serde(default)]
     pub shard_solver: bool,
     /// Inert: nothing reads it and the tenants' pipelines never see it; still
     /// a field for the reason [`PipelineConfig::pipelined`] gives, and removed
@@ -167,7 +171,8 @@ pub enum ServeConfigError {
     NoTenants,
     /// `cameras_per_tenant` is zero.
     NoCameras,
-    /// `fps` is non-positive or non-finite.
+    /// `fps` is non-positive, non-finite, or so high that the capture
+    /// interval rounds below the virtual clock's 1 µs resolution.
     BadFps {
         /// The rejected value.
         value: f64,
@@ -229,7 +234,11 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::NoTenants => write!(f, "serve needs at least one tenant"),
             ServeConfigError::NoCameras => write!(f, "tenants need at least one camera"),
             ServeConfigError::BadFps { value } => {
-                write!(f, "fps must be finite and positive, got {value}")
+                write!(
+                    f,
+                    "fps must be finite, positive and at most 2e6 (the capture clock \
+                     has 1 µs resolution), got {value}"
+                )
             }
             ServeConfigError::BadDuration { value } => {
                 write!(f, "duration must be finite and non-negative, got {value}")
@@ -280,7 +289,7 @@ impl ServeConfig {
         if self.cameras_per_tenant == 0 {
             return Err(ServeConfigError::NoCameras);
         }
-        if !self.fps.is_finite() || self.fps <= 0.0 {
+        if !self.fps.is_finite() || self.fps <= 0.0 || self.capture_interval_us() == 0 {
             return Err(ServeConfigError::BadFps { value: self.fps });
         }
         if !self.duration_s.is_finite() || self.duration_s < 0.0 {
@@ -309,6 +318,13 @@ impl ServeConfig {
         Ok(())
     }
 
+    /// The capture period on the virtual µs clock. Zero would put every
+    /// frame of the run at one instant, so [`validate`](Self::validate)
+    /// rejects the rates that round to it.
+    fn capture_interval_us(&self) -> u64 {
+        (1e6 / self.fps).round() as u64
+    }
+
     /// Tenant `t`'s deployment: an independently seeded city of
     /// `cameras_per_tenant` cameras and the BALB pipeline serving it.
     fn tenant_spec(&self, t: usize) -> (CityConfig, PipelineConfig) {
@@ -325,7 +341,6 @@ impl ServeConfig {
             redundancy: self.redundancy,
             measured_overheads: false,
             faults: self.faults,
-            shard_solver: self.shard_solver,
             ..PipelineConfig::paper_default(Algorithm::Balb)
         };
         (city, pipe_config)
@@ -555,7 +570,7 @@ impl ServeLoop {
     /// over it.
     fn skeleton(config: &ServeConfig, traced: bool) -> Result<ServeLoop, ServeConfigError> {
         config.validate()?;
-        let interval_us = (1e6 / config.fps).round() as u64;
+        let interval_us = config.capture_interval_us();
         let tenants: Vec<Tenant> = (0..config.tenants)
             .map(|t| {
                 let (city, pipe_config) = config.tenant_spec(t);
@@ -913,6 +928,15 @@ mod tests {
             }
             .validate(),
             Err(ServeConfigError::BadFps { value: 0.0 })
+        );
+        // 1e6 / 3e6 rounds to a 0 µs capture interval.
+        assert_eq!(
+            ServeConfig {
+                fps: 3e6,
+                ..good.clone()
+            }
+            .validate(),
+            Err(ServeConfigError::BadFps { value: 3e6 })
         );
         assert_eq!(
             ServeConfig {

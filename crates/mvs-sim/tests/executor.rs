@@ -6,7 +6,7 @@
 //! runs, never what it computes. These tests pin that contract bitwise —
 //! latency series are compared through `f64::to_bits`, not float equality,
 //! so `-0.0` vs `0.0` or NaN drift cannot hide behind `PartialEq` — at
-//! 1/2/4/8 threads across default, sharded, and faulted runs,
+//! 1/2/4/8 threads across default and faulted runs,
 //! plus the serve layer's parallel admission/restore/readmission phases
 //! under a full chaos storm.
 
@@ -98,15 +98,6 @@ fn assert_pool_invisible(name: &str, config: &PipelineConfig) {
 #[test]
 fn pool_matches_single_thread_default() {
     assert_pool_invisible("default", &base_config());
-}
-
-#[test]
-fn pool_matches_single_thread_sharded() {
-    let config = PipelineConfig {
-        shard_solver: true,
-        ..base_config()
-    };
-    assert_pool_invisible("sharded", &config);
 }
 
 #[test]

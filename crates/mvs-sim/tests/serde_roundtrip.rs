@@ -22,39 +22,33 @@ fn pipeline_config_round_trips() {
     assert_eq!(cfg, back);
 }
 
-/// `pipelined` is an inert field kept for `bench-e2e`: JSON that sets it,
-/// clears it, or predates it all deserializes, and to the same run — traced
-/// at four threads, where the overlap it used to select would have run.
+/// `pipelined` and `shard_solver` are inert fields kept for `bench-e2e`:
+/// JSON that sets one, clears it, or predates it all deserializes, and to
+/// the same run — traced at four threads, where the modes they used to
+/// select would have run.
 #[test]
 fn pipelined_is_accepted_and_changes_nothing() {
     use mvs_sim::{run_pipeline_traced, run_serve, ServeConfig};
-    /// `json` with the field set, cleared and cut out (wherever it sits).
-    fn variants(json: &str) -> [String; 3] {
-        let field = "\"pipelined\":false";
-        assert!(json.contains(field), "{json}");
+    /// `json` with `key` set, cleared and cut out (wherever it sits).
+    fn variants(json: &str, key: &str) -> [String; 3] {
+        let field = format!("\"{key}\":false");
+        assert!(json.contains(&field), "{json}");
         let cut = json
             .replace(&format!("{field},"), "")
             .replace(&format!(",{field}"), "");
-        assert!(!cut.contains("pipelined"), "{cut}");
-        [json.replace(field, "\"pipelined\":true"), json.into(), cut]
+        assert!(!cut.contains(key), "{cut}");
+        let set = json.replace(&field, &format!("\"{key}\":true"));
+        [set, json.into(), cut]
     }
 
-    let config = PipelineConfig {
+    let pipeline = PipelineConfig {
         train_s: 20.0,
         eval_s: 3.0,
         threads: 4,
         measured_overheads: false,
         ..PipelineConfig::paper_default(Algorithm::Balb)
     };
-    let runs = variants(&serde_json::to_string(&config).unwrap()).map(|json| {
-        let config: PipelineConfig = serde_json::from_str(&json).unwrap();
-        let (result, trace) = run_pipeline_traced(&Scenario::new(ScenarioKind::S2), &config);
-        (result, trace.golden_text())
-    });
-    assert!(runs[0].0.frames > 0);
-    assert!(runs.iter().all(|run| *run == runs[0]));
-
-    let config = ServeConfig {
+    let serve = ServeConfig {
         tenants: 2,
         cameras_per_tenant: 2,
         duration_s: 2.0,
@@ -62,13 +56,23 @@ fn pipelined_is_accepted_and_changes_nothing() {
         threads: 4,
         ..ServeConfig::default()
     };
-    let reports = variants(&serde_json::to_string(&config).unwrap()).map(|json| {
-        let mut report = run_serve(&serde_json::from_str(&json).unwrap());
-        report.config.pipelined = false;
-        report
-    });
-    assert!(reports[0].processed > 0);
-    assert!(reports.iter().all(|report| *report == reports[0]));
+    for key in ["pipelined", "shard_solver"] {
+        let runs = variants(&serde_json::to_string(&pipeline).unwrap(), key).map(|json| {
+            let config: PipelineConfig = serde_json::from_str(&json).unwrap();
+            let (result, trace) = run_pipeline_traced(&Scenario::new(ScenarioKind::S2), &config);
+            (result, trace.golden_text())
+        });
+        assert!(runs[0].0.frames > 0);
+        assert!(runs.iter().all(|run| *run == runs[0]), "{key}");
+
+        let reports = variants(&serde_json::to_string(&serve).unwrap(), key).map(|json| {
+            let mut report = run_serve(&serde_json::from_str(&json).unwrap());
+            report.config = serve.clone();
+            report
+        });
+        assert!(reports[0].processed > 0);
+        assert!(reports.iter().all(|report| *report == reports[0]), "{key}");
+    }
 }
 
 #[test]

@@ -85,28 +85,6 @@ impl SizeCounts {
         }
     }
 
-    /// Removes one crop of `size` and returns the latency decrease (ms) —
-    /// non-zero exactly when the removal closes a batch. Returns `0.0`
-    /// without mutating when no crop of `size` is present. The O(1)
-    /// counterpart of [`add_with_delta`](Self::add_with_delta).
-    pub fn remove_with_delta(&mut self, size: SizeClass, profile: &LatencyProfile) -> f64 {
-        let limit = profile.batch_limit(size);
-        let c = &mut self.counts[size.index()];
-        if *c == 0 {
-            return 0.0;
-        }
-        // `ceil(c/limit)` drops exactly when c ≡ 1 (mod limit); the
-        // `1 % limit` form also covers limit == 1, where every crop is its
-        // own batch.
-        let closes_batch = *c % limit == 1 % limit;
-        *c -= 1;
-        if closes_batch {
-            profile.batch_latency_ms(size)
-        } else {
-            0.0
-        }
-    }
-
     /// Per-frame DNN latency (ms) under greedy same-size batching on the
     /// given device profile — the camera latency of Definition 1 minus any
     /// full-frame term.
@@ -154,114 +132,6 @@ impl SizeCounts {
 pub fn batches_needed(count: usize, limit: usize) -> usize {
     assert!(limit > 0, "batch limit must be positive");
     count.div_ceil(limit)
-}
-
-/// Per-size crop counts for *every* camera at once, stored as one flat
-/// row-major matrix (`rows × SizeClass::COUNT`).
-///
-/// The scalar path materializes a [`SizeCounts`] per camera and walks them
-/// in separate per-camera loops; this batch keeps all counts contiguous so
-/// cross-camera accumulation (one pass over the assignment) and the
-/// latency model (one pass over the matrix) iterate flat slices. Each
-/// row's latency is the exact [`SizeCounts::latency_ms`] expression —
-/// bitwise identical, which the differential proptests enforce.
-///
-/// # Examples
-///
-/// ```
-/// use mvs_geometry::SizeClass;
-/// use mvs_vision::{DeviceKind, LatencyProfile, SizeCounts, SizeCountsBatch};
-///
-/// let p = LatencyProfile::for_device(DeviceKind::Xavier);
-/// let mut batch = SizeCountsBatch::new();
-/// batch.reset(2);
-/// batch.add(0, SizeClass::S128);
-/// batch.add(1, SizeClass::S512);
-/// let scalar = SizeCounts::from_sizes([SizeClass::S128]);
-/// assert_eq!(
-///     batch.latency_row_ms(0, &p).to_bits(),
-///     scalar.latency_ms(&p).to_bits()
-/// );
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SizeCountsBatch {
-    counts: Vec<usize>,
-    rows: usize,
-}
-
-impl SizeCountsBatch {
-    /// An empty batch with zero rows.
-    #[must_use]
-    pub fn new() -> Self {
-        SizeCountsBatch::default()
-    }
-
-    /// Number of rows (cameras) in the batch.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Zeroes the matrix and resizes it to `rows` cameras, keeping the
-    /// allocation (the per-solve buffer-reuse path).
-    pub fn reset(&mut self, rows: usize) {
-        self.counts.clear();
-        self.counts.resize(rows * SizeClass::COUNT, 0);
-        self.rows = rows;
-    }
-
-    /// Adds one crop of `size` to camera `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    #[inline]
-    pub fn add(&mut self, row: usize, size: SizeClass) {
-        assert!(row < self.rows, "row {row} out of range");
-        self.counts[row * SizeClass::COUNT + size.index()] += 1;
-    }
-
-    /// Number of crops of `size` on camera `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn count(&self, row: usize, size: SizeClass) -> usize {
-        assert!(row < self.rows, "row {row} out of range");
-        self.counts[row * SizeClass::COUNT + size.index()]
-    }
-
-    /// Copies camera `row` out as a scalar [`SizeCounts`] (the AoS adapter
-    /// direction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row(&self, row: usize) -> SizeCounts {
-        assert!(row < self.rows, "row {row} out of range");
-        let base = row * SizeClass::COUNT;
-        let mut counts = [0; SizeClass::COUNT];
-        counts.copy_from_slice(&self.counts[base..base + SizeClass::COUNT]);
-        SizeCounts { counts }
-    }
-
-    /// Per-frame DNN latency (ms) of camera `row` under greedy same-size
-    /// batching — the same terms, summed in the same size-class order, as
-    /// [`SizeCounts::latency_ms`], so the result is bitwise identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn latency_row_ms(&self, row: usize, profile: &LatencyProfile) -> f64 {
-        assert!(row < self.rows, "row {row} out of range");
-        let base = row * SizeClass::COUNT;
-        SizeClass::ALL
-            .iter()
-            .map(|&s| {
-                batches_needed(self.counts[base + s.index()], profile.batch_limit(s)) as f64
-                    * profile.batch_latency_ms(s)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -341,26 +211,6 @@ mod tests {
             c.add_with_delta(SizeClass::S256, &p),
             p.batch_latency_ms(SizeClass::S256) // opens batch 2
         );
-    }
-
-    #[test]
-    fn remove_delta_mirrors_add_delta_even_at_limit_one() {
-        let p = LatencyProfile::for_device(DeviceKind::Nano); // S512 limit 1
-        let mut c = SizeCounts::new();
-        // Empty removal: no-op, zero delta.
-        assert_eq!(c.remove_with_delta(SizeClass::S512, &p), 0.0);
-        c.add(SizeClass::S512);
-        c.add(SizeClass::S512);
-        // Limit 1 → every crop is its own batch, every removal closes one.
-        assert_eq!(
-            c.remove_with_delta(SizeClass::S512, &p),
-            p.batch_latency_ms(SizeClass::S512)
-        );
-        assert_eq!(
-            c.remove_with_delta(SizeClass::S512, &p),
-            p.batch_latency_ms(SizeClass::S512)
-        );
-        assert!(c.is_empty());
     }
 
     #[test]

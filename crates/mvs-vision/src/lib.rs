@@ -28,15 +28,15 @@ mod detector;
 mod latency;
 mod new_region;
 mod optical_flow;
+#[cfg(test)]
 mod scalar;
 mod slicing;
 mod tracker;
 
-pub use batching::{batches_needed, SizeCounts, SizeCountsBatch};
+pub use batching::{batches_needed, SizeCounts};
 pub use detector::{Detection, DetectionModel, GroundTruthObject, SimulatedDetector};
 pub use latency::{DeviceKind, LatencyProfile, SizeProfile};
-pub use new_region::{find_new_regions_into, NewRegionFinder};
-pub use optical_flow::{FlowField, FlowSoA, FlowVector};
-pub use scalar::ScalarFlowField;
+pub use new_region::NewRegionFinder;
+pub use optical_flow::{FlowField, FlowVector};
 pub use slicing::{slice_regions, slice_regions_into, RegionTask};
 pub use tracker::{AssociationOutcome, FlowTracker, Track, TrackId, TrackerConfig};

@@ -12,16 +12,21 @@ use mvs_geometry::{BBox, BBoxSoA};
 /// A cluster is *explained* when at least `coverage_threshold` of its area
 /// is covered by some single predicted box. Unexplained clusters that
 /// overlap each other are merged (hull) so one new object produces one
-/// probe region. Clears `out` and fills it with the merged regions.
+/// probe region.
 ///
-/// This is the scalar reference; the frame loop runs
-/// [`NewRegionFinder::find_into`], which returns the same regions.
+/// Per frame this is the densest pairwise loop of the distributed stage, so
+/// the finder copies the predicted set into [`BBoxSoA`] columns once and
+/// evaluates each cluster's coverage test against the columns
+/// ([`BBoxSoA::covers_box`]). The per-pair arithmetic — and short-circuit
+/// order — is that of [`BBox::coverage_by`], so the surviving clusters, and
+/// therefore the merged hulls, are those of the box-by-box scan (the
+/// test-only reference in `scalar.rs`; see its differential proptests).
 ///
 /// # Examples
 ///
 /// ```
 /// use mvs_geometry::BBox;
-/// use mvs_vision::find_new_regions_into;
+/// use mvs_vision::NewRegionFinder;
 ///
 /// let clusters = [
 ///     BBox::new(100.0, 100.0, 150.0, 150.0)?, // tracked object
@@ -29,53 +34,8 @@ use mvs_geometry::{BBox, BBoxSoA};
 /// ];
 /// let predicted = [BBox::new(95.0, 95.0, 155.0, 155.0)?];
 /// let mut fresh = Vec::new();
-/// find_new_regions_into(&clusters, &predicted, 0.5, &mut fresh);
-/// assert_eq!(fresh, [clusters[1]]);
-/// # Ok::<(), mvs_geometry::BBoxError>(())
-/// ```
-pub fn find_new_regions_into(
-    clusters: &[BBox],
-    predicted: &[BBox],
-    coverage_threshold: f64,
-    out: &mut Vec<BBox>,
-) {
-    let fresh = out;
-    fresh.clear();
-    fresh.extend(clusters.iter().filter(|c| {
-        !predicted
-            .iter()
-            .any(|p| c.coverage_by(p) >= coverage_threshold)
-    }));
-    // Merge transitively-overlapping regions into hulls.
-    merge_overlapping(fresh);
-}
-
-/// Data-oriented new-region finder with reusable column scratch.
-///
-/// [`find_new_regions_into`] tests every cluster against every predicted
-/// box through the AoS layout; per frame that is the densest pairwise loop
-/// in the distributed stage. The finder copies the predicted set into
-/// [`BBoxSoA`] columns once and evaluates each cluster's coverage test
-/// against the columns ([`BBoxSoA::covers_box`]), whose per-pair
-/// arithmetic — and short-circuit order — is the exact scalar expression,
-/// so the surviving cluster set, and therefore the merged hulls, are
-/// identical to the scalar path (see the differential proptests).
-///
-/// # Examples
-///
-/// ```
-/// use mvs_geometry::BBox;
-/// use mvs_vision::{find_new_regions_into, NewRegionFinder};
-///
-/// let clusters = [
-///     BBox::new(100.0, 100.0, 150.0, 150.0)?,
-///     BBox::new(600.0, 300.0, 660.0, 360.0)?,
-/// ];
-/// let predicted = [BBox::new(95.0, 95.0, 155.0, 155.0)?];
-/// let (mut fresh, mut scalar) = (Vec::new(), Vec::new());
 /// NewRegionFinder::new().find_into(&clusters, &predicted, 0.5, &mut fresh);
-/// find_new_regions_into(&clusters, &predicted, 0.5, &mut scalar);
-/// assert_eq!(fresh, scalar);
+/// assert_eq!(fresh, [clusters[1]]);
 /// # Ok::<(), mvs_geometry::BBoxError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -90,9 +50,7 @@ impl NewRegionFinder {
         NewRegionFinder::default()
     }
 
-    /// Finds unexplained moving clusters exactly like
-    /// [`find_new_regions_into`], but through the column-major coverage
-    /// kernel. Clears `out` and fills it with the merged regions;
+    /// Clears `out` and fills it with the merged unexplained regions;
     /// allocation-free once the scratch columns are warm.
     pub fn find_into(
         &mut self,
@@ -114,9 +72,9 @@ impl NewRegionFinder {
     }
 }
 
-/// Merges transitively-overlapping regions into hulls, in place — the
-/// shared tail of the scalar and SoA finders.
-fn merge_overlapping(fresh: &mut Vec<BBox>) {
+/// Merges transitively-overlapping regions into hulls, in place (shared
+/// with the test-only scalar reference).
+pub(crate) fn merge_overlapping(fresh: &mut Vec<BBox>) {
     let mut merged = true;
     while merged {
         merged = false;
@@ -147,26 +105,6 @@ mod tests {
         let mut fresh = Vec::new();
         NewRegionFinder::new().find_into(clusters, predicted, 0.5, &mut fresh);
         fresh
-    }
-
-    #[test]
-    fn finder_matches_scalar_on_mixed_scene() {
-        let clusters = [
-            bb(100.0, 100.0, 50.0),
-            bb(500.0, 400.0, 40.0),
-            bb(530.0, 420.0, 40.0),
-            bb(900.0, 0.0, 20.0),
-        ];
-        let predicted = [bb(95.0, 95.0, 60.0), bb(0.0, 0.0, 10.0)];
-        let mut finder = NewRegionFinder::new();
-        let (mut fresh, mut scalar) = (Vec::new(), Vec::new());
-        finder.find_into(&clusters, &predicted, 0.5, &mut fresh);
-        find_new_regions_into(&clusters, &predicted, 0.5, &mut scalar);
-        assert_eq!(fresh, scalar);
-        // Scratch reuse: a second, different query stays consistent.
-        finder.find_into(&clusters[..1], &predicted, 0.5, &mut fresh);
-        find_new_regions_into(&clusters[..1], &predicted, 0.5, &mut scalar);
-        assert_eq!(fresh, scalar);
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //! queries *by pixel location* (never by object identity), which is exactly
 //! the interface a real flow estimator offers.
 //!
-//! Internally the field is stored in data-oriented form ([`FlowSoA`]):
-//! previous-frame boxes live in [`BBoxSoA`] columns and per-box motion in
-//! flat `dx`/`dy` columns, so the displacement lookup — the innermost loop
-//! of track prediction — scans contiguous `f64` slices instead of chasing
-//! an id-keyed hash map through an array of structs. [`FlowField`] is the
-//! thin AoS-facing adapter kept for existing callers; it produces bitwise
-//! identical results to the retained scalar reference
-//! ([`ScalarFlowField`](crate::ScalarFlowField)), which the differential
-//! proptests enforce.
+//! The field is stored in columns: previous-frame boxes live in [`BBoxSoA`]
+//! columns and per-box motion in flat `dx`/`dy` columns, so the displacement
+//! lookup — the innermost loop of track prediction — scans contiguous `f64`
+//! slices instead of chasing an id-keyed hash map through an array of
+//! structs. The array-of-structs form it replaced is kept as a test-only
+//! reference (`scalar.rs`) that the differential proptests hold it to, bit
+//! for bit.
 
 use crate::GroundTruthObject;
 use mvs_geometry::{BBox, BBoxSoA, Point2};
@@ -31,195 +29,13 @@ pub struct FlowVector {
     pub displacement: Point2,
 }
 
-/// Column-major flow-field storage: the data-oriented core of
-/// [`FlowField`].
+/// A simulated dense optical-flow field between two consecutive frames.
 ///
 /// Previous-frame boxes are [`BBoxSoA`] columns with a parallel id column;
 /// each box's displacement (if one exists for its id) is resolved once at
 /// estimation time into flat `dx`/`dy` columns, so
-/// [`displacement_at`](FlowSoA::displacement_at) is a pure column scan with
-/// no hashing and no pointer chasing.
-#[derive(Debug, Clone, Default)]
-pub struct FlowSoA {
-    /// Previous-frame object boxes (the support of non-zero flow).
-    boxes: BBoxSoA,
-    /// Ground-truth id of each previous-frame box.
-    ids: Vec<u64>,
-    /// Resolved per-box displacement columns; meaningful only where
-    /// `has_motion` is set.
-    motion_dx: Vec<f64>,
-    motion_dy: Vec<f64>,
-    /// Whether a displacement vector exists for the box's id (the id also
-    /// appeared in the current frame).
-    has_motion: Vec<bool>,
-    /// Clusters of moving pixels in the *current* frame.
-    clusters: Vec<BBox>,
-    /// Insertion-ordered (id, motion) pairs recorded while walking the
-    /// current frame — the flat stand-in for the scalar path's id-keyed
-    /// map (later inserts shadow earlier ones on lookup).
-    pending: Vec<(u64, Point2)>,
-}
-
-impl FlowSoA {
-    /// Minimum displacement (pixels) for an object to register as "moving".
-    pub const MOTION_EPSILON: f64 = 0.5;
-
-    /// An empty field with no probed objects (every query returns zero
-    /// motion).
-    #[must_use]
-    pub fn empty() -> FlowSoA {
-        FlowSoA::default()
-    }
-
-    /// Number of previous-frame boxes the field knows about.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when the field holds no previous-frame boxes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Re-estimates this field in place, reusing every column buffer — the
-    /// steady-state loop's allocation-free path. Draws the RNG in the same
-    /// order as the scalar reference (two gaussians per current object,
-    /// whether or not it existed in the previous frame) and computes each
-    /// motion with the same expressions, so the resulting field is bitwise
-    /// identical to [`ScalarFlowField`](crate::ScalarFlowField).
-    pub fn estimate_into<R: Rng + ?Sized>(
-        &mut self,
-        prev: &[GroundTruthObject],
-        curr: &[GroundTruthObject],
-        noise_px: f64,
-        rng: &mut R,
-    ) {
-        self.boxes.clear();
-        self.ids.clear();
-        self.clusters.clear();
-        self.pending.clear();
-        for p in prev {
-            self.boxes.push(p.bbox);
-            self.ids.push(p.id);
-        }
-        for c in curr {
-            let noise = Point2::new(gaussian(rng) * noise_px, gaussian(rng) * noise_px);
-            // Last match wins, mirroring the id-keyed map of the scalar
-            // path (ids are unique in practice).
-            match self.ids.iter().rposition(|&id| id == c.id) {
-                Some(pi) => {
-                    let motion = c.bbox.center() - self.boxes.center(pi) + noise;
-                    if motion.norm() > Self::MOTION_EPSILON {
-                        self.clusters.push(c.bbox);
-                    }
-                    self.pending.push((c.id, motion));
-                }
-                None => {
-                    // Newly appeared object: all of its pixels changed, so it
-                    // shows up as a moving cluster even though no
-                    // displacement vector exists for it.
-                    self.clusters.push(c.bbox);
-                }
-            }
-        }
-        // Resolve the id-keyed motions into per-box columns once, so every
-        // later displacement query is a straight column read. Scanning
-        // `pending` backwards reproduces the map's last-insert-wins lookup.
-        let n = self.ids.len();
-        self.motion_dx.clear();
-        self.motion_dx.resize(n, 0.0);
-        self.motion_dy.clear();
-        self.motion_dy.resize(n, 0.0);
-        self.has_motion.clear();
-        self.has_motion.resize(n, false);
-        for i in 0..n {
-            let id = self.ids[i];
-            if let Some(&(_, m)) = self.pending.iter().rev().find(|&&(pid, _)| pid == id) {
-                self.motion_dx[i] = m.x;
-                self.motion_dy[i] = m.y;
-                self.has_motion[i] = true;
-            }
-        }
-    }
-
-    /// The flow displacement at a pixel of the *previous* frame.
-    ///
-    /// Pixels inside a previous-frame object box move with that object;
-    /// background pixels are static (the cameras are statically mounted).
-    /// When boxes overlap, the smaller (closer) object wins; ties break to
-    /// the earlier box, exactly like the scalar scan.
-    pub fn displacement_at(&self, p: Point2) -> FlowVector {
-        let displacement = match self.boxes.smallest_containing(p) {
-            Some(i) if self.has_motion[i] => Point2::new(self.motion_dx[i], self.motion_dy[i]),
-            _ => Point2::ORIGIN,
-        };
-        FlowVector { displacement }
-    }
-
-    /// Clusters of moving pixels in the current frame (object-sized boxes).
-    pub fn moving_clusters(&self) -> &[BBox] {
-        &self.clusters
-    }
-
-    /// Batched displacement lookup: fills `out` with the displacement at
-    /// each query point, element `j` bitwise equal to
-    /// `displacement_at(points[j]).displacement`.
-    ///
-    /// Track prediction queries the field once per live track; doing all
-    /// queries in one call flips the loop nest so each previous-frame box
-    /// is loaded once and tested against every query point — a
-    /// branch-light column sweep instead of `points.len()` independent
-    /// scans. `best_area`/`best` are caller-owned scratch columns
-    /// (cleared and refilled), keeping the steady state allocation-free.
-    /// The per-query selection rule is unchanged: smallest containing box
-    /// wins, ties to the earliest index, since a strict `area <` update
-    /// over boxes in index order picks exactly that box.
-    pub fn displacements_at_into(
-        &self,
-        points: &[Point2],
-        best_area: &mut Vec<f64>,
-        best: &mut Vec<u32>,
-        out: &mut Vec<Point2>,
-    ) {
-        let q = points.len();
-        best_area.clear();
-        best_area.resize(q, f64::INFINITY);
-        best.clear();
-        best.resize(q, u32::MAX);
-        let n = self.len();
-        let (x1, y1, x2, y2) = self.boxes.columns();
-        for i in 0..n {
-            let (bx1, by1, bx2, by2) = (x1[i], y1[i], x2[i], y2[i]);
-            let area = (bx2 - bx1) * (by2 - by1);
-            for (j, p) in points.iter().enumerate() {
-                let inside = p.x >= bx1 && p.x <= bx2 && p.y >= by1 && p.y <= by2;
-                if inside && area < best_area[j] {
-                    best_area[j] = area;
-                    best[j] = i as u32;
-                }
-            }
-        }
-        out.clear();
-        out.extend(best.iter().map(|&b| {
-            if b == u32::MAX {
-                Point2::ORIGIN
-            } else {
-                let i = b as usize;
-                if self.has_motion[i] {
-                    Point2::new(self.motion_dx[i], self.motion_dy[i])
-                } else {
-                    Point2::ORIGIN
-                }
-            }
-        }));
-    }
-}
-
-/// A simulated dense optical-flow field between two consecutive frames.
-///
-/// This is the AoS-facing entry point kept for existing callers; it is a
-/// thin adapter over [`FlowSoA`], which holds the actual column-major
-/// state.
+/// [`displacement_at`](FlowField::displacement_at) is a pure column scan
+/// with no hashing and no pointer chasing.
 ///
 /// # Examples
 ///
@@ -241,12 +57,28 @@ impl FlowSoA {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlowField {
-    soa: FlowSoA,
+    /// Previous-frame object boxes (the support of non-zero flow).
+    boxes: BBoxSoA,
+    /// Ground-truth id of each previous-frame box.
+    ids: Vec<u64>,
+    /// Resolved per-box displacement columns; meaningful only where
+    /// `has_motion` is set.
+    motion_dx: Vec<f64>,
+    motion_dy: Vec<f64>,
+    /// Whether a displacement vector exists for the box's id (the id also
+    /// appeared in the current frame).
+    has_motion: Vec<bool>,
+    /// Clusters of moving pixels in the *current* frame.
+    clusters: Vec<BBox>,
+    /// Insertion-ordered (id, motion) pairs recorded while walking the
+    /// current frame — the flat stand-in for an id-keyed map (later
+    /// inserts shadow earlier ones on lookup).
+    pending: Vec<(u64, Point2)>,
 }
 
 impl FlowField {
     /// Minimum displacement (pixels) for an object to register as "moving".
-    pub const MOTION_EPSILON: f64 = FlowSoA::MOTION_EPSILON;
+    pub const MOTION_EPSILON: f64 = 0.5;
 
     /// An empty field with no probed objects (every query returns zero
     /// motion). The natural initial value for a per-worker scratch field
@@ -270,7 +102,7 @@ impl FlowField {
         field
     }
 
-    /// Re-estimates this field in place, reusing its buffers — the
+    /// Re-estimates this field in place, reusing every column buffer — the
     /// steady-state loop's allocation-free path. Produces exactly the field
     /// [`FlowField::estimate`] would, drawing the RNG in the same order
     /// (two gaussians per current object, whether or not it existed in the
@@ -282,16 +114,66 @@ impl FlowField {
         noise_px: f64,
         rng: &mut R,
     ) {
-        self.soa.estimate_into(prev, curr, noise_px, rng);
+        self.boxes.clear();
+        self.ids.clear();
+        self.clusters.clear();
+        self.pending.clear();
+        for p in prev {
+            self.boxes.push(p.bbox);
+            self.ids.push(p.id);
+        }
+        for c in curr {
+            let noise = Point2::new(gaussian(rng) * noise_px, gaussian(rng) * noise_px);
+            // Last match wins, like an id-keyed map (ids are unique in
+            // practice).
+            match self.ids.iter().rposition(|&id| id == c.id) {
+                Some(pi) => {
+                    let motion = c.bbox.center() - self.boxes.center(pi) + noise;
+                    if motion.norm() > Self::MOTION_EPSILON {
+                        self.clusters.push(c.bbox);
+                    }
+                    self.pending.push((c.id, motion));
+                }
+                None => {
+                    // Newly appeared object: all of its pixels changed, so it
+                    // shows up as a moving cluster even though no
+                    // displacement vector exists for it.
+                    self.clusters.push(c.bbox);
+                }
+            }
+        }
+        // Resolve the id-keyed motions into per-box columns once, so every
+        // later displacement query is a straight column read. Scanning
+        // `pending` backwards reproduces a map's last-insert-wins lookup.
+        let n = self.ids.len();
+        self.motion_dx.clear();
+        self.motion_dx.resize(n, 0.0);
+        self.motion_dy.clear();
+        self.motion_dy.resize(n, 0.0);
+        self.has_motion.clear();
+        self.has_motion.resize(n, false);
+        for i in 0..n {
+            let id = self.ids[i];
+            if let Some(&(_, m)) = self.pending.iter().rev().find(|&&(pid, _)| pid == id) {
+                self.motion_dx[i] = m.x;
+                self.motion_dy[i] = m.y;
+                self.has_motion[i] = true;
+            }
+        }
     }
 
     /// The flow displacement at a pixel of the *previous* frame.
     ///
     /// Pixels inside a previous-frame object box move with that object;
     /// background pixels are static (the cameras are statically mounted).
-    /// When boxes overlap, the smaller (closer) object wins.
+    /// When boxes overlap, the smaller (closer) object wins; ties break to
+    /// the earlier box.
     pub fn displacement_at(&self, p: Point2) -> FlowVector {
-        self.soa.displacement_at(p)
+        let displacement = match self.boxes.smallest_containing(p) {
+            Some(i) if self.has_motion[i] => Point2::new(self.motion_dx[i], self.motion_dy[i]),
+            _ => Point2::ORIGIN,
+        };
+        FlowVector { displacement }
     }
 
     /// Clusters of moving pixels in the current frame (object-sized boxes).
@@ -299,12 +181,7 @@ impl FlowField {
     /// Includes both moving known objects and newly appeared objects; the
     /// new-region detector subtracts predicted track boxes from this list.
     pub fn moving_clusters(&self) -> &[BBox] {
-        self.soa.moving_clusters()
-    }
-
-    /// The column-major state backing this field.
-    pub fn soa(&self) -> &FlowSoA {
-        &self.soa
+        &self.clusters
     }
 }
 
@@ -437,7 +314,7 @@ mod tests {
         assert!(flow.moving_clusters().is_empty());
         let empty = FlowField::empty();
         assert!(empty.moving_clusters().is_empty());
-        assert!(empty.soa().is_empty());
+        assert!(empty.ids.is_empty());
         assert_eq!(
             empty.displacement_at(Point2::new(10.0, 10.0)).displacement,
             Point2::ORIGIN
@@ -508,52 +385,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let flow = FlowField::estimate(&prev, &curr, 0.0, &mut rng);
         assert!(flow.moving_clusters().is_empty());
-        assert_eq!(flow.soa().len(), 1);
+        assert_eq!(flow.ids.len(), 1);
         // Query inside the vanished object's old box: no motion info.
         assert_eq!(
             flow.displacement_at(Point2::new(20.0, 20.0)).displacement,
             Point2::ORIGIN
         );
-    }
-
-    #[test]
-    fn batched_lookup_matches_single_queries_bitwise() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let prev = [
-            obj(1, 0.0, 0.0, 40.0),
-            obj(2, 20.0, 20.0, 80.0), // overlaps obj 1: smallest-wins tie
-            obj(3, 500.0, 300.0, 60.0),
-        ];
-        let curr = [
-            obj(1, 6.0, 0.0, 40.0),
-            obj(2, 20.0, 24.0, 80.0),
-            obj(4, 900.0, 10.0, 30.0),
-        ];
-        let flow = FlowField::estimate(&prev, &curr, 1.5, &mut rng);
-        let points: Vec<Point2> = [
-            (20.0, 20.0),
-            (30.0, 30.0), // in both obj 1 and obj 2's boxes
-            (520.0, 320.0),
-            (-5.0, 700.0), // background
-        ]
-        .into_iter()
-        .map(|(x, y)| Point2::new(x, y))
-        .collect();
-        let (mut best_area, mut best, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        flow.soa()
-            .displacements_at_into(&points, &mut best_area, &mut best, &mut out);
-        assert_eq!(out.len(), points.len());
-        for (p, got) in points.iter().zip(&out) {
-            let want = flow.displacement_at(*p).displacement;
-            assert_eq!(want.x.to_bits(), got.x.to_bits(), "x at {p:?}");
-            assert_eq!(want.y.to_bits(), got.y.to_bits(), "y at {p:?}");
-        }
-        // Scratch reuse with a different query set stays consistent.
-        let points2 = [Point2::new(25.0, 25.0)];
-        flow.soa()
-            .displacements_at_into(&points2, &mut best_area, &mut best, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], flow.displacement_at(points2[0]).displacement);
     }
 
     #[test]

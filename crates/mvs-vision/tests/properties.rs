@@ -88,7 +88,7 @@ proptest! {
     fn delta_tracked_latency_matches_from_scratch(
         ops in prop::collection::vec(
             (
-                any::<bool>(), // true = add, false = remove
+                any::<bool>(), // true = add, false = undo the last add
                 prop::sample::select(vec![
                     SizeClass::S64,
                     SizeClass::S128,
@@ -100,17 +100,23 @@ proptest! {
         ),
         device in arb_device(),
     ) {
-        // Running a random add/remove sequence through the O(1) delta API
+        // Running a random add / undo sequence through the O(1) delta API
         // must track the O(|sizes|) from-scratch sum exactly — this is what
-        // lets the exact search maintain per-camera latency incrementally.
+        // lets the exact search maintain per-camera latency incrementally:
+        // it adds with a delta on the way down and, backtracking, removes
+        // the crop and takes the same delta back.
         let profile = LatencyProfile::for_device(device);
         let mut counts = SizeCounts::new();
         let mut tracked = 0.0f64;
+        let mut added: Vec<(SizeClass, f64)> = Vec::new();
         for (add, size) in ops {
             if add {
-                tracked += counts.add_with_delta(size, &profile);
-            } else {
-                tracked -= counts.remove_with_delta(size, &profile);
+                let delta = counts.add_with_delta(size, &profile);
+                tracked += delta;
+                added.push((size, delta));
+            } else if let Some((size, delta)) = added.pop() {
+                prop_assert!(counts.remove(size));
+                tracked -= delta;
             }
             prop_assert!(
                 (tracked - counts.latency_ms(&profile)).abs() < 1e-9,

@@ -38,7 +38,7 @@ mod cli {
     //! something other than what was asked.
 
     use multiview_scheduler::sim::{
-        Algorithm, CityConfig, FaultModel, PoolDegrade, ScenarioKind, ServeConfig,
+        Algorithm, CityConfig, FaultModel, PoolDegrade, ScenarioKind, ServeConfig, ServeConfigError,
     };
     use std::fmt::Write;
     use std::str::FromStr;
@@ -98,10 +98,6 @@ mod cli {
         pub cameras: usize,
         /// Traffic intensity multiplier of the `city` scenario.
         pub intensity: f64,
-        /// Solve key frames shard-by-shard over the camera overlap graph
-        /// instead of in one pass (identical schedules; compute-only
-        /// knob).
-        pub shard_solver: bool,
     }
 
     impl Default for Options {
@@ -117,7 +113,6 @@ mod cli {
                 trace_dir: None,
                 cameras: CityConfig::default().cameras,
                 intensity: 1.0,
-                shard_solver: false,
             }
         }
     }
@@ -346,13 +341,6 @@ mod cli {
             help: "city traffic multiplier        (default 1.0; city only)",
             set: |t, a| t.city_only(a)?.positive().map(|v| t.options.intensity = v),
         },
-        Opt {
-            spec: "--shard-solver",
-            help: "solve key frames shard-by-shard over the camera\n\
-                   overlap graph instead of in one pass (identical\n\
-                   schedules; compute-only knob)",
-            set: |t, a| a.switch().map(|v| t.options.shard_solver = v),
-        },
     ];
 
     const RUN_OPTIONS: &[Opt<PipelineArgs>] = &[Opt {
@@ -446,11 +434,6 @@ mod cli {
             spec: "--max-keep-every N",
             help: "deepest frame-thinning rung      (default 4)",
             set: |t, a| a.count().map(|v| t.config.max_keep_every = v),
-        },
-        Opt {
-            spec: "--shard-solver",
-            help: "sharded central solver",
-            set: |t, a| a.switch().map(|v| t.config.shard_solver = v),
         },
         Opt {
             spec: "--trace DIR",
@@ -640,9 +623,10 @@ mod cli {
         // Cross-field consistency comes from the typed validator, so a
         // nonsensical mix fails here with its message instead of
         // panicking mid-run.
-        config
-            .validate()
-            .map_err(|e| format!("invalid serve configuration: {e}"))?;
+        config.validate().map_err(|e| match e {
+            ServeConfigError::BadFps { .. } => format!("--fps: {e}"),
+            _ => format!("invalid serve configuration: {e}"),
+        })?;
         Ok((config, args.trace_dir))
     }
 
@@ -757,7 +741,7 @@ ALGORITHMS:
         #[test]
         fn parses_city_scenario_with_knobs() {
             let c = parse(&args(
-                "run city balb --cameras 256 --intensity 2.5 --seed 7 --shard-solver",
+                "run city balb --cameras 256 --intensity 2.5 --seed 7",
             ))
             .unwrap();
             match c {
@@ -768,7 +752,6 @@ ALGORITHMS:
                     assert_eq!(options.cameras, 256);
                     assert_eq!(options.intensity, 2.5);
                     assert_eq!(options.seed, 7);
-                    assert!(options.shard_solver);
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -780,7 +763,6 @@ ALGORITHMS:
                 Command::Run { options, .. } => {
                     assert_eq!(options.cameras, CityConfig::default().cameras);
                     assert_eq!(options.intensity, 1.0);
-                    assert!(!options.shard_solver);
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -846,7 +828,7 @@ ALGORITHMS:
             let c = parse(&args(
                 "serve --tenants 16 --cameras 8 --fps 10 --duration-s 12 --capacity 8 \
                  --seed 3 --threads 2 --loss 0.2 --dropout 0.1 --redundancy 2 \
-                 --max-keep-every 3 --shard-solver --trace out/serve",
+                 --max-keep-every 3 --trace out/serve",
             ))
             .unwrap();
             match c {
@@ -860,7 +842,6 @@ ALGORITHMS:
                     assert_eq!(config.threads, 2);
                     assert_eq!(config.redundancy, 2);
                     assert_eq!(config.max_keep_every, 3);
-                    assert!(config.shard_solver);
                     assert_eq!(config.faults.keyframe_loss, 0.2);
                     assert_eq!(config.faults.dropout_per_horizon, 0.1);
                     assert!(config.faults.rejoin_per_horizon > 0.0);
@@ -939,6 +920,9 @@ ALGORITHMS:
             assert!(parse(&args("serve --tenants 0")).is_err());
             assert!(parse(&args("serve --fps 0")).is_err());
             assert!(parse(&args("serve --fps nan")).is_err());
+            // A 0 µs capture interval: every frame at one virtual instant.
+            let err = parse(&args("serve --fps 3000000 --duration-s 1")).unwrap_err();
+            assert!(err.contains("--fps") && err.contains("1 µs"), "{err}");
             assert!(parse(&args("serve --loss 1.5")).is_err());
             assert!(parse(&args("serve --dropout -0.1")).is_err());
             assert!(parse(&args("serve --capacity")).is_err());
@@ -1194,7 +1178,6 @@ fn config_from(algorithm: Algorithm, options: &cli::Options) -> PipelineConfig {
         redundancy: options.redundancy,
         disable_batching: options.disable_batching,
         threads: options.threads,
-        shard_solver: options.shard_solver,
         ..PipelineConfig::paper_default(algorithm)
     }
 }

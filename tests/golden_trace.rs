@@ -86,21 +86,6 @@ fn golden_fault_free_s2_balb() {
 }
 
 #[test]
-fn golden_sharded_cold_s2_balb() {
-    // The sharded central stage solves cold, component by component,
-    // every key frame; snapshot that plan shape.
-    let config = PipelineConfig {
-        shard_solver: true,
-        ..base_config()
-    };
-    check_golden(
-        "s2_balb_sharded_cold",
-        &Scenario::new(ScenarioKind::S2),
-        &config,
-    );
-}
-
-#[test]
 fn golden_camera_dropout_s2_balb() {
     let config = PipelineConfig {
         faults: FaultModel {
