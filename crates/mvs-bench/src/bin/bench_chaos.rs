@@ -20,26 +20,15 @@
 //! Every number is *modeled*: the event loop runs on a virtual clock and
 //! the chaos schedule is drawn from its own seeded stream, so the whole
 //! report is a deterministic function of the configs and bitwise
-//! reproducible on any host.
-//!
-//! `--check <baseline.json>` gates the storm mix's post-recovery p99 and
-//! MTTR (ratio ceilings) and its availability (absolute floor) against a
-//! checked-in baseline and exits non-zero on regression — the CI chaos
-//! gate.
+//! reproducible on any host; `scripts/regen-results.sh --check` holds the
+//! checked-in file to what this bin writes.
 //!
 //! Run with `cargo run --release -p mvs-bench --bin bench_chaos`.
 
 use mvs_bench::{write_json, SEED};
 use mvs_metrics::TextTable;
 use mvs_sim::{run_serve, FaultModel, PoolDegrade, ServeConfig, ServeFaultModel, ServeReport};
-use serde::{Deserialize, Serialize};
-
-/// Accept up to 20% regression of the gated latency metrics (p99, MTTR)
-/// before failing. Deterministic metrics: the headroom absorbs
-/// intentional model retuning, not measurement noise.
-const CHECK_TOLERANCE: f64 = 1.20;
-/// Accept at most this much availability loss versus the baseline.
-const AVAILABILITY_SLACK: f64 = 0.02;
+use serde::Serialize;
 
 /// One fault regime of the sweep.
 struct Mix {
@@ -64,7 +53,7 @@ fn base() -> ServeConfig {
 }
 
 /// The storm: coordinator crashes, pipeline poison, pool degradation,
-/// and the camera-level fault model all at once. Gated mix.
+/// and the camera-level fault model all at once. The headline mix.
 fn storm() -> ServeConfig {
     ServeConfig {
         faults: FaultModel {
@@ -152,7 +141,7 @@ fn mixes() -> Vec<Mix> {
     ]
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct MixRow {
     name: String,
     tenants: usize,
@@ -175,14 +164,14 @@ struct MixRow {
     core_utilization: f64,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct Report {
     seed: u64,
-    /// Storm-mix post-recovery end-to-end p99: the gated headline.
+    /// Storm-mix post-recovery end-to-end p99.
     headline_post_recovery_p99_ms: f64,
-    /// Storm-mix mean time to recover, also gated (ratio ceiling).
+    /// Storm-mix mean time to recover.
     headline_mttr_ms: f64,
-    /// Storm-mix availability, gated with an absolute floor.
+    /// Storm-mix availability.
     headline_availability: f64,
     mixes: Vec<MixRow>,
 }
@@ -272,55 +261,7 @@ fn row(name: &str, report: &ServeReport) -> MixRow {
     }
 }
 
-fn check_against(report: &Report, path: &str) -> Result<(), String> {
-    let raw =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let baseline: Report =
-        serde_json::from_str(&raw).map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
-    let p99_ceiling = baseline.headline_post_recovery_p99_ms * CHECK_TOLERANCE;
-    if report.headline_post_recovery_p99_ms > p99_ceiling {
-        return Err(format!(
-            "storm post-recovery p99 regressed: {:.1} ms > {:.1} ms (baseline {:.1} ms × {CHECK_TOLERANCE})",
-            report.headline_post_recovery_p99_ms, p99_ceiling, baseline.headline_post_recovery_p99_ms
-        ));
-    }
-    let mttr_ceiling = baseline.headline_mttr_ms * CHECK_TOLERANCE;
-    if report.headline_mttr_ms > mttr_ceiling {
-        return Err(format!(
-            "storm MTTR regressed: {:.1} ms > {:.1} ms (baseline {:.1} ms × {CHECK_TOLERANCE})",
-            report.headline_mttr_ms, mttr_ceiling, baseline.headline_mttr_ms
-        ));
-    }
-    let availability_floor = baseline.headline_availability - AVAILABILITY_SLACK;
-    if report.headline_availability < availability_floor {
-        return Err(format!(
-            "storm availability regressed: {:.4} < {:.4} (baseline {:.4} − {AVAILABILITY_SLACK})",
-            report.headline_availability, availability_floor, baseline.headline_availability
-        ));
-    }
-    println!(
-        "check ok: storm post-recovery p99 {:.1} ms <= {:.1} ms, MTTR {:.1} ms <= {:.1} ms, availability {:.4} >= {:.4}",
-        report.headline_post_recovery_p99_ms,
-        p99_ceiling,
-        report.headline_mttr_ms,
-        mttr_ceiling,
-        report.headline_availability,
-        availability_floor
-    );
-    Ok(())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--check requires a baseline path");
-                std::process::exit(2);
-            })
-            .clone()
-    });
-
     let mut rows = Vec::new();
     let mut table = TextTable::new(vec![
         "mix",
@@ -371,11 +312,4 @@ fn main() {
 
     let path = write_json("BENCH_chaos", &report);
     println!("\nwrote {}", path.display());
-
-    if let Some(baseline) = check_path {
-        if let Err(msg) = check_against(&report, &baseline) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    }
 }

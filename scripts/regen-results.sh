@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates the deterministic result files (`names` below; one mvs-bench
-# bin each, results/<name>.json). Each is a pure function of the checkout at
-# any MVS_THREADS, so a difference from the checked-in copy is a behaviour
-# change (or a stale file). Wall-clock results (table2_overhead, BENCH_*)
-# are not listed.
+# Regenerates the deterministic result files: one mvs-bench bin each (`bins`
+# below), writing results/<bin>.json, or results/BENCH_<x>.json for a
+# bench_<x> bin. Each is a pure function of the checkout at any MVS_THREADS
+# (the three bench_* bins run on the virtual clock and assert their own
+# invariants on the way), so a difference from the checked-in copy is a
+# behaviour change or a stale file. The two wall-clock results
+# (table2_overhead, BENCH_trace) are not listed.
 #
 #   scripts/regen-results.sh             # rewrite the files in place
 #   scripts/regen-results.sh --check     # regenerate, diff against the
@@ -27,16 +29,19 @@ for arg in "$@"; do
   esac
 done
 
-names=(
+bins=(
   fig2_workload fig10_classification fig11_regression fig12_recall
   fig13_latency fig14_horizon table1_config ablation_knn_k ablation_balb
   extension_sync extension_response extension_redundancy
+  bench_serve bench_chaos bench_faults
 )
-bins=()
-for name in "${names[@]}"; do
-  bins+=(--bin "${name}")
+names=()
+bin_flags=()
+for bin in "${bins[@]}"; do
+  names+=("${bin/#bench_/BENCH_}")
+  bin_flags+=(--bin "${bin}")
 done
-"${cargo[@]}" build --release --quiet -p mvs-bench "${bins[@]}"
+"${cargo[@]}" build --release --quiet -p mvs-bench "${bin_flags[@]}"
 
 # The bins write results/<name>.json themselves; keep the checked-in copies
 # aside so --check can diff against them and put them back.
@@ -46,8 +51,8 @@ for name in "${names[@]}"; do
   cp "results/${name}.json" "${keep}/"
 done
 
-for name in "${names[@]}"; do
-  "${cargo[@]}" run --release --quiet -p mvs-bench --bin "${name}" > /dev/null
+for bin in "${bins[@]}"; do
+  "${cargo[@]}" run --release --quiet -p mvs-bench --bin "${bin}" > /dev/null
 done
 
 status=0
