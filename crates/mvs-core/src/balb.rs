@@ -255,7 +255,9 @@ fn cross_cmp(cap_a: usize, limit_a: usize, cap_b: usize, limit_b: usize) -> std:
 /// the solver owns the output schedule and the pass's scratch (sort keys,
 /// per-camera batch counts), so steady-state solves allocate only when an
 /// instance outgrows every earlier one. Each solve is the same from-scratch
-/// Algorithm 1 pass as [`balb_central`] and returns the same bits.
+/// Algorithm 1 pass as [`balb_central`] and returns the same bits;
+/// [`BalbSolver::solve_redundant`] adds the paper's Sec. V redundancy
+/// extension as a second step over the same buffers.
 ///
 /// # Examples
 ///
@@ -318,16 +320,105 @@ impl BalbSolver {
         &self.schedule
     }
 
+    /// The last solve's schedule, moved out of a solver that is done.
+    pub(crate) fn into_schedule(self) -> BalbSchedule {
+        assert!(self.solved, "no solve has run yet");
+        self.schedule
+    }
+
     /// Solves `problem` into the solver's buffers.
     pub fn solve(&mut self, problem: &MvsProblem) -> &BalbSchedule {
+        self.solve_redundant(problem, 1)
+    }
+
+    /// Solves `problem` with `redundancy`-fold object coverage (paper
+    /// Sec. V: *"we may allocate multiple cameras to track the same
+    /// object"*), so a dynamic occlusion on one camera no longer loses the
+    /// object.
+    ///
+    /// The first owner per object comes from Algorithm 1. Extra owners are
+    /// then added per object — most-covered objects first, mirroring
+    /// Algorithm 1's flexibility ordering — choosing at each step the
+    /// remaining covering camera with an open batch of the object's size,
+    /// or else the one with the smallest updated latency. Objects seen by
+    /// fewer cameras than `redundancy` simply get all of them. With
+    /// `redundancy == 1` this is exactly [`BalbSolver::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `redundancy` is zero.
+    pub fn solve_redundant(&mut self, problem: &MvsProblem, redundancy: usize) -> &BalbSchedule {
+        assert!(redundancy > 0, "redundancy must be at least one");
         greedy_pass(
             problem,
             &mut self.order,
             &mut self.counts,
             &mut self.schedule,
         );
+        if redundancy > 1 {
+            self.add_owners(problem, redundancy);
+            sort_priority(
+                &mut self.schedule.priority,
+                &self.schedule.camera_latencies_ms,
+            );
+        }
         self.solved = true;
         &self.schedule
+    }
+
+    /// The redundancy extension: continues from the batch occupancy and
+    /// latencies the greedy pass left behind.
+    fn add_owners(&mut self, problem: &MvsProblem, redundancy: usize) {
+        let BalbSchedule {
+            assignment,
+            camera_latencies_ms: latencies,
+            ..
+        } = &mut self.schedule;
+        let counts = &mut self.counts;
+        // Most-covered objects first: they benefit most from extra views.
+        // Coverage-set size descending (stored inverted), index ascending.
+        self.order.clear();
+        self.order.extend(
+            problem
+                .objects()
+                .iter()
+                .enumerate()
+                .map(|(j, o)| ((0xFFFF - o.coverage_len() as u64) << 40) | j as u64),
+        );
+        self.order.sort_unstable();
+        for &key in &self.order {
+            let object = &problem.objects()[order_key_index(key)];
+            let wanted = redundancy.min(object.coverage_len());
+            while assignment.owners_of(object.id).len() < wanted {
+                // Candidates: covering cameras not yet owners. Open batches
+                // first (free), then the smallest updated latency, then the
+                // lowest id for determinism.
+                let owners = assignment.owners_of(object.id);
+                let (camera, _, updated) = object
+                    .coverage()
+                    .filter(|c| !owners.contains(c))
+                    .map(|c| {
+                        let size = object.size_on(c).expect("covered");
+                        let profile = problem.profile(c);
+                        let open = counts[c.0].open_batch_capacity(size, profile) > 0;
+                        let updated = if open {
+                            latencies[c.0]
+                        } else {
+                            latencies[c.0] + profile.batch_latency_ms(size)
+                        };
+                        (c, open, updated)
+                    })
+                    .min_by(|a, b| {
+                        b.1.cmp(&a.1)
+                            .then(a.2.partial_cmp(&b.2).expect("finite latencies"))
+                            .then(a.0.cmp(&b.0))
+                    })
+                    .expect("fewer owners than covering cameras");
+                counts[camera.0].add(object.size_on(camera).expect("covered"));
+                latencies[camera.0] = updated;
+                assignment.assign(object.id, camera);
+            }
+        }
     }
 }
 

@@ -2,37 +2,19 @@
 //! implemented and evaluated here:
 //!
 //! * [`balb_redundant`] — *"we may allocate multiple cameras to track the
-//!   same object"*: after the normal BALB pass, objects receive up to
-//!   `redundancy − 1` additional owner cameras (chosen latency-aware), so
-//!   a dynamic occlusion on one camera no longer loses the object.
+//!   same object"*: [`BalbSolver::solve_redundant`] on a fresh solver.
 //! * [`min_total_workload`] — *"an alternative formulation might simply
 //!   minimize the cumulative processed workload"*: a scheduler for the
 //!   non-real-time regime that minimizes the *sum* of camera latencies
 //!   instead of the maximum.
-//! * [`balb_quality_aware`] — *"assigning an object to a camera that is
-//!   closer … might help improve classification accuracy"*: Algorithm 1
-//!   with a tunable latency-vs-quality bias toward larger views.
-//! * [`min_upload_cover`] — *"the multi-view scheduling idea may be
-//!   extended to [centralized processing] by … uploading the minimum
-//!   number of views that offers complete coverage of all objects"*: a
-//!   greedy set-cover selection of cameras whose views jointly contain
-//!   every object, for bandwidth-limited deployments that stream frames
-//!   to an edge server instead of running DNNs onboard.
 
-use crate::{balb_central, Assignment, BalbSchedule, CameraId, MvsProblem};
+use crate::{Assignment, BalbSchedule, BalbSolver, CameraId, MvsProblem};
 use mvs_vision::SizeCounts;
-use std::collections::BTreeSet;
 
-/// BALB with `redundancy`-fold object coverage.
-///
-/// The first owner per object comes from the standard central stage
-/// (Algorithm 1). Extra owners are then added per object — most-covered
-/// objects first, mirroring Algorithm 1's flexibility ordering — choosing
-/// at each step the remaining covering camera with an open batch of the
-/// object's size, or else the one with the smallest updated latency.
-/// Objects seen by fewer cameras than `redundancy` simply get all of them.
-///
-/// With `redundancy == 1` this is exactly [`balb_central`].
+/// BALB with `redundancy`-fold object coverage:
+/// [`BalbSolver::solve_redundant`] on a fresh solver, for callers that solve
+/// one instance. With `redundancy == 1` this is exactly
+/// [`balb_central`](crate::balb_central).
 ///
 /// # Panics
 ///
@@ -51,79 +33,9 @@ use std::collections::BTreeSet;
 /// assert!(double.system_latency_ms() >= single.system_latency_ms());
 /// ```
 pub fn balb_redundant(problem: &MvsProblem, redundancy: usize) -> BalbSchedule {
-    assert!(redundancy > 0, "redundancy must be at least one");
-    let schedule = balb_central(problem);
-    if redundancy == 1 {
-        return schedule;
-    }
-    let m = problem.num_cameras();
-    let mut assignment = schedule.assignment;
-    let mut latencies = schedule.camera_latencies_ms;
-    let mut counts: Vec<SizeCounts> = vec![SizeCounts::new(); m];
-    // Rebuild batch occupancy from the single-owner assignment.
-    for object in problem.objects() {
-        for &owner in assignment.owners_of(object.id) {
-            counts[owner.0].add(object.size_on(owner).expect("owner covers object"));
-        }
-    }
-    // Most-covered objects first: they benefit most from extra views.
-    let mut order: Vec<usize> = (0..problem.num_objects()).collect();
-    order.sort_by(|&a, &b| {
-        let oa = &problem.objects()[a];
-        let ob = &problem.objects()[b];
-        ob.coverage_len().cmp(&oa.coverage_len()).then(a.cmp(&b))
-    });
-    // Reused candidate-filter buffer: owners are re-read per step because
-    // `assign` below invalidates any borrow of the owner list.
-    let mut owners: Vec<CameraId> = Vec::new();
-    for &j in &order {
-        let object = &problem.objects()[j];
-        while assignment.owners_of(object.id).len() < redundancy.min(object.coverage_len()) {
-            // Candidates: covering cameras not yet owners.
-            owners.clear();
-            owners.extend_from_slice(assignment.owners_of(object.id));
-            let candidate = object
-                .coverage()
-                .filter(|c| !owners.contains(c))
-                .map(|c| {
-                    let size = object.size_on(c).expect("covered");
-                    let profile = problem.profile(c);
-                    let open = counts[c.0].open_batch_capacity(size, profile) > 0;
-                    let updated = if open {
-                        latencies[c.0]
-                    } else {
-                        latencies[c.0] + profile.batch_latency_ms(size)
-                    };
-                    (c, open, updated)
-                })
-                // Open batches first (free), then the smallest updated
-                // latency, then the lowest id for determinism.
-                .min_by(|a, b| {
-                    b.1.cmp(&a.1)
-                        .then(a.2.partial_cmp(&b.2).expect("finite latencies"))
-                        .then(a.0.cmp(&b.0))
-                });
-            let Some((camera, _, updated)) = candidate else {
-                break;
-            };
-            let size = object.size_on(camera).expect("covered");
-            counts[camera.0].add(size);
-            latencies[camera.0] = updated;
-            assignment.assign(object.id, camera);
-        }
-    }
-    let mut priority: Vec<CameraId> = (0..m).map(CameraId).collect();
-    priority.sort_by(|a, b| {
-        latencies[a.0]
-            .partial_cmp(&latencies[b.0])
-            .expect("finite latencies")
-            .then(a.0.cmp(&b.0))
-    });
-    BalbSchedule {
-        assignment,
-        camera_latencies_ms: latencies,
-        priority,
-    }
+    let mut solver = BalbSolver::new();
+    solver.solve_redundant(problem, redundancy);
+    solver.into_schedule()
 }
 
 /// Alternative objective: minimize the **total** processed workload
@@ -201,7 +113,7 @@ pub fn total_workload_ms(problem: &MvsProblem, assignment: &Assignment) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObjectId, ProblemConfig};
+    use crate::{balb_central, ObjectId, ProblemConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -351,344 +263,5 @@ mod tests {
         assert!(
             total_workload_ms(&p, &workload_a) <= total_workload_ms(&p, &balb.assignment) + 1e-9
         );
-    }
-}
-
-/// Selects a small set of cameras whose views jointly cover every object —
-/// the paper's proposed bandwidth-saving rule for centralized processing
-/// ("uploading the minimum number of views that offers complete coverage
-/// of all objects").
-///
-/// Minimum set cover is NP-hard; this is the classical greedy
-/// `ln(N)`-approximation: repeatedly pick the camera that covers the most
-/// still-uncovered objects (ties to the faster device, then the lower id).
-/// Returns the chosen cameras in selection order.
-///
-/// # Examples
-///
-/// ```
-/// use mvs_core::{extensions::min_upload_cover, MvsProblem, ProblemConfig};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-/// let p = MvsProblem::random(&mut rng, 5, 30, &ProblemConfig::default());
-/// let chosen = min_upload_cover(&p);
-/// // Every object is visible from at least one chosen camera.
-/// for o in p.objects() {
-///     assert!(o.coverage().any(|c| chosen.contains(&c)));
-/// }
-/// ```
-pub fn min_upload_cover(problem: &MvsProblem) -> Vec<CameraId> {
-    let mut uncovered: BTreeSet<usize> = (0..problem.num_objects()).collect();
-    let mut chosen = Vec::new();
-    let mut available: BTreeSet<usize> = (0..problem.num_cameras()).collect();
-    while !uncovered.is_empty() {
-        let (best, gain) = available
-            .iter()
-            .map(|&i| {
-                let cam = CameraId(i);
-                let gain = uncovered
-                    .iter()
-                    .filter(|&&j| problem.objects()[j].covered_by(cam))
-                    .count();
-                (i, gain)
-            })
-            .max_by(|a, b| {
-                a.1.cmp(&b.1).then_with(|| {
-                    problem
-                        .profile(CameraId(a.0))
-                        .speed_score()
-                        .partial_cmp(&problem.profile(CameraId(b.0)).speed_score())
-                        .expect("finite speed scores")
-                        .then(b.0.cmp(&a.0))
-                })
-            })
-            .expect("cameras remain while objects are uncovered");
-        debug_assert!(gain > 0, "problem validation guarantees coverage");
-        available.remove(&best);
-        let cam = CameraId(best);
-        uncovered.retain(|&j| !problem.objects()[j].covered_by(cam));
-        chosen.push(cam);
-    }
-    chosen
-}
-
-#[cfg(test)]
-mod cover_tests {
-    use super::*;
-    use crate::{CameraInfo, ObjectId, ObjectInfo, ProblemConfig};
-    use mvs_geometry::SizeClass;
-    use mvs_vision::{DeviceKind, LatencyProfile};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use std::collections::BTreeMap;
-
-    #[test]
-    fn cover_is_complete_on_random_instances() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        for _ in 0..20 {
-            let p = MvsProblem::random(&mut rng, 5, 25, &ProblemConfig::default());
-            let chosen = min_upload_cover(&p);
-            for o in p.objects() {
-                assert!(
-                    o.coverage().any(|c| chosen.contains(&c)),
-                    "object {} uncovered",
-                    o.id
-                );
-            }
-            assert!(chosen.len() <= p.num_cameras());
-        }
-    }
-
-    #[test]
-    fn full_overlap_needs_one_camera() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let p = MvsProblem::random(
-            &mut rng,
-            4,
-            20,
-            &ProblemConfig {
-                overlap_prob: 1.0,
-                ..Default::default()
-            },
-        );
-        let chosen = min_upload_cover(&p);
-        assert_eq!(chosen.len(), 1);
-        // Tie-break prefers the fastest device (the generator's camera 0
-        // is a Xavier).
-        assert_eq!(chosen[0], CameraId(0));
-    }
-
-    #[test]
-    fn disjoint_views_need_every_camera() {
-        let cameras: Vec<CameraInfo> = (0..3)
-            .map(|i| CameraInfo {
-                id: CameraId(i),
-                profile: LatencyProfile::for_device(DeviceKind::Tx2),
-            })
-            .collect();
-        let objects: Vec<ObjectInfo> = (0..6)
-            .map(|j| ObjectInfo {
-                id: ObjectId(j),
-                sizes: BTreeMap::from([(CameraId(j % 3), SizeClass::S128)]),
-            })
-            .collect();
-        let p = MvsProblem::new(cameras, objects).unwrap();
-        let chosen = min_upload_cover(&p);
-        assert_eq!(chosen.len(), 3);
-    }
-
-    #[test]
-    fn greedy_prefers_high_gain_cameras() {
-        // Camera 0 sees everything; cameras 1 and 2 see halves. Greedy
-        // must pick only camera 0.
-        let cameras: Vec<CameraInfo> = (0..3)
-            .map(|i| CameraInfo {
-                id: CameraId(i),
-                profile: LatencyProfile::for_device(DeviceKind::Nano),
-            })
-            .collect();
-        let objects: Vec<ObjectInfo> = (0..8)
-            .map(|j| {
-                let mut sizes = BTreeMap::from([(CameraId(0), SizeClass::S64)]);
-                sizes.insert(CameraId(1 + j % 2), SizeClass::S64);
-                ObjectInfo {
-                    id: ObjectId(j),
-                    sizes,
-                }
-            })
-            .collect();
-        let p = MvsProblem::new(cameras, objects).unwrap();
-        assert_eq!(min_upload_cover(&p), vec![CameraId(0)]);
-    }
-}
-
-/// Quality-aware BALB (paper Sec. V, "Object size" / "Heterogeneity among
-/// cameras"): *"assigning an object to a camera that is closer (e.g., one
-/// where the object accounts for more screen pixels) might help improve
-/// classification accuracy. … The resulting trade-off between quality and
-/// resource savings must be explored."*
-///
-/// This variant explores it: when an object must start a new batch, the
-/// candidate cameras' updated latencies are discounted by
-/// `quality_bias_ms × size_index` (size index 0–3 for 64–512 px), so
-/// cameras with a *larger* (closer, easier-to-classify) view of the object
-/// win ties and near-ties. `quality_bias_ms = 0` reduces to Algorithm 1's
-/// choice rule; larger values trade latency for detection quality.
-///
-/// # Panics
-///
-/// Panics if `quality_bias_ms` is negative or not finite.
-pub fn balb_quality_aware(problem: &MvsProblem, quality_bias_ms: f64) -> BalbSchedule {
-    assert!(
-        quality_bias_ms >= 0.0 && quality_bias_ms.is_finite(),
-        "quality bias must be a non-negative finite number of milliseconds"
-    );
-    let m = problem.num_cameras();
-    let mut assignment = Assignment::empty(problem.num_objects());
-    let mut latencies: Vec<f64> = (0..m)
-        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
-        .collect();
-    let mut counts: Vec<SizeCounts> = vec![SizeCounts::new(); m];
-    let mut order: Vec<usize> = (0..problem.num_objects()).collect();
-    order.sort_by(|&a, &b| {
-        let oa = &problem.objects()[a];
-        let ob = &problem.objects()[b];
-        oa.coverage_len()
-            .cmp(&ob.coverage_len())
-            .then(ob.max_size().cmp(&oa.max_size()))
-            .then(a.cmp(&b))
-    });
-    for &j in &order {
-        let object = &problem.objects()[j];
-        // Open-batch preference is unchanged from Algorithm 1 (joining a
-        // batch is free either way); quality only biases new-batch choices.
-        let mut best_open: Option<(CameraId, f64)> = None;
-        for camera in object.coverage() {
-            let size = object.size_on(camera).expect("covered");
-            let profile = problem.profile(camera);
-            let cap = counts[camera.0].open_batch_capacity(size, profile);
-            if cap > 0 {
-                let rel = cap as f64 / profile.batch_limit(size) as f64;
-                if best_open.is_none_or(|(_, prev)| rel > prev) {
-                    best_open = Some((camera, rel));
-                }
-            }
-        }
-        if let Some((camera, _)) = best_open {
-            counts[camera.0].add(object.size_on(camera).expect("covered"));
-            assignment.assign(object.id, camera);
-            continue;
-        }
-        let (camera, size, cost) = object
-            .coverage()
-            .map(|c| {
-                let s = object.size_on(c).expect("covered");
-                let t = problem.profile(c).batch_latency_ms(s);
-                // Larger view (higher size index) → bigger discount.
-                let discount = quality_bias_ms * s.index() as f64;
-                (c, s, latencies[c.0] + t - discount)
-            })
-            .min_by(|a, b| {
-                a.2.partial_cmp(&b.2)
-                    .expect("finite scores")
-                    .then(a.0.cmp(&b.0))
-            })
-            .expect("non-empty coverage");
-        counts[camera.0].add(size);
-        latencies[camera.0] += problem.profile(camera).batch_latency_ms(size);
-        let _ = cost;
-        assignment.assign(object.id, camera);
-    }
-    let mut priority: Vec<CameraId> = (0..m).map(CameraId).collect();
-    priority.sort_by(|a, b| {
-        latencies[a.0]
-            .partial_cmp(&latencies[b.0])
-            .expect("finite latencies")
-            .then(a.0.cmp(&b.0))
-    });
-    BalbSchedule {
-        assignment,
-        camera_latencies_ms: latencies,
-        priority,
-    }
-}
-
-#[cfg(test)]
-mod quality_tests {
-    use super::*;
-    use crate::{CameraInfo, ObjectId, ObjectInfo, ProblemConfig};
-    use mvs_geometry::SizeClass;
-    use mvs_vision::{DeviceKind, LatencyProfile};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use std::collections::BTreeMap;
-
-    #[test]
-    fn zero_bias_matches_plain_balb_objective_value() {
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        for _ in 0..10 {
-            let p = MvsProblem::random(&mut rng, 4, 25, &ProblemConfig::default());
-            let plain = balb_central(&p);
-            let quality = balb_quality_aware(&p, 0.0);
-            assert!(quality.assignment.is_feasible(&p));
-            // Tie-breaking differs slightly (open-batch rule), but the
-            // achieved system latency must be essentially the same.
-            assert!(
-                (quality.system_latency_ms() - plain.system_latency_ms()).abs()
-                    < plain.system_latency_ms() * 0.15 + 1e-9,
-                "quality {} vs plain {}",
-                quality.system_latency_ms(),
-                plain.system_latency_ms()
-            );
-        }
-    }
-
-    #[test]
-    fn bias_pulls_objects_to_the_larger_view() {
-        // Identical devices; the object appears large (S512) on camera 0
-        // and small (S64) on camera 1. Plain BALB takes the cheap small
-        // view; a strong quality bias flips the choice.
-        let cameras: Vec<CameraInfo> = (0..2)
-            .map(|i| CameraInfo {
-                id: CameraId(i),
-                profile: LatencyProfile::for_device(DeviceKind::Xavier),
-            })
-            .collect();
-        let objects = vec![ObjectInfo {
-            id: ObjectId(0),
-            sizes: BTreeMap::from([
-                (CameraId(0), SizeClass::S512),
-                (CameraId(1), SizeClass::S64),
-            ]),
-        }];
-        let p = MvsProblem::new(cameras, objects).unwrap();
-        let plain = balb_quality_aware(&p, 0.0);
-        assert_eq!(plain.assignment.sole_owner(ObjectId(0)), Some(CameraId(1)));
-        let biased = balb_quality_aware(&p, 100.0);
-        assert_eq!(biased.assignment.sole_owner(ObjectId(0)), Some(CameraId(0)));
-    }
-
-    #[test]
-    fn bias_increases_mean_assigned_view_size() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let p = MvsProblem::random(
-            &mut rng,
-            4,
-            60,
-            &ProblemConfig {
-                overlap_prob: 0.8,
-                ..Default::default()
-            },
-        );
-        let mean_size = |s: &BalbSchedule| {
-            let total: usize = p
-                .objects()
-                .iter()
-                .map(|o| {
-                    let owner = s.assignment.owners_of(o.id)[0];
-                    o.size_on(owner).expect("covered").index()
-                })
-                .sum();
-            total as f64 / p.num_objects() as f64
-        };
-        let plain = balb_quality_aware(&p, 0.0);
-        let biased = balb_quality_aware(&p, 40.0);
-        assert!(
-            mean_size(&biased) > mean_size(&plain),
-            "bias should raise the mean assigned view size: {} vs {}",
-            mean_size(&biased),
-            mean_size(&plain)
-        );
-        // And pay for it in latency.
-        assert!(biased.system_latency_ms() >= plain.system_latency_ms());
-    }
-
-    #[test]
-    #[should_panic(expected = "quality bias must be")]
-    fn negative_bias_panics() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let p = MvsProblem::random(&mut rng, 2, 5, &ProblemConfig::default());
-        balb_quality_aware(&p, -1.0);
     }
 }

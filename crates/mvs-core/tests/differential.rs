@@ -16,11 +16,13 @@
 //! `prop_assume` — the budget is sized so that essentially none do at
 //! these instance sizes.
 //!
-//! A third case holds [`BalbSolver`] — the same pass on reused buffers — to
-//! [`balb_central`] bit for bit over instance sequences that grow, shrink
-//! and change fleet size.
+//! A third case holds one reused [`BalbSolver`] to a from-scratch solve
+//! ([`balb_central`], [`balb_redundant`]) bit for bit over instance
+//! sequences that grow, shrink, change fleet size, lose cameras and change
+//! redundancy.
 
-use mvs_core::{balb_central, exact, BalbSolver, MvsProblem, ProblemConfig};
+use mvs_core::extensions::balb_redundant;
+use mvs_core::{balb_central, exact, BalbSolver, CameraId, MvsProblem, ProblemConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -95,22 +97,39 @@ proptest! {
     #[test]
     fn reused_solver_matches_central_bitwise(
         seed in any::<u64>(),
-        shapes in proptest::collection::vec((1usize..9, 0usize..25), 1..8),
+        shapes in proptest::collection::vec(
+            (1usize..9, 0usize..25, 1usize..4, 0usize..256),
+            1..8,
+        ),
     ) {
         // Buffers sized by one instance must leave nothing behind for the
         // next: fleets and object lists grow and shrink (down to no objects
-        // at all) between consecutive solves on one solver.
+        // at all) between consecutive solves on one solver, and so do the
+        // redundancy and the part of the fleet that is solved — what a
+        // pipeline's key frames ask of its solver under camera faults.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut solver = BalbSolver::new();
         prop_assert!(
             std::panic::catch_unwind(|| BalbSolver::new().schedule().clone()).is_err(),
             "schedule() before any solve must panic"
         );
-        for (m, n) in shapes {
-            let p = MvsProblem::random(&mut rng, m, n, &ProblemConfig::default());
-            let fresh = balb_central(&p);
-            let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            for reused in [solver.solve(&p).clone(), solver.schedule().clone()] {
+        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (m, n, redundancy, alive_mask) in shapes {
+            let full = MvsProblem::random(&mut rng, m, n, &ProblemConfig::default());
+            let alive: Vec<CameraId> =
+                (0..m).filter(|i| alive_mask >> i & 1 == 1).map(CameraId).collect();
+            // No survivor: the pipeline coasts and solves nothing.
+            let p = match full.restrict_to_cameras(&alive) {
+                Ok(subset) => subset.problem,
+                Err(_) => full,
+            };
+            let fresh = balb_redundant(&p, redundancy);
+            if redundancy == 1 {
+                prop_assert_eq!(&fresh, &balb_central(&p));
+                prop_assert_eq!(solver.solve(&p), &fresh);
+            }
+            let reused = solver.solve_redundant(&p, redundancy).clone();
+            for reused in [&reused, solver.schedule()] {
                 prop_assert_eq!(&reused.assignment, &fresh.assignment);
                 prop_assert_eq!(&reused.priority, &fresh.priority);
                 prop_assert_eq!(

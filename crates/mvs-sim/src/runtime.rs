@@ -29,10 +29,8 @@ use crate::scenario::Scenario;
 use crate::worker::{CameraWorker, FrameScratch, RegularFrame};
 use crate::world::World;
 use mvs_assoc::{AssociationScratch, GlobalObject};
-use mvs_core::extensions::balb_redundant;
 use mvs_core::{
-    BalbSchedule, BalbSolver, CameraId, CameraInfo, CameraMask, CameraSubset, MvsProblem, ObjectId,
-    ObjectInfo, ShadowTrack,
+    BalbSolver, CameraId, CameraInfo, CameraMask, MvsProblem, ObjectId, ObjectInfo, ShadowTrack,
 };
 use mvs_exec::{pool, resolve_threads};
 use mvs_geometry::{BBox, SizeClass};
@@ -47,7 +45,6 @@ use mvs_vision::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -369,29 +366,6 @@ struct CoordinatorScratch {
     assoc: AssociationScratch,
 }
 
-/// The one central solve of a key frame, chosen by what the horizon needs:
-///
-/// * degraded (`subset` is the synced sub-fleet) or redundant horizons solve
-///   with [`balb_redundant`], which equals `balb_central` at redundancy 1;
-/// * fully-synced single-owner horizons run the one greedy pass on
-///   `solver`'s reused buffers.
-///
-/// Both produce the bits of `balb_central` on a single-owner instance. The
-/// schedule is in the solved instance's ids (`subset`'s when degraded).
-fn central_schedule<'s>(
-    solver: &'s mut BalbSolver,
-    problem: &MvsProblem,
-    subset: Option<&CameraSubset>,
-    redundancy: usize,
-) -> Cow<'s, BalbSchedule> {
-    let redundancy = redundancy.max(1);
-    match subset {
-        Some(subset) => Cow::Owned(balb_redundant(&subset.problem, redundancy)),
-        None if redundancy > 1 => Cow::Owned(balb_redundant(problem, redundancy)),
-        None => Cow::Borrowed(solver.solve(problem)),
-    }
-}
-
 /// Everything a pipeline run reads and never writes: the scenario and
 /// configuration it serves, and what [`Deployment::build`] derived from the
 /// two — device profiles, the trained cross-camera models, the coverage
@@ -559,8 +533,7 @@ struct Pipeline {
     /// Owner cameras per global object of the current horizon (one entry
     /// with redundancy 1; more under the redundant-assignment extension).
     assignment: Vec<Vec<usize>>,
-    /// Persistent solver of the central stage's default path (see
-    /// [`central_schedule`]): its buffers are reused across horizons.
+    /// The central stage's solver: its buffers are reused across horizons.
     solver: BalbSolver,
     /// Reused per-frame coordinator buffers (see [`CoordinatorScratch`]).
     scratch: CoordinatorScratch,
@@ -958,7 +931,7 @@ impl Pipeline {
 
     /// The central stage (Sec. IV): associate the synced cameras' uploads
     /// into global objects, build the MVS instance, solve it
-    /// ([`central_schedule`]) and write the horizon's owners into
+    /// ([`BalbSolver::solve_redundant`]) and write the horizon's owners into
     /// `self.assignment`. Returns the global objects and the camera priority
     /// order in deployment ids — or `None` when nobody completed the round
     /// trip or no schedulable camera survived the restriction: the horizon
@@ -1002,7 +975,12 @@ impl Pipeline {
             Some(problem.restrict_to_cameras(&synced_cams).ok()?)
         };
         let subset = subset.as_ref();
-        let schedule = central_schedule(&mut self.solver, &problem, subset, self.redundancy);
+        // The schedule is in the solved instance's ids (`subset`'s when
+        // degraded). A configured redundancy of 0 means 1.
+        let schedule = self.solver.solve_redundant(
+            subset.map_or(&problem, |s| &s.problem),
+            self.redundancy.max(1),
+        );
         let solved = schedule.assignment.len();
         span_into(
             self.tracer.as_mut().map(|t| t.coordinator()),
@@ -1021,10 +999,9 @@ impl Pipeline {
             self.assignment[orig]
                 .extend(owners.map(|&c| subset.map_or(c, |s| s.original_camera(c)).0));
         }
-        let priority = match (subset, schedule) {
-            (Some(subset), schedule) => subset.lift_priority(&schedule.priority),
-            (None, Cow::Owned(schedule)) => schedule.priority,
-            (None, Cow::Borrowed(schedule)) => schedule.priority.clone(),
+        let priority = match subset {
+            Some(subset) => subset.lift_priority(&schedule.priority),
+            None => schedule.priority.clone(),
         };
         Some((globals, priority))
     }
