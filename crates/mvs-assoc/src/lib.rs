@@ -25,8 +25,8 @@
 //!   correspondences);
 //! * [`AssociationEngine`] — runs a full association round over all
 //!   cameras' detections and returns the global object list
-//!   ([`AssociationScratch`] is its reusable working memory);
-//! * [`UnionFind`] — the identity-merging substrate.
+//!   ([`AssociationScratch`] is its reusable working memory; identities
+//!   merge through a private union-find).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,4 +39,4 @@ pub use engine::{AssociationEngine, AssociationScratch, GlobalObject};
 pub use model::{
     train_pair_model, train_source_model, CameraPairModel, CameraSourceModel, CorrespondenceSample,
 };
-pub use union_find::UnionFind;
+use union_find::UnionFind;

@@ -1,50 +1,19 @@
 //! Disjoint-set forest with path compression and union by rank.
 
 /// A union-find over `0..n` elements.
-///
-/// # Examples
-///
-/// ```
-/// use mvs_assoc::UnionFind;
-///
-/// let mut uf = UnionFind::new(4);
-/// uf.union(0, 2);
-/// uf.union(2, 3);
-/// assert!(uf.connected(0, 3));
-/// assert!(!uf.connected(0, 1));
-/// assert_eq!(uf.groups().len(), 2);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
 }
 
 impl UnionFind {
-    /// Creates `n` singleton sets.
-    pub fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-        }
-    }
-
     /// Starts over as `n` singleton sets, keeping the allocation.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.parent.clear();
         self.parent.extend(0..n);
         self.rank.clear();
         self.rank.resize(n, 0);
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Representative of `x`'s set.
@@ -52,7 +21,7 @@ impl UnionFind {
     /// # Panics
     ///
     /// Panics if `x` is out of range.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];
@@ -73,7 +42,7 @@ impl UnionFind {
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -88,73 +57,65 @@ impl UnionFind {
         }
         true
     }
-
-    /// Whether `a` and `b` share a set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// The sets as sorted member lists (deterministic order: by smallest
-    /// member).
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for x in 0..n {
-            let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
-        }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        out.sort_by_key(|g| g[0]);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn singletons(n: usize) -> UnionFind {
+        let mut uf = UnionFind::default();
+        uf.reset(n);
+        uf
+    }
+
+    fn connected(uf: &mut UnionFind, a: usize, b: usize) -> bool {
+        uf.find(a) == uf.find(b)
+    }
+
     #[test]
     fn singletons_are_disjoint() {
-        let mut uf = UnionFind::new(3);
-        assert!(!uf.connected(0, 1));
-        assert_eq!(uf.groups(), vec![vec![0], vec![1], vec![2]]);
+        let mut uf = singletons(3);
+        assert!((0..3).all(|x| uf.find(x) == x));
     }
 
     #[test]
     fn union_merges_and_reports() {
-        let mut uf = UnionFind::new(4);
+        let mut uf = singletons(4);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0)); // already merged
         assert!(uf.union(2, 3));
         assert!(uf.union(0, 3));
-        assert_eq!(uf.groups(), vec![vec![0, 1, 2, 3]]);
+        assert!((1..4).all(|x| connected(&mut uf, 0, x)));
     }
 
     #[test]
     fn transitive_connectivity() {
-        let mut uf = UnionFind::new(5);
+        let mut uf = singletons(5);
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(3, 4);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(2, 3));
+        assert!(connected(&mut uf, 0, 2));
+        assert!(!connected(&mut uf, 2, 3));
     }
 
     #[test]
     fn long_chain_compresses() {
         let n = 1000;
-        let mut uf = UnionFind::new(n);
+        let mut uf = singletons(n);
         for i in 0..n - 1 {
             uf.union(i, i + 1);
         }
-        assert!(uf.connected(0, n - 1));
-        assert_eq!(uf.groups().len(), 1);
+        assert!(connected(&mut uf, 0, n - 1));
     }
 
     #[test]
-    fn empty_is_fine() {
-        let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert!(uf.groups().is_empty());
+    fn reset_starts_over() {
+        let mut uf = singletons(3);
+        uf.union(0, 2);
+        uf.reset(2);
+        assert!(!connected(&mut uf, 0, 1));
+        uf.reset(0);
+        assert!(uf.parent.is_empty() && uf.rank.is_empty());
     }
 }

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 /// Simulation seconds used to train association models in experiments.
 pub const TRAIN_S: f64 = 90.0;
 /// Simulation seconds evaluated in experiments.
-pub const EVAL_S: f64 = 90.0;
+const EVAL_S: f64 = 90.0;
 /// Master seed for all experiment binaries.
 pub const SEED: u64 = 2022;
 /// Number of seed replications for the headline result figures.
@@ -31,7 +31,7 @@ pub fn experiment_config(algorithm: Algorithm) -> PipelineConfig {
 }
 
 /// Directory where experiment binaries drop machine-readable results.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")

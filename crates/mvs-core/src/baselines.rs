@@ -1,7 +1,8 @@
 //! Comparison baselines from the paper's evaluation (Sec. IV-C/D).
 //!
 //! * **Full** — full-frame detection on every frame of every camera; its
-//!   per-frame latency is simply the slowest camera's `t^full`.
+//!   per-frame latency is simply the slowest camera's `t^full`, so it needs
+//!   no assignment and has no function here.
 //! * **BALB-Ind** — each camera independently tracks everything it sees
 //!   (slicing and batching still apply, but no cross-camera workload
 //!   sharing).
@@ -18,14 +19,6 @@
 //!   the frame-by-frame pipeline of `mvs-sim`.
 
 use crate::{Assignment, CameraId, MvsProblem};
-
-/// Per-frame system latency of the Full baseline: every camera runs a
-/// full-frame inspection, so the slowest camera dominates.
-pub fn full_frame_latency_ms(problem: &MvsProblem) -> f64 {
-    (0..problem.num_cameras())
-        .map(|i| problem.profile(CameraId(i)).full_frame_ms())
-        .fold(0.0, f64::max)
-}
 
 /// BALB-Ind assignment: every camera tracks every object it can see.
 pub fn balb_ind(problem: &MvsProblem) -> Assignment {
@@ -49,7 +42,7 @@ pub fn balb_ind(problem: &MvsProblem) -> Assignment {
 /// # Panics
 ///
 /// Panics if `region_keys.len() != problem.num_objects()`.
-pub fn static_partition(problem: &MvsProblem, region_keys: &[u64]) -> Assignment {
+fn static_partition(problem: &MvsProblem, region_keys: &[u64]) -> Assignment {
     assert_eq!(
         region_keys.len(),
         problem.num_objects(),
@@ -113,13 +106,6 @@ mod tests {
     fn random_problem(seed: u64, m: usize, n: usize) -> MvsProblem {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         MvsProblem::random(&mut rng, m, n, &ProblemConfig::default())
-    }
-
-    #[test]
-    fn full_frame_latency_is_slowest_camera() {
-        let p = random_problem(1, 3, 5);
-        // The generator cycles Xavier/TX2/Nano, so the Nano (650 ms) rules.
-        assert_eq!(full_frame_latency_ms(&p), 650.0);
     }
 
     #[test]

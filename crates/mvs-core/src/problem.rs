@@ -46,13 +46,13 @@ impl ObjectInfo {
     }
 
     /// Crop size on `camera`, if covered.
-    pub fn size_on(&self, camera: CameraId) -> Option<SizeClass> {
+    pub(crate) fn size_on(&self, camera: CameraId) -> Option<SizeClass> {
         self.sizes.get(&camera).copied()
     }
 
     /// The largest crop size over the coverage set (used for Algorithm 1's
     /// tie-breaking).
-    pub fn max_size(&self) -> Option<SizeClass> {
+    pub(crate) fn max_size(&self) -> Option<SizeClass> {
         self.sizes.values().copied().max()
     }
 }

@@ -67,22 +67,34 @@ fn in_executor_task() -> bool {
 }
 
 /// Resolves a requested thread count: `0` means auto — the `MVS_THREADS`
-/// environment variable if set to a positive integer, otherwise the
-/// machine's available parallelism.
+/// environment variable if it is set, otherwise the machine's available
+/// parallelism.
+///
+/// # Panics
+///
+/// Panics when `requested` is 0 and `MVS_THREADS` is set to anything but a
+/// positive integer: the variable pins the pool width of whole test
+/// matrices, so a mistyped value must not quietly mean "every CPU".
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    if let Ok(v) = std::env::var("MVS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    match std::env::var("MVS_THREADS") {
+        Ok(value) => thread_override(&value).unwrap_or_else(|e| panic!("{e}")),
+        Err(std::env::VarError::NotPresent) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Err(e) => panic!("MVS_THREADS: {e}"),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// The pool width a set `MVS_THREADS` asks for, or why it asks for none.
+fn thread_override(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(0) => Err("MVS_THREADS must be positive".to_string()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("MVS_THREADS `{}`: {e}", value.trim())),
+    }
 }
 
 /// Countdown latch: the caller blocks until every submitted task of a
@@ -557,5 +569,15 @@ mod tests {
     fn resolve_threads_prefers_explicit_request() {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn thread_override_is_a_positive_integer_or_an_error() {
+        assert_eq!(thread_override("4"), Ok(4));
+        assert_eq!(thread_override(" 2\n"), Ok(2));
+        for bad in ["abc", "0", "-2", "2.5", ""] {
+            let message = thread_override(bad).unwrap_err();
+            assert!(message.starts_with("MVS_THREADS"), "{bad:?}: {message}");
+        }
     }
 }

@@ -86,12 +86,6 @@ impl Grid {
         self.frame
     }
 
-    /// Cell side length in pixels.
-    #[inline]
-    pub fn cell_size(&self) -> u32 {
-        self.cell_size
-    }
-
     /// The cell containing `p`, or `None` if `p` is outside the frame.
     pub fn cell_at(&self, p: Point2) -> Option<CellIndex> {
         if p.x < 0.0 || p.y < 0.0 {
@@ -133,27 +127,6 @@ impl Grid {
     /// Iterates over every cell index.
     pub fn iter(&self) -> impl Iterator<Item = CellIndex> + '_ {
         (0..self.len()).map(CellIndex)
-    }
-
-    /// All cells whose pixel area overlaps `b`.
-    pub fn cells_overlapping(&self, b: &BBox) -> Vec<CellIndex> {
-        let Some(clamped) = b.clamped_to(self.frame) else {
-            return Vec::new();
-        };
-        let cs = self.cell_size as f64;
-        let c1 = (clamped.x1() / cs) as usize;
-        let r1 = (clamped.y1() / cs) as usize;
-        // Subtract an epsilon-free exclusive bound: a box whose edge lands
-        // exactly on a cell border does not overlap the next cell.
-        let c2 = (((clamped.x2() / cs).ceil() as usize).max(c1 + 1) - 1).min(self.cols - 1);
-        let r2 = (((clamped.y2() / cs).ceil() as usize).max(r1 + 1) - 1).min(self.rows - 1);
-        let mut out = Vec::with_capacity((c2 - c1 + 1) * (r2 - r1 + 1));
-        for row in r1..=r2 {
-            for col in c1..=c2 {
-                out.push(CellIndex(row * self.cols + col));
-            }
-        }
-        out
     }
 }
 
@@ -198,24 +171,6 @@ mod tests {
         let b = g.cell_bbox(last);
         assert_eq!(b.x2(), 100.0);
         assert_eq!(b.y2(), 50.0);
-    }
-
-    #[test]
-    fn cells_overlapping_box() {
-        let g = Grid::new(FrameDims::new(100, 100), 10);
-        let cells = g.cells_overlapping(&BBox::new(5.0, 5.0, 25.0, 15.0).unwrap());
-        // Columns 0..=2, rows 0..=1 → 6 cells.
-        assert_eq!(cells.len(), 6);
-        // Exactly-on-border box should not bleed into the next cell.
-        let cells = g.cells_overlapping(&BBox::new(0.0, 0.0, 10.0, 10.0).unwrap());
-        assert_eq!(cells, vec![CellIndex(0)]);
-    }
-
-    #[test]
-    fn cells_outside_frame_are_empty() {
-        let g = Grid::new(FrameDims::new(100, 100), 10);
-        let b = BBox::new(200.0, 200.0, 300.0, 300.0).unwrap();
-        assert!(g.cells_overlapping(&b).is_empty());
     }
 
     #[test]

@@ -43,13 +43,6 @@ impl Point2 {
         (self - other).norm()
     }
 
-    /// Squared Euclidean distance to `other` (avoids the square root).
-    #[inline]
-    pub fn distance_sq(self, other: Point2) -> f64 {
-        let d = self - other;
-        d.x * d.x + d.y * d.y
-    }
-
     /// Euclidean norm when interpreting the point as a displacement.
     #[inline]
     pub fn norm(self) -> f64 {
@@ -188,7 +181,6 @@ mod tests {
         let a = Point2::new(1.0, 1.0);
         let b = Point2::new(4.0, 5.0);
         assert_eq!(a.distance(b), (b - a).norm());
-        assert_eq!(a.distance_sq(b), 25.0);
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl SizeClass {
         }
         SizeClass::S512
     }
-
-    /// The next larger class, or `None` for [`SizeClass::S512`].
-    pub fn next_up(self) -> Option<SizeClass> {
-        match self {
-            SizeClass::S64 => Some(SizeClass::S128),
-            SizeClass::S128 => Some(SizeClass::S256),
-            SizeClass::S256 => Some(SizeClass::S512),
-            SizeClass::S512 => None,
-        }
-    }
 }
 
 impl fmt::Display for SizeClass {
@@ -145,12 +135,6 @@ mod tests {
         assert!(SizeClass::S64 < SizeClass::S128);
         assert!(SizeClass::S128 < SizeClass::S256);
         assert!(SizeClass::S256 < SizeClass::S512);
-    }
-
-    #[test]
-    fn next_up_chain() {
-        assert_eq!(SizeClass::S64.next_up(), Some(SizeClass::S128));
-        assert_eq!(SizeClass::S512.next_up(), None);
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl BBoxSoA {
     /// Appends every box in `boxes`, in order. Each column is extended in
     /// one pass from an exact-size iterator, so the copy reserves once per
     /// column and runs without per-element capacity checks.
-    pub fn extend_from_boxes(&mut self, boxes: &[BBox]) {
+    fn extend_from_boxes(&mut self, boxes: &[BBox]) {
         self.x1.extend(boxes.iter().map(|b| b.x1()));
         self.y1.extend(boxes.iter().map(|b| b.y1()));
         self.x2.extend(boxes.iter().map(|b| b.x2()));

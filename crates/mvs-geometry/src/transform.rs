@@ -1,6 +1,6 @@
 //! Projective (homography) transforms.
 
-use crate::{BBox, Point2};
+use crate::Point2;
 use serde::{Deserialize, Serialize};
 
 /// A 3×3 projective transform of the plane (a homography).
@@ -29,7 +29,7 @@ pub struct Projective2 {
 
 impl Projective2 {
     /// The identity transform.
-    pub const IDENTITY: Projective2 = Projective2 {
+    const IDENTITY: Projective2 = Projective2 {
         m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     };
 
@@ -85,26 +85,6 @@ impl Projective2 {
         }
         let out = Point2::new(x / w, y / w);
         out.is_finite().then_some(out)
-    }
-
-    /// Maps a bounding box by transforming its four corners and taking their
-    /// hull. Returns `None` when any corner maps to infinity.
-    ///
-    /// Note the paper's observation that a ground-plane homography cannot
-    /// represent full 3-D bounding-box mappings — this method is exactly the
-    /// approximation the homography baseline uses.
-    pub fn apply_bbox(&self, b: &BBox) -> Option<BBox> {
-        let corners = [
-            Point2::new(b.x1(), b.y1()),
-            Point2::new(b.x2(), b.y1()),
-            Point2::new(b.x2(), b.y2()),
-            Point2::new(b.x1(), b.y2()),
-        ];
-        let mut mapped = Vec::with_capacity(4);
-        for c in corners {
-            mapped.push(self.apply(c)?);
-        }
-        BBox::hull(mapped)
     }
 
     /// Composition: `self.compose(other)` applies `other` first, then `self`.
@@ -215,25 +195,5 @@ mod tests {
         // Bottom row sends y=1 to w=0.
         let h = Projective2::from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]);
         assert!(h.apply(Point2::new(0.0, 1.0)).is_none());
-    }
-
-    #[test]
-    fn bbox_mapping_under_translation() {
-        let t = Projective2::translation(10.0, 20.0);
-        let b = BBox::new(0.0, 0.0, 4.0, 4.0).unwrap();
-        let mapped = t.apply_bbox(&b).unwrap();
-        assert_eq!(mapped, BBox::new(10.0, 20.0, 14.0, 24.0).unwrap());
-    }
-
-    #[test]
-    fn projective_warp_preserves_hull_property() {
-        let h =
-            Projective2::from_matrix([[1.0, 0.1, 0.0], [0.05, 1.0, 0.0], [0.0001, 0.0002, 1.0]]);
-        let b = BBox::new(100.0, 100.0, 200.0, 180.0).unwrap();
-        let mapped = h.apply_bbox(&b).unwrap();
-        // Every mapped corner is inside the hull.
-        for c in [Point2::new(b.x1(), b.y1()), Point2::new(b.x2(), b.y2())] {
-            assert!(mapped.contains_point(h.apply(c).unwrap()));
-        }
     }
 }

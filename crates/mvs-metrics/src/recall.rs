@@ -22,8 +22,7 @@ use std::collections::HashSet;
 /// recall.record([1, 2], [1]);
 /// // Frame 2: object 2 visible and detected.
 /// recall.record([2], [2]);
-/// assert_eq!(recall.true_positives(), 2);
-/// assert_eq!(recall.false_negatives(), 1);
+/// // Two true positives, one false negative.
 /// assert!((recall.recall() - 2.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,16 +73,6 @@ impl RecallAccumulator {
         self.frames += other.frames;
     }
 
-    /// True positives so far.
-    pub fn true_positives(&self) -> u64 {
-        self.tp
-    }
-
-    /// False negatives so far.
-    pub fn false_negatives(&self) -> u64 {
-        self.fn_
-    }
-
     /// Number of recorded timestamps.
     pub fn frames(&self) -> u64 {
         self.frames
@@ -114,8 +103,8 @@ mod tests {
         let mut r = RecallAccumulator::new();
         // Object 5 visible; the union of camera detections contains it.
         r.record([5], [9, 5, 3]);
-        assert_eq!(r.true_positives(), 1);
-        assert_eq!(r.false_negatives(), 0);
+        assert_eq!(r.tp, 1);
+        assert_eq!(r.fn_, 0);
     }
 
     #[test]
@@ -129,8 +118,8 @@ mod tests {
     fn missed_objects_are_false_negatives() {
         let mut r = RecallAccumulator::new();
         r.record([1, 2, 3], [2]);
-        assert_eq!(r.true_positives(), 1);
-        assert_eq!(r.false_negatives(), 2);
+        assert_eq!(r.tp, 1);
+        assert_eq!(r.fn_, 2);
         assert!((r.recall() - 1.0 / 3.0).abs() < 1e-12);
     }
 
@@ -141,8 +130,8 @@ mod tests {
         let mut b = RecallAccumulator::new();
         b.record([1, 2], []);
         a.merge(&b);
-        assert_eq!(a.true_positives(), 1);
-        assert_eq!(a.false_negatives(), 2);
+        assert_eq!(a.tp, 1);
+        assert_eq!(a.fn_, 2);
         assert_eq!(a.frames(), 2);
     }
 }

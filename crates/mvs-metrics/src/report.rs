@@ -60,33 +60,6 @@ impl TextTable {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Renders the table as CSV (headers first, fields escaped when they
-    /// contain commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for TextTable {
@@ -134,14 +107,6 @@ mod tests {
         assert!(lines[0].starts_with("a"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].contains("one"));
-    }
-
-    #[test]
-    fn csv_escapes_special_characters() {
-        let csv = sample().to_csv();
-        assert!(csv.contains("\"two,three\""));
-        assert!(csv.contains("\"2\"\"\""));
-        assert!(csv.starts_with("a,b\n"));
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl Running {
         self.mean
     }
 
-    /// Population variance (`0.0` with fewer than one sample).
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample (Bessel-corrected) standard deviation; `0.0` with fewer than
     /// two samples.
     pub fn sample_std(&self) -> f64 {
@@ -196,7 +187,6 @@ mod tests {
         assert_eq!(r.count(), 0);
         assert_eq!(r.rejected(), 1);
         assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
         assert_eq!(r.sample_std(), 0.0);
         // The accumulator still works normally afterwards.
         assert!(r.try_push(5.0));

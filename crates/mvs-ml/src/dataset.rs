@@ -57,7 +57,7 @@ pub fn train_test_split<X: Clone, Y: Clone>(
 /// standardized pixel-coordinate features to converge; KNN and trees do not
 /// care. Fitted on the training split only.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Standardizer {
+pub(crate) struct Standardizer {
     mean: Vec<f64>,
     std: Vec<f64>,
 }
@@ -126,7 +126,7 @@ impl Standardizer {
     }
 
     /// Standardizes a batch of rows.
-    pub fn transform_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn transform_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
         xs.iter().map(|x| self.transform(x)).collect()
     }
 }

@@ -53,7 +53,7 @@ mod traits;
 mod tree;
 mod validate;
 
-pub use dataset::{train_test_split, Standardizer};
+pub use dataset::train_test_split;
 pub use error::MlError;
 pub use homography::estimate_homography;
 pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment, HungarianSolver};
@@ -63,9 +63,9 @@ pub use knn::{majority_vote, KnnClassifier, KnnIndex, KnnRegressor, Neighbour};
 pub use linreg::LinearRegression;
 pub use logistic::LogisticRegression;
 pub use matrix::Matrix;
-pub use metrics::{accuracy, mean_absolute_error, precision_recall, BinaryConfusion};
+pub use metrics::{accuracy, BinaryConfusion};
 pub use ransac::{Ransac, RansacConfig};
 pub use svm::LinearSvm;
 pub use traits::{Classifier, Regressor};
 pub use tree::{DecisionTree, DecisionTreeConfig};
-pub use validate::{cross_validate, kfold_indices};
+pub use validate::cross_validate;

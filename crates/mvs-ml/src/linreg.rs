@@ -33,7 +33,7 @@ pub struct LinearRegression {
 
 impl LinearRegression {
     /// Default ridge regularization (tiny, for numerical stability only).
-    pub const LAMBDA: f64 = 1e-8;
+    const LAMBDA: f64 = 1e-8;
 
     /// Fits with the default (numerically stabilizing) ridge penalty.
     ///
@@ -52,7 +52,7 @@ impl LinearRegression {
     ///
     /// Same as [`LinearRegression::fit`], plus [`MlError::InvalidParameter`]
     /// for negative `lambda`.
-    pub fn fit_with(xs: &[Vec<f64>], ys: &[Vec<f64>], lambda: f64) -> Result<Self, MlError> {
+    fn fit_with(xs: &[Vec<f64>], ys: &[Vec<f64>], lambda: f64) -> Result<Self, MlError> {
         if lambda < 0.0 {
             return Err(MlError::InvalidParameter("lambda must be non-negative"));
         }
@@ -95,16 +95,6 @@ impl LinearRegression {
             weights.push(a.solve_least_squares(&b?, lambda)?);
         }
         Ok(LinearRegression { weights, in_dim })
-    }
-
-    /// Input dimensionality the model was trained with.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.weights.len()
     }
 }
 
@@ -152,8 +142,7 @@ mod tests {
         let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
         let ys = vec![vec![2.0, 0.0], vec![4.0, 0.0], vec![6.0, 0.0]];
         let m = LinearRegression::fit(&xs, &ys).unwrap();
-        assert_eq!(m.in_dim(), 1);
-        assert_eq!(m.out_dim(), 2);
+        assert_eq!((m.in_dim, m.weights.len()), (1, 2));
         let y = m.predict(&[5.0]);
         assert!((y[0] - 10.0).abs() < 1e-6);
         assert!(y[1].abs() < 1e-6);

@@ -1,6 +1,7 @@
 //! Binary logistic regression (classification baseline).
 
-use crate::{Classifier, MlError, Standardizer};
+use crate::dataset::Standardizer;
+use crate::{Classifier, MlError};
 use serde::{Deserialize, Serialize};
 
 /// Binary logistic regression trained by full-batch gradient descent.
@@ -29,9 +30,9 @@ pub struct LogisticRegression {
 
 impl LogisticRegression {
     /// Default number of gradient-descent epochs.
-    pub const EPOCHS: usize = 500;
+    const EPOCHS: usize = 500;
     /// Default learning rate.
-    pub const LEARNING_RATE: f64 = 0.5;
+    const LEARNING_RATE: f64 = 0.5;
 
     /// Fits the model with default hyper-parameters.
     ///
@@ -50,12 +51,7 @@ impl LogisticRegression {
     /// Same conditions as [`LogisticRegression::fit`], plus
     /// [`MlError::InvalidParameter`] for zero epochs or a non-positive
     /// learning rate.
-    pub fn fit_with(
-        xs: &[Vec<f64>],
-        ys: &[usize],
-        epochs: usize,
-        lr: f64,
-    ) -> Result<Self, MlError> {
+    fn fit_with(xs: &[Vec<f64>], ys: &[usize], epochs: usize, lr: f64) -> Result<Self, MlError> {
         if epochs == 0 {
             return Err(MlError::InvalidParameter("epochs must be positive"));
         }
@@ -103,7 +99,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimensionality.
-    pub fn predict_proba(&self, x: &[f64]) -> f64 {
+    fn predict_proba(&self, x: &[f64]) -> f64 {
         let z = self.standardizer.transform(x);
         let margin: f64 = self
             .weights

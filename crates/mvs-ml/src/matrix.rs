@@ -35,7 +35,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Matrix {
             rows,
@@ -130,7 +130,7 @@ impl Matrix {
     ///
     /// Returns [`MlError::DimensionMismatch`] when the inner dimensions
     /// disagree.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
+    fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
         if self.cols != other.rows {
             return Err(MlError::DimensionMismatch {
                 expected: self.cols,
@@ -245,7 +245,7 @@ impl Matrix {
     ///
     /// Propagates dimension and singularity errors from the underlying
     /// solve; with `lambda > 0` the system is always non-singular.
-    pub fn solve_least_squares(&self, b: &[f64], lambda: f64) -> Result<Vec<f64>, MlError> {
+    pub(crate) fn solve_least_squares(&self, b: &[f64], lambda: f64) -> Result<Vec<f64>, MlError> {
         if b.len() != self.rows {
             return Err(MlError::DimensionMismatch {
                 expected: self.rows,

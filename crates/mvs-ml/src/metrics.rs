@@ -51,27 +51,6 @@ impl BinaryConfusion {
             self.tp as f64 / (self.tp + self.fn_) as f64
         }
     }
-
-    /// F1 score (harmonic mean of precision and recall).
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-}
-
-/// Convenience wrapper returning `(precision, recall)`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn precision_recall(pred: &[usize], truth: &[usize]) -> (f64, f64) {
-    let c = BinaryConfusion::from_predictions(pred, truth);
-    (c.precision(), c.recall())
 }
 
 /// Fraction of matching labels; `0.0` for empty input.
@@ -86,31 +65,6 @@ pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
     }
     let hits = pred.iter().zip(truth).filter(|(p, t)| p == t).count();
     hits as f64 / pred.len() as f64
-}
-
-/// Mean absolute error over flattened multi-output predictions.
-///
-/// This matches the paper's regression metric: MAE between predicted and
-/// ground-truth bounding-box coordinates, averaged over all coordinates of
-/// all test boxes.
-///
-/// # Panics
-///
-/// Panics if the slices (or any paired rows) differ in length, or the input
-/// is empty.
-pub fn mean_absolute_error(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "prediction/target length mismatch");
-    assert!(!pred.is_empty(), "MAE of an empty set is undefined");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, t) in pred.iter().zip(truth) {
-        assert_eq!(p.len(), t.len(), "row dimension mismatch");
-        for (pi, ti) in p.iter().zip(t) {
-            total += (pi - ti).abs();
-            count += 1;
-        }
-    }
-    total / count as f64
 }
 
 #[cfg(test)]
@@ -140,31 +94,11 @@ mod tests {
         let c = BinaryConfusion::from_predictions(&[0, 0], &[0, 0]);
         assert_eq!(c.precision(), 1.0);
         assert_eq!(c.recall(), 1.0);
-        assert_eq!(c.f1(), 1.0);
-    }
-
-    #[test]
-    fn f1_zero_when_nothing_right() {
-        let c = BinaryConfusion::from_predictions(&[1, 1], &[0, 0]);
-        assert_eq!(c.f1(), 0.0);
     }
 
     #[test]
     fn accuracy_basic() {
         assert_eq!(accuracy(&[1, 0, 1], &[1, 1, 1]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn mae_flattens_outputs() {
-        let pred = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let truth = vec![vec![2.0, 2.0], vec![3.0, 0.0]];
-        assert!((mean_absolute_error(&pred, &truth) - (1.0 + 0.0 + 0.0 + 4.0) / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mae_rejects_mismatched_lengths() {
-        mean_absolute_error(&[vec![1.0]], &[]);
     }
 }

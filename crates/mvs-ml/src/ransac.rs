@@ -127,11 +127,6 @@ impl Ransac {
             inliers: count,
         })
     }
-
-    /// Number of inliers in the winning consensus set.
-    pub fn inlier_count(&self) -> usize {
-        self.inliers
-    }
 }
 
 fn residual(model: &LinearRegression, x: &[f64], y: &[f64]) -> f64 {
@@ -177,7 +172,7 @@ mod tests {
         let (xs, ys) = line_with_outliers(8);
         let m = Ransac::fit(cfg(), &xs, &ys).unwrap();
         assert!((m.predict(&[100.0])[0] - 301.0).abs() < 0.5);
-        assert!(m.inlier_count() >= 30);
+        assert!(m.inliers >= 30);
     }
 
     #[test]

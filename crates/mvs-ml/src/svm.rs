@@ -1,6 +1,7 @@
 //! Linear support-vector machine (classification baseline).
 
-use crate::{Classifier, MlError, Standardizer};
+use crate::dataset::Standardizer;
+use crate::{Classifier, MlError};
 use serde::{Deserialize, Serialize};
 
 /// A linear SVM trained with the Pegasos sub-gradient method.
@@ -30,9 +31,9 @@ pub struct LinearSvm {
 
 impl LinearSvm {
     /// Default number of passes over the training set.
-    pub const EPOCHS: usize = 60;
+    const EPOCHS: usize = 60;
     /// Default regularization strength λ.
-    pub const LAMBDA: f64 = 1e-3;
+    const LAMBDA: f64 = 1e-3;
 
     /// Fits with default hyper-parameters.
     ///
@@ -50,7 +51,7 @@ impl LinearSvm {
     ///
     /// Same as [`LinearSvm::fit`], plus [`MlError::InvalidParameter`] for
     /// zero epochs or non-positive λ.
-    pub fn fit_with(
+    fn fit_with(
         xs: &[Vec<f64>],
         ys: &[usize],
         epochs: usize,
@@ -104,7 +105,7 @@ impl LinearSvm {
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimensionality.
-    pub fn decision_function(&self, x: &[f64]) -> f64 {
+    fn decision_function(&self, x: &[f64]) -> f64 {
         let z = self.standardizer.transform(x);
         self.weights
             .iter()

@@ -16,17 +16,7 @@ use crate::MlError;
 ///
 /// Returns [`MlError::InvalidParameter`] if `folds < 2` and
 /// [`MlError::NotEnoughSamples`] if `n < folds`.
-///
-/// # Examples
-///
-/// ```
-/// let folds = mvs_ml::kfold_indices(10, 3)?;
-/// assert_eq!(folds.len(), 3);
-/// let total: usize = folds.iter().map(Vec::len).sum();
-/// assert_eq!(total, 10);
-/// # Ok::<(), mvs_ml::MlError>(())
-/// ```
-pub fn kfold_indices(n: usize, folds: usize) -> Result<Vec<Vec<usize>>, MlError> {
+fn kfold_indices(n: usize, folds: usize) -> Result<Vec<Vec<usize>>, MlError> {
     if folds < 2 {
         return Err(MlError::InvalidParameter("need at least two folds"));
     }
@@ -57,7 +47,9 @@ pub fn kfold_indices(n: usize, folds: usize) -> Result<Vec<Vec<usize>>, MlError>
 ///
 /// # Errors
 ///
-/// Propagates [`kfold_indices`] errors and any error from `fit`.
+/// Returns [`MlError::InvalidParameter`] if `folds < 2`,
+/// [`MlError::NotEnoughSamples`] if there are fewer rows than folds, and
+/// any error from `fit`.
 pub fn cross_validate<F>(
     xs: &[Vec<f64>],
     ys: &[usize],

@@ -51,7 +51,7 @@ impl CameraModel {
     }
 
     /// The camera's visibility footprint on the ground plane.
-    pub fn view_polygon(&self) -> Polygon {
+    pub(crate) fn view_polygon(&self) -> Polygon {
         Polygon::view_wedge(
             self.position,
             self.heading,

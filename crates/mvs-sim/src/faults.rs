@@ -82,19 +82,14 @@ impl FaultModel {
         }
     }
 
-    /// Whether this model can inject any fault at all.
-    pub fn is_active(&self) -> bool {
-        self.dropout_per_horizon > 0.0 || self.keyframe_loss > 0.0
-    }
-
     /// Transmission attempts allowed per message (initial + retries).
-    pub fn attempts_budget(&self) -> u32 {
+    fn attempts_budget(&self) -> u32 {
         1 + self.max_retries
     }
 
     /// How long the scheduler waits for a camera that never delivers: the
     /// full retry schedule, timeout after timeout.
-    pub fn deadline_ms(&self) -> f64 {
+    pub(crate) fn deadline_ms(&self) -> f64 {
         self.attempts_budget() as f64 * self.retry_timeout_ms
     }
 }
@@ -247,11 +242,6 @@ impl ServeFaultModel {
             degrades: Vec::new(),
         }
     }
-
-    /// Whether this model can inject any serve-level fault at all.
-    pub fn is_active(&self) -> bool {
-        !self.crash_at_us.is_empty() || self.poison_per_frame > 0.0 || !self.degrades.is_empty()
-    }
 }
 
 impl Default for ServeFaultModel {
@@ -396,7 +386,7 @@ impl FaultState {
         &self.alive
     }
 
-    pub fn all_alive(&self) -> bool {
+    pub(crate) fn all_alive(&self) -> bool {
         self.alive.iter().all(|&a| a)
     }
 
@@ -404,7 +394,7 @@ impl FaultState {
     /// camera in index order (the draw happens even when `min_alive`
     /// vetoes the dropout, so the stream position is a function of the
     /// key-frame count alone).
-    pub fn step_key_frame(&mut self) -> KeyFrameEvents {
+    pub(crate) fn step_key_frame(&mut self) -> KeyFrameEvents {
         let mut events = KeyFrameEvents::default();
         if self.model.dropout_per_horizon <= 0.0 {
             return events;
@@ -434,7 +424,7 @@ impl FaultState {
     /// draws come first, then all downlink draws, each in camera-index
     /// order. Lost attempts, retransmitted messages and the live cameras
     /// left without an answer are added to `tally`.
-    pub fn round_trip(
+    pub(crate) fn round_trip(
         &mut self,
         up: &mut Vec<Option<u32>>,
         down: &mut Vec<Option<u32>>,
@@ -698,30 +688,6 @@ mod tests {
             unsorted.validate(),
             Err(ServeFaultError::DegradeTimesNotSorted)
         );
-    }
-
-    #[test]
-    fn serve_fault_activity_tracks_every_domain() {
-        assert!(!ServeFaultModel::none().is_active());
-        let crash = ServeFaultModel {
-            crash_at_us: vec![1],
-            ..ServeFaultModel::none()
-        };
-        assert!(crash.is_active());
-        let poison = ServeFaultModel {
-            poison_per_frame: 0.1,
-            ..ServeFaultModel::none()
-        };
-        assert!(poison.is_active());
-        let degrade = ServeFaultModel {
-            degrades: vec![PoolDegrade {
-                at_us: 0,
-                capacity_factor: 0.5,
-                service_inflation: 1.0,
-            }],
-            ..ServeFaultModel::none()
-        };
-        assert!(degrade.is_active());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   device configurations;
 //! * [`CorrespondenceData`] / [`TrainedAssociation`] — the half/half
 //!   association-model training protocol;
-//! * [`MaskPrecompute`] / [`StaticWorldPartition`] — distributed-stage
-//!   masks and the SP baseline's offline allocation;
+//! * [`MaskPrecompute`] — distributed-stage masks (the SP baseline's
+//!   offline allocation lives beside it);
 //! * [`NetworkModel`] — the 20/100 Mbps camera↔scheduler link;
 //! * [`FaultModel`] / [`ServeFaultModel`] — seeded camera-dropout and
 //!   key-frame message-loss injection with timeout-plus-retry recovery,
@@ -53,17 +53,16 @@ mod world;
 pub use camera::CameraModel;
 pub use correspond::{CorrespondenceData, PairLabels, TrainedAssociation};
 pub use faults::{FaultModel, FaultModelError, PoolDegrade, ServeFaultError, ServeFaultModel};
-pub use masks::{MaskPrecompute, StaticWorldPartition};
-pub use messages::{AssignmentMessage, ObjectRecord, UploadMessage};
+pub use masks::MaskPrecompute;
 pub use mvs_exec::resolve_threads;
-pub use network::{NetworkModel, BYTES_PER_OBJECT, MESSAGE_HEADER_BYTES};
+pub use network::NetworkModel;
 pub use render::render_ascii;
 pub use response::{replay_response, QueuePolicy, ResponseStats};
 pub use runtime::{
     run_pipeline, run_pipeline_traced, Algorithm, Deployment, OverheadModel, PipelineConfig,
-    PipelineResult, PipelineStats, PoisonPanic, TenantPipeline,
+    PipelineResult, PipelineStats, TenantPipeline,
 };
-pub use scenario::{CityConfig, Scenario, ScenarioBuildError, ScenarioBuilder, ScenarioKind};
+pub use scenario::{CityConfig, Scenario, ScenarioKind};
 pub use serve::{
     run_serve, run_serve_traced, AdmissionDecision, AdmissionTransition, DecisionCounts,
     IngestLane, ServeConfig, ServeConfigError, ServeLoop, ServeReport, ServeSnapshot, TenantReport,

@@ -285,7 +285,7 @@ impl MaskPrecompute {
 /// the weakness BALB exploits (a platoon parked inside one camera's region
 /// spikes that camera's latency while its neighbours idle).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StaticWorldPartition {
+pub(crate) struct StaticWorldPartition {
     views: Vec<Polygon>,
     anchors: Vec<Point2>,
     weights: Vec<f64>,

@@ -2,9 +2,10 @@
 //!
 //! The paper's testbed connects the Jetson boards to the central scheduler
 //! over a wired link with 100 Mbps downlink and 20 Mbps uplink. Cameras
-//! upload detected-object lists at key frames and receive assignments back;
-//! this module meters those messages so the Table II central-stage
-//! overhead includes communication time.
+//! upload detected-object lists at key frames and receive assignments back
+//! (their lengths come from the `messages` module); this module turns a
+//! length into a transfer time so the Table II central-stage overhead
+//! includes communication.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,33 +31,15 @@ impl Default for NetworkModel {
     }
 }
 
-/// Serialized size of one detected-object record (box coordinates, ids,
-/// confidence — a compact binary encoding).
-pub const BYTES_PER_OBJECT: usize = 40;
-/// Fixed per-message envelope (headers, frame id, camera id, checksums).
-pub const MESSAGE_HEADER_BYTES: usize = 96;
-
 impl NetworkModel {
     /// Time to upload `bytes` from a camera to the scheduler, ms.
-    pub fn uplink_ms(&self, bytes: usize) -> f64 {
+    pub(crate) fn uplink_ms(&self, bytes: usize) -> f64 {
         self.one_way_ms + (bytes as f64 * 8.0) / (self.uplink_mbps * 1e6) * 1e3
     }
 
     /// Time to push `bytes` from the scheduler to a camera, ms.
-    pub fn downlink_ms(&self, bytes: usize) -> f64 {
+    pub(crate) fn downlink_ms(&self, bytes: usize) -> f64 {
         self.one_way_ms + (bytes as f64 * 8.0) / (self.downlink_mbps * 1e6) * 1e3
-    }
-
-    /// Size of an object-list message carrying `num_objects` records.
-    pub fn object_list_bytes(num_objects: usize) -> usize {
-        MESSAGE_HEADER_BYTES + num_objects * BYTES_PER_OBJECT
-    }
-
-    /// Key-frame round-trip for one camera: upload its `uploaded` objects,
-    /// receive an assignment covering `assigned` objects.
-    pub fn key_frame_round_trip_ms(&self, uploaded: usize, assigned: usize) -> f64 {
-        self.uplink_ms(Self::object_list_bytes(uploaded))
-            + self.downlink_ms(Self::object_list_bytes(assigned))
     }
 }
 
@@ -67,7 +50,7 @@ mod tests {
     #[test]
     fn uplink_is_slower_than_downlink() {
         let n = NetworkModel::default();
-        let bytes = NetworkModel::object_list_bytes(50);
+        let bytes = 2_096;
         assert!(n.uplink_ms(bytes) > n.downlink_ms(bytes));
     }
 
@@ -81,19 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_message_still_pays_header_and_latency() {
+    fn small_message_still_pays_latency() {
         let n = NetworkModel::default();
-        let ms = n.uplink_ms(NetworkModel::object_list_bytes(0));
+        let ms = n.uplink_ms(96);
         assert!(ms > n.one_way_ms);
         assert!(ms < 1.0);
-    }
-
-    #[test]
-    fn round_trip_combines_directions() {
-        let n = NetworkModel::default();
-        let rt = n.key_frame_round_trip_ms(10, 5);
-        let manual = n.uplink_ms(NetworkModel::object_list_bytes(10))
-            + n.downlink_ms(NetworkModel::object_list_bytes(5));
-        assert_eq!(rt, manual);
     }
 }

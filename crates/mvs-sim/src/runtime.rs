@@ -23,7 +23,7 @@
 use crate::correspond::{CorrespondenceData, TrainedAssociation};
 use crate::faults::{FaultModel, FaultState};
 use crate::masks::{MaskPrecompute, StaticWorldPartition};
-use crate::messages::{AssignmentMessage, UploadMessage};
+use crate::messages::{assignment_len, upload_len};
 use crate::network::NetworkModel;
 use crate::scenario::Scenario;
 use crate::worker::{CameraWorker, FrameScratch, RegularFrame};
@@ -1048,7 +1048,7 @@ impl Pipeline {
     }
 
     /// Charges the central stage to the horizon: computation plus the
-    /// slowest camera's key-frame round trip (typed wire messages),
+    /// slowest camera's key-frame round trip (the wire messages' lengths),
     /// amortized over the horizon's frames. Lost attempts cost one retry
     /// timeout each; a camera that never answers makes the scheduler wait
     /// out the whole retry schedule.
@@ -1068,8 +1068,8 @@ impl Pipeline {
             .zip(up)
             .map(|(dets, up)| match up {
                 Some(lost) => {
-                    let upload_len = UploadMessage::encoded_len_of(dets.len());
-                    *lost as f64 * model.retry_timeout_ms + config.network.uplink_ms(upload_len)
+                    let sent_ms = config.network.uplink_ms(upload_len(dets.len()));
+                    *lost as f64 * model.retry_timeout_ms + sent_ms
                 }
                 None => model.deadline_ms(),
             })
@@ -1079,8 +1079,9 @@ impl Pipeline {
             0.0
         } else {
             let owners = self.assignment.iter().map(Vec::len);
-            let reply_len = AssignmentMessage::encoded_len_of(owners, priority_len);
-            config.network.downlink_ms(reply_len)
+            config
+                .network
+                .downlink_ms(assignment_len(owners, priority_len))
         };
         let downlink_phase = up
             .iter()
@@ -1182,7 +1183,7 @@ pub struct TenantPipeline {
 /// payload type lets the catch site distinguish injected poison from a
 /// genuine pipeline bug — anything else is re-raised, never swallowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoisonPanic;
+pub(crate) struct PoisonPanic;
 
 impl TenantPipeline {
     /// Builds a steppable pipeline (trains association models, warms the
@@ -1277,7 +1278,7 @@ impl TenantPipeline {
     /// a [`PoisonPanic`] payload before touching any state — the serve
     /// layer's chaos harness uses this to exercise its `catch_unwind`
     /// isolation and quarantine path deterministically.
-    pub fn poison_next_step(&mut self) {
+    pub(crate) fn poison_next_step(&mut self) {
         self.poisoned = true;
     }
 
@@ -1285,7 +1286,7 @@ impl TenantPipeline {
     /// the coordinator lane of a traced pipeline: `replay_ms` modeled
     /// milliseconds spent replaying `frames` frames while restoring this
     /// tenant from a snapshot. No-op without tracing.
-    pub fn note_recovery(&mut self, replay_ms: f64, frames: usize) {
+    pub(crate) fn note_recovery(&mut self, replay_ms: f64, frames: usize) {
         if let Some(tracer) = self.inner.tracer.as_mut() {
             tracer.begin_frame(self.next_frame);
             tracer

@@ -53,6 +53,36 @@ impl fmt::Display for ScenarioKind {
 }
 
 /// A fully specified deployment: cameras, devices, and world dynamics.
+///
+/// [`Scenario::new`] and [`Scenario::city`] build the presets; a custom
+/// deployment — your own camera layout, device fleet and traffic — is a
+/// literal of this struct, and everything else (association training,
+/// masks, the full pipeline) works unchanged on it. `kind` only labels the
+/// scenario; it never selects behaviour.
+///
+/// # Examples
+///
+/// ```
+/// use mvs_geometry::{FrameDims, Point2};
+/// use mvs_sim::{CameraModel, Lane, Route, Scenario, ScenarioKind, SpawnConfig};
+/// use mvs_vision::DeviceKind;
+///
+/// let camera =
+///     |x| CameraModel::looking_at(Point2::new(x, -10.0), Point2::ORIGIN, FrameDims::REGULAR);
+/// let parking_lot = Scenario {
+///     kind: ScenarioKind::S1,
+///     cameras: vec![camera(-30.0), camera(30.0)],
+///     devices: vec![DeviceKind::Xavier, DeviceKind::Nano],
+///     lanes: vec![Lane {
+///         route: Route::new(vec![Point2::new(-80.0, 0.0), Point2::new(80.0, 0.0)], 6.0),
+///         light: None,
+///         spawn: SpawnConfig { rate_per_s: 0.08, min_gap_m: 8.0 },
+///     }],
+///     fps: 10.0,
+///     occlusion_threshold: 0.75,
+/// };
+/// assert_eq!(parking_lot.num_cameras(), 2);
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Which paper scenario this is.
@@ -86,7 +116,7 @@ impl Scenario {
     }
 
     /// A fresh world in this scenario's initial state.
-    pub fn make_world(&self) -> World {
+    fn make_world(&self) -> World {
         World::new(self.lanes.clone(), FollowingModel::default())
     }
 
@@ -306,8 +336,7 @@ fn s3() -> Scenario {
 /// Configuration of the procedural city generator ([`Scenario::city`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CityConfig {
-    /// Fleet size. Cameras are grouped into districts of up to
-    /// [`CityConfig::CAMERAS_PER_DISTRICT`].
+    /// Fleet size. Cameras are grouped into districts of up to eight.
     pub cameras: usize,
     /// Seed of the layout and traffic randomness; equal configs generate
     /// byte-identical scenarios.
@@ -319,7 +348,7 @@ pub struct CityConfig {
 
 impl CityConfig {
     /// Cameras clustered around each district intersection.
-    pub const CAMERAS_PER_DISTRICT: usize = 8;
+    const CAMERAS_PER_DISTRICT: usize = 8;
 
     /// Number of districts this config generates.
     pub fn districts(&self) -> usize {
@@ -345,13 +374,12 @@ const CITY_BLOCK_M: f64 = 300.0;
 
 impl Scenario {
     /// Procedurally generates a city-scale deployment from a seeded road
-    /// grid: districts of up to [`CityConfig::CAMERAS_PER_DISTRICT`]
-    /// cameras ring their intersection (all facing the centre, so each
-    /// district forms one view-overlap cluster), two signalized crossing
-    /// streets per district carry traffic, and a seeded per-district
-    /// multiplier — scaled by [`CityConfig::intensity`] — sets how busy
-    /// each district is. Devices cycle Xavier → TX2 → Nano across the
-    /// fleet.
+    /// grid: districts of up to eight cameras ring their intersection (all
+    /// facing the centre, so each district forms one view-overlap cluster),
+    /// two signalized crossing streets per district carry traffic, and a
+    /// seeded per-district multiplier — scaled by [`CityConfig::intensity`]
+    /// — sets how busy each district is. Devices cycle Xavier → TX2 → Nano
+    /// across the fleet.
     ///
     /// # Examples
     ///
@@ -678,220 +706,44 @@ mod tests {
             "expected most cameras to see strong workload variation"
         );
     }
-}
 
-/// Builder for custom deployments beyond the paper's S1–S3.
-///
-/// Downstream users bring their own camera layout, device fleet, and
-/// traffic; everything else (association training, masks, the full
-/// pipeline) works unchanged.
-///
-/// # Examples
-///
-/// ```
-/// use mvs_geometry::{FrameDims, Point2};
-/// use mvs_sim::{CameraModel, Route, ScenarioBuilder, SpawnConfig};
-/// use mvs_vision::DeviceKind;
-///
-/// let scenario = ScenarioBuilder::new("parking-lot")
-///     .camera(
-///         CameraModel::looking_at(Point2::new(-30.0, -10.0), Point2::ORIGIN, FrameDims::REGULAR),
-///         DeviceKind::Xavier,
-///     )
-///     .camera(
-///         CameraModel::looking_at(Point2::new(30.0, -10.0), Point2::ORIGIN, FrameDims::REGULAR),
-///         DeviceKind::Nano,
-///     )
-///     .lane(
-///         Route::new(vec![Point2::new(-80.0, 0.0), Point2::new(80.0, 0.0)], 6.0),
-///         SpawnConfig { rate_per_s: 0.08, min_gap_m: 8.0 },
-///         None,
-///     )
-///     .build()?;
-/// assert_eq!(scenario.num_cameras(), 2);
-/// # Ok::<(), mvs_sim::ScenarioBuildError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    name: String,
-    cameras: Vec<CameraModel>,
-    devices: Vec<DeviceKind>,
-    lanes: Vec<Lane>,
-    fps: f64,
-    occlusion_threshold: f64,
-}
-
-/// Error returned by [`ScenarioBuilder::build`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioBuildError {
-    /// No cameras were added.
-    NoCameras,
-    /// No lanes were added (nothing would ever move).
-    NoLanes,
-}
-
-impl std::fmt::Display for ScenarioBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScenarioBuildError::NoCameras => write!(f, "scenario needs at least one camera"),
-            ScenarioBuildError::NoLanes => write!(f, "scenario needs at least one lane"),
-        }
-    }
-}
-
-impl std::error::Error for ScenarioBuildError {}
-
-impl ScenarioBuilder {
-    /// Starts a builder. The name is informational (custom scenarios
-    /// report as [`ScenarioKind::S1`]'s kind-agnostic sibling via
-    /// `Scenario::kind`; see [`ScenarioBuilder::build`]).
-    pub fn new<S: Into<String>>(name: S) -> Self {
-        ScenarioBuilder {
-            name: name.into(),
-            cameras: Vec::new(),
-            devices: Vec::new(),
-            lanes: Vec::new(),
+    /// A deployment beyond the paper's presets is a `Scenario` literal.
+    fn custom() -> Scenario {
+        let camera = |x: f64| {
+            CameraModel::looking_at(Point2::new(x, -12.0), Point2::ORIGIN, FrameDims::REGULAR)
+        };
+        Scenario {
+            kind: ScenarioKind::S1,
+            cameras: vec![camera(-30.0), camera(30.0)],
+            devices: vec![DeviceKind::Xavier, DeviceKind::Tx2],
+            lanes: vec![lane(
+                vec![Point2::new(-90.0, 0.0), Point2::new(90.0, 0.0)],
+                7.0,
+                0.1,
+                None,
+            )],
             fps: 10.0,
             occlusion_threshold: 0.75,
         }
     }
 
-    /// Adds a camera backed by the given device.
-    pub fn camera(mut self, camera: CameraModel, device: DeviceKind) -> Self {
-        self.cameras.push(camera);
-        self.devices.push(device);
-        self
-    }
-
-    /// Adds a traffic lane with an arrival process and optional light.
-    pub fn lane(mut self, route: Route, spawn: SpawnConfig, light: Option<TrafficLight>) -> Self {
-        self.lanes.push(Lane {
-            route,
-            light,
-            spawn,
-        });
-        self
-    }
-
-    /// Sets the capture rate (default 10 FPS).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fps` is not positive.
-    pub fn fps(mut self, fps: f64) -> Self {
-        assert!(fps > 0.0, "fps must be positive");
-        self.fps = fps;
-        self
-    }
-
-    /// Sets the occlusion coverage threshold (default 0.75; lower drops
-    /// more occluded objects).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is not positive.
-    pub fn occlusion_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 0.0, "occlusion threshold must be positive");
-        self.occlusion_threshold = threshold;
-        self
-    }
-
-    /// Builds the scenario.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioBuildError`] when no cameras or no lanes were
-    /// added.
-    pub fn build(self) -> Result<Scenario, ScenarioBuildError> {
-        if self.cameras.is_empty() {
-            return Err(ScenarioBuildError::NoCameras);
-        }
-        if self.lanes.is_empty() {
-            return Err(ScenarioBuildError::NoLanes);
-        }
-        let _ = self.name; // informational only, kept for future labeling
-        Ok(Scenario {
-            // Custom deployments reuse S1's kind tag; the kind only
-            // selects presets, never behaviour.
-            kind: ScenarioKind::S1,
-            cameras: self.cameras,
-            devices: self.devices,
-            lanes: self.lanes,
-            fps: self.fps,
-            occlusion_threshold: self.occlusion_threshold,
-        })
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-    use crate::runtime::{run_pipeline, Algorithm, PipelineConfig};
-    use mvs_geometry::FrameDims;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn custom() -> Scenario {
-        ScenarioBuilder::new("test-site")
-            .camera(
-                CameraModel::looking_at(
-                    Point2::new(-30.0, -12.0),
-                    Point2::ORIGIN,
-                    FrameDims::REGULAR,
-                ),
-                DeviceKind::Xavier,
-            )
-            .camera(
-                CameraModel::looking_at(
-                    Point2::new(30.0, -12.0),
-                    Point2::ORIGIN,
-                    FrameDims::REGULAR,
-                ),
-                DeviceKind::Tx2,
-            )
-            .lane(
-                Route::new(vec![Point2::new(-90.0, 0.0), Point2::new(90.0, 0.0)], 7.0),
-                SpawnConfig {
-                    rate_per_s: 0.1,
-                    min_gap_m: 8.0,
-                },
-                None,
-            )
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn builder_validates_inputs() {
-        assert_eq!(
-            ScenarioBuilder::new("x").build().unwrap_err(),
-            ScenarioBuildError::NoCameras
-        );
-        let only_cam = ScenarioBuilder::new("x").camera(
-            CameraModel::looking_at(Point2::ORIGIN, Point2::new(1.0, 0.0), FrameDims::REGULAR),
-            DeviceKind::Nano,
-        );
-        assert_eq!(only_cam.build().unwrap_err(), ScenarioBuildError::NoLanes);
-    }
-
     #[test]
     fn custom_scenario_produces_traffic() {
-        let sc = custom();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let series = sc.workload_series(60.0, 2.0, &mut rng);
+        let series = custom().workload_series(60.0, 2.0, &mut rng);
         let total: usize = series.iter().flatten().sum();
         assert!(total > 0, "custom scenario never produced visible traffic");
     }
 
     #[test]
     fn full_pipeline_runs_on_a_custom_scenario() {
-        let sc = custom();
+        use crate::runtime::{run_pipeline, Algorithm, PipelineConfig};
         let cfg = PipelineConfig {
             train_s: 30.0,
             eval_s: 20.0,
             ..PipelineConfig::paper_default(Algorithm::Balb)
         };
-        let r = run_pipeline(&sc, &cfg);
+        let r = run_pipeline(&custom(), &cfg);
         assert!(r.recall > 0.7, "recall {}", r.recall);
         assert!(r.mean_latency_ms > 0.0);
     }

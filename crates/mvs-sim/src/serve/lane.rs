@@ -80,7 +80,7 @@ impl IngestLane {
     /// abandoned frame is accounted (the lane identity
     /// `offered == delivered + dropped + depth` keeps holding) instead of
     /// lingering as a stale pending entry.
-    pub fn clear_pending(&mut self) {
+    pub(crate) fn clear_pending(&mut self) {
         if self.pending.take().is_some() {
             self.dropped += 1;
         }
@@ -88,7 +88,7 @@ impl IngestLane {
 
     /// The waiting frame without consuming it.
     #[must_use]
-    pub fn peek(&self) -> Option<u64> {
+    pub(crate) fn peek(&self) -> Option<u64> {
         self.pending
     }
 

@@ -65,19 +65,6 @@ impl Route {
         let t = (s - self.lengths[idx]) / seg_len;
         self.waypoints[idx].lerp(self.waypoints[idx + 1], t)
     }
-
-    /// Unit direction of travel at arc-length `s`.
-    pub fn direction_at(&self, s: f64) -> Point2 {
-        let s = s.clamp(0.0, self.length());
-        let idx = self
-            .lengths
-            .windows(2)
-            .position(|w| s <= w[1])
-            .unwrap_or(self.waypoints.len() - 2);
-        (self.waypoints[idx + 1] - self.waypoints[idx])
-            .normalized()
-            .expect("waypoints are distinct")
-    }
 }
 
 /// A fixed-cycle traffic light gating a route at a stop line.
@@ -95,7 +82,7 @@ pub struct TrafficLight {
 
 impl TrafficLight {
     /// Whether the light shows green at absolute time `t` seconds.
-    pub fn is_green(&self, t: f64) -> bool {
+    fn is_green(&self, t: f64) -> bool {
         let phase = (t + self.offset_s).rem_euclid(self.period_s) / self.period_s;
         phase < self.green_fraction
     }
@@ -136,7 +123,7 @@ impl FollowingModel {
     /// Effective speed for a vehicle at arc length `s` on a route, given
     /// its nominal speed, the gap to its leader (`None` when unobstructed)
     /// and the gating light (`None` when the route is unsignalled).
-    pub fn effective_speed(
+    pub(crate) fn effective_speed(
         &self,
         nominal_mps: f64,
         s: f64,
@@ -194,13 +181,6 @@ mod tests {
         // Clamped at both ends.
         assert_eq!(r.position_at(-3.0), Point2::new(0.0, 0.0));
         assert_eq!(r.position_at(99.0), Point2::new(10.0, 10.0));
-    }
-
-    #[test]
-    fn direction_follows_segments() {
-        let r = l_route();
-        assert_eq!(r.direction_at(2.0), Point2::new(1.0, 0.0));
-        assert_eq!(r.direction_at(12.0), Point2::new(0.0, 1.0));
     }
 
     #[test]

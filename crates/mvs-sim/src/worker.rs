@@ -115,7 +115,7 @@ impl CameraWorker {
     /// The camera's private RNG stream for a run seed: same key as the
     /// world stream, distinct ChaCha stream number (stream 0 is the
     /// world/coordinator).
-    pub fn stream_rng(seed: u64, index: usize) -> ChaCha8Rng {
+    pub(crate) fn stream_rng(seed: u64, index: usize) -> ChaCha8Rng {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_stream(index as u64 + 1);
         rng
@@ -156,7 +156,7 @@ impl CameraWorker {
 
     /// What is truly in front of the camera *now*, as of the last
     /// [`CameraWorker::observe`] with the same `alive`.
-    pub fn true_view(&self, alive: bool) -> &[GroundTruthObject] {
+    pub(crate) fn true_view(&self, alive: bool) -> &[GroundTruthObject] {
         if self.sees_truth(alive) {
             &self.view
         } else {
@@ -167,7 +167,7 @@ impl CameraWorker {
     /// Drops the bookkeeping tied to a superseded assignment (shadows and
     /// global ids) but keeps the running tracks: what a camera that missed
     /// the key-frame round trip does while it coasts.
-    pub fn forget_assignment(&mut self) {
+    pub(crate) fn forget_assignment(&mut self) {
         self.shadows.clear();
         self.track_global.clear();
     }
@@ -175,14 +175,14 @@ impl CameraWorker {
     /// Starts a horizon from nothing: a synced camera's tracks are reseeded
     /// from the new schedule. Its mask stays — BALB rebuilds it in place,
     /// reusing its owner table, and no other algorithm ever sets one.
-    pub fn reset_horizon(&mut self) {
+    pub(crate) fn reset_horizon(&mut self) {
         self.tracker.clear();
         self.forget_assignment();
     }
 
     /// A camera that went dark: its tracks, shadows, mask and lag history
     /// would all be stale by the time it rejoins.
-    pub fn wipe(&mut self) {
+    pub(crate) fn wipe(&mut self) {
         self.reset_horizon();
         self.mask = None;
         self.history.clear();

@@ -118,11 +118,6 @@ impl World {
             .get_or_init(|| self.objects.iter().map(|o| self.position_of(o)).collect())
     }
 
-    /// Direction of travel of an object.
-    pub fn direction_of(&self, obj: &WorldObject) -> Point2 {
-        self.lanes[obj.route].route.direction_at(obj.progress_m)
-    }
-
     /// Advances the world by `dt_s` seconds: moves vehicles (respecting
     /// leaders and lights), despawns finished ones, and spawns arrivals.
     pub fn step<R: Rng + ?Sized>(&mut self, dt_s: f64, rng: &mut R) {

@@ -40,7 +40,7 @@ mod span;
 mod trace;
 
 pub use recorder::{span_into, TraceBuf, TraceRecorder};
-pub use span::{SpanRecord, Stage, COORDINATOR_LANE};
+pub use span::{SpanRecord, Stage};
 pub use trace::{StageStats, Trace};
 
 /// Converts a modeled duration in milliseconds to integer microseconds.
@@ -48,7 +48,7 @@ pub use trace::{StageStats, Trace};
 /// Rounding to whole microseconds keeps every timestamp an integer, which
 /// sidesteps float-formatting differences in the text exports.
 #[must_use]
-pub fn ms_to_us(ms: f64) -> u64 {
+pub(crate) fn ms_to_us(ms: f64) -> u64 {
     debug_assert!(ms >= 0.0, "span durations are non-negative, got {ms}");
     if ms <= 0.0 {
         0

@@ -120,7 +120,7 @@ impl TraceRecorder {
 
     /// Sim-clock start of `frame`, microseconds since run start.
     #[must_use]
-    pub fn frame_start_us(&self, frame: usize) -> u64 {
+    fn frame_start_us(&self, frame: usize) -> u64 {
         frame as u64 * self.frame_interval_us
     }
 
@@ -219,6 +219,6 @@ mod tests {
         let trace = rec.finish();
         let lanes: Vec<u32> = trace.records().iter().map(|r| r.lane).collect();
         assert_eq!(lanes, vec![0, 1, 2]);
-        assert_eq!(trace.frame_interval_us(), 100_000);
+        assert!(trace.golden_text().contains("interval_us=100000 "));
     }
 }

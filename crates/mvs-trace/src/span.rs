@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Lane index reserved for the coordinator (central solve, sync, faults).
 /// Camera `i` records on lane `i + 1`.
-pub const COORDINATOR_LANE: u32 = 0;
+pub(crate) const COORDINATOR_LANE: u32 = 0;
 
 /// Pipeline stage a span belongs to.
 ///
@@ -82,7 +82,7 @@ impl Stage {
 pub struct SpanRecord {
     /// Frame index within the evaluation run.
     pub frame: u32,
-    /// [`COORDINATOR_LANE`] or `camera + 1`.
+    /// 0 for the coordinator (central solve, sync, faults), else `camera + 1`.
     pub lane: u32,
     /// Pipeline stage.
     pub stage: Stage,

@@ -37,12 +37,6 @@ pub struct StageStats {
 }
 
 impl Trace {
-    /// Sim-clock frame interval in microseconds.
-    #[must_use]
-    pub fn frame_interval_us(&self) -> u64 {
-        self.frame_interval_us
-    }
-
     /// The raw span stream, in deterministic drain order.
     #[must_use]
     pub fn records(&self) -> &[SpanRecord] {

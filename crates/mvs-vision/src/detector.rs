@@ -78,7 +78,7 @@ impl DetectionModel {
     }
 
     /// Miss probability for an object with the given long side (pixels).
-    pub fn miss_probability(&self, long_side: f64) -> f64 {
+    fn miss_probability(&self, long_side: f64) -> f64 {
         let smallness = (1.0 - long_side / 64.0).max(0.0);
         (self.base_miss_rate + self.small_miss_scale * smallness).clamp(0.0, 1.0)
     }

@@ -78,7 +78,7 @@ pub struct FlowField {
 
 impl FlowField {
     /// Minimum displacement (pixels) for an object to register as "moving".
-    pub const MOTION_EPSILON: f64 = 0.5;
+    const MOTION_EPSILON: f64 = 0.5;
 
     /// An empty field with no probed objects (every query returns zero
     /// motion). The natural initial value for a per-worker scratch field

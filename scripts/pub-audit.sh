@@ -28,10 +28,13 @@ audit() {
   local all_files own declared used_elsewhere
   all_files="$(find crates src tests examples bench-e2e/src -name '*.rs' | sort)"
   for own in crates/*/src src; do
+    # A crate that declares no plain-`pub` item makes grep exit 1.
     declared="$(find "${own}" -name '*.rs' -not -path "${own}/bin/*" -print0 \
-      | xargs -0 grep -hoE \
+      | { xargs -0 grep -hoE \
         '^[[:space:]]*pub ((const|unsafe|async) )*(fn|struct|enum|trait|type|const) [A-Za-z_][A-Za-z0-9_]*' \
+        || true; } \
       | awk '{print $NF}' | sort -u)"
+    [[ -n "${declared}" ]] || continue
     used_elsewhere="$(awk -v own="${own}/" -v bin="${own}/bin/" \
         'index($0, own) != 1 || index($0, bin) == 1' <<<"${all_files}" \
       | xargs grep -hvE '^[[:space:]]*//' \

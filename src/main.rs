@@ -45,7 +45,7 @@ mod cli {
 
     /// A parsed invocation.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Command {
+    pub(super) enum Command {
         /// Run one algorithm on one scenario.
         Run {
             /// Scenario under test.
@@ -81,7 +81,7 @@ mod cli {
 
     /// Tunables shared by `run` and `compare`.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct Options {
+    pub(super) struct Options {
         pub horizon: usize,
         pub train_s: f64,
         pub eval_s: f64,
@@ -497,7 +497,7 @@ mod cli {
 
     /// Refuses a window that rounds to zero frames: the run would report
     /// success over no samples.
-    pub fn at_least_one_frame(flag: &str, seconds: f64, fps: f64) -> Result<(), String> {
+    pub(super) fn at_least_one_frame(flag: &str, seconds: f64, fps: f64) -> Result<(), String> {
         if (seconds * fps).round() >= 1.0 {
             Ok(())
         } else {
@@ -508,8 +508,23 @@ mod cli {
         }
     }
 
+    /// `MVS_THREADS` is what `--threads 0` resolves to, so a set value is
+    /// input of the same kind: refused here, by name, rather than by the
+    /// pool's panic (or, worse, ignored).
+    pub(super) fn threads_env() -> Result<(), String> {
+        let flag = "MVS_THREADS";
+        match std::env::var(flag) {
+            Ok(value) => {
+                let value = value.trim();
+                Arg { flag, value }.count::<usize>().map(drop)
+            }
+            Err(std::env::VarError::NotPresent) => Ok(()),
+            Err(e) => Err(format!("{flag}: {e}")),
+        }
+    }
+
     /// Parses `args` (without the program name).
-    pub fn parse(args: &[String]) -> Result<Command, String> {
+    pub(super) fn parse(args: &[String]) -> Result<Command, String> {
         let mut it = args.iter();
         let Some(cmd) = it.next() else {
             return Ok(Command::Help);
@@ -631,7 +646,7 @@ mod cli {
     }
 
     /// The `--help` text: the fixed preamble, then one section per table.
-    pub fn usage() -> String {
+    pub(super) fn usage() -> String {
         let mut out = String::from(USAGE_HEAD);
         render_section(&mut out, "OPTIONS (run, compare)", PIPELINE_OPTIONS);
         render_section(&mut out, "OPTIONS (run only)", RUN_OPTIONS);
@@ -1197,7 +1212,10 @@ fn scenario_from(kind: ScenarioKind, options: &cli::Options) -> Scenario {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&args).and_then(execute) {
+    match cli::threads_env()
+        .and_then(|()| cli::parse(&args))
+        .and_then(execute)
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

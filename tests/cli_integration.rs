@@ -65,18 +65,29 @@ fn unusable_duration_fails_at_parse_time() {
 fn runs_that_used_to_do_nothing_are_refused() {
     // These used to run zero frames and report success: recall 1.000 over
     // no samples (`run`), recall from the admission pilot (`serve`).
-    for args in [
-        &["run", "s1", "balb", "--eval-s", "0.01"][..],
-        &["compare", "s1", "--eval-s", "0.01"],
-        &["serve", "--duration-s", "0.01"],
-        // … and `compare` took `--trace` and wrote nothing.
-        &["compare", "s1", "--trace", "d"],
+    for (threads_env, args) in [
+        (None, &["run", "s1", "balb", "--eval-s", "0.01"][..]),
+        (None, &["compare", "s1", "--eval-s", "0.01"]),
+        (None, &["serve", "--duration-s", "0.01"]),
+        // … `compare` took `--trace` and wrote nothing …
+        (None, &["compare", "s1", "--trace", "d"]),
+        // … and a mistyped MVS_THREADS silently meant "every CPU".
+        (
+            Some("abc"),
+            &["run", "s2", "balb", "--train-s", "5", "--eval-s", "2"],
+        ),
+        (Some("0"), &["serve", "--duration-s", "1"]),
     ] {
-        let out = mvs().args(args).output().expect("binary runs");
+        let mut command = mvs();
+        if let Some(value) = threads_env {
+            command.env("MVS_THREADS", value);
+        }
+        let out = command.args(args).output().expect("binary runs");
         assert!(!out.status.success(), "{args:?} was accepted");
         let err = String::from_utf8_lossy(&out.stderr);
-        let flag = args[args.len() - 2];
-        assert!(err.contains(flag), "{args:?}: stderr: {err}");
+        let named = threads_env.map_or(args[args.len() - 2], |_| "MVS_THREADS");
+        assert!(err.contains(named), "{args:?}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: stderr: {err}");
         assert!(out.stdout.is_empty(), "{args:?} ran before failing");
     }
 }
