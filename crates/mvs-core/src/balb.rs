@@ -11,6 +11,7 @@ use crate::{Assignment, CameraId, MvsProblem, ObjectInfo};
 use mvs_geometry::SizeClass;
 use mvs_vision::SizeCounts;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Output of the central stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,14 +61,14 @@ impl BalbSchedule {
 /// assert_eq!(schedule.priority.len(), 4);
 /// ```
 pub fn balb_central(problem: &MvsProblem) -> BalbSchedule {
-    let mut schedule = BalbSchedule::empty();
-    greedy_pass(problem, &mut Vec::new(), &mut Vec::new(), &mut schedule);
-    schedule
+    let mut solver = BalbSolver::new();
+    solver.solve(problem);
+    solver.into_schedule()
 }
 
-/// Algorithm 1 over caller-supplied buffers: the one solve body behind
-/// [`balb_central`] (fresh buffers) and [`BalbSolver::solve`] (reused
-/// ones). Every buffer is reset first, so the result depends on `problem`
+/// Algorithm 1 over a [`BalbSolver`]'s buffers: the one solve body behind
+/// [`balb_central`] (a fresh solver) and [`BalbSolver::solve`] (a reused
+/// one). Every buffer is reset first, so the result depends on `problem`
 /// alone.
 fn greedy_pass(
     problem: &MvsProblem,
@@ -375,19 +376,15 @@ impl BalbSolver {
             ..
         } = &mut self.schedule;
         let counts = &mut self.counts;
-        // Most-covered objects first: they benefit most from extra views.
-        // Coverage-set size descending (stored inverted), index ascending.
+        // Most-covered objects first (they benefit most from extra views),
+        // then by index.
+        let objects = problem.objects();
         self.order.clear();
-        self.order.extend(
-            problem
-                .objects()
-                .iter()
-                .enumerate()
-                .map(|(j, o)| ((0xFFFF - o.coverage_len() as u64) << 40) | j as u64),
-        );
-        self.order.sort_unstable();
-        for &key in &self.order {
-            let object = &problem.objects()[order_key_index(key)];
+        self.order.extend(0..objects.len() as u64);
+        self.order
+            .sort_unstable_by_key(|&j| (Reverse(objects[j as usize].coverage_len()), j));
+        for &j in &self.order {
+            let object = &objects[j as usize];
             let wanted = redundancy.min(object.coverage_len());
             while assignment.owners_of(object.id).len() < wanted {
                 // Candidates: covering cameras not yet owners. Open batches
