@@ -69,17 +69,6 @@ impl Point2 {
         self + (other - self) * t
     }
 
-    /// Returns the displacement scaled to unit length, or `None` for the
-    /// zero vector.
-    pub fn normalized(self) -> Option<Point2> {
-        let n = self.norm();
-        if n > 0.0 {
-            Some(self / n)
-        } else {
-            None
-        }
-    }
-
     /// Rotates the displacement by `angle` radians counter-clockwise.
     pub fn rotated(self, angle: f64) -> Point2 {
         let (s, c) = angle.sin_cos();
@@ -199,13 +188,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Point2::new(5.0, -1.0));
-    }
-
-    #[test]
-    fn normalized_zero_is_none() {
-        assert!(Point2::ORIGIN.normalized().is_none());
-        let n = Point2::new(0.0, 5.0).normalized().unwrap();
-        assert!((n.norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]

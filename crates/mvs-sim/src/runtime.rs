@@ -173,8 +173,8 @@ pub struct PipelineConfig {
     /// Missing entries default to zero.
     pub camera_lag_frames: Vec<usize>,
     /// Worker threads for the per-camera stages. `0` = auto: the
-    /// `MVS_THREADS` environment variable if set to a positive integer,
-    /// else the machine's available parallelism. Results are identical at
+    /// `MVS_THREADS` environment variable if set (it must then be a
+    /// positive integer), else the machine's available parallelism. Results are identical at
     /// any value.
     pub threads: usize,
     /// When true (the default), the central- and distributed-stage
