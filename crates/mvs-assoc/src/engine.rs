@@ -2,7 +2,7 @@
 
 use crate::{CameraPairModel, CameraSourceModel, UnionFind};
 use mvs_geometry::BBox;
-use mvs_ml::{HungarianSolver, Neighbour};
+use mvs_ml::HungarianSolver;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ impl AssociationEngine {
     /// Registers camera `source`'s model (owned, or an `Arc` the caller
     /// keeps a handle to) for the ordered pairs `(source, target)` of
     /// `heads`, each `(target, head of the model)`. A round sweeps the
-    /// model's table once per `source` box and asks every listed head.
+    /// model's table once per `source` box, for every listed head at once.
     ///
     /// # Panics
     ///
@@ -159,9 +159,8 @@ impl AssociationEngine {
         let AssociationScratch {
             offsets,
             uf,
-            nearest,
-            nearest_ends,
-            predicted,
+            asked,
+            landed,
             scores,
             solver,
             group_of,
@@ -178,38 +177,33 @@ impl AssociationEngine {
         for entry in &self.sources {
             let (i, model) = (entry.source, &entry.model);
             let src = &detections[i];
-            if src.is_empty() {
+            asked.clear();
+            asked.extend(
+                entry
+                    .heads
+                    .iter()
+                    .filter(|&&(ip, _)| !detections[ip].is_empty()),
+            );
+            if src.is_empty() || asked.is_empty() {
                 continue;
             }
-            // A box's neighbours among the source rows are the same for
-            // every target: swept once, before the first pair that votes.
-            let mut swept = false;
-            for &(ip, head) in &entry.heads {
+            // Step 1+2, box-major: one sweep of the source's table per
+            // box classifies visibility for every asked head and regresses
+            // the predicted location for those that vote visible.
+            landed.clear();
+            for (j, b) in src.iter().enumerate() {
+                let heads = asked.iter().map(|&(_, head)| head);
+                model.predict_asked(b, heads, |a, there| landed.push((a, j, there)));
+            }
+            // Head-major from here on, boxes ascending within a head.
+            landed.sort_unstable_by_key(|&(a, j, _)| (a, j));
+            for predicted in landed.chunk_by(|x, y| x.0 == y.0) {
+                let (ip, _) = asked[predicted[0].0];
                 let dst = &detections[ip];
-                if dst.is_empty() {
-                    continue;
-                }
-                if !swept {
-                    swept = true;
-                    model.sweep_into(src, nearest, nearest_ends);
-                }
-                // Step 1+2: classify visibility and regress predicted
-                // locations.
-                predicted.clear();
-                let mut start = 0;
-                for (j, (b, &end)) in src.iter().zip(nearest_ends.iter()).enumerate() {
-                    if let Some(p) = model.predict_from(head, b, &nearest[start..end]) {
-                        predicted.push((j, p));
-                    }
-                    start = end;
-                }
-                if predicted.is_empty() {
-                    continue;
-                }
                 // Step 3: proximity matrix (row-major, one row per
                 // predicted box) and Hungarian matching.
                 scores.clear();
-                for (_, p) in predicted.iter() {
+                for (_, _, p) in predicted {
                     scores.extend(dst.iter().map(|d| p.iou(d)));
                 }
                 let assignment = solver
@@ -217,7 +211,7 @@ impl AssociationEngine {
                     .expect("IoU scores are finite");
                 for (row, col) in assignment.iter() {
                     if scores[row * dst.len() + col] >= self.iou_threshold {
-                        let (j, _) = predicted[row];
+                        let (_, j, _) = predicted[row];
                         uf.union(offsets[i] + j, offsets[ip] + col);
                     }
                 }
@@ -266,13 +260,12 @@ pub struct AssociationScratch {
     /// Flat index of each camera's first detection.
     offsets: Vec<usize>,
     uf: UnionFind,
-    /// The current source camera's neighbour lists, one per detection,
-    /// back to back (`detections × k` entries).
-    nearest: Vec<Neighbour>,
-    /// Where each detection's list ends in `nearest`.
-    nearest_ends: Vec<usize>,
-    /// `(source detection, predicted target box)` of the current pair.
-    predicted: Vec<(usize, BBox)>,
+    /// The current source's `(target camera, head)` pairs whose target has
+    /// detections to match.
+    asked: Vec<(usize, usize)>,
+    /// `(position in asked, source detection, predicted target box)` of
+    /// the current source.
+    landed: Vec<(usize, usize, BBox)>,
     /// Row-major IoU matrix of the current pair.
     scores: Vec<f64>,
     solver: HungarianSolver,

@@ -2,7 +2,7 @@
 //! one visibility-and-location head per paired destination camera.
 
 use mvs_geometry::BBox;
-use mvs_ml::{majority_vote, KnnIndex, KnnRegressor, MlError, Neighbour};
+use mvs_ml::{inverse_distance_mean, KnnIndex, MlError, Neighbour, Sweep, TopK};
 use serde::{Deserialize, Serialize};
 
 /// One labeled training sample for a (source → target) camera pair: an
@@ -28,36 +28,40 @@ fn all_bounded(coords: &[f64; 4]) -> bool {
     coords.iter().all(|v| v.abs() <= BOUNDED_COORD)
 }
 
+/// Neighbour lists up to this long live on the stack.
+const INLINE_K: usize = 8;
+
 /// What a source camera has learned about one destination camera, over the
-/// rows of the [`CameraSourceModel`] it hangs off.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// rows of the [`CameraSourceModel`] it hangs off: a label per row and a
+/// target per positive row, `n + 36·p` bytes.
+#[derive(Debug, Clone)]
 struct Head {
     /// Per source row, `1` when the destination saw the object too.
     labels: Vec<u8>,
-    /// Where a visible box lands in the destination, fitted on the rows
-    /// labeled `1` alone; `None` when there are none.
-    regressor: Option<KnnRegressor>,
+    /// The rows labeled `1`, ascending.
+    positives: Vec<u32>,
+    /// Where each of `positives` landed in the destination.
+    targets: Vec<[f64; 4]>,
     /// Every training coordinate (the source rows and this head's target
-    /// boxes) is at most [`BOUNDED_COORD`] in magnitude. Fixed by
-    /// [`train_source_model`]; a model serialized before the field existed
-    /// reads `false`, the slow, always-correct side of
-    /// [`CameraSourceModel::is_visible`].
-    #[serde(default)]
+    /// boxes) is at most [`BOUNDED_COORD`] in magnitude; otherwise
+    /// [`CameraSourceModel::is_visible`] takes its slow, always-correct
+    /// side.
     bounded: bool,
 }
 
 /// The fitted models of one source camera toward every destination it is
 /// paired with: the camera's labeled boxes are indexed **once**, and each
-/// destination adds a *head* — a label per row, a regressor over the rows
+/// destination adds a *head* — a label per row, a destination box per row
 /// it shares, nothing else. A head answers exactly as a pair model trained
 /// on that pair's samples alone would (DESIGN.md §17): the neighbour list
 /// of a query depends only on the rows, which every destination's samples
-/// share, and each head casts its own vote on it.
+/// share; each head casts its own vote on it, and the `k` nearest of a
+/// head's positives are the `k` nearest the same sweep meets among them.
 ///
 /// Heads are addressed by their position in [`train_source_model`]'s
 /// `positives`; which destination camera a position stands for is the
 /// caller's to keep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CameraSourceModel {
     k: usize,
     index: KnnIndex,
@@ -70,70 +74,86 @@ impl CameraSourceModel {
         self.heads.len()
     }
 
-    /// `(classifier rows, regressor rows)` this model keeps indexed: the
-    /// source's labeled boxes once, plus every head's positives.
+    /// `(rows indexed, positives kept as targets)`: the source's labeled
+    /// boxes once, plus a destination box per positive of every head.
     pub fn indexed_rows(&self) -> (usize, usize) {
-        let regressed = self.heads.iter().flat_map(|h| &h.regressor);
-        (self.index.len(), regressed.map(KnnRegressor::len).sum())
+        let targets = self.heads.iter().map(|h| h.targets.len()).sum();
+        (self.index.len(), targets)
     }
 
     /// Whether `head`'s destination ever observed a positive correspondence
-    /// (i.e. the head has a usable regressor).
+    /// (i.e. the head has targets to regress from).
     ///
     /// # Panics
     ///
     /// Panics if `head` is out of range (as do the queries below).
     pub fn has_regressor(&self, head: usize) -> bool {
-        self.heads[head].regressor.is_some()
+        !self.heads[head].targets.is_empty()
     }
 
     /// Predicts the bounding box in `head`'s destination camera for a
     /// source-camera box: `None` when the head's vote says the object is
-    /// not visible there (or the head has no regressor).
+    /// not visible there (or the head has no positives).
     ///
-    /// Runs on every camera every frame, so it stays on the stack: no heap
-    /// allocation on either path for `k ≤ 8` (`tests/zero_alloc.rs`).
+    /// Stays on the stack: no heap allocation on either path for `k ≤ 8`
+    /// (`tests/zero_alloc.rs`).
     pub fn predict(&self, head: usize, src: &BBox) -> Option<BBox> {
-        self.index.with_nearest(&src.to_array(), self.k, |nearest| {
-            self.predict_from(head, src, nearest)
-        })
+        let mut landed = None;
+        self.predict_asked(src, std::iter::once(head), |_, there| landed = Some(there));
+        landed
     }
 
-    /// [`CameraSourceModel::predict`] given `src`'s neighbour list, which is
-    /// the same for every head: an association round sweeps the table once
-    /// per box ([`CameraSourceModel::sweep_into`]) and asks each head.
-    pub(crate) fn predict_from(
+    /// [`CameraSourceModel::predict`] for every head of `asked` in **one
+    /// sweep** of the table: `landed(a, there)` is called, in `asked`
+    /// order, for each head (the `a`-th asked) that predicts a box.
+    ///
+    /// The sweep runs until the list of `src`'s nearest rows is final and
+    /// every asked head votes on it. A head that votes visible regresses
+    /// from its own nearest positives: the voted list when all of it is
+    /// positive, else [`Head::nearest_positives`]. A later head finds more
+    /// rows visited and lists the same: nothing beyond its reach can enter.
+    pub(crate) fn predict_asked(
         &self,
-        head: usize,
         src: &BBox,
-        nearest: &[Neighbour],
-    ) -> Option<BBox> {
-        let head = &self.heads[head];
-        if !head.votes_visible(nearest) {
-            return None;
-        }
-        let regressor = head.regressor.as_ref()?;
-        let mut coords = [0.0; 4];
-        regressor.predict_into(&src.to_array(), &mut coords);
-        BBox::from_array_lenient(coords).ok()
-    }
-
-    /// Sweeps the table once per box: `nearest` gets the boxes' neighbour
-    /// lists back to back (`boxes × k` entries) and `ends[j]` where box
-    /// `j`'s list ends. Both are cleared first and never shrunk.
-    pub(crate) fn sweep_into(
-        &self,
-        boxes: &[BBox],
-        nearest: &mut Vec<Neighbour>,
-        ends: &mut Vec<usize>,
+        asked: impl Iterator<Item = usize>,
+        mut landed: impl FnMut(usize, BBox),
     ) {
-        nearest.clear();
-        nearest.reserve(boxes.len() * self.k.min(self.index.len()));
-        ends.clear();
-        ends.reserve(boxes.len());
-        for b in boxes {
-            self.index.nearest_into(&b.to_array(), self.k, nearest);
-            ends.push(nearest.len());
+        let features = src.to_array();
+        let Some(mut sweep) = self.index.sweep(&features) else {
+            return;
+        };
+        let len = self.k.min(self.index.len());
+        let mut inline = [TopK::VACANT; 2 * INLINE_K];
+        let mut spill = Vec::new();
+        let slots = if len <= INLINE_K {
+            &mut inline[..2 * len]
+        } else {
+            spill.resize(2 * len, TopK::VACANT);
+            &mut spill[..]
+        };
+        let (nearest, own) = slots.split_at_mut(len);
+        let mut nearest = TopK::clear(nearest);
+        while let Some(row) = sweep.next_within(nearest.reach()) {
+            nearest.offer(row);
+        }
+        let nearest = nearest.found();
+        for (a, head) in asked.enumerate() {
+            let head = &self.heads[head];
+            if !head.votes_visible(nearest) {
+                continue;
+            }
+            let listed = if head.positives_among(nearest) == nearest.len() {
+                // The nearest rows are all positives, so they are the
+                // nearest positives.
+                nearest
+            } else {
+                head.nearest_positives(&mut sweep, own).found()
+            };
+            let mut coords = [0.0; 4];
+            inverse_distance_mean(listed, |row| head.target_of(row), &mut coords);
+            if let Ok(there) = BBox::from_array_lenient(coords) {
+                landed(a, there);
+            }
         }
     }
 
@@ -155,7 +175,7 @@ impl CameraSourceModel {
         if !(h.bounded && all_bounded(&features)) {
             return self.predict(head, src).is_some();
         }
-        h.regressor.is_some()
+        !h.targets.is_empty()
             && self
                 .index
                 .with_nearest(&features, self.k, |nearest| h.votes_visible(nearest))
@@ -163,8 +183,41 @@ impl CameraSourceModel {
 }
 
 impl Head {
+    /// How many of the listed rows this head labels `1`.
+    fn positives_among(&self, nearest: &[Neighbour]) -> usize {
+        let label = |&(row, _): &Neighbour| usize::from(self.labels[row as usize]);
+        nearest.iter().map(label).sum()
+    }
+
+    /// The two-label majority vote, ties to "not visible".
     fn votes_visible(&self, nearest: &[Neighbour]) -> bool {
-        majority_vote(nearest, |row| usize::from(self.labels[row])) != 0
+        2 * self.positives_among(nearest) > nearest.len()
+    }
+
+    /// The positives nearest the query of `sweep`, up to `own.len()` of
+    /// them: listed from the rows the sweep has visited, which is resumed
+    /// only while the list reaches its next gap.
+    fn nearest_positives<'s>(&self, sweep: &mut Sweep, own: &'s mut [Neighbour]) -> TopK<'s> {
+        // A head with fewer positives than slots closes its list on the
+        // last of them, not at the table's end.
+        let wanted = own.len().min(self.targets.len());
+        let mut list = TopK::clear(&mut own[..wanted]);
+        let is_positive = |row: u32| self.labels[row as usize] != 0;
+        for row in sweep.visited(is_positive) {
+            list.offer(row);
+        }
+        while let Some(row) = sweep.next_within(list.reach()) {
+            if is_positive(row.0) {
+                list.offer(row);
+            }
+        }
+        list
+    }
+
+    /// The destination box of a row labeled `1`.
+    fn target_of(&self, row: usize) -> &[f64] {
+        let slot = self.positives.binary_search(&(row as u32));
+        &self.targets[slot.expect("only positives are listed")]
     }
 }
 
@@ -175,15 +228,17 @@ impl Head {
 /// it, so head `h` is the pair model of the samples
 /// `(rows[r], positives[h] at r)`, `r = 0, 1, …`.
 ///
-/// The vote of every head runs over all rows (visible vs. not); a head's
-/// regressor trains on its positives only. A destination that never shared
-/// an object gets a head that always answers "not visible".
+/// The vote of every head runs over all rows (visible vs. not); a head
+/// regresses from its positives only. A destination that never shared an
+/// object gets a head that always answers "not visible".
 ///
 /// # Errors
 ///
 /// Returns [`MlError::EmptyTrainingSet`] for empty `rows`,
 /// [`MlError::InvalidParameter`] for `k == 0` or a head whose rows are not
-/// strictly ascending indices into `rows`, and propagates fitting errors.
+/// strictly ascending indices into `rows`, [`MlError::NonFinite`] for a
+/// destination box with a NaN or infinite coordinate (`row` counts the
+/// head's positives), and propagates indexing errors.
 ///
 /// # Examples
 ///
@@ -215,36 +270,36 @@ pub fn train_source_model(
         return Err(MlError::InvalidParameter("k must be positive"));
     }
     let xs: Vec<[f64; 4]> = rows.iter().map(BBox::to_array).collect();
+    // No more than `u32::MAX` rows, or this fails.
     let index = KnnIndex::build(&xs)?;
     let rows_bounded = xs.iter().all(all_bounded);
     let heads = positives
         .iter()
-        .map(|positives| {
-            let mut labels = vec![0u8; xs.len()];
-            let mut rx = Vec::with_capacity(positives.len());
-            let mut ry = Vec::with_capacity(positives.len());
+        .map(|listed| {
+            let mut head = Head {
+                labels: vec![0u8; xs.len()],
+                positives: Vec::with_capacity(listed.len()),
+                targets: Vec::with_capacity(listed.len()),
+                bounded: rows_bounded,
+            };
             let mut next_row = 0;
-            for &(row, dst) in *positives {
+            for (slot, &(row, dst)) in listed.iter().enumerate() {
                 if row < next_row || row >= xs.len() {
                     return Err(MlError::InvalidParameter(
                         "positives must list strictly ascending source rows",
                     ));
                 }
                 next_row = row + 1;
-                labels[row] = 1;
-                rx.push(xs[row]);
-                ry.push(dst.to_array());
+                let target = dst.to_array();
+                if !target.iter().all(|v| v.is_finite()) {
+                    return Err(MlError::NonFinite { row: slot });
+                }
+                head.labels[row] = 1;
+                head.positives.push(row as u32);
+                head.bounded &= all_bounded(&target);
+                head.targets.push(target);
             }
-            let regressor = if rx.is_empty() {
-                None
-            } else {
-                Some(KnnRegressor::fit(k, &rx, &ry)?)
-            };
-            Ok(Head {
-                labels,
-                regressor,
-                bounded: rows_bounded && ry.iter().all(all_bounded),
-            })
+            Ok(head)
         })
         .collect::<Result<Vec<Head>, MlError>>()?;
     Ok(CameraSourceModel { k, index, heads })
@@ -252,7 +307,7 @@ pub fn train_source_model(
 
 /// The fitted models for one ordered camera pair (source → target): a
 /// [`CameraSourceModel`] with a single head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CameraPairModel {
     pub(crate) source: CameraSourceModel,
 }
@@ -381,6 +436,96 @@ mod tests {
         let model = train_pair_model(3, &samples).unwrap();
         assert!(!model.has_regressor());
         assert!(model.predict(&bb(100.0, 100.0, 40.0, 40.0)).is_none());
+    }
+
+    /// Every 0/1 list of up to eight neighbours: counting ones is the
+    /// generic vote (most frequent label, ties to the lower one).
+    #[test]
+    fn two_label_vote_is_the_majority_vote() {
+        let mut lists = 0;
+        for len in 0..=8u32 {
+            for bits in 0..1u32 << len {
+                let head = Head {
+                    labels: (0..len).map(|row| (bits >> row & 1) as u8).collect(),
+                    positives: Vec::new(),
+                    targets: Vec::new(),
+                    bounded: true,
+                };
+                let nearest: Vec<Neighbour> = (0..len).map(|row| (row, f64::from(row))).collect();
+                let generic = mvs_ml::majority_vote(&nearest, |row| usize::from(head.labels[row]));
+                assert_eq!(
+                    head.votes_visible(&nearest),
+                    generic == 1,
+                    "{bits:#b}/{len}"
+                );
+                lists += 1;
+            }
+        }
+        assert_eq!(lists, 511);
+    }
+
+    /// A head asked after another finds the sweep further along: whatever
+    /// subset of the heads is asked together, in whatever order, each
+    /// answers as it does alone — on a coarse grid (ties everywhere), for
+    /// `k` on both sides of the inline list.
+    #[test]
+    fn heads_asked_together_answer_as_each_alone() {
+        let mut state = 9u64;
+        let mut draw = move |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        for k in [1, 2, 3, 5, 8, 9, 12] {
+            let grid_box = |draw: &mut dyn FnMut(u64) -> u64| {
+                let (x, y) = (draw(6) as f64 * 40.0, draw(4) as f64 * 40.0);
+                bb(x, y, 40.0 + draw(2) as f64 * 40.0, 40.0)
+            };
+            let rows: Vec<BBox> = (0..60).map(|_| grid_box(&mut draw)).collect();
+            // Head h sees a band of the source view (the last one, two rows).
+            let bands = [
+                (0.0, 120.0),
+                (80.0, 240.0),
+                (0.0, 240.0),
+                (160.0, 240.0),
+                (200.0, 200.0),
+            ];
+            let positives: Vec<Vec<(usize, BBox)>> = bands
+                .iter()
+                .map(|&(lo, hi)| {
+                    let seen = |b: &&BBox| b.x1() >= lo && b.x1() <= hi;
+                    let there = |b: &BBox| bb(b.x1() - lo, b.y1() + 8.0, b.width(), 40.0);
+                    let listed = rows.iter().enumerate().filter(|(_, b)| seen(b));
+                    listed.map(|(row, b)| (row, there(b))).collect()
+                })
+                .collect();
+            let listed: Vec<&[(usize, BBox)]> = positives.iter().map(Vec::as_slice).collect();
+            let model = train_source_model(k, &rows, &listed).unwrap();
+            let bits = |b: BBox| b.to_array().map(f64::to_bits);
+            let mut landed = 0;
+            for _ in 0..40 {
+                let q = grid_box(&mut draw);
+                let mut asked: Vec<usize> = (0..5).filter(|_| draw(3) > 0).collect();
+                for i in (1..asked.len()).rev() {
+                    asked.swap(i, draw(i as u64 + 1) as usize);
+                }
+                let mut together = Vec::new();
+                model.predict_asked(&q, asked.iter().copied(), |a, there| {
+                    together.push((asked[a], bits(there)));
+                });
+                let alone = asked
+                    .iter()
+                    .filter_map(|&h| Some((h, bits(model.predict(h, &q)?))));
+                assert_eq!(
+                    together,
+                    alone.collect::<Vec<_>>(),
+                    "k = {k}, {asked:?}, {q:?}"
+                );
+                landed += together.len();
+            }
+            assert!(landed > 20, "k = {k}: only {landed} boxes landed");
+        }
     }
 
     #[test]

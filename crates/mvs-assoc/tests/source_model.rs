@@ -14,8 +14,18 @@
 //! lattice boxes), `k` above the row count and above the inline top-k
 //! capacity (8), destinations with no positives at all, and coordinates on
 //! both sides of the 1e150 guard of `is_visible`, per destination.
+//!
+//! A head no longer has an index of its own either: it lists its nearest
+//! positives from the rows the one sweep visits. The [`Shape`]s aim at
+//! that: heads with fewer positives than `k` (a list that never fills),
+//! positives all at the far end of one axis from the queries (the sweep
+//! has to be resumed a long way), a table of one or two boxes repeated
+//! (every distance tied, positive for one head and negative for the
+//! next), every coordinate on a coarse grid. And since a head asked after
+//! another finds more rows visited, whole association rounds over a
+//! shuffled subset of the heads must group as rounds over pair models do.
 
-use mvs_assoc::{train_pair_model, train_source_model, CorrespondenceSample};
+use mvs_assoc::{train_pair_model, train_source_model, AssociationEngine, CorrespondenceSample};
 use mvs_geometry::BBox;
 use mvs_ml::{Classifier, KnnClassifier, KnnRegressor, MlError};
 use proptest::prelude::*;
@@ -24,10 +34,16 @@ use proptest::prelude::*;
 const SCALES: [f64; 5] = [1.0, 1e3, 1e150, 1e151, 1e300];
 
 /// A box with corners on a 5-point lattice in `[-1, 1]` (so `±scale`
-/// itself occurs) or anywhere inside it, times `scale`.
-fn arb_box(scale: f64) -> impl Strategy<Value = BBox> {
-    let coord = (any::<bool>(), -2i32..3, -1.0f64..1.0)
-        .prop_map(move |(lattice, i, c)| if lattice { f64::from(i) * 0.5 } else { c } * scale);
+/// itself occurs) or — unless `grid` — anywhere inside it, times `scale`.
+fn arb_box(scale: f64, grid: bool) -> impl Strategy<Value = BBox> {
+    let coord = (any::<bool>(), -2i32..3, -1.0f64..1.0).prop_map(move |(lattice, i, c)| {
+        let unit = if lattice || grid {
+            f64::from(i) * 0.5
+        } else {
+            c
+        };
+        unit * scale
+    });
     prop::collection::vec(coord, 4).prop_map(|c| {
         BBox::from_array_lenient([c[0], c[1], c[2], c[3]]).expect("finite coordinates")
     })
@@ -88,17 +104,43 @@ struct Case {
     rows: Vec<BBox>,
     destinations: Vec<Destination>,
     queries: Vec<BBox>,
+    /// Heads in the order a round asks them: a shuffled subset.
+    asked: Vec<usize>,
 }
 
-fn arb_destination(rows: usize) -> impl Strategy<Value = Destination> {
+/// What a case is bent towards, beyond the mix every case has.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Mixed,
+    /// Every destination keeps at most `k − 1` of its positives.
+    FewPositives,
+    /// A destination sees only the rows furthest up one axis; the rows
+    /// furthest down it are queried.
+    FarPositives,
+    /// The table is one or two boxes, repeated.
+    Repeated,
+    /// Every coordinate on the 5-point lattice.
+    Grid,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape::Mixed,
+    Shape::Mixed,
+    Shape::FewPositives,
+    Shape::FarPositives,
+    Shape::Repeated,
+    Shape::Grid,
+];
+
+fn arb_destination(rows: usize, scales: &'static [f64]) -> impl Strategy<Value = Destination> {
     (
-        prop::sample::select(SCALES.to_vec()),
+        prop::sample::select(scales.to_vec()),
         // 0: the destination never shares an object; else mixed.
         0u32..4,
     )
         .prop_flat_map(move |(scale, overlap)| {
             (
-                prop::collection::vec(arb_box(scale), rows),
+                prop::collection::vec(arb_box(scale, false), rows),
                 prop::collection::vec(any::<bool>(), rows),
             )
                 .prop_map(move |(there, seen)| Destination {
@@ -113,36 +155,75 @@ fn arb_destination(rows: usize) -> impl Strategy<Value = Destination> {
         })
 }
 
-fn arb_case() -> impl Strategy<Value = Case> {
+fn arb_case(scales: &'static [f64]) -> impl Strategy<Value = Case> {
     (
         1usize..13,
         1usize..25,
         1usize..7,
         1usize..7,
-        prop::sample::select(SCALES.to_vec()),
-        prop::sample::select(SCALES.to_vec()),
+        prop::sample::select(scales.to_vec()),
+        prop::sample::select(scales.to_vec()),
+        prop::sample::select(SHAPES.to_vec()),
     )
-        .prop_flat_map(|(k, n, pool, destinations, src_scale, query_scale)| {
-            (
-                prop::collection::vec(arb_box(src_scale), pool),
-                prop::collection::vec(0usize..pool, n),
-                prop::collection::vec(arb_destination(n), destinations),
-                prop::collection::vec(arb_box(query_scale), 1..6),
-                prop::collection::vec(0usize..n, 1..4),
-            )
-                .prop_map(move |(pool, picks, destinations, mut queries, hits)| {
-                    // More rows than pool entries: some rows repeat.
-                    let rows: Vec<BBox> = picks.iter().map(|&i| pool[i]).collect();
-                    // Exact hits: query some training rows themselves.
-                    queries.extend(hits.iter().map(|&i| rows[i]));
-                    Case {
-                        k,
-                        rows,
-                        destinations,
-                        queries,
-                    }
-                })
-        })
+        .prop_flat_map(
+            move |(k, n, pool, destinations, src_scale, query_scale, shape)| {
+                let pool = if shape == Shape::Repeated {
+                    pool.min(2)
+                } else {
+                    pool
+                };
+                let grid = shape == Shape::Grid;
+                (
+                    prop::collection::vec(arb_box(src_scale, grid), pool),
+                    prop::collection::vec(0usize..pool, n),
+                    prop::collection::vec(arb_destination(n, scales), destinations),
+                    prop::collection::vec(arb_box(query_scale, grid), 1..6),
+                    prop::collection::vec(0usize..n, 1..4),
+                    prop::collection::vec(0usize..destinations, 1..7),
+                    (0usize..4, 0usize..12),
+                )
+                    .prop_map(
+                        move |(pool, picks, mut destinations, mut queries, hits, asked, bend)| {
+                            // More rows than pool entries: some rows repeat.
+                            let rows: Vec<BBox> = picks.iter().map(|&i| pool[i]).collect();
+                            // Exact hits: query some training rows themselves.
+                            queries.extend(hits.iter().map(|&i| rows[i]));
+                            let (axis, few) = bend;
+                            let along = |b: &BBox| b.to_array()[axis];
+                            match shape {
+                                Shape::FewPositives => {
+                                    for d in &mut destinations {
+                                        d.positives.truncate(1 + few % k.saturating_sub(1).max(1));
+                                    }
+                                }
+                                Shape::FarPositives => {
+                                    let far = rows.iter().map(along).fold(f64::MIN, f64::max);
+                                    let near = rows.iter().map(along).fold(f64::MAX, f64::min);
+                                    destinations[0]
+                                        .positives
+                                        .retain(|&(row, _)| along(&rows[row]) == far);
+                                    queries
+                                        .extend(rows.iter().filter(|b| along(b) == near).take(2));
+                                }
+                                _ => {}
+                            }
+                            let mut order = Vec::new();
+                            for head in asked {
+                                if !order.contains(&head) {
+                                    order.push(head);
+                                }
+                            }
+                            Case {
+                                k,
+                                rows,
+                                destinations,
+                                queries,
+                                asked: order,
+                            }
+                        },
+                    )
+            },
+        )
 }
 
 /// The samples of one pair as the per-pair layout stored them.
@@ -167,7 +248,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn every_head_answers_as_its_pair_model(case in arb_case()) {
+    fn every_head_answers_as_its_pair_model(case in arb_case(&SCALES)) {
         let positives: Vec<&[(usize, BBox)]> = case
             .destinations
             .iter()
@@ -199,8 +280,47 @@ proptest! {
                 prop_assert_eq!(pair.is_visible(q), want.is_some(), "pair model, {}", context);
             }
         }
-        // The rows are indexed once, whatever the number of heads.
+        // The rows are indexed once, whatever the number of heads, and a
+        // head keeps a target per positive.
         prop_assert_eq!(model.indexed_rows(), (case.rows.len(), regressed));
+    }
+
+    // One sweep per source box serves every asked head, a later head
+    // picking up where an earlier one left the sweep: a round over any
+    // subset of the heads, in any order, groups as the round over those
+    // pairs' own models does. Scales stay where an IoU is finite.
+    #[test]
+    fn a_round_groups_as_pair_models_do_whichever_heads_are_asked(case in arb_case(&[1.0, 1e3])) {
+        let positives: Vec<&[(usize, BBox)]> = case
+            .destinations
+            .iter()
+            .map(|d| d.positives.as_slice())
+            .collect();
+        let model = train_source_model(case.k, &case.rows, &positives)
+            .expect("non-empty finite rows");
+        let cameras = 1 + case.destinations.len();
+        let iou = AssociationEngine::DEFAULT_IOU_THRESHOLD;
+        let mut fused = AssociationEngine::new(cameras, iou);
+        fused.insert_source(0, model, case.asked.iter().map(|&head| (1 + head, head)).collect());
+        let mut paired = AssociationEngine::new(cameras, iou);
+        // Each destination detects what its pair model predicts (so views
+        // do merge), every second one nudged, and one box of its own.
+        let mut detections = vec![case.queries.clone()];
+        for (head, destination) in case.destinations.iter().enumerate() {
+            let samples = expand(&case.rows, &destination.positives);
+            let pair = train_pair_model(case.k, &samples).expect("non-empty finite samples");
+            let mut seen: Vec<BBox> = (case.queries.iter().filter_map(|q| pair.predict(q)))
+                .enumerate()
+                .map(|(i, b)| if i % 2 == 0 { b } else { b.scaled_about_center(1.2) })
+                .collect();
+            seen.push(BBox::new(-9.0, -9.0, -8.0, -8.0).expect("valid box"));
+            detections.push(seen);
+            if case.asked.contains(&head) {
+                paired.insert_model(0, 1 + head, pair);
+            }
+        }
+        prop_assert_eq!(fused.num_models(), case.asked.len());
+        prop_assert_eq!(fused.associate(&detections), paired.associate(&detections));
     }
 }
 

@@ -4,9 +4,9 @@
 //! camera every frame (takeover scan, association round), so it must not
 //! touch the heap: at `k = 3` the KNN top-k, the feature row and the
 //! regressed box all live on the stack. A whole association round over warm
-//! scratch — the per-source neighbour lists included — allocates only the
-//! list it returns. Events are counted per thread, so the tests of this
-//! binary do not see each other.
+//! scratch — one sweep per source box, three heads asked of it — allocates
+//! only the list it returns. Events are counted per thread, so the tests of
+//! this binary do not see each other.
 
 use mvs_assoc::{
     train_pair_model, train_source_model, AssociationEngine, AssociationScratch,
@@ -127,9 +127,10 @@ fn pair_model_predict_never_allocates() {
 
 #[test]
 fn warm_association_round_allocates_only_what_it_returns() {
-    // Three cameras, each view the previous one shifted 150 px. Camera 0
-    // is a source table with a head toward either neighbour (one sweep per
-    // box, two votes); camera 1 → 2 is a pair model.
+    // Four cameras, each view the previous one shifted 150 px. Camera 0
+    // is a source table with a head toward each of the others (one sweep
+    // per box serves all three; the last sees only the right half, so its
+    // list is not always the vote's); camera 1 → 2 is a pair model.
     let rows: Vec<BBox> = (0..80)
         .map(|i| bb(12.0 * f64::from(i), 200.0, 50.0, 40.0))
         .collect();
@@ -143,18 +144,22 @@ fn warm_association_round_allocates_only_what_it_returns() {
             dst: Some(there),
         })
         .collect();
-    let mut engine = AssociationEngine::new(3, AssociationEngine::DEFAULT_IOU_THRESHOLD);
+    let right_half: Vec<(usize, BBox)> = (shifted(450.0).into_iter())
+        .filter(|&(row, _)| row >= 40 || row % 3 == 0)
+        .collect();
+    let mut engine = AssociationEngine::new(4, AssociationEngine::DEFAULT_IOU_THRESHOLD);
     engine.insert_source(
         0,
-        train_source_model(3, &rows, &[&shifted(150.0), &shifted(300.0)]).expect("non-empty rows"),
-        vec![(1, 0), (2, 1)],
+        train_source_model(3, &rows, &[&shifted(150.0), &shifted(300.0), &right_half])
+            .expect("non-empty rows"),
+        vec![(1, 0), (2, 1), (3, 2)],
     );
     engine.insert_model(
         1,
         2,
         train_pair_model(3, &shift).expect("non-empty samples"),
     );
-    assert_eq!(engine.num_models(), 3);
+    assert_eq!(engine.num_models(), 4);
     let row = |dx: f64| -> Vec<BBox> {
         (0..6)
             .map(|i| bb(100.0 + 90.0 * f64::from(i) + dx, 200.0, 50.0, 40.0))
@@ -163,7 +168,7 @@ fn warm_association_round_allocates_only_what_it_returns() {
     // One camera-2 box matches nothing: merged and singleton groups both occur.
     let mut last = row(300.0);
     last.push(bb(20.0, 500.0, 30.0, 30.0));
-    let detections = vec![row(0.0), row(150.0), last];
+    let detections = vec![row(0.0), row(150.0), last, row(450.0)];
 
     let mut scratch = AssociationScratch::default();
     let cold = engine.associate_with(&detections, &mut scratch);
@@ -173,7 +178,7 @@ fn warm_association_round_allocates_only_what_it_returns() {
 
     assert_eq!(warm, cold, "scratch carries no result");
     assert_eq!(warm, engine.associate(&detections));
-    assert!(warm.iter().any(|g| g.members.len() == 3));
+    assert!(warm.iter().any(|g| g.members.len() == 4));
     assert!(warm.iter().any(|g| g.members.len() == 1));
     assert_eq!(
         allocated,

@@ -10,8 +10,9 @@
 //! for bit, at a fraction of the rows touched and without heap traffic for
 //! small `k`. The index is a type of its own because a neighbour list
 //! depends on the rows alone: models that memorize the same rows under
-//! different labels share one index and one sweep per query, each casting
-//! its own [`majority_vote`].
+//! different labels share one index and one [`Sweep`] per query, each
+//! casting its own [`majority_vote`] and, over the rows it cares for,
+//! keeping its own [`TopK`].
 
 use crate::{Classifier, MlError, Regressor};
 use serde::{Deserialize, Serialize};
@@ -170,15 +171,40 @@ impl KnnIndex {
         self.order.is_empty()
     }
 
-    /// How many neighbours a query for `k` of them lists: `min(k, len)`,
-    /// or none for a query of the wrong length or with a non-finite
-    /// coordinate.
-    fn neighbours_of(&self, x: &[f64], k: usize) -> usize {
-        if x.len() == self.dim && x.iter().all(|v| v.is_finite()) {
-            k.min(self.len())
-        } else {
-            0
+    /// Starts an outward sweep from `x`'s position on the sweep axis;
+    /// `None` for a query of the wrong length or with a non-finite
+    /// coordinate, which has no neighbours.
+    #[inline]
+    pub fn sweep<'a>(&'a self, x: &'a [f64]) -> Option<Sweep<'a>> {
+        if x.len() != self.dim || !x.iter().all(|v| v.is_finite()) {
+            return None;
         }
+        let (dim, axis, n) = (self.dim, self.axis, self.len());
+        // First sorted position whose key is not below the query's.
+        let (mut below, mut above) = (0, n);
+        while below < above {
+            let mid = below + (above - below) / 2;
+            if self.rows[mid * dim + axis] < x[axis] {
+                below = mid + 1;
+            } else {
+                above = mid;
+            }
+        }
+        Some(Sweep {
+            index: self,
+            x,
+            below,
+            above,
+            gap_below: self.gap_at(x, below.checked_sub(1)),
+            gap_above: self.gap_at(x, Some(above)),
+        })
+    }
+
+    /// Key gap between `x` and the row at sorted position `pos`, if any.
+    #[inline]
+    fn gap_at(&self, x: &[f64], pos: Option<usize>) -> Option<f64> {
+        let pos = pos.filter(|&pos| pos < self.len())?;
+        Some((self.rows[pos * self.dim + self.axis] - x[self.axis]).abs())
     }
 
     /// Calls `f` with the `k` nearest rows as the brute-force scan would
@@ -186,102 +212,142 @@ impl KnnIndex {
     /// wrong length or with a non-finite coordinate has no neighbours.
     /// Does not allocate for `k ≤ 8`.
     pub fn with_nearest<T>(&self, x: &[f64], k: usize, f: impl FnOnce(&[Neighbour]) -> T) -> T {
-        let cap = self.neighbours_of(x, k);
-        let mut inline = [(0u32, 0.0f64); INLINE_K];
+        let cap = k.min(self.len());
+        let mut inline = [TopK::VACANT; INLINE_K];
         let mut spill = Vec::new();
-        let top = if cap <= INLINE_K {
+        let mut top = TopK::clear(if cap <= INLINE_K {
             &mut inline[..cap]
         } else {
-            spill.resize(cap, (0u32, 0.0f64));
+            spill.resize(cap, TopK::VACANT);
             &mut spill[..]
+        });
+        if let Some(mut sweep) = self.sweep(x) {
+            while let Some(row) = sweep.next_within(top.reach()) {
+                top.offer(row);
+            }
+        }
+        f(top.found())
+    }
+}
+
+/// The rows of a [`KnnIndex`] outward from a query's position on the sweep
+/// axis, nearer key first, so the key gaps `|key − x[axis]|` arrive in
+/// non-decreasing order. Resumable: a caller takes rows while their gap is
+/// within its [`TopK::reach`] and may pick the sweep up again for a list
+/// that reaches further.
+#[derive(Debug)]
+pub struct Sweep<'a> {
+    index: &'a KnnIndex,
+    x: &'a [f64],
+    /// Unvisited: sorted positions `..below` and `above..`.
+    below: usize,
+    above: usize,
+    /// Gap of the next unvisited row on either side, `None` past the end.
+    gap_below: Option<f64>,
+    gap_above: Option<f64>,
+}
+
+impl Sweep<'_> {
+    /// Visits the next row if its gap is at most `reach`: its arrival
+    /// index and distance to the query. `None` leaves the sweep where it
+    /// is — every unvisited row lies beyond `reach`, or none is left.
+    #[inline]
+    pub fn next_within(&mut self, reach: f64) -> Option<Neighbour> {
+        let (take_below, gap) = match (self.gap_below, self.gap_above) {
+            (Some(b), Some(a)) if b <= a => (true, b),
+            (Some(b), None) => (true, b),
+            (_, Some(a)) => (false, a),
+            (None, None) => return None,
         };
-        if cap > 0 {
-            self.sweep(x, top);
+        if gap > reach {
+            return None;
         }
-        f(top)
+        let pos = if take_below {
+            self.below -= 1;
+            self.gap_below = self.index.gap_at(self.x, self.below.checked_sub(1));
+            self.below
+        } else {
+            self.above += 1;
+            self.gap_above = self.index.gap_at(self.x, Some(self.above));
+            self.above - 1
+        };
+        Some(self.row_at(pos))
     }
 
-    /// Appends the list [`KnnIndex::with_nearest`] hands its closure to
-    /// `out`, for a caller that keeps the lists of many queries (the
-    /// association round votes on each once per destination camera).
-    pub fn nearest_into(&self, x: &[f64], k: usize, out: &mut Vec<Neighbour>) {
-        let cap = self.neighbours_of(x, k);
-        if cap > 0 {
-            let start = out.len();
-            out.resize(start + cap, (0u32, 0.0f64));
-            self.sweep(x, &mut out[start..]);
-        }
+    /// Arrival index and distance of the row at sorted position `pos`.
+    #[inline]
+    fn row_at(&self, pos: usize) -> Neighbour {
+        let dim = self.index.dim;
+        let row = &self.index.rows[pos * dim..(pos + 1) * dim];
+        (self.index.order[pos], distance(row, self.x))
     }
 
-    /// Fills `top`, whose length is the number of neighbours wanted (≥ 1
-    /// and ≤ `len()`, so every slot gets a row) for a finite `x` of the
-    /// index's width.
-    ///
-    /// Rows are visited outward from the query's position on the sweep
-    /// axis, nearer key first, so the key gaps `|key − x[axis]|` arrive in
-    /// non-decreasing order. A row's computed distance is never below its
-    /// gap (DESIGN.md §17), so once the list is full and a gap *strictly*
-    /// exceeds the k-th distance no unvisited row can enter it — not even
-    /// as an equal-distance, lower-index tie — and the sweep ends.
-    fn sweep(&self, x: &[f64], top: &mut [Neighbour]) {
-        let (dim, axis, n) = (self.dim, self.axis, self.len());
-        let q = x[axis];
-        let gap_at = |pos: usize| (self.rows[pos * dim + axis] - q).abs();
-        // First sorted position whose key is not below the query's.
-        let (mut below, mut above) = (0, n);
-        while below < above {
-            let mid = below + (above - below) / 2;
-            if self.rows[mid * dim + axis] < q {
-                below = mid + 1;
-            } else {
-                above = mid;
-            }
+    /// The rows visited so far whose arrival index `keep` keeps, in no
+    /// particular order: what a list that was not kept while the sweep ran
+    /// has to be offered before it can take the sweep up.
+    #[inline]
+    pub fn visited<'s>(
+        &'s self,
+        keep: impl Fn(u32) -> bool + 's,
+    ) -> impl Iterator<Item = Neighbour> + 's {
+        (self.below..self.above)
+            .filter(move |&pos| keep(self.index.order[pos]))
+            .map(|pos| self.row_at(pos))
+    }
+}
+
+/// A running list of the nearest rows offered so far, ascending
+/// `(distance, arrival index)`, over a caller's slots — as many as
+/// neighbours are wanted. A free slot holds [`TopK::VACANT`], which sorts
+/// after every row.
+#[derive(Debug)]
+pub struct TopK<'a>(&'a mut [Neighbour]);
+
+impl<'a> TopK<'a> {
+    /// What a slot no row has taken yet holds: no index is `u32::MAX`
+    /// rows long, and no distance is above infinity.
+    pub const VACANT: Neighbour = (u32::MAX, f64::INFINITY);
+
+    /// An empty list over `slots`.
+    #[inline]
+    pub fn clear(slots: &'a mut [Neighbour]) -> Self {
+        slots.fill(Self::VACANT);
+        TopK(slots)
+    }
+
+    /// Enters `candidate` if it sorts before the last slot's row.
+    #[inline]
+    pub fn offer(&mut self, candidate: Neighbour) {
+        let before = |a: Neighbour, b: Neighbour| a.1 < b.1 || (a.1 == b.1 && a.0 < b.0);
+        if !self.0.last().is_some_and(|&last| before(candidate, last)) {
+            return;
         }
-        // Unvisited: sorted positions `..below` and `above..`.
-        let mut gap_below = (below > 0).then(|| gap_at(below - 1));
-        let mut gap_above = (above < n).then(|| gap_at(above));
-        let mut found = 0;
-        // Finite only once `top` is full.
-        let mut prune_above = f64::INFINITY;
-        loop {
-            let (take_below, gap) = match (gap_below, gap_above) {
-                (Some(b), Some(a)) if b <= a => (true, b),
-                (Some(b), None) => (true, b),
-                (_, Some(a)) => (false, a),
-                (None, None) => break,
-            };
-            if gap > prune_above {
-                break;
-            }
-            let pos = if take_below {
-                below -= 1;
-                gap_below = (below > 0).then(|| gap_at(below - 1));
-                below
-            } else {
-                above += 1;
-                gap_above = (above < n).then(|| gap_at(above));
-                above - 1
-            };
-            let candidate = (
-                self.order[pos],
-                distance(&self.rows[pos * dim..(pos + 1) * dim], x),
-            );
-            let before = |a: Neighbour, b: Neighbour| a.1 < b.1 || (a.1 == b.1 && a.0 < b.0);
-            if found < top.len() {
-                found += 1;
-            } else if !before(candidate, top[found - 1]) {
-                continue;
-            }
-            let mut slot = found - 1;
-            while slot > 0 && before(candidate, top[slot - 1]) {
-                top[slot] = top[slot - 1];
-                slot -= 1;
-            }
-            top[slot] = candidate;
-            if found == top.len() {
-                prune_above = top[found - 1].1.max(MIN_EXACT_GAP);
-            }
+        let mut slot = self.0.len() - 1;
+        while slot > 0 && before(candidate, self.0[slot - 1]) {
+            self.0[slot] = self.0[slot - 1];
+            slot -= 1;
         }
+        self.0[slot] = candidate;
+    }
+
+    /// The largest key gap at which an unvisited row of a [`Sweep`] could
+    /// still enter the list. A row's computed distance is never below its
+    /// gap (DESIGN.md §17), so once the list is full a row whose gap
+    /// *strictly* exceeds the last slot's distance cannot enter — not even
+    /// as an equal-distance, lower-index tie. A list with a vacant slot
+    /// reaches every row; one without slots, none.
+    #[inline]
+    pub fn reach(&self) -> f64 {
+        self.0
+            .last()
+            .map_or(f64::NEG_INFINITY, |&(_, kth)| kth.max(MIN_EXACT_GAP))
+    }
+
+    /// The rows entered, nearest first.
+    #[inline]
+    pub fn found(self) -> &'a [Neighbour] {
+        let taken = self.0.partition_point(|&(row, _)| row != u32::MAX);
+        &self.0[..taken]
     }
 }
 
@@ -304,6 +370,34 @@ pub fn majority_vote(nearest: &[Neighbour], label_of: impl Fn(usize) -> usize) -
         }
     }
     winner.map_or(0, |(_, label)| label)
+}
+
+/// The regressor's fold over a neighbour list, into `out`: the target of
+/// the first listed row closer than 1e-12 (an exact hit — weighting would
+/// divide by zero), else the inverse-distance weighted mean of the listed
+/// rows' targets; all-NaN for an empty list. `target_of` maps an
+/// arrival-order row to its target, `out.len()` values long.
+pub fn inverse_distance_mean<'t>(
+    nearest: &[Neighbour],
+    target_of: impl Fn(usize) -> &'t [f64],
+    out: &mut [f64],
+) {
+    if let Some(&(row, _)) = nearest.iter().find(|&&(_, d)| d < 1e-12) {
+        out.copy_from_slice(target_of(row as usize));
+        return;
+    }
+    out.fill(0.0);
+    let mut wsum = 0.0;
+    for &(row, d) in nearest {
+        let w = 1.0 / d;
+        wsum += w;
+        for (o, y) in out.iter_mut().zip(target_of(row as usize)) {
+            *o += w * y;
+        }
+    }
+    for o in out.iter_mut() {
+        *o /= wsum;
+    }
 }
 
 /// K-nearest-neighbour classifier (majority vote, ties to lower label).
@@ -459,16 +553,6 @@ impl KnnRegressor {
         self.k
     }
 
-    /// Size of the memorized training set.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the training set is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// [`Regressor::predict`] into a caller-provided row (a stack array on
     /// the association hot path); does not allocate for `k ≤ 8`.
     ///
@@ -484,26 +568,9 @@ impl KnnRegressor {
             self.target_dim,
             "output row must match the target dimensionality"
         );
-        let target = |i: u32| &self.ys[i as usize * self.target_dim..][..self.target_dim];
+        let target = |row: usize| &self.ys[row * self.target_dim..][..self.target_dim];
         self.index.with_nearest(x, self.k, |nearest| {
-            // Exact hit: return the memorized target (inverse-distance
-            // weighting would divide by zero).
-            if let Some(&(i, _)) = nearest.iter().find(|&&(_, d)| d < 1e-12) {
-                out.copy_from_slice(target(i));
-                return;
-            }
-            out.fill(0.0);
-            let mut wsum = 0.0;
-            for &(i, d) in nearest {
-                let w = 1.0 / d;
-                wsum += w;
-                for (o, y) in out.iter_mut().zip(target(i)) {
-                    *o += w * y;
-                }
-            }
-            for o in out.iter_mut() {
-                *o /= wsum;
-            }
+            inverse_distance_mean(nearest, target, out);
         });
     }
 }

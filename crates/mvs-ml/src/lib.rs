@@ -6,7 +6,8 @@
 //!
 //! * [`KnnClassifier`] / [`KnnRegressor`] — the paper's chosen models, over
 //!   the exact [`KnnIndex`] (shareable: several label sets can cast their
-//!   [`majority_vote`] on one neighbour list);
+//!   [`majority_vote`] on one neighbour list, and one resumable [`Sweep`]
+//!   fills a [`TopK`] per set for [`inverse_distance_mean`]);
 //! * [`LogisticRegression`] — binary classification baseline;
 //! * [`LinearSvm`] — linear support-vector machine (Pegasos) baseline;
 //! * [`DecisionTree`] — CART classification baseline;
@@ -59,7 +60,10 @@ pub use homography::estimate_homography;
 pub use hungarian::{hungarian, hungarian_max, Assignment as HungarianAssignment, HungarianSolver};
 #[doc(hidden)]
 pub use knn::brute_force_k_nearest;
-pub use knn::{majority_vote, KnnClassifier, KnnIndex, KnnRegressor, Neighbour};
+pub use knn::{
+    inverse_distance_mean, majority_vote, KnnClassifier, KnnIndex, KnnRegressor, Neighbour, Sweep,
+    TopK,
+};
 pub use linreg::LinearRegression;
 pub use logistic::LogisticRegression;
 pub use matrix::Matrix;

@@ -14,8 +14,17 @@
 //! rows on one sweep key, `k` above the inline top-k capacity (8), negative
 //! coordinates, dims 1–6, and coordinate scales whose squares underflow to
 //! zero or overflow to infinity.
+//!
+//! The same cases hold the parts the index is made of — the resumable
+//! [`Sweep`] and the [`TopK`] list — to the scan directly: a sweep emits
+//! every row once, nearer sweep key first, at the scan's distance, and a
+//! list that joins a sweep late (offered the visited rows it keeps, then
+//! fed until its reach ends) is the scan's list over the kept rows alone.
 
-use mvs_ml::{brute_force_k_nearest, Classifier, KnnClassifier, KnnRegressor, Regressor};
+use mvs_ml::{
+    brute_force_k_nearest, Classifier, KnnClassifier, KnnIndex, KnnRegressor, Neighbour, Regressor,
+    TopK,
+};
 use proptest::prelude::*;
 
 /// The pre-index majority vote, verbatim.
@@ -157,6 +166,101 @@ proptest! {
             let mut row = vec![f64::NAN; targets[0].len()];
             regressor.predict_into(q, &mut row);
             prop_assert_eq!(bits(&row), expected);
+        }
+    }
+}
+
+/// The feature column with the largest value range, the first of equals:
+/// the axis the index sorts and sweeps along.
+fn widest_axis(xs: &[Vec<f64>]) -> usize {
+    let range = |a: usize| {
+        let column = || xs.iter().map(|row| row[a]);
+        column().fold(f64::MIN, f64::max) - column().fold(f64::MAX, f64::min)
+    };
+    (1..xs[0].len()).fold(0, |best, a| if range(a) > range(best) { a } else { best })
+}
+
+/// The `k` nearest of the rows `keep` keeps, as a list that joins the
+/// sweep after it has already run for the `joined_after` nearest rows of
+/// all.
+fn late_list(
+    index: &KnnIndex,
+    q: &[f64],
+    k: usize,
+    joined_after: usize,
+    keep: impl Fn(u32) -> bool,
+) -> Vec<(usize, f64)> {
+    let mut sweep = index.sweep(q).expect("finite query of the index's width");
+    let mut first = vec![TopK::VACANT; joined_after.min(index.len())];
+    let mut first = TopK::clear(&mut first);
+    while let Some(row) = sweep.next_within(first.reach()) {
+        first.offer(row);
+    }
+    let kept = (0..index.len() as u32).filter(|&row| keep(row)).count();
+    let mut slots = vec![TopK::VACANT; k.min(kept)];
+    let mut list = TopK::clear(&mut slots);
+    for row in sweep.visited(&keep) {
+        list.offer(row);
+    }
+    while let Some(row) = sweep.next_within(list.reach()) {
+        if keep(row.0) {
+            list.offer(row);
+        }
+    }
+    list.found().iter().map(|&(i, d)| (i as usize, d)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sweep_and_late_lists_match_brute_force_bitwise(case in arb_case()) {
+        let Case { k, xs, labels, queries, .. } = &case;
+        let index = KnnIndex::build(xs).expect("finite rectangular rows");
+        let axis = widest_axis(xs);
+        for q in queries {
+            // Emission: every row once, at the scan's distance, gaps on the
+            // sweep axis never decreasing; nothing beyond a reach is taken.
+            let everything = brute_force_k_nearest(xs, q, xs.len());
+            let mut sweep = index.sweep(q).expect("finite query");
+            prop_assert!(sweep.next_within(f64::NEG_INFINITY).is_none());
+            let mut emitted: Vec<Neighbour> = Vec::new();
+            while let Some(row) = sweep.next_within(f64::INFINITY) {
+                emitted.push(row);
+            }
+            let gaps: Vec<f64> = emitted
+                .iter()
+                .map(|&(i, _)| (xs[i as usize][axis] - q[axis]).abs())
+                .collect();
+            prop_assert!(gaps.windows(2).all(|w| w[0] <= w[1]), "gaps {:?}", gaps);
+            let mut by_distance: Vec<(usize, f64)> =
+                emitted.iter().map(|&(i, d)| (i as usize, d)).collect();
+            by_distance.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            prop_assert_eq!(neighbour_bits(&by_distance), neighbour_bits(&everything));
+            prop_assert_eq!(sweep.visited(|_| true).count(), xs.len());
+
+            // A list over the rows of one label, joining early and late.
+            for label in 0..3 {
+                let kept: Vec<usize> = (0..xs.len()).filter(|&i| labels[i] == label).collect();
+                let kept_rows: Vec<&Vec<f64>> = kept.iter().map(|&i| &xs[i]).collect();
+                let reference: Vec<(usize, f64)> = brute_force_k_nearest(&kept_rows, q, *k)
+                    .into_iter()
+                    .map(|(i, d)| (kept[i], d))
+                    .collect();
+                for joined_after in [0, 1, *k, xs.len()] {
+                    let list = late_list(&index, q, *k, joined_after, |row| {
+                        labels[row as usize] == label
+                    });
+                    prop_assert_eq!(
+                        neighbour_bits(&list),
+                        neighbour_bits(&reference),
+                        "label {} joined after {} for query {:?}",
+                        label,
+                        joined_after,
+                        q
+                    );
+                }
+            }
         }
     }
 }

@@ -10,7 +10,10 @@
 //! Every pair of one source camera labels the same boxes — the source's
 //! own — so data and models are kept per source: a camera's boxes once,
 //! and per paired destination only what that destination adds (the
-//! positives; one head of the camera's [`CameraSourceModel`]).
+//! positives; one head of the camera's [`CameraSourceModel`], which keeps a
+//! label per box and the positives' boxes there — no index of its own: one
+//! sweep of the camera's table answers "visible?" and "where?" for every
+//! destination asked).
 
 use crate::scenario::Scenario;
 use mvs_assoc::{train_source_model, AssociationEngine, CameraSourceModel, CorrespondenceSample};
@@ -207,8 +210,8 @@ pub struct TrainedAssociation {
 
 impl TrainedAssociation {
     /// Trains one KNN source model per camera (with `k` neighbours) on the
-    /// collected data: the camera's boxes indexed once, one head per
-    /// paired destination.
+    /// collected data: the camera's boxes indexed once, one head (labels
+    /// and targets) per paired destination.
     ///
     /// Pairs with no samples at all (a camera never saw any object while
     /// another had data) get no model; the engine skips them and the
@@ -282,8 +285,8 @@ impl TrainedAssociation {
             .is_some_and(|(model, head)| model.is_visible(head, bbox))
     }
 
-    /// `(classifier rows, regressor rows)` the models keep indexed: every
-    /// camera's labeled boxes once, plus every pair's positives.
+    /// `(rows indexed, positives kept as targets)`: every camera's labeled
+    /// boxes once, plus a destination box per positive of every pair.
     pub fn indexed_rows(&self) -> (usize, usize) {
         self.sources
             .iter()

@@ -473,7 +473,7 @@ fn source_tables_answer_as_per_pair_models_on_s3() {
 
 /// On the city the size gate rides along: a camera's observations are
 /// indexed once — not once per paired destination, as the per-pair layout
-/// did — and the regressors hold the positives and nothing else.
+/// did — and a head keeps a target per positive and indexes nothing.
 #[test]
 fn source_tables_answer_as_per_pair_models_on_a_city_at_one_index_row_per_observation() {
     let scenario = city16();
@@ -481,6 +481,7 @@ fn source_tables_answer_as_per_pair_models_on_a_city_at_one_index_row_per_observ
     let m = scenario.num_cameras();
     let observations: usize = (0..m).map(|cam| data.rows(cam).len()).sum();
     let positives: usize = data.pairs.values().map(|l| l.positives().len()).sum();
+    // (rows indexed, positives kept as targets)
     assert_eq!(trained.indexed_rows(), (observations, positives));
     // What one classifier index per pair held: every observation once per
     // destination its camera is paired with (seven in a full district).

@@ -103,54 +103,3 @@ fn world_round_trips_without_its_position_cache() {
         );
     }
 }
-
-/// A model serialized before `bounded` existed deserializes onto the slow
-/// side of `is_visible` (`predict(..).is_some()`), so every head answers as
-/// the freshly trained model does — the flag sits on the head, one per
-/// destination, and the pair model is the one-head case of the same layout.
-#[test]
-fn pair_model_without_the_bounded_flag_answers_visibility_the_same() {
-    use mvs_assoc::{
-        train_pair_model, train_source_model, CameraPairModel, CameraSourceModel,
-        CorrespondenceSample,
-    };
-    use mvs_geometry::BBox;
-    let bb = |x: f64| BBox::new(x, 100.0, x + 50.0, 140.0).unwrap();
-    let rows: Vec<BBox> = (0..40).map(|i| bb(25.0 * f64::from(i))).collect();
-    // Head 0 sees the right part of the source view, head 1 the left.
-    let right: Vec<(usize, BBox)> = (17..40).map(|r| (r, bb(25.0 * r as f64 - 300.0))).collect();
-    let left: Vec<(usize, BBox)> = (0..12).map(|r| (r, bb(25.0 * r as f64 + 600.0))).collect();
-    let model = train_source_model(3, &rows, &[&right, &left]).unwrap();
-    let json = serde_json::to_string(&model).unwrap();
-    assert_eq!(json.matches("\"bounded\":true").count(), 2, "{json}");
-    assert_eq!(json.matches("\"labels\"").count(), 2, "{json}");
-    let old_json = json.replace(",\"bounded\":true", "");
-    assert!(!old_json.contains("bounded"));
-    let old: CameraSourceModel = serde_json::from_str(&old_json).unwrap();
-
-    let samples: Vec<CorrespondenceSample> = (rows.iter().enumerate())
-        .map(|(row, &src)| CorrespondenceSample {
-            src,
-            dst: row.checked_sub(17).map(|at| right[at].1),
-        })
-        .collect();
-    let pair = train_pair_model(3, &samples).unwrap();
-    let pair_json = serde_json::to_string(&pair).unwrap();
-    assert_eq!(pair_json.matches("\"bounded\":true").count(), 1);
-    let old_pair: CameraPairModel =
-        serde_json::from_str(&pair_json.replace(",\"bounded\":true", "")).unwrap();
-
-    let mut seen = [0, 0];
-    for i in 0..100 {
-        let probe = bb(10.0 * f64::from(i));
-        for (head, seen) in seen.iter_mut().enumerate() {
-            let visible = model.is_visible(head, &probe);
-            assert_eq!(visible, model.predict(head, &probe).is_some());
-            assert_eq!(old.is_visible(head, &probe), visible);
-            *seen += usize::from(visible);
-        }
-        assert_eq!(pair.is_visible(&probe), model.is_visible(0, &probe));
-        assert_eq!(old_pair.is_visible(&probe), model.is_visible(0, &probe));
-    }
-    assert!(seen.iter().all(|&n| n > 0 && n < 100), "{seen:?} visible");
-}
