@@ -177,14 +177,13 @@ impl AssociationEngine {
         for entry in &self.sources {
             let (i, model) = (entry.source, &entry.model);
             let src = &detections[i];
+            if src.is_empty() {
+                continue;
+            }
+            let has_boxes = |&&(ip, _): &&(usize, usize)| !detections[ip].is_empty();
             asked.clear();
-            asked.extend(
-                entry
-                    .heads
-                    .iter()
-                    .filter(|&&(ip, _)| !detections[ip].is_empty()),
-            );
-            if src.is_empty() || asked.is_empty() {
+            asked.extend(entry.heads.iter().filter(has_boxes));
+            if asked.is_empty() {
                 continue;
             }
             // Step 1+2, box-major: one sweep of the source's table per

@@ -15,11 +15,13 @@
 //!
 //! All of camera `i`'s pair models memorize the same boxes — `i`'s own —
 //! under different labels, so they are stored as one table with one head
-//! per `i'`:
+//! per `i'`, and one outward sweep of that table per query box answers
+//! both questions for every `i'` asked:
 //!
-//! * [`CameraSourceModel`] — a camera's labeled boxes, indexed once, plus a
-//!   classifier vote and a regressor per paired destination
-//!   ([`train_source_model`] fits it);
+//! * [`CameraSourceModel`] — a camera's labeled boxes, indexed once, plus
+//!   per paired destination a label per box (the classifier's vote) and
+//!   the shared boxes' locations there (what the regressor averages; no
+//!   index of its own) — [`train_source_model`] fits it;
 //! * [`CameraPairModel`] — its one-destination case, the bundle for a
 //!   single pair ([`train_pair_model`] fits it from labeled
 //!   correspondences);
